@@ -9,9 +9,9 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass.
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench bench-json tables golden golden-update fuzz-smoke stream-smoke fleet-smoke search-smoke
+.PHONY: check vet build test race bench bench-json bench-json-name tables golden golden-update fuzz-smoke stream-smoke search-smoke
 
-check: vet build race golden stream-smoke fleet-smoke search-smoke fuzz-smoke
+check: vet build race golden stream-smoke search-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -29,12 +29,18 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark snapshot: run the Benchmark* suite and write
-# name / ns_per_op / allocs_per_op per benchmark to BENCH_5.json, so the
-# perf trajectory accumulates as comparable artifacts across changes.
+# name / ns_per_op / allocs_per_op per benchmark to the next free
+# BENCH_N.json, so the perf trajectory accumulates as comparable artifacts
+# across changes instead of overwriting the last snapshot.
 BENCHTIME ?= 1s
+BENCH_JSON = $(shell ls BENCH_*.json 2>/dev/null | tr -dc '0-9\n' | sort -n | awk 'END {print "BENCH_" $$1+1 ".json"}')
 bench-json:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime $(BENCHTIME) ./... \
-		| $(GO) run ./internal/tools/benchjson > BENCH_5.json
+		| $(GO) run ./internal/tools/benchjson > $(BENCH_JSON)
+
+# Print the name bench-json would write (CI names its artifact with it).
+bench-json-name:
+	@echo $(BENCH_JSON)
 
 # Golden-file regression suite: every deterministic experiment rendering,
 # the event-timeline render and the diagnosis report must match their
@@ -62,13 +68,6 @@ golden-update:
 stream-smoke:
 	$(GO) test ./internal/stream -run 'TestStreamMatchesBatch|TestSessionStreamsViolations' -count=1
 	$(GO) test ./internal/service -run 'TestStream' -count=1
-
-# Fleet-tier gate: the consistent-hash ring, async job manager and
-# persistent store package suites, plus the in-process coordinator /
-# failover / store-restart / limits-validation service tests.
-fleet-smoke:
-	$(GO) test ./internal/shard ./internal/jobs ./internal/store -count=1
-	$(GO) test ./internal/service -run 'TestJob|TestCoordinator|TestStoreTier|TestLimits' -count=1
 
 # Adversarial-search gate: the optimizer property/determinism suite, the
 # S1 frontier-retreat acceptance test and the /v1/search endpoint tests.

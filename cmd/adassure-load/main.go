@@ -12,8 +12,8 @@
 //
 // With -jobs each logical request goes through the async job API (POST
 // /v1/jobs → poll → GET /v1/jobs/{id}/result) instead of the blocking
-// /v1/run, so the tool measures the whole submit-to-terminal cycle —
-// against either a standalone server or a fleet coordinator.
+// /v1/run, so the tool measures the whole submit-to-terminal cycle of
+// the job tier.
 //
 // With -spread-seeds 0 (the default) every request is identical, so
 // after the first simulation the run measures the cache-hit/coalescing

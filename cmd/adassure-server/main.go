@@ -1,16 +1,19 @@
 // Command adassure-server exposes the ADAssure scenario-execution engine
-// over HTTP/JSON. Clients POST scenario requests (attack class, window,
-// seed, assertion-catalog selection) to /v1/run and receive the full
-// evidence chain: run summary, violation record, ranked diagnosis
-// hypotheses and — on request — per-episode forensic bundles.
+// over HTTP/JSON on one machine. Clients POST scenario requests (attack
+// class, window, seed, assertion-catalog selection) to /v1/run and
+// receive the full evidence chain: run summary, violation record, ranked
+// diagnosis hypotheses and — on request — per-episode forensic bundles.
+// Mutation campaigns (/v1/mutate) and adversarial searches (/v1/search)
+// are served the same way.
 //
-// Because every run is deterministic in its canonicalized request, the
-// server front-ends the worker pool with a content-addressed result
-// cache (canonical request hash → response bytes, LRU bounded by
-// -cache-bytes) plus single-flight coalescing, so repeated or concurrent
-// identical requests cost exactly one simulation. When the bounded
-// admission queue is full the server sheds load with 429 + Retry-After
-// instead of queueing unboundedly.
+// Because every run, campaign and search is deterministic in its
+// canonicalized request, all three share one keyed pipeline in front of
+// the worker pool: a content-addressed result cache (canonical request
+// hash → response bytes, LRU bounded by -cache-bytes), the optional
+// persistent store (-store-dir), and single-flight coalescing, so
+// repeated or concurrent identical requests cost exactly one execution.
+// When the bounded admission queue is full the server sheds load with
+// 429 + Retry-After instead of queueing unboundedly.
 //
 // Usage:
 //
@@ -19,23 +22,16 @@
 //	    [-retry-after 1s] [-pprof] [-metrics out.json]
 //	    [-stream-hz 2000] [-stream-session 5m] [-stream-error-budget 0]
 //	    [-log-format text|json] [-trace-store 256] [-readiness-grace 0s]
-//	    [-role standalone|worker|coordinator] [-peers url,url,...]
 //	    [-store-dir DIR] [-store-bytes N]
 //	    [-jobs-workers 2] [-jobs-queue 16] [-jobs-retention 256] [-no-jobs]
 //
-// Fleet roles: the default "standalone" executes everything locally.
-// "worker" is a standalone execution node addressed by a coordinator
-// (give it -store-dir so its shard of results survives restarts).
-// "coordinator" requires -peers and executes nothing itself: every keyed
-// request — synchronous /v1/run and async /v1/jobs alike — is routed to
-// its content-address owner on a consistent-hash ring over the workers,
-// with health-checked failover. POST /v1/jobs returns 202 + a job id;
-// poll GET /v1/jobs/{id}, stream NDJSON progress from
-// /v1/jobs/{id}/events, fetch bytes from /v1/jobs/{id}/result, cancel
-// with DELETE.
+// POST /v1/jobs runs a scenario asynchronously: it returns 202 + a job
+// id; poll GET /v1/jobs/{id}, stream NDJSON progress from
+// /v1/jobs/{id}/events, fetch bytes (identical to /v1/run's) from
+// /v1/jobs/{id}/result, cancel with DELETE.
 //
 // -store-dir enables the persistent result store (append-only CRC-checked
-// segments): cache misses fall through to it before simulating, and every
+// segments): cache misses fall through to it before executing, and every
 // fresh result is appended, so cached evidence survives restarts.
 //
 // All resource limits are validated together at boot — nonsense
@@ -59,7 +55,7 @@
 // carries the same trace_id for correlation.
 //
 // Endpoints: POST /v1/run, POST /v1/stream, POST /v1/mutate,
-// GET /v1/catalog, GET /healthz, GET /readyz, GET /metrics,
+// POST /v1/search, /v1/jobs[/{id}[/result|/events]], GET /v1/catalog, GET /healthz, GET /readyz, GET /metrics,
 // GET /metrics.json, GET /debug/buildinfo, GET /debug/traces[/{id}], and
 // GET /debug/pprof (with -pprof). SIGINT/SIGTERM trigger a graceful
 // shutdown: /readyz flips to 503 immediately, -readiness-grace gives
@@ -80,8 +76,6 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"strings"
 
 	"adassure/internal/obs"
 	"adassure/internal/service"
@@ -118,8 +112,6 @@ func run(argv []string, stdout, stderr *os.File) error {
 		logFormat    = fs.String("log-format", "text", "structured log format: text or json (stderr)")
 		traceStore   = fs.Int("trace-store", 256, "completed traces retained for /debug/traces (0 disables tracing)")
 		readyGrace   = fs.Duration("readiness-grace", 0, "after /readyz flips to 503 on shutdown, wait this long before closing the listener")
-		role         = fs.String("role", "standalone", "fleet role: standalone, worker, or coordinator")
-		peers        = fs.String("peers", "", "comma-separated worker base URLs (coordinator role)")
 		storeDir     = fs.String("store-dir", "", "persistent result store directory (empty disables)")
 		storeBytes   = fs.Int64("store-bytes", 0, "persistent store cap in bytes (default 256 MiB)")
 		jobsWorkers  = fs.Int("jobs-workers", 0, "async job dispatchers (default 2)")
@@ -145,24 +137,9 @@ func run(argv []string, stdout, stderr *os.File) error {
 		tracer = telemetry.New(telemetry.Config{MaxTraces: *traceStore})
 	}
 
-	// Role / peer-set sanity, then the combined limits validation: every
-	// violation is reported at once, and the resolved envelope is logged
-	// as one "limits" record before anything starts.
-	switch *role {
-	case "standalone", "worker":
-		if *peers != "" {
-			return fmt.Errorf("-peers is only meaningful with -role coordinator")
-		}
-	case "coordinator":
-		if *peers == "" {
-			return fmt.Errorf("-role coordinator requires -peers")
-		}
-		if *storeDir != "" {
-			return fmt.Errorf("-store-dir is a worker/standalone setting; the coordinator holds no results (each key's owner does)")
-		}
-	default:
-		return fmt.Errorf("-role must be standalone, worker or coordinator, got %q", *role)
-	}
+	// The combined limits validation: every violation is reported at
+	// once, and the resolved envelope is logged as one "limits" record
+	// before anything starts.
 	limits := service.Limits{
 		Workers:      *workers,
 		QueueDepth:   *queue,
@@ -178,7 +155,7 @@ func run(argv []string, stdout, stderr *os.File) error {
 	if err := limits.Validate(); err != nil {
 		return fmt.Errorf("invalid limits:\n%w", err)
 	}
-	limits.LogSummary(logger, *role)
+	limits.LogSummary(logger)
 
 	reg := obs.NewRegistry()
 	var st *store.Store
@@ -194,21 +171,6 @@ func run(argv []string, stdout, stderr *os.File) error {
 			slog.Int64("bytes", st.SizeBytes()),
 		)
 	}
-	var fleet *service.Fleet
-	if *role == "coordinator" {
-		var err error
-		fleet, err = service.NewFleet(service.FleetConfig{
-			Peers:  strings.Split(*peers, ","),
-			Obs:    reg,
-			Logger: logger,
-		})
-		if err != nil {
-			if st != nil {
-				st.Close()
-			}
-			return err
-		}
-	}
 	svc := service.New(service.Config{
 		Workers:     *workers,
 		QueueDepth:  *queue,
@@ -221,7 +183,6 @@ func run(argv []string, stdout, stderr *os.File) error {
 		Logger:      logger,
 		EnablePprof: *pprofOn,
 		Store:       st,
-		Fleet:       fleet,
 		Jobs: service.JobsLimits{
 			Workers:    *jobsWorkers,
 			QueueDepth: *jobsQueue,

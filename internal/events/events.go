@@ -17,7 +17,7 @@
 //  2. Long runs stay O(1) memory. A Recorder built with a positive
 //     capacity is a ring buffer: it keeps the newest events, counts what
 //     it dropped, and never exceeds its capacity — flight-recorder
-//     semantics for fleet-scale batch runs.
+//     semantics for long batch runs.
 //  3. No dependencies beyond the standard library, so every layer of the
 //     repo — including internal/core — can emit events without cycles.
 //

@@ -1,15 +1,15 @@
 // Package jobs is the asynchronous job tier of the serving stack: a
 // bounded queue of scenario-execution jobs with explicit lifecycle
-// states, per-job cancellation, retry of retryable failures, a typed
+// states, per-job cancellation, retry of transient failures, a typed
 // event log per job (streamed as NDJSON by the service layer, the same
 // framing the streaming monitor events use) and bounded retention of
 // finished jobs for polling.
 //
 // The manager is execution-agnostic: it owns states, queueing, events
 // and retention, while the configured Exec hook does the work — the
-// standalone service executes on its local cache/single-flight/pool
-// path, the fleet coordinator forwards over the consistent-hash ring.
-// Both expose the identical HTTP job API on top of this one type.
+// service runs each job through its keyed cache → store → single-flight
+// → pool pipeline. An Exec error wrapping ErrRetryable (local pool
+// backpressure) is retried; every other error fails the job.
 //
 // Lifecycle:
 //
@@ -63,6 +63,10 @@ var ErrClosed = errors.New("jobs: manager closed")
 // job ID.
 var ErrNotFound = errors.New("jobs: unknown job")
 
+// ErrRetryable marks a transient Exec failure: an error wrapping it
+// (errors.Is) earns another attempt, up to Config.Attempts.
+var ErrRetryable = errors.New("jobs: retryable")
+
 // Result is the outcome an Exec hook reports for a finished job.
 type Result struct {
 	// Body is the response document, byte-identical to what the
@@ -73,9 +77,6 @@ type Result struct {
 	// Cache is the cache disposition of the execution ("hit", "miss",
 	// "coalesced", "store", or empty when not applicable).
 	Cache string
-	// Worker names the backend that executed the job (fleet mode; empty
-	// when executed locally).
-	Worker string
 }
 
 // Event is one entry of a job's event log, streamed as NDJSON from
@@ -153,10 +154,9 @@ type Snapshot struct {
 	Key      string `json:"key"`
 	TraceID  string `json:"trace_id,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
-	// Cache/Status/Worker are set once the job is done.
+	// Cache/Status are set once the job is done.
 	Cache  string `json:"cache,omitempty"`
 	Status int    `json:"status,omitempty"`
-	Worker string `json:"worker,omitempty"`
 	Error  string `json:"error,omitempty"`
 	// Events is the number of events recorded so far.
 	Events int64 `json:"events"`
@@ -178,7 +178,6 @@ func (j *Job) Snapshot() Snapshot {
 	if j.state == StateDone || j.state == StateFailed {
 		snap.Cache = j.result.Cache
 		snap.Status = j.result.Status
-		snap.Worker = j.result.Worker
 	}
 	return snap
 }
@@ -241,18 +240,15 @@ type Config struct {
 	// beyond it the oldest finished jobs are forgotten FIFO. Queued and
 	// running jobs are never dropped.
 	Retention int
-	// Attempts is the execution budget per job when Retryable reports an
-	// error as transient (default 3).
+	// Attempts is the execution budget per job when Exec fails with an
+	// error wrapping ErrRetryable (default 3).
 	Attempts int
 	// RetryDelay is the base backoff between attempts, doubled each retry
 	// (default 100ms).
 	RetryDelay time.Duration
-	// Exec performs one execution attempt. Required.
+	// Exec performs one execution attempt. Required. Wrap ErrRetryable
+	// into the returned error to ask for another attempt.
 	Exec func(ctx context.Context, job *Job) (Result, error)
-	// Retryable classifies an Exec error as transient (worth another
-	// attempt) — e.g. local pool or remote worker backpressure. Nil means
-	// no error is retryable.
-	Retryable func(error) bool
 	// Obs receives jobs.submitted/done/failed/cancelled/retries counters
 	// and the jobs.queued/running gauges. Nil-safe.
 	Obs *obs.Registry
@@ -475,7 +471,7 @@ func (m *Manager) runJob(j *Job) {
 		j.mu.Unlock()
 		res, err = m.cfg.Exec(ctx, j)
 		if err == nil || ctx.Err() != nil || attempt >= m.cfg.Attempts ||
-			m.cfg.Retryable == nil || !m.cfg.Retryable(err) {
+			!errors.Is(err, ErrRetryable) {
 			break
 		}
 		m.retries.Inc()

@@ -80,7 +80,7 @@ func TestJobLifecycleDone(t *testing.T) {
 func TestJobFailureAfterRetries(t *testing.T) {
 	reg := obs.NewRegistry()
 	var calls atomic.Int64
-	transient := errors.New("backend busy")
+	transient := fmt.Errorf("%w: backend busy", ErrRetryable)
 	m := NewManager(Config{
 		Workers:    1,
 		Attempts:   3,
@@ -90,7 +90,6 @@ func TestJobFailureAfterRetries(t *testing.T) {
 			calls.Add(1)
 			return Result{Body: []byte(`{"error":"busy"}`), Status: 429}, transient
 		},
-		Retryable: func(err error) bool { return errors.Is(err, transient) },
 	})
 	defer m.Close(context.Background())
 
@@ -123,9 +122,8 @@ func TestNonRetryableFailsFirstAttempt(t *testing.T) {
 		RetryDelay: time.Millisecond,
 		Exec: func(ctx context.Context, job *Job) (Result, error) {
 			calls.Add(1)
-			return Result{}, errors.New("permanent")
+			return Result{}, errors.New("permanent") // does not wrap ErrRetryable
 		},
-		Retryable: func(error) bool { return false },
 	})
 	defer m.Close(context.Background())
 	j, _ := m.Submit(nil, "k", "")

@@ -40,19 +40,9 @@ type jobPayload struct {
 	root *telemetry.Span
 }
 
-// errBackpressure marks an execution attempt shed by the local pool (or a
-// remote worker) — the one error class the job tier retries.
-var errBackpressure = errors.New("backpressure")
-
-// jobRetryable classifies job-execution errors for the retry loop.
-func jobRetryable(err error) bool {
-	return errors.Is(err, errBackpressure)
-}
-
-// execJob is the jobs.Manager Exec hook of the standalone service: run
-// the job's canonical request through the shared cache → store →
-// single-flight → pool core, under a child span of the submitting
-// request's trace.
+// execJob is the jobs.Manager Exec hook: run the job's canonical request
+// through the keyed cache → store → single-flight → pool pipeline, under
+// a child span of the submitting request's trace.
 func (s *Server) execJob(ctx context.Context, j *jobs.Job) (jobs.Result, error) {
 	p, ok := j.Payload.(jobPayload)
 	if !ok {
@@ -62,22 +52,21 @@ func (s *Server) execJob(ctx context.Context, j *jobs.Job) (jobs.Result, error) 
 	sp.SetAttr("job_id", j.ID)
 	defer sp.End()
 
-	body, status, disposition, worker, err := s.runKeyed(ctx, sp, p.req, p.key)
+	body, status, disposition, err := runKeyed(s, ctx, sp, p.req, p.key)
 	if err != nil {
 		// Only ctx expiry lands here: shutdown or DELETE cancellation.
 		sp.SetAttr("error", err.Error())
 		return jobs.Result{}, err
 	}
-	res := jobs.Result{Body: body, Status: status, Cache: disposition, Worker: worker}
+	res := jobs.Result{Body: body, Status: status, Cache: disposition}
 	switch status {
 	case http.StatusOK:
 		return res, nil
-	case http.StatusTooManyRequests, http.StatusBadGateway:
-		// Backpressure (local queue full) or a fleet-wide routing failure:
-		// both are transient, so the retry budget applies. The body (the
-		// error envelope) is kept so an exhausted budget still yields a
-		// useful failure document.
-		return res, fmt.Errorf("%w: status %d", errBackpressure, status)
+	case http.StatusTooManyRequests:
+		// Backpressure (local queue full) is transient, so the retry
+		// budget applies. The body (the error envelope) is kept so an
+		// exhausted budget still yields a useful failure document.
+		return res, fmt.Errorf("%w: status %d", jobs.ErrRetryable, status)
 	default:
 		return res, fmt.Errorf("execution failed: status %d", status)
 	}
@@ -90,18 +79,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	sp := telemetry.SpanFrom(r.Context())
 
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("decode request: "+err.Error()))
-		return
-	}
-	canon, err := req.Canonicalize(s.cfg.MaxDuration)
-	if err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("invalid request: "+err.Error()))
+	canon, ok := decodeKeyed[Request](s, w, r)
+	if !ok {
 		return
 	}
 	key := canon.Key()
@@ -172,9 +151,6 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(JobStateHeader, string(j.State()))
 	if res.Cache != "" {
 		w.Header().Set(CacheHeader, res.Cache)
-	}
-	if res.Worker != "" {
-		w.Header().Set("X-Adassure-Worker", res.Worker)
 	}
 	writeJSON(w, res.Status, res.Body)
 }

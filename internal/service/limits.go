@@ -93,6 +93,11 @@ func (l Limits) Validate() error {
 	if l.Timeout < 0 {
 		bad("-timeout", l.Timeout, "must be >= 0 (0 = default 60s)")
 	}
+	if !finite(l.MaxDuration) {
+		// A NaN or infinite cap fails every "d > cap" test, which would
+		// silently switch the cap off; disabling it is spelled negative.
+		bad("-max-duration", l.MaxDuration, "must be finite (negative disables the cap)")
+	}
 	if l.StoreDir == "" && l.StoreBytes != 0 {
 		bad("-store-bytes", l.StoreBytes, "set without -store-dir; the persistent store needs a directory")
 	}
@@ -160,7 +165,7 @@ func checkStoreDir(dir string) error {
 // LogSummary emits the single boot-time line recording every resolved
 // limit, so the serving envelope of a process is greppable from its
 // first log record.
-func (l Limits) LogSummary(log *slog.Logger, role string) {
+func (l Limits) LogSummary(log *slog.Logger) {
 	if log == nil {
 		return
 	}
@@ -189,7 +194,6 @@ func (l Limits) LogSummary(log *slog.Logger, role string) {
 		storeBytes = 256 << 20
 	}
 	log.Info("limits",
-		slog.String("role", role),
 		slog.Int("workers", workers),
 		slog.Int("queue", queue),
 		slog.Int64("cache_bytes", l.CacheBytes),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,31 +15,47 @@ import (
 // TestLimitsValidateJoinsEveryViolation: one Validate call reports all
 // broken knobs at once, each as a typed *LimitError.
 func TestLimitsValidateJoinsEveryViolation(t *testing.T) {
-	err := Limits{
-		Workers:      -1,
-		QueueDepth:   -2,
-		CacheBytes:   100, // positive but below the useful floor
-		Timeout:      -time.Second,
-		StoreBytes:   1 << 20, // set without StoreDir
-		JobWorkers:   -3,
-		JobQueue:     -4,
-		JobRetention: -5,
-	}.Validate()
-	if err == nil {
-		t.Fatal("pathological limits validated clean")
-	}
-	var le *LimitError
-	if !errors.As(err, &le) {
-		t.Fatalf("violations are not typed LimitErrors: %v", err)
-	}
-	msg := err.Error()
-	for _, field := range []string{
-		"-workers", "-queue", "-cache-bytes", "-timeout",
-		"-store-bytes", "-jobs-workers", "-jobs-queue", "-jobs-retention",
+	for _, tc := range []struct {
+		name   string
+		limits Limits
+		fields []string
+	}{
+		{"every knob", Limits{
+			Workers:      -1,
+			QueueDepth:   -2,
+			CacheBytes:   100, // positive but below the useful floor
+			Timeout:      -time.Second,
+			MaxDuration:  math.NaN(),
+			StoreBytes:   1 << 20, // set without StoreDir
+			JobWorkers:   -3,
+			JobQueue:     -4,
+			JobRetention: -5,
+		}, []string{
+			"-workers", "-queue", "-cache-bytes", "-timeout", "-max-duration",
+			"-store-bytes", "-jobs-workers", "-jobs-queue", "-jobs-retention",
+		}},
+		// A non-finite cap would pass every "duration > cap" check, so it
+		// must be refused rather than silently switching the cap off.
+		{"NaN max duration", Limits{MaxDuration: math.NaN()}, []string{"-max-duration"}},
+		{"+Inf max duration", Limits{MaxDuration: math.Inf(1)}, []string{"-max-duration"}},
+		{"-Inf max duration", Limits{MaxDuration: math.Inf(-1)}, []string{"-max-duration"}},
 	} {
-		if !strings.Contains(msg, field) {
-			t.Errorf("joined error missing %s: %s", field, msg)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.limits.Validate()
+			if err == nil {
+				t.Fatal("pathological limits validated clean")
+			}
+			var le *LimitError
+			if !errors.As(err, &le) {
+				t.Fatalf("violations are not typed LimitErrors: %v", err)
+			}
+			msg := err.Error()
+			for _, field := range tc.fields {
+				if !strings.Contains(msg, field) {
+					t.Errorf("joined error missing %s: %s", field, msg)
+				}
+			}
+		})
 	}
 }
 
@@ -86,12 +103,12 @@ func TestLimitsValidateStoreDir(t *testing.T) {
 func TestLimitsLogSummaryResolvesDefaults(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))
-	Limits{StoreDir: "/tmp/s"}.LogSummary(log, "worker")
+	Limits{StoreDir: "/tmp/s"}.LogSummary(log)
 	out := buf.String()
-	for _, want := range []string{"role=worker", "job_workers=2", "store_bytes=268435456", "msg=limits"} {
+	for _, want := range []string{"job_workers=2", "store_bytes=268435456", "msg=limits"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("limits line missing %q: %s", want, out)
 		}
 	}
-	Limits{}.LogSummary(nil, "standalone") // nil logger must not panic
+	Limits{}.LogSummary(nil) // nil logger must not panic
 }

@@ -6,21 +6,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
-	"time"
 
 	"adassure/internal/mutate"
-	"adassure/internal/runner"
 	"adassure/internal/telemetry"
 )
 
 // MutateRequest is one mutation-campaign request for POST /v1/mutate. The
 // zero value of every field means "the campaign default", so `{}` runs the
 // full default grid. Campaigns are deterministic in the canonicalized
-// request, so the result cache and single-flight coalescing apply exactly
-// as for /v1/run.
+// request, so they ride the same keyed pipeline as /v1/run: result cache,
+// persistent store and single-flight coalescing.
 type MutateRequest struct {
 	// Controller is the lateral controller under test (default
 	// "pure-pursuit").
@@ -124,148 +120,20 @@ func (r MutateRequest) Config() mutate.Config {
 	}
 }
 
-// handleMutate is the mutation-campaign endpoint: decode → canonicalize →
-// cache → single-flight → pool → respond with the kill-matrix report.
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
-	sp := telemetry.SpanFrom(r.Context())
-	start := time.Now()
-	defer func() {
-		s.reqNS.ObserveEx(time.Since(start).Nanoseconds(), sp.TraceID().String())
-	}()
-
-	var req MutateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("decode request: "+err.Error()))
-		return
-	}
-	canon, err := req.Canonicalize(s.cfg.MaxDuration)
-	if err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("invalid request: "+err.Error()))
-		return
-	}
-	key := canon.Key()
-
-	lookup := sp.StartChild("cache.lookup")
-	if body, ok := s.cache.get(key); ok {
-		lookup.SetAttr("disposition", "hit")
-		lookup.End()
-		w.Header().Set(CacheHeader, "hit")
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-
-	call, leader := s.flight.join(key)
-	disposition := "coalesced"
-	var wait *telemetry.Span
-	if leader {
-		disposition = "miss"
-		call.setOwner(sp)
-		wait = sp.StartChild("queue.wait")
-		if err := s.submitMutate(key, canon, call, sp, wait); err != nil {
-			wait.End()
-			s.flight.forget(key)
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, runner.ErrQueueFull) {
-				status = http.StatusTooManyRequests
-				s.shedded.Inc()
-			}
-			call.finish(errorBody(err.Error()), status, err)
-		}
-	} else {
-		s.coalesced.Inc()
-		wait = sp.StartChild("coalesced.wait")
-		if owner := call.ownerRef(); owner != nil {
-			wait.AddLink(owner.trace, owner.span)
-			wait.SetAttr("executing_trace", owner.trace.String())
-		}
-	}
-	lookup.SetAttr("disposition", disposition)
-	lookup.End()
-
-	select {
-	case <-call.done:
-	case <-r.Context().Done():
-		if !leader {
-			wait.End()
-		}
-		return
-	}
-	if !leader {
-		wait.End()
-	}
-	if call.status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.RetryAfter)))
-	}
-	if call.status == http.StatusOK {
-		w.Header().Set(CacheHeader, disposition)
-	}
-	writeJSON(w, call.status, call.body)
-}
-
-// submitMutate hands the campaign to the pool, mirroring submit.
-func (s *Server) submitMutate(key string, req MutateRequest, call *flightCall, parent, wait *telemetry.Span) error {
-	if s.closed.Load() {
-		return fmt.Errorf("service: shutting down")
-	}
-	return s.pool.TrySubmit(s.baseCtx, func(ctx context.Context) {
-		wait.End()
-		s.executeMutate(ctx, key, req, call, parent)
-	}, func(recovered any) {
-		s.simErrors.Inc()
-		s.flight.forget(key)
-		call.finish(errorBody(fmt.Sprint(recovered)), http.StatusInternalServerError, nil)
-	})
-}
-
-// executeMutate runs one campaign under the per-request budget and
-// publishes the report to cache and waiters.
-func (s *Server) executeMutate(ctx context.Context, key string, req MutateRequest, call *flightCall, parent *telemetry.Span) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
-	defer cancel()
-
-	ex := parent.StartChild("execute")
-	start := time.Now()
-	cfg := req.Config()
+// execute runs the campaign; the returned step encodes its report.
+func (r MutateRequest) execute(ctx context.Context, s *Server, _ *telemetry.Span) (func() ([]byte, error), error) {
+	cfg := r.Config()
 	cfg.Context = ctx
 	cfg.Obs = s.reg // aggregate sim/monitor metrics across all runs
 	rep, err := mutate.Run(cfg)
-	s.runNS.ObserveEx(time.Since(start).Nanoseconds(), parent.TraceID().String())
 	if err != nil {
-		ex.SetAttr("error", err.Error())
+		return nil, fmt.Errorf("run campaign: %w", err)
 	}
-	ex.End()
-
-	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-			s.timeouts.Inc()
-		case errors.Is(err, context.Canceled):
-			status = http.StatusServiceUnavailable
-		default:
-			s.simErrors.Inc()
+	return func() ([]byte, error) {
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			return nil, fmt.Errorf("encode report: %w", err)
 		}
-		s.flight.forget(key)
-		call.finish(errorBody("run campaign: "+err.Error()), status, err)
-		return
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		s.simErrors.Inc()
-		s.flight.forget(key)
-		call.finish(errorBody("encode report: "+err.Error()), http.StatusInternalServerError, err)
-		return
-	}
-	body := buf.Bytes()
-	// Publish to the cache before forgetting the call — same ordering
-	// argument as execute.
-	s.cache.put(key, body)
-	s.flight.forget(key)
-	call.finish(body, http.StatusOK, nil)
+		return buf.Bytes(), nil
+	}, nil
 }

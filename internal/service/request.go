@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 
 	"adassure"
 	"adassure/internal/forensics"
+	"adassure/internal/telemetry"
 )
 
 // Request is one scenario-execution request. The zero value of every
@@ -225,4 +227,29 @@ func (r Request) Scenario() adassure.Scenario {
 		Assertions:     r.Assertions,
 		RecordFrames:   r.Bundles,
 	}
+}
+
+// execute runs the scenario; its phase spans (sim+monitor, diagnosis)
+// hang off ex. The encoded body's trace_id names ex's trace — the
+// executing request's.
+func (r Request) execute(ctx context.Context, s *Server, ex *telemetry.Span) (func() ([]byte, error), error) {
+	scn := r.Scenario()
+	scn.Obs = s.reg // aggregate sim/monitor metrics across all runs
+	scn.Span = ex
+	out, err := scn.RunContext(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("run scenario: %w", err)
+	}
+	if ex.Enabled() {
+		ex.SetInt("violations", int64(len(out.Violations)))
+		ex.SetInt("steps", int64(out.Sim.Steps))
+	}
+	traceID := ex.TraceID().String()
+	return func() ([]byte, error) {
+		body, err := buildResponse(r, out, traceID)
+		if err != nil {
+			return nil, fmt.Errorf("encode response: %w", err)
+		}
+		return body, nil
+	}, nil
 }

@@ -5,14 +5,15 @@
 // full evidence chain — run summary, violations, ranked diagnosis
 // hypotheses and optional forensic bundles.
 //
-// Because every run is deterministic in its canonicalized request, the
-// service front-ends the pool with a content-addressed result cache
-// (canonical request hash → marshalled response, LRU bounded by bytes)
-// plus single-flight coalescing, so K concurrent identical requests cost
-// exactly one simulation and all receive byte-identical bodies. The
-// admission queue applies backpressure: when it is full the service
-// answers 429 with a Retry-After hint instead of blocking or queueing
-// unboundedly.
+// Because every run, campaign and search is deterministic in its
+// canonicalized request, the three keyed kinds (/v1/run, /v1/mutate,
+// /v1/search) share one pipeline (pipeline.go): a content-addressed
+// result cache (canonical request hash → marshalled response, LRU bounded
+// by bytes), the optional persistent store behind it, and single-flight
+// coalescing, so K concurrent identical requests cost exactly one
+// execution and all receive byte-identical bodies. The admission queue
+// applies backpressure: when it is full the service answers 429 with a
+// Retry-After hint instead of blocking or queueing unboundedly.
 //
 // Endpoints:
 //
@@ -35,9 +36,10 @@
 //	GET  /debug/traces/{id} one trace's spans as adassure/spans/v1 JSON
 //	GET  /debug/pprof       net/http/pprof (when Config.EnablePprof)
 //
-// The X-Adassure-Cache response header reports how a /v1/run body was
-// produced: "miss" (fresh simulation), "hit" (served from cache) or
-// "coalesced" (attached to a concurrent identical run).
+// The X-Adassure-Cache response header reports how a keyed body was
+// produced: "miss" (fresh execution), "hit" (served from cache), "store"
+// (served from the persistent store) or "coalesced" (attached to a
+// concurrent identical run).
 //
 // Every /v1/* request is traced: the handler continues an inbound W3C
 // traceparent (or starts a fresh trace), children cover the cache lookup,
@@ -49,13 +51,11 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,11 +108,6 @@ type Config struct {
 	// Jobs tunes the async job tier (zero value = defaults; Disable turns
 	// the /v1/jobs endpoints off).
 	Jobs JobsLimits
-	// Fleet, when non-nil, puts the server in coordinator mode: every
-	// keyed request (sync /v1/run and async jobs alike) is forwarded to
-	// its consistent-hash owner on the worker ring instead of executing
-	// locally. The server owns Close-ing it.
-	Fleet *Fleet
 	// Tracer, when non-nil, records a span tree per request and serves it
 	// under /debug/traces. Nil disables tracing: every span operation is a
 	// single-branch no-op and /debug/traces answers an empty list.
@@ -155,7 +150,6 @@ type Server struct {
 	flight *flightGroup
 	store  *store.Store
 	jobs   *jobs.Manager
-	fleet  *Fleet
 	mux    *http.ServeMux
 
 	tracer *telemetry.Tracer
@@ -210,7 +204,6 @@ func New(cfg Config) *Server {
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.streamCtx, s.cancelStreams = context.WithCancel(context.Background())
 	s.store = cfg.Store
-	s.fleet = cfg.Fleet
 	s.pool = runner.NewPool(runner.PoolOptions{
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
@@ -223,17 +216,16 @@ func New(cfg Config) *Server {
 			QueueDepth: cfg.Jobs.QueueDepth,
 			Retention:  cfg.Jobs.Retention,
 			Exec:       s.execJob,
-			Retryable:  jobRetryable,
 			Obs:        cfg.Obs,
 			Logger:     cfg.Logger,
 		})
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", s.traced("/v1/run", s.handleRun))
+	mux.HandleFunc("POST /v1/run", s.traced("/v1/run", handleKeyed[Request](s)))
 	mux.HandleFunc("POST /v1/stream", s.traced("/v1/stream", s.handleStream))
-	mux.HandleFunc("POST /v1/mutate", s.traced("/v1/mutate", s.handleMutate))
-	mux.HandleFunc("POST /v1/search", s.traced("/v1/search", s.handleSearch))
+	mux.HandleFunc("POST /v1/mutate", s.traced("/v1/mutate", handleKeyed[MutateRequest](s)))
+	mux.HandleFunc("POST /v1/search", s.traced("/v1/search", handleKeyed[SearchRequest](s)))
 	if s.jobs != nil {
 		mux.HandleFunc("POST /v1/jobs", s.traced("/v1/jobs", s.handleJobSubmit))
 		mux.HandleFunc("GET /v1/jobs/{id}", s.traced("/v1/jobs/{id}", s.handleJobGet))
@@ -312,9 +304,6 @@ func (s *Server) Close(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	if s.fleet != nil {
-		s.fleet.Close()
-	}
 	if s.store != nil {
 		if cerr := s.store.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -340,226 +329,6 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
-}
-
-// handleRun is the execution endpoint: decode → canonicalize → cache →
-// single-flight → pool → respond.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
-	sp := telemetry.SpanFrom(r.Context())
-	start := time.Now()
-	defer func() {
-		s.reqNS.ObserveEx(time.Since(start).Nanoseconds(), sp.TraceID().String())
-	}()
-
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("decode request: "+err.Error()))
-		return
-	}
-	canon, err := req.Canonicalize(s.cfg.MaxDuration)
-	if err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("invalid request: "+err.Error()))
-		return
-	}
-	key := canon.Key()
-
-	body, status, disposition, worker, err := s.runKeyed(r.Context(), sp, canon, key)
-	if err != nil {
-		// The client went away; the run (if any) continues and will fill
-		// the cache for the next asker.
-		return
-	}
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-	}
-	if status == http.StatusOK && disposition != "" {
-		w.Header().Set(CacheHeader, disposition)
-	}
-	if worker != "" {
-		w.Header().Set(WorkerHeader, worker)
-	}
-	writeJSON(w, status, body)
-}
-
-// runKeyed is the execution core shared by the synchronous /v1/run
-// handler and the async job tier: serve from the in-memory cache, fall
-// through to the persistent store, else coalesce on the single-flight
-// group and execute on the pool. In coordinator mode the whole path is
-// replaced by forwarding over the worker ring (no coordinator-side
-// cache: the key's owner holds the warm copy, and caching here would
-// defeat the routing). It blocks until a body is available or ctx is
-// done (the only case that returns a non-nil error — the run, if one
-// started, continues and fills the cache for the next asker). worker is
-// non-empty only in coordinator mode.
-func (s *Server) runKeyed(ctx context.Context, sp *telemetry.Span, canon Request, key string) (body []byte, status int, disposition, worker string, err error) {
-	if s.fleet != nil {
-		return s.fleet.forward(ctx, sp, canon, key)
-	}
-	lookup := sp.StartChild("cache.lookup")
-	if body, ok := s.cache.get(key); ok {
-		lookup.SetAttr("disposition", "hit")
-		lookup.End()
-		return body, http.StatusOK, "hit", "", nil
-	}
-	// The store tier: evidence computed before the last restart (or by a
-	// previous process on this box) is served without re-simulating, and
-	// promoted back into the LRU for the next asker.
-	if body, ok := s.storeGet(key); ok {
-		s.cache.put(key, body)
-		lookup.SetAttr("disposition", "store")
-		lookup.End()
-		return body, http.StatusOK, "store", "", nil
-	}
-
-	call, leader := s.flight.join(key)
-	disposition = "coalesced"
-	var wait *telemetry.Span
-	if leader {
-		disposition = "miss"
-		// Stamp the call with this trace before the job can finish, so
-		// followers joining the same flight can link to the executing
-		// trace from theirs.
-		call.setOwner(sp)
-		// The queue-wait span opens before submission and is closed by the
-		// job the moment a worker picks it up (or right here on a failed
-		// submit) — its extent is exactly the time spent in the admission
-		// queue.
-		wait = sp.StartChild("queue.wait")
-		if err := s.submit(key, canon, call, sp, wait); err != nil {
-			wait.End()
-			// The leader could not start the run; everyone attached to
-			// this call (the leader and any follower that joined since)
-			// gets the same backpressure answer.
-			s.flight.forget(key)
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, runner.ErrQueueFull) {
-				status = http.StatusTooManyRequests
-				s.shedded.Inc()
-			}
-			call.finish(errorBody(err.Error()), status, err)
-		}
-	} else {
-		s.coalesced.Inc()
-		wait = sp.StartChild("coalesced.wait")
-		if owner := call.ownerRef(); owner != nil {
-			// The work happens in the leader's trace; a link from the
-			// waiter's span makes the join navigable from either side.
-			wait.AddLink(owner.trace, owner.span)
-			wait.SetAttr("executing_trace", owner.trace.String())
-		}
-	}
-	lookup.SetAttr("disposition", disposition)
-	lookup.End()
-
-	select {
-	case <-call.done:
-	case <-ctx.Done():
-		if !leader {
-			wait.End()
-		}
-		return nil, 0, disposition, "", ctx.Err()
-	}
-	if !leader {
-		wait.End()
-	}
-	return call.body, call.status, disposition, "", nil
-}
-
-// storeGet reads one key from the persistent store, degrading a damaged
-// record to a miss (the evidence is recomputed and re-appended).
-func (s *Server) storeGet(key string) ([]byte, bool) {
-	if s.store == nil {
-		return nil, false
-	}
-	body, ok, err := s.store.Get(key)
-	if err != nil {
-		s.log.Warn("store read failed", slog.String("key", key), slog.String("error", err.Error()))
-		return nil, false
-	}
-	return body, ok
-}
-
-// submit hands the run to the pool. On success the pool job owns the
-// call: it caches, forgets and finishes (and closes the queue-wait span
-// on pickup). On error the caller keeps ownership of both.
-func (s *Server) submit(key string, req Request, call *flightCall, parent, wait *telemetry.Span) error {
-	if s.closed.Load() {
-		return fmt.Errorf("service: shutting down")
-	}
-	return s.pool.TrySubmit(s.baseCtx, func(ctx context.Context) {
-		wait.End()
-		s.execute(ctx, key, req, call, parent)
-	}, func(recovered any) {
-		// Pool backstop: a panicking run must not strand the waiters.
-		s.simErrors.Inc()
-		s.flight.forget(key)
-		call.finish(errorBody(fmt.Sprint(recovered)), http.StatusInternalServerError, nil)
-	})
-}
-
-// execute runs one simulation under the per-request budget and publishes
-// the outcome to cache and waiters. parent is the submitting request's
-// root span; starting a child from a worker goroutine is safe because a
-// span's identity fields are immutable after creation.
-func (s *Server) execute(ctx context.Context, key string, req Request, call *flightCall, parent *telemetry.Span) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
-	defer cancel()
-
-	ex := parent.StartChild("execute")
-	start := time.Now()
-	scn := req.Scenario()
-	scn.Obs = s.reg // aggregate sim/monitor metrics across all runs
-	scn.Span = ex   // phase spans (sim+monitor, diagnosis) hang off this
-	out, err := scn.RunContext(ctx)
-	s.runNS.ObserveEx(time.Since(start).Nanoseconds(), parent.TraceID().String())
-
-	if err != nil {
-		ex.SetAttr("error", err.Error())
-		ex.End()
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-			s.timeouts.Inc()
-		case errors.Is(err, context.Canceled):
-			status = http.StatusServiceUnavailable
-		default:
-			s.simErrors.Inc()
-		}
-		s.flight.forget(key)
-		call.finish(errorBody("run scenario: "+err.Error()), status, err)
-		return
-	}
-	if ex.Enabled() {
-		ex.SetInt("violations", int64(len(out.Violations)))
-		ex.SetInt("steps", int64(out.Sim.Steps))
-	}
-	ex.End()
-	body, err := buildResponse(req, out, parent.TraceID().String())
-	if err != nil {
-		s.simErrors.Inc()
-		s.flight.forget(key)
-		call.finish(errorBody("encode response: "+err.Error()), http.StatusInternalServerError, err)
-		return
-	}
-	// Order matters: publish to the cache before forgetting the call, so
-	// a request arriving in between either joins the call or hits the
-	// cache — never starts a duplicate simulation.
-	s.cache.put(key, body)
-	if s.store != nil {
-		// Persist after the in-memory publish: a store append failure
-		// (disk full, permissions) degrades durability, never the answer.
-		if err := s.store.Put(key, body); err != nil {
-			s.log.Warn("store append failed", slog.String("key", key), slog.String("error", err.Error()))
-		}
-	}
-	s.flight.forget(key)
-	call.finish(body, http.StatusOK, nil)
 }
 
 // retryAfterSeconds rounds the configured hint up to whole seconds as the
@@ -624,7 +393,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // Close has been called, or while the admission queue is saturated (a new
 // run would be shed with 429 anyway). The body always reports the reason
 // and occupancy — simulation queue and async job queue — so load
-// balancers and the fleet coordinator steer off the same signal.
+// balancers and operators steer off the same signal.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	qlen, qcap := s.pool.QueueLen(), s.pool.Cap()
 	status, code := "ready", http.StatusOK
@@ -647,15 +416,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.store != nil {
 		doc["store_entries"] = s.store.Len()
 		doc["store_bytes"] = s.store.SizeBytes()
-	}
-	if s.fleet != nil {
-		workers, healthy := s.fleet.membership()
-		doc["workers"] = workers
-		doc["workers_healthy"] = healthy
-		if healthy == 0 && code == http.StatusOK {
-			status, code = "no-workers", http.StatusServiceUnavailable
-			doc["status"] = status
-		}
 	}
 	b, _ := json.Marshal(doc)
 	writeJSON(w, code, b)

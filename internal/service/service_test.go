@@ -88,30 +88,6 @@ func TestEndToEndSpoofThenCacheHit(t *testing.T) {
 	}
 }
 
-// TestCanonicalizationSharesCacheEntry: a request spelled with explicit
-// defaults hits the cache entry of the bare request.
-func TestCanonicalizationSharesCacheEntry(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-	if _, _, err := c.Run(ctx, Request{Duration: 30}); err != nil {
-		t.Fatalf("bare request: %v", err)
-	}
-	_, info, err := c.Run(ctx, Request{
-		Track: "urban-loop", Controller: "pure-pursuit", Attack: "none",
-		Seed: 1, Duration: 30, SpeedLimit: 6, ThresholdScale: 1, Localizer: "ekf",
-		AttackStart: 33, AttackEnd: 44, // decorative without an attack
-	})
-	if err != nil {
-		t.Fatalf("explicit request: %v", err)
-	}
-	if info.Cache != "hit" {
-		t.Fatalf("explicit spelling missed the cache (disposition %q)", info.Cache)
-	}
-	if got := s.Registry().Counter("sim.runs").Value(); got != 1 {
-		t.Fatalf("simulations run = %d, want 1", got)
-	}
-}
-
 // TestDeterministicResponseBytes: with the cache disabled, two fresh
 // simulations of the same request produce byte-identical bodies — the
 // property the cache's correctness rests on.
@@ -189,101 +165,6 @@ func TestSingleflightCoalescing(t *testing.T) {
 	}
 	if got := s.Registry().Counter("sim.runs").Value(); got != 1 {
 		t.Fatalf("simulations run = %d, want exactly 1 for %d coalesced requests", got, K)
-	}
-}
-
-// TestQueueFullReturns429: with the worker wedged and the queue full, a
-// distinct request is shed with 429 + Retry-After instead of blocking.
-func TestQueueFullReturns429(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
-	ctx := context.Background()
-
-	running := make(chan struct{})
-	release := make(chan struct{})
-	defer func() {
-		select {
-		case <-release:
-		default:
-			close(release)
-		}
-	}()
-	if err := s.pool.TrySubmit(ctx, func(context.Context) { close(running); <-release }, nil); err != nil {
-		t.Fatalf("wedge: %v", err)
-	}
-	// Wait until the worker has dequeued the wedge: the queue slot the
-	// poll below observes must belong to the real request, not the wedge —
-	// otherwise the "distinct" request below could be admitted instead of
-	// shed and block on the wedged worker forever.
-	<-running
-	// Fill the single queue slot with a pending real request.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, _, err := c.Run(ctx, Request{Duration: 5}); err != nil {
-			t.Errorf("queued request: %v", err)
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.pool.QueueLen() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued request never reached the admission queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// A different scenario cannot coalesce and must be shed.
-	_, info, err := c.Run(ctx, Request{Duration: 5, Seed: 99})
-	var qf *QueueFullError
-	if !isQueueFull(err, &qf) {
-		t.Fatalf("want QueueFullError, got %v (status %d)", err, statusOf(info))
-	}
-	if qf.RetryAfter != 2*time.Second {
-		t.Fatalf("Retry-After = %s, want 2s", qf.RetryAfter)
-	}
-	if info.Status != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", info.Status)
-	}
-	if got := s.Registry().Counter("service.queue_full").Value(); got != 1 {
-		t.Fatalf("queue_full counter = %d, want 1", got)
-	}
-
-	close(release)
-	wg.Wait()
-}
-
-func isQueueFull(err error, out **QueueFullError) bool {
-	qf, ok := err.(*QueueFullError)
-	if ok {
-		*out = qf
-	}
-	return ok
-}
-
-func statusOf(info *CallInfo) int {
-	if info == nil {
-		return 0
-	}
-	return info.Status
-}
-
-// TestPerRequestTimeout: a simulation exceeding the per-request budget is
-// cancelled inside the step loop and answered with 504.
-func TestPerRequestTimeout(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1, Timeout: 30 * time.Millisecond})
-	_, info, err := c.Run(context.Background(), Request{Duration: 300})
-	if err == nil {
-		t.Fatal("want timeout error")
-	}
-	if info.Status != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504", info.Status)
-	}
-	if got := s.Registry().Counter("service.timeouts").Value(); got != 1 {
-		t.Fatalf("timeouts counter = %d, want 1", got)
-	}
-	// A failed run must not be cached.
-	if s.cache.len() != 0 {
-		t.Fatal("timed-out run was cached")
 	}
 }
 

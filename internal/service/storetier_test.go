@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -51,47 +53,52 @@ func clientFor(t *testing.T, s *Server) (*Client, func()) {
 
 // TestStoreTierServesAcrossRestart: evidence computed before a restart
 // is served from the persistent store afterwards — byte-identical, with
-// the "store" disposition, no re-simulation, and promoted back into the
-// LRU so the next request is a plain hit.
+// the "store" disposition, no re-execution, and promoted back into the
+// LRU so the next request is a plain hit. Every keyed kind persists: the
+// store sits on the one pipeline they share.
 func TestStoreTierServesAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
+	for _, k := range keyedKinds {
+		t.Run(k.name, func(t *testing.T) {
+			dir := t.TempDir()
+			doc := []byte(k.body)
+			if k.name == "run" {
+				// An attacked run: its body carries violations and
+				// diagnosis hypotheses, not just a clean summary.
+				var err error
+				if doc, err = json.Marshal(spoofRequest()); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	s1, c1, stop1 := serverWithStore(t, dir)
-	_, info1, err := c1.Run(ctx, spoofRequest())
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	if info1.Cache != "miss" {
-		t.Fatalf("first run disposition %q", info1.Cache)
-	}
-	if got := s1.Registry().Counter("store.puts").Value(); got != 1 {
-		t.Fatalf("store.puts = %d, want 1", got)
-	}
-	stop1() // "restart": the LRU dies with the process, the segments stay
+			s1, c1, stop1 := serverWithStore(t, dir)
+			resp1, body1 := postJSON(t, c1, k.path, doc)
+			if resp1.StatusCode != http.StatusOK || resp1.Header.Get(CacheHeader) != "miss" {
+				t.Fatalf("first call: status %d disposition %q (body %s)",
+					resp1.StatusCode, resp1.Header.Get(CacheHeader), body1)
+			}
+			if got := s1.Registry().Counter("store.puts").Value(); got != 1 {
+				t.Fatalf("store.puts = %d, want 1", got)
+			}
+			stop1() // "restart": the LRU dies with the process, the segments stay
 
-	s2, c2, _ := serverWithStore(t, dir)
-	_, info2, err := c2.Run(ctx, spoofRequest())
-	if err != nil {
-		t.Fatalf("run after restart: %v", err)
-	}
-	if info2.Cache != "store" {
-		t.Fatalf("post-restart disposition %q, want store", info2.Cache)
-	}
-	if !bytes.Equal(info1.Body, info2.Body) {
-		t.Fatal("store served different bytes than the original run")
-	}
-	if got := s2.Registry().Counter("sim.runs").Value(); got != 0 {
-		t.Fatalf("sim.runs after restart = %d, want 0 (store must not re-simulate)", got)
-	}
+			s2, c2, _ := serverWithStore(t, dir)
+			resp2, body2 := postJSON(t, c2, k.path, doc)
+			if got := resp2.Header.Get(CacheHeader); got != "store" {
+				t.Fatalf("post-restart disposition %q, want store (status %d)", got, resp2.StatusCode)
+			}
+			if !bytes.Equal(body1, body2) {
+				t.Fatal("store served different bytes than the original execution")
+			}
+			if got := simRuns(s2); got != 0 {
+				t.Fatalf("sim.runs after restart = %d, want 0 (store must not re-execute)", got)
+			}
 
-	// The store read promoted the entry into the LRU.
-	_, info3, err := c2.Run(ctx, spoofRequest())
-	if err != nil {
-		t.Fatalf("third run: %v", err)
-	}
-	if info3.Cache != "hit" {
-		t.Fatalf("post-promotion disposition %q, want hit", info3.Cache)
+			// The store read promoted the entry into the LRU.
+			resp3, _ := postJSON(t, c2, k.path, doc)
+			if got := resp3.Header.Get(CacheHeader); got != "hit" {
+				t.Fatalf("post-promotion disposition %q, want hit", got)
+			}
+		})
 	}
 }
 
