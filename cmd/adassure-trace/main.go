@@ -8,19 +8,20 @@
 //	adassure-trace csv run.json > run.csv  # trace as CSV
 //	adassure-trace events run-events.json  # plain-text event timeline
 //	adassure-trace bundle bundle_000_*.json  # pretty-print one bundle
-//	adassure-trace spans trace.json        # span tree from /debug/traces/<id>
 //	adassure-trace perfetto run-events.json > trace.json  # Chrome trace JSON
 //
-// perfetto accepts either input shape — a flight-recorder events file or
-// a span export fetched from the server's /debug/traces/<id> endpoint —
-// and sniffs which converter applies from the document's schema field.
+// events and perfetto accept either timeline document — a
+// flight-recorder events file or a span export fetched from the server's
+// /debug/traces/<id> endpoint — told apart by the document's schema
+// field. A span export becomes the same Begin/End events a scenario
+// records, so both views share one renderer and one exporter.
 //
 // Every subcommand accepts "-" as the file argument to read from stdin,
 // e.g. piping an events file straight out of adassure-sim, or a span
 // export straight off a server:
 //
 //	adassure-sim -attack gnss-drift-spoof -events /dev/stdout | adassure-trace events -
-//	curl -s localhost:8080/debug/traces/$ID | adassure-trace spans -
+//	curl -s localhost:8080/debug/traces/$ID | adassure-trace events -
 //
 // Exit status: 0 on success, 1 on file-read or parse errors, 2 on bad
 // invocation (unknown subcommand or wrong argument count).
@@ -46,7 +47,7 @@ func main() {
 // given streams and returns the process exit code.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	usage := func() int {
-		fmt.Fprintln(stderr, "usage: adassure-trace (stats|csv|events|bundle|spans|perfetto) <file.json | ->")
+		fmt.Fprintln(stderr, "usage: adassure-trace (stats|csv|events|bundle|perfetto) <file.json | ->")
 		return 2
 	}
 	if len(args) != 2 {
@@ -64,8 +65,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		cmd = runEvents
 	case "bundle":
 		cmd = runBundle
-	case "spans":
-		cmd = runSpans
 	case "perfetto":
 		cmd = runPerfetto
 	default:
@@ -113,17 +112,16 @@ func runCSV(in io.Reader, out io.Writer) error {
 	return tr.WriteCSV(out)
 }
 
-// runEvents renders an events file as a plain-text timeline.
+// runEvents renders either timeline document as a plain-text timeline.
 func runEvents(in io.Reader, out io.Writer) error {
-	log, err := adassure.ReadEventLog(in)
+	evs, note, err := readTimeline(in)
 	if err != nil {
 		return err
 	}
-	if log.Dropped > 0 {
-		fmt.Fprintf(out, "flight recorder: %d older event(s) dropped (capacity %d)\n",
-			log.Dropped, log.Capacity)
+	if _, err := io.WriteString(out, note); err != nil {
+		return err
 	}
-	return adassure.WriteEventTimeline(out, log.Events)
+	return adassure.WriteEventTimeline(out, evs)
 }
 
 // runBundle pretty-prints one forensic bundle.
@@ -135,37 +133,37 @@ func runBundle(in io.Reader, out io.Writer) error {
 	return b.Render(out)
 }
 
-// runSpans renders a span export (the body of /debug/traces/<id>) as an
-// indented per-span tree with durations and attributes.
-func runSpans(in io.Reader, out io.Writer) error {
-	tr, err := telemetry.ReadTrace(in)
+// runPerfetto converts either timeline document to Chrome trace-event
+// JSON for ui.perfetto.dev / chrome://tracing.
+func runPerfetto(in io.Reader, out io.Writer) error {
+	evs, _, err := readTimeline(in)
 	if err != nil {
 		return err
 	}
-	return tr.Render(out)
+	return adassure.WritePerfetto(out, evs)
 }
 
-// runPerfetto converts either artifact to Chrome trace-event JSON for
-// ui.perfetto.dev / chrome://tracing: flight-recorder events files and
-// span exports, told apart by the document's schema field.
-func runPerfetto(in io.Reader, out io.Writer) error {
+// readTimeline reads a flight-recorder events file or a span export,
+// dispatching on the document's schema field, and returns its events plus
+// a note (possibly empty) on what the producer dropped.
+func readTimeline(in io.Reader) (evs []adassure.Event, note string, err error) {
 	data, err := io.ReadAll(in)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	var probe struct {
 		Schema string `json:"schema"`
 	}
 	if json.Unmarshal(data, &probe) == nil && probe.Schema == telemetry.Schema {
 		tr, err := telemetry.ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			return err
+		if tr.Dropped > 0 {
+			note = fmt.Sprintf("trace %s: %d span(s) dropped at the per-trace cap\n", tr.TraceID, tr.Dropped)
 		}
-		return telemetry.WritePerfetto(out, tr)
+		return tr.Events(), note, err
 	}
 	log, err := adassure.ReadEventLog(bytes.NewReader(data))
-	if err != nil {
-		return err
+	if log.Dropped > 0 {
+		note = fmt.Sprintf("flight recorder: %d older event(s) dropped (capacity %d)\n", log.Dropped, log.Capacity)
 	}
-	return adassure.WritePerfetto(out, log.Events)
+	return log.Events, note, err
 }

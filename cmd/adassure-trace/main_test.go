@@ -84,8 +84,9 @@ func TestRunReadsStdin(t *testing.T) {
 }
 
 // spanExportJSON builds a small two-span trace export — the shape
-// /debug/traces/<id> serves.
-func spanExportJSON(t *testing.T) []byte {
+// /debug/traces/<id> serves — that reports dropped spans lost to the
+// per-trace cap.
+func spanExportJSON(t *testing.T, dropped int) []byte {
 	t.Helper()
 	tr := telemetry.New(telemetry.Config{})
 	root := tr.StartSpan("http /v1/run", "")
@@ -97,6 +98,7 @@ func spanExportJSON(t *testing.T) []byte {
 	if !ok {
 		t.Fatal("trace not retained")
 	}
+	exp.Dropped = dropped
 	var buf bytes.Buffer
 	if err := exp.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -104,14 +106,18 @@ func spanExportJSON(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func TestRunSpansRendersExport(t *testing.T) {
+// TestRunEventsRendersSpanExport: the events view of a span export shows
+// every span with its labels and duration, and the spans the per-trace
+// cap dropped.
+func TestRunEventsRendersSpanExport(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"spans", "-"}, bytes.NewReader(spanExportJSON(t)), &out, &errOut); code != 0 {
+	if code := run([]string{"events", "-"}, bytes.NewReader(spanExportJSON(t, 2)), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
-	for _, want := range []string{"http /v1/run", "execute", "disposition=miss"} {
+	for _, want := range []string{"http /v1/run", "execute", "disposition=miss", "span_id=", "dur_ms=",
+		"2 span(s) dropped at the per-trace cap"} {
 		if !strings.Contains(out.String(), want) {
-			t.Errorf("spans output missing %q:\n%s", want, out.String())
+			t.Errorf("events output missing %q:\n%s", want, out.String())
 		}
 	}
 }
@@ -120,10 +126,10 @@ func TestRunSpansRendersExport(t *testing.T) {
 // input shapes, dispatching on the schema field.
 func TestRunPerfettoSniffsSpanExport(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"perfetto", "-"}, bytes.NewReader(spanExportJSON(t)), &out, &errOut); code != 0 {
+	if code := run([]string{"perfetto", "-"}, bytes.NewReader(spanExportJSON(t, 0)), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
-	for _, want := range []string{`"traceEvents"`, `"ph":"X"`, `"http /v1/run"`, `"execute"`} {
+	for _, want := range []string{`"traceEvents"`, `"ph":"B"`, `"ph":"E"`, `"http /v1/run"`, `"execute"`, `"disposition":"miss"`} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("perfetto span output missing %s:\n%s", want, out.String())
 		}
@@ -155,6 +161,7 @@ func TestExitCodes(t *testing.T) {
 		{"one arg", []string{"stats"}, "", 2},
 		{"extra args", []string{"stats", "a", "b"}, "", 2},
 		{"unknown subcommand", []string{"zap", "x.json"}, "", 2},
+		{"retired spans subcommand", []string{"spans", "-"}, "", 2},
 		{"missing file", []string{"stats", filepath.Join(t.TempDir(), "nope.json")}, "", 1},
 		{"parse error stats", []string{"stats", "-"}, "not json", 1},
 		{"parse error events", []string{"events", "-"}, "not json", 1},

@@ -24,7 +24,9 @@
 // Event streams serialise to JSON (WriteJSON/ReadJSON), render as a
 // plain-text timeline (WriteTimeline) and export to the Chrome
 // trace-event format loadable in Perfetto or chrome://tracing
-// (WritePerfetto).
+// (WritePerfetto). Request traces join the same model: internal/telemetry
+// converts a span export into Begin/End events on the wall clock, so one
+// renderer and one exporter serve both.
 package events
 
 import (
@@ -129,6 +131,8 @@ type Event struct {
 	Name string `json:"name"`
 	// Attrs carries numeric evidence (thresholds, confidences, margins).
 	Attrs map[string]float64 `json:"attrs,omitempty"`
+	// Labels carries string evidence (span IDs, cache dispositions, links).
+	Labels map[string]string `json:"labels,omitempty"`
 }
 
 // Recorder accumulates events. All methods are nil-safe no-ops on a nil
@@ -350,6 +354,18 @@ func SortForTimeline(evs []Event) {
 		}
 		return a.Seq < b.Seq
 	})
+}
+
+// wallBase returns the earliest wall stamp of the wall-only events, the
+// origin both writers place those events against (0 when none is stamped).
+func wallBase(evs []Event) int64 {
+	var base int64
+	for _, e := range evs {
+		if e.T < 0 && e.Wall > 0 && (base == 0 || e.Wall < base) {
+			base = e.Wall
+		}
+	}
+	return base
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

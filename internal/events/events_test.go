@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"adassure/internal/events"
+	"adassure/internal/telemetry"
 )
 
 // --- ring buffer properties ---------------------------------------------
@@ -194,10 +195,25 @@ func TestSortForTimeline(t *testing.T) {
 
 // --- perfetto export ----------------------------------------------------
 
+// traceSpan is one span of a synthetic request trace, stamps in ms after
+// a fixed wall-clock epoch.
+func traceSpan(name string, startMS, endMS int64) telemetry.SpanExport {
+	const epoch = 1_700_000_000_000_000_000 // Unix ns
+	start, end := epoch+startMS*1e6, epoch+endMS*1e6
+	return telemetry.SpanExport{SpanID: name, Name: name, StartUnixNS: start, EndUnixNS: end, DurationNS: end - start}
+}
+
+// traceEvents converts a synthetic span export into timeline events.
+func traceEvents(spans ...telemetry.SpanExport) []events.Event {
+	return telemetry.TraceExport{Schema: telemetry.Schema, TraceID: "0af7651916cd43dd8448eb211c80319c", Spans: spans}.Events()
+}
+
 // TestPerfettoSchema validates the export against the Chrome trace-event
 // schema: every entry carries ph/ts/pid/tid, phases are from the known
-// set, B/E are balanced per (pid, tid), and both clock-domain processes
-// are named.
+// set, B/E nest per (pid, tid) — each E closes the innermost open B of the
+// same name, with time never running backwards on a lane — and both
+// clock-domain processes are named. It runs on a recorded scenario and on
+// request traces whose spans are not stack-shaped.
 func TestPerfettoSchema(t *testing.T) {
 	r := events.NewRecorder(0).WithoutWallClock()
 	r.Begin(events.CatScenario, "s0/scenario", "run", 0, map[string]float64{"seed": 1})
@@ -210,22 +226,59 @@ func TestPerfettoSchema(t *testing.T) {
 	r.Begin(events.CatRunner, "runner/worker-0", "job 0", events.NoSimTime, nil)
 	r.End(events.CatRunner, "runner/worker-0", "job 0", events.NoSimTime, nil)
 
-	var buf bytes.Buffer
-	if err := events.WritePerfetto(&buf, r.Events()); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		evs   []events.Event
+		lanes int // distinct request-trace lanes, 0 for the scenario
+	}{
+		{"scenario", r.Events(), 0},
+		{"miss: cache.lookup overlaps queue.wait", traceEvents(
+			traceSpan("http /v1/run", 0, 100), traceSpan("cache.lookup", 1, 10),
+			traceSpan("queue.wait", 5, 20), traceSpan("execute", 20, 90),
+			traceSpan("phase.sim+monitor", 21, 80), traceSpan("phase.diagnosis", 80, 89)), 2},
+		{"job.execute outlives the root", traceEvents(
+			traceSpan("http /v1/jobs", 0, 10), traceSpan("job.execute", 5, 200),
+			traceSpan("cache.lookup", 6, 7), traceSpan("queue.wait", 7, 20),
+			traceSpan("execute", 20, 190), traceSpan("phase.sim+monitor", 21, 180)), 2},
+		{"zero-duration span", traceEvents(
+			traceSpan("http /v1/run", 0, 10), traceSpan("cache.lookup", 5, 5),
+			traceSpan("queue.wait", 5, 8)), 1},
+		{"equal start stamps", traceEvents(
+			traceSpan("b", 0, 4), traceSpan("a", 0, 10), traceSpan("c", 4, 10)), 1},
+		{"wall clock stepped back inside a span", traceEvents(
+			traceSpan("http /v1/run", 0, 10), traceSpan("execute", 5, 3), traceSpan("phase.diagnosis", 6, 9)), 1},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := events.WritePerfetto(&buf, tc.evs); err != nil {
+				t.Fatal(err)
+			}
+			lanes := checkPerfetto(t, buf.Bytes())
+			if tc.lanes > 0 && lanes != tc.lanes {
+				t.Errorf("%d lanes, want %d", lanes, tc.lanes)
+			}
+		})
+	}
+}
 
+// checkPerfetto is the schema check of TestPerfettoSchema; it returns the
+// number of lanes that carry request-trace spans.
+func checkPerfetto(t *testing.T, doc []byte) int {
+	t.Helper()
 	var file struct {
 		TraceEvents []map[string]json.RawMessage `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+	if err := json.Unmarshal(doc, &file); err != nil {
 		t.Fatalf("perfetto output is not valid JSON: %v", err)
 	}
 	if len(file.TraceEvents) == 0 {
 		t.Fatal("no traceEvents emitted")
 	}
 
-	depth := map[string]int{}
+	open := map[string][]string{}
+	lastTs := map[string]float64{}
+	traceLanes := map[string]bool{}
 	processNames := map[string]bool{}
 	for i, te := range file.TraceEvents {
 		for _, field := range []string{"ph", "ts", "pid", "tid", "name"} {
@@ -233,9 +286,17 @@ func TestPerfettoSchema(t *testing.T) {
 				t.Fatalf("traceEvents[%d] missing required field %q: %v", i, field, te)
 			}
 		}
-		var ph string
+		var ph, name, cat string
 		if err := json.Unmarshal(te["ph"], &ph); err != nil {
 			t.Fatal(err)
+		}
+		if err := json.Unmarshal(te["name"], &name); err != nil {
+			t.Fatal(err)
+		}
+		if raw, ok := te["cat"]; ok {
+			if err := json.Unmarshal(raw, &cat); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var pid, tid int
 		if err := json.Unmarshal(te["pid"], &pid); err != nil {
@@ -249,14 +310,27 @@ func TestPerfettoSchema(t *testing.T) {
 			t.Fatalf("traceEvents[%d]: ts not a number: %v", i, err)
 		}
 		key := fmt.Sprintf("%d/%d", pid, tid)
+		if ph != "M" {
+			if prev, ok := lastTs[key]; ok && ts < prev {
+				t.Fatalf("traceEvents[%d]: ts %.3f runs backwards on %s (after %.3f)", i, ts, key, prev)
+			}
+			lastTs[key] = ts
+		}
 		switch ph {
 		case "B":
-			depth[key]++
+			open[key] = append(open[key], name)
+			if cat == string(events.CatTrace) {
+				traceLanes[key] = true
+			}
 		case "E":
-			depth[key]--
-			if depth[key] < 0 {
+			st := open[key]
+			if len(st) == 0 {
 				t.Fatalf("traceEvents[%d]: E without matching B on %s", i, key)
 			}
+			if top := st[len(st)-1]; top != name {
+				t.Fatalf("traceEvents[%d]: E %q closes %q on %s: spans overlap without nesting", i, name, top, key)
+			}
+			open[key] = st[:len(st)-1]
 		case "i", "M":
 		default:
 			t.Fatalf("traceEvents[%d]: unknown phase %q", i, ph)
@@ -270,9 +344,9 @@ func TestPerfettoSchema(t *testing.T) {
 			}
 		}
 	}
-	for key, d := range depth {
-		if d != 0 {
-			t.Errorf("track %s: %d unclosed B spans", key, d)
+	for key, st := range open {
+		if len(st) != 0 {
+			t.Errorf("track %s: %d unclosed B spans", key, len(st))
 		}
 	}
 	for _, want := range []string{"sim-time", "wall-clock"} {
@@ -280,4 +354,5 @@ func TestPerfettoSchema(t *testing.T) {
 			t.Errorf("missing %q process/thread metadata", want)
 		}
 	}
+	return len(traceLanes)
 }

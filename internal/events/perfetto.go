@@ -13,13 +13,14 @@ import (
 //   - every Track becomes one thread (tid), named via a thread_name
 //     metadata event, so attack windows, per-assertion violation episodes
 //     and guard intervals render as parallel swim lanes per scenario and
-//     runner jobs as one lane per worker;
+//     runner jobs as one lane per worker and request spans as one or
+//     more lanes per trace;
 //   - events with simulation time go under pid 1 ("sim-time"), ts =
-//     T × 1e6 µs; wall-only events (runner job spans) go under pid 2
-//     ("wall-clock"), ts relative to the earliest wall stamp. Two
+//     T × 1e6 µs; wall-only events (runner jobs, request spans) go under
+//     pid 2 ("wall-clock"), ts relative to the earliest wall stamp. Two
 //     processes keep the two clock domains from visually overlapping;
 //   - Begin/End map to ph "B"/"E", Instant to ph "i" with thread scope;
-//     Attrs pass through as args.
+//     Attrs and Labels pass through as args.
 
 // traceEvent is one entry of the exported traceEvents array.
 type traceEvent struct {
@@ -65,21 +66,14 @@ func WritePerfetto(w io.Writer, evs []Event) error {
 	meta(pidSimTime, 0, "process_name", "sim-time")
 	meta(pidWallClock, 0, "process_name", "wall-clock")
 
-	// Wall-only events are placed relative to the earliest wall stamp.
-	var wallBase int64
-	for _, e := range sorted {
-		if e.T < 0 && e.Wall > 0 && (wallBase == 0 || e.Wall < wallBase) {
-			wallBase = e.Wall
-		}
-	}
-
+	base := wallBase(sorted)
 	nextTid := 1
 	for _, e := range sorted {
 		pid := pidSimTime
 		ts := e.T * 1e6 // seconds → µs
 		if e.T < 0 {
 			pid = pidWallClock
-			ts = float64(e.Wall-wallBase) / 1e3 // ns → µs
+			ts = float64(e.Wall-base) / 1e3 // ns → µs
 			if e.Wall == 0 {
 				ts = 0
 			}
@@ -102,9 +96,12 @@ func WritePerfetto(w io.Writer, evs []Event) error {
 			te.Ph = "i"
 			te.Scope = "t"
 		}
-		if len(e.Attrs) > 0 {
-			args := make(map[string]any, len(e.Attrs))
+		if len(e.Attrs)+len(e.Labels) > 0 {
+			args := make(map[string]any, len(e.Attrs)+len(e.Labels))
 			for k, v := range e.Attrs {
+				args[k] = v
+			}
+			for k, v := range e.Labels {
 				args[k] = v
 			}
 			te.Args = args

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"adassure/internal/events"
 	"adassure/internal/obs"
 	"adassure/internal/telemetry"
 )
@@ -119,6 +120,71 @@ func TestTraceEndToEndRun(t *testing.T) {
 	}
 	if ex := names["execute"]; ex.Attrs["violations"] == "" || ex.Attrs["violations"] == "0" {
 		t.Errorf("execute span violations attr = %q, want > 0 for a spoofed run", ex.Attrs["violations"])
+	}
+	checkTimeline(t, exp, "http /v1/run", "queue.wait", "execute", "phase.sim+monitor")
+
+	// The async tier's trace: job.execute and its children outlive the
+	// submitting request's root span, and still nest on every lane.
+	snap, err := c.SubmitJob(context.Background(), Request{Attack: "gnss-step-spoof", Duration: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitJob(context.Background(), snap.ID); err != nil {
+		t.Fatal(err)
+	}
+	checkTimeline(t, fetchTrace(t, c, snap.TraceID),
+		"http /v1/jobs", "job.execute", "queue.wait", "execute", "phase.sim+monitor")
+}
+
+// checkTimeline takes a fetched trace through the timeline model and the
+// Chrome trace-event writer, and checks that every lane's B/E pairs nest,
+// that the named spans are present, and that cache.lookup's disposition
+// label survives the conversion.
+func checkTimeline(t *testing.T, exp telemetry.TraceExport, names ...string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := events.WritePerfetto(&buf, exp.Events()); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	open := map[int][]string{}
+	seen := map[string]bool{}
+	for _, te := range doc.TraceEvents {
+		switch te.Ph {
+		case "B":
+			open[te.Tid] = append(open[te.Tid], te.Name)
+			seen[te.Name] = true
+			if te.Name == "cache.lookup" && te.Args["disposition"] != "miss" {
+				t.Errorf("cache.lookup disposition label = %v, want miss", te.Args["disposition"])
+			}
+		case "E":
+			st := open[te.Tid]
+			if len(st) == 0 || st[len(st)-1] != te.Name {
+				t.Fatalf("trace %s: E %q does not close the innermost open span on lane %d (open %v)",
+					exp.TraceID, te.Name, te.Tid, st)
+			}
+			open[te.Tid] = st[:len(st)-1]
+		}
+	}
+	for tid, st := range open {
+		if len(st) != 0 {
+			t.Errorf("trace %s: lane %d leaves %v open", exp.TraceID, tid, st)
+		}
+	}
+	for _, name := range append(names, "cache.lookup") {
+		if !seen[name] {
+			t.Errorf("trace %s: perfetto export missing span %q", exp.TraceID, name)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
-	"strings"
+
+	"adassure/internal/events"
 )
 
 // Schema is the exported-trace schema identifier.
@@ -31,7 +33,7 @@ type SpanExport struct {
 }
 
 // TraceExport is one self-contained trace document — the body of
-// GET /debug/traces/<id> and the input of the Perfetto converter.
+// GET /debug/traces/<id> and, through Events, of the timeline views.
 type TraceExport struct {
 	Schema  string       `json:"schema"`
 	TraceID string       `json:"trace_id"`
@@ -101,128 +103,94 @@ func ReadTrace(r io.Reader) (TraceExport, error) {
 	return e, nil
 }
 
-// perfettoEvent mirrors internal/events' Chrome trace-event shape; it is
-// re-declared here so telemetry stays importable without events' exporter.
-type perfettoEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+// Events converts the trace into internal/events' timeline model, so a
+// request renders (events.WriteTimeline) and exports (events.WritePerfetto)
+// through the same writers as a scenario. Each span becomes a Begin and an
+// End on the wall clock: the Begin carries its attributes, span_id,
+// parent_id and links as labels, the End its duration as the dur_ms attr.
+//
+// Request spans are not stack-shaped — a miss's cache.lookup is still
+// open when queue.wait starts, and a job's job.execute outlives the
+// submitting root — so one lane cannot hold them. Spans are packed
+// greedily, longest first among equal starts, into lanes trace/<short>,
+// trace/<short>#2, … such that every span nests inside the span below it
+// on its lane. Sequence numbers follow wall order, which keeps every
+// lane's Begin/End pairs balanced for the Chrome trace-event format.
+func (e TraceExport) Events() []events.Event {
+	spans := make([]SpanExport, len(e.Spans))
+	copy(spans, e.Spans)
+	for i := range spans { // a wall clock stepped back must not end a span before it starts
+		spans[i].EndUnixNS = max(spans[i].EndUnixNS, spans[i].StartUnixNS)
+	}
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].StartUnixNS != spans[j].StartUnixNS {
+			return spans[i].StartUnixNS < spans[j].StartUnixNS
+		}
+		return spans[i].EndUnixNS > spans[j].EndUnixNS // the enclosing span first
+	})
+	short := e.TraceID[:min(8, len(e.TraceID))]
+	lane := func(i int) string {
+		if i == 0 {
+			return "trace/" + short
+		}
+		return fmt.Sprintf("trace/%s#%d", short, i+1)
+	}
+
+	var open [][]SpanExport // per lane, the spans still open, innermost last
+	var evs []events.Event
+	closeUntil := func(i int, t int64) {
+		st := open[i]
+		for len(st) > 0 && st[len(st)-1].EndUnixNS <= t {
+			evs = append(evs, spanEvent(events.End, lane(i), st[len(st)-1]))
+			st = st[:len(st)-1]
+		}
+		open[i] = st
+	}
+	for _, sp := range spans {
+		i := 0
+		for ; i < len(open); i++ {
+			closeUntil(i, sp.StartUnixNS)
+			if st := open[i]; len(st) == 0 || st[len(st)-1].EndUnixNS >= sp.EndUnixNS {
+				break
+			}
+		}
+		if i == len(open) {
+			open = append(open, nil)
+		}
+		open[i] = append(open[i], sp)
+		evs = append(evs, spanEvent(events.Begin, lane(i), sp))
+	}
+	for i := range open {
+		closeUntil(i, math.MaxInt64)
+	}
+	// Each lane was emitted in wall order, so a stable sort interleaves
+	// the lanes without reordering any lane's events.
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Wall < evs[j].Wall })
+	for i := range evs {
+		evs[i].Seq = uint64(i)
+	}
+	return evs
 }
 
-type perfettoFile struct {
-	TraceEvents     []perfettoEvent `json:"traceEvents"`
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
-}
-
-// WritePerfetto exports a trace in Chrome trace-event JSON ("X" complete
-// events, µs relative to the trace's earliest span), loadable in Perfetto
-// or chrome://tracing. All spans share one thread; Perfetto nests them by
-// containment, which matches the serving tier's stack-shaped spans.
-func WritePerfetto(w io.Writer, tr TraceExport) error {
-	var base int64
-	for i, sp := range tr.Spans {
-		if i == 0 || sp.StartUnixNS < base {
-			base = sp.StartUnixNS
-		}
+// spanEvent is the Begin or End record of one span on the given lane.
+func spanEvent(kind events.Kind, track string, sp SpanExport) events.Event {
+	ev := events.Event{T: events.NoSimTime, Wall: sp.StartUnixNS, Kind: kind,
+		Cat: events.CatTrace, Track: track, Name: sp.Name}
+	if kind == events.End {
+		ev.Wall = sp.EndUnixNS
+		ev.Attrs = map[string]float64{"dur_ms": float64(sp.DurationNS) / 1e6}
+		return ev
 	}
-	out := []perfettoEvent{{
-		Name: "process_name", Ph: "M", Pid: 1, Tid: 0,
-		Args: map[string]any{"name": "trace " + tr.TraceID},
-	}}
-	for _, sp := range tr.Spans {
-		ev := perfettoEvent{
-			Name: sp.Name,
-			Cat:  "span",
-			Ph:   "X",
-			Ts:   float64(sp.StartUnixNS-base) / 1e3,
-			Dur:  float64(sp.DurationNS) / 1e3,
-			Pid:  1,
-			Tid:  1,
-		}
-		if len(sp.Attrs) > 0 || len(sp.Links) > 0 {
-			args := make(map[string]any, len(sp.Attrs)+1)
-			for k, v := range sp.Attrs {
-				args[k] = v
-			}
-			for i, l := range sp.Links {
-				args[fmt.Sprintf("link.%d", i)] = l.TraceID + "/" + l.SpanID
-			}
-			ev.Args = args
-		}
-		out = append(out, ev)
+	ev.Labels = make(map[string]string, len(sp.Attrs)+len(sp.Links)+2)
+	for k, v := range sp.Attrs {
+		ev.Labels[k] = v
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(perfettoFile{TraceEvents: out, DisplayTimeUnit: "ms"}); err != nil {
-		return fmt.Errorf("telemetry: encode perfetto: %w", err)
+	ev.Labels["span_id"] = sp.SpanID
+	if sp.ParentID != "" {
+		ev.Labels["parent_id"] = sp.ParentID
 	}
-	return nil
-}
-
-// Render writes the human-readable account of a trace (the
-// `adassure-trace spans` view): one line per span, indented by parent
-// depth, with duration and attributes.
-func (e TraceExport) Render(w io.Writer) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "trace %s (%d spans", e.TraceID, len(e.Spans))
-	if e.Dropped > 0 {
-		fmt.Fprintf(&sb, ", %d dropped", e.Dropped)
+	for i, l := range sp.Links {
+		ev.Labels[fmt.Sprintf("link.%d", i)] = l.TraceID + "/" + l.SpanID
 	}
-	sb.WriteString(")\n")
-
-	depth := make(map[string]int, len(e.Spans))
-	byID := make(map[string]SpanExport, len(e.Spans))
-	for _, sp := range e.Spans {
-		byID[sp.SpanID] = sp
-	}
-	var depthOf func(id string) int
-	depthOf = func(id string) int {
-		if d, ok := depth[id]; ok {
-			return d
-		}
-		depth[id] = 0 // pre-seed: breaks parent cycles in corrupt files
-		sp, ok := byID[id]
-		if !ok || sp.ParentID == "" {
-			return 0
-		}
-		if _, ok := byID[sp.ParentID]; !ok {
-			return 0 // remote parent (propagated traceparent)
-		}
-		d := 1 + depthOf(sp.ParentID)
-		depth[id] = d
-		return d
-	}
-
-	var base int64
-	for i, sp := range e.Spans {
-		if i == 0 || sp.StartUnixNS < base {
-			base = sp.StartUnixNS
-		}
-	}
-	for _, sp := range e.Spans {
-		indent := strings.Repeat("  ", depthOf(sp.SpanID))
-		fmt.Fprintf(&sb, "  %s%-*s  +%8.3f ms  %10.3f ms  [%s]",
-			indent, 28-2*depthOf(sp.SpanID), sp.Name,
-			float64(sp.StartUnixNS-base)/1e6, float64(sp.DurationNS)/1e6, sp.SpanID)
-		if len(sp.Attrs) > 0 {
-			keys := make([]string, 0, len(sp.Attrs))
-			for k := range sp.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&sb, " %s=%s", k, sp.Attrs[k])
-			}
-		}
-		for _, l := range sp.Links {
-			fmt.Fprintf(&sb, " link=%s/%s", l.TraceID, l.SpanID)
-		}
-		sb.WriteString("\n")
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
+	return ev
 }

@@ -15,11 +15,11 @@
 //  2. Bounded memory. The tracer retains the newest MaxTraces traces with
 //     at most MaxSpansPerTrace spans each; older traces are evicted FIFO
 //     and late spans of evicted traces are counted, not stored.
-//  3. One emission point, two consumers. A span both lands in the trace
-//     store and — when the tracer carries an events.Recorder — emits
-//     Begin/End events into the flight recorder, so the span timeline and
-//     the per-run event timeline stay correlated without double
-//     instrumentation.
+//  3. One timeline model downstream. The store keeps spans in their W3C
+//     shape, which is the /debug/traces wire format; TraceExport.Events
+//     converts a trace into internal/events' Begin/End records, so request
+//     spans render and export to Perfetto through the same writers as
+//     scenario events.
 //  4. No dependencies beyond the standard library.
 //
 // Typical serving-tier wiring:
@@ -40,8 +40,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"adassure/internal/events"
 )
 
 // Config tunes a Tracer. The zero value applies the defaults.
@@ -52,10 +50,6 @@ type Config struct {
 	// MaxSpansPerTrace bounds the spans stored per trace (default 512);
 	// spans beyond the cap are counted as dropped, not stored.
 	MaxSpansPerTrace int
-	// Events, when non-nil, receives a Begin/End event pair per span
-	// (category "trace") — the flight recorder is the second consumer of
-	// the single span emission point.
-	Events *events.Recorder
 }
 
 func (c *Config) defaults() {
@@ -206,7 +200,6 @@ func (t *Tracer) StartSpan(name, traceparent string) *Span {
 	}
 	t.mu.Unlock()
 
-	t.cfg.Events.Begin(events.CatTrace, "trace/"+sp.data.TraceID.Short(), name, events.NoSimTime, nil)
 	return sp
 }
 
@@ -222,7 +215,6 @@ func (s *Span) StartChild(name string) *Span {
 	child.data.Parent = s.data.SpanID
 	child.data.SpanID = s.tracer.newSpanID()
 	child.data.Start = time.Now().UnixNano()
-	s.tracer.cfg.Events.Begin(events.CatTrace, "trace/"+child.data.TraceID.Short(), name, events.NoSimTime, nil)
 	return child
 }
 
@@ -262,9 +254,8 @@ func (s *Span) AddLink(trace TraceID, span SpanID) {
 	s.data.Links = append(s.data.Links, Link{TraceID: trace, SpanID: span})
 }
 
-// End finishes the span: it is stamped, stored in its trace and — when
-// the tracer carries an events recorder — closed on the flight-recorder
-// timeline. End is idempotent; only the first call records.
+// End finishes the span: it is stamped and stored in its trace. End is
+// idempotent; only the first call records.
 func (s *Span) End() {
 	if s == nil || s.ended {
 		return
@@ -284,8 +275,6 @@ func (s *Span) End() {
 		t.late++
 	}
 	t.mu.Unlock()
-
-	t.cfg.Events.End(events.CatTrace, "trace/"+s.data.TraceID.Short(), s.data.Name, events.NoSimTime, nil)
 }
 
 // Enabled reports whether the span records anything — the idiom for

@@ -2,9 +2,8 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -41,6 +40,8 @@ func TestParseTraceParentRejects(t *testing.T) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0z",  // bad hex
 		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad sep
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-011", // version-00 too long
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase hex
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // future version, no '-' before trailing data
 	}
 	for _, h := range bad {
 		if _, _, _, err := ParseTraceParent(h); err == nil {
@@ -125,28 +126,9 @@ func TestSpanTreeExport(t *testing.T) {
 		t.Fatalf("round trip lost spans: %+v", back)
 	}
 
-	// Render and Perfetto are smoke-checked for shape.
-	var txt bytes.Buffer
-	if err := exp.Render(&txt); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"http /v1/run", "cache.lookup", "phase.sim+monitor"} {
-		if !strings.Contains(txt.String(), want) {
-			t.Fatalf("render missing %q:\n%s", want, txt.String())
-		}
-	}
-	var pf bytes.Buffer
-	if err := WritePerfetto(&pf, exp); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(pf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.TraceEvents) != 6 { // 5 spans + process_name metadata
-		t.Fatalf("%d perfetto events, want 6", len(doc.TraceEvents))
+	// The timeline conversion carries every span as a Begin/End pair.
+	if evs := exp.Events(); len(evs) != 2*len(exp.Spans) {
+		t.Fatalf("%d timeline events for %d spans", len(evs), len(exp.Spans))
 	}
 }
 
@@ -209,29 +191,53 @@ func TestStoreEviction(t *testing.T) {
 	}
 }
 
-func TestEventsRecorderIsSecondConsumer(t *testing.T) {
-	rec := events.NewRecorder(0).WithoutWallClock()
-	tr := New(Config{Events: rec})
+// TestExportEventsOnTraceTrack: a trace converts into wall-clock events
+// on its trace/<short> track, each span's Begin (carrying the span's
+// attributes, span_id and parent_id as labels) before its End (carrying
+// dur_ms).
+func TestExportEventsOnTraceTrack(t *testing.T) {
+	tr := New(Config{})
 	sp := tr.StartSpan("http /v1/run", "")
 	c := sp.StartChild("cache.lookup")
+	c.SetAttr("disposition", "miss")
 	c.End()
 	sp.End()
+	exp, _ := tr.Export(sp.TraceID())
 
-	evs := rec.Events()
+	evs := exp.Events()
 	if len(evs) != 4 { // 2 begins + 2 ends
 		t.Fatalf("%d events, want 4", len(evs))
 	}
-	track := "trace/" + sp.TraceID().Short()
-	for _, e := range evs {
+	track := "trace/" + sp.TraceID().String()[:8]
+	begun := map[string]bool{}
+	for i, e := range evs {
 		if e.Cat != events.CatTrace || e.Track != track {
 			t.Fatalf("event %+v not on the trace track %q", e, track)
 		}
-		if e.T != events.NoSimTime {
-			t.Fatalf("span event carries sim time %v", e.T)
+		if e.T != events.NoSimTime || e.Wall == 0 {
+			t.Fatalf("span event not wall-only: T=%v Wall=%d", e.T, e.Wall)
+		}
+		if e.Seq != uint64(i) {
+			t.Fatalf("event %d has seq %d", i, e.Seq)
+		}
+		switch e.Kind {
+		case events.Begin:
+			begun[e.Name] = true
+		case events.End:
+			if !begun[e.Name] {
+				t.Fatalf("%s ends before it begins", e.Name)
+			}
+			if _, ok := e.Attrs["dur_ms"]; !ok {
+				t.Fatalf("%s end carries no dur_ms: %v", e.Name, e.Attrs)
+			}
 		}
 	}
-	if evs[0].Kind != events.Begin || evs[3].Kind != events.End {
-		t.Fatalf("events not Begin..End ordered: %+v", evs)
+	if evs[0].Kind != events.Begin || evs[0].Name != "http /v1/run" || evs[3].Kind != events.End || evs[3].Name != "http /v1/run" {
+		t.Fatalf("root span does not enclose the trace: %+v", evs)
+	}
+	want := map[string]string{"disposition": "miss", "span_id": c.SpanID().String(), "parent_id": sp.SpanID().String()}
+	if got := evs[1].Labels; evs[1].Name != "cache.lookup" || !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache.lookup begin labels = %v, want %v", got, want)
 	}
 }
 

@@ -36,15 +36,6 @@ func (id SpanID) String() string {
 	return hex.EncodeToString(id[:])
 }
 
-// Short returns the first 8 hex digits of the trace ID — the compact form
-// used for event-timeline track names ("" for the zero ID).
-func (id TraceID) Short() string {
-	if id.IsZero() {
-		return ""
-	}
-	return hex.EncodeToString(id[:4])
-}
-
 // FlagSampled is the W3C trace-flags bit this tracer always sets: every
 // retained trace is recorded.
 const FlagSampled byte = 0x01
@@ -70,9 +61,10 @@ func ParseTraceID(s string) (TraceID, error) {
 //	version "-" trace-id "-" parent-id "-" trace-flags
 //	  00    -  32 hex    -   16 hex    -   2 hex
 //
-// Unknown (non-00) versions are accepted as long as the prefix matches
-// the version-00 layout, per the spec's forward-compatibility rule;
-// version 0xff and all-zero IDs are rejected.
+// Every field is lowercase hex (the spec's HEXDIGLC). Unknown (non-00)
+// versions are accepted as long as the prefix matches the version-00
+// layout and any further fields follow a "-", per the spec's
+// forward-compatibility rule; version 0xff and all-zero IDs are rejected.
 func ParseTraceParent(h string) (TraceID, SpanID, byte, error) {
 	var (
 		tid   TraceID
@@ -82,28 +74,28 @@ func ParseTraceParent(h string) (TraceID, SpanID, byte, error) {
 	if len(h) < 55 {
 		return tid, sid, 0, fmt.Errorf("telemetry: traceparent too short (%d bytes)", len(h))
 	}
-	if h[2] != '-' || h[35] != '-' || h[52] != '-' {
-		return tid, sid, 0, fmt.Errorf("telemetry: traceparent %q: bad field separators", h)
+	for i := 0; i < 55; i++ {
+		switch c := h[i]; {
+		case i == 2 || i == 35 || i == 52:
+			if c != '-' {
+				return tid, sid, 0, fmt.Errorf("telemetry: traceparent %q: bad field separators", h)
+			}
+		case (c < '0' || c > '9') && (c < 'a' || c > 'f'):
+			return tid, sid, 0, fmt.Errorf("telemetry: traceparent %q: byte %d is not lowercase hex", h, i)
+		}
 	}
-	var version [1]byte
-	if _, err := hex.Decode(version[:], []byte(h[0:2])); err != nil {
-		return tid, sid, 0, fmt.Errorf("telemetry: traceparent version: %w", err)
-	}
-	if version[0] == 0xff {
+	switch {
+	case h[:2] == "ff":
 		return tid, sid, 0, fmt.Errorf("telemetry: traceparent version ff is invalid")
-	}
-	if version[0] == 0 && len(h) != 55 {
+	case h[:2] == "00" && len(h) != 55:
 		return tid, sid, 0, fmt.Errorf("telemetry: version-00 traceparent must be 55 bytes, got %d", len(h))
+	case len(h) > 55 && h[55] != '-':
+		return tid, sid, 0, fmt.Errorf("telemetry: traceparent %q: trailing data must follow a '-'", h)
 	}
-	if _, err := hex.Decode(tid[:], []byte(h[3:35])); err != nil {
-		return tid, sid, 0, fmt.Errorf("telemetry: traceparent trace-id: %w", err)
-	}
-	if _, err := hex.Decode(sid[:], []byte(h[36:52])); err != nil {
-		return tid, sid, 0, fmt.Errorf("telemetry: traceparent parent-id: %w", err)
-	}
-	if _, err := hex.Decode(flags[:], []byte(h[53:55])); err != nil {
-		return tid, sid, 0, fmt.Errorf("telemetry: traceparent flags: %w", err)
-	}
+	// The fields were checked as hex above, so decoding cannot fail.
+	_, _ = hex.Decode(tid[:], []byte(h[3:35]))
+	_, _ = hex.Decode(sid[:], []byte(h[36:52]))
+	_, _ = hex.Decode(flags[:], []byte(h[53:55]))
 	if tid.IsZero() {
 		return tid, sid, 0, fmt.Errorf("telemetry: all-zero trace-id is invalid")
 	}
