@@ -481,14 +481,9 @@ func (s Scenario) RunContext(ctx context.Context) (*ScenarioResult, error) {
 
 	tr := s.CustomTrack
 	if tr == nil {
-		cat, err := track.Catalog(s.SpeedLimit)
-		if err != nil {
+		var err error
+		if tr, err = BuiltinTrack(s.Track, s.SpeedLimit); err != nil {
 			return nil, err
-		}
-		var ok bool
-		tr, ok = cat[string(s.Track)]
-		if !ok {
-			return nil, fmt.Errorf("adassure: unknown track %q (have %v)", s.Track, track.Names(cat))
 		}
 	}
 
@@ -666,13 +661,9 @@ func WriteComparisonReport(w io.Writer, title string, before, after *ScenarioRes
 // BuiltinTrack constructs one of the built-in routes with the given speed
 // limit, for use with SimConfig directly.
 func BuiltinTrack(name TrackName, speedLimit float64) (*Track, error) {
-	cat, err := track.Catalog(speedLimit)
+	tr, err := track.Builtin(string(name), speedLimit)
 	if err != nil {
-		return nil, err
-	}
-	tr, ok := cat[string(name)]
-	if !ok {
-		return nil, fmt.Errorf("adassure: unknown track %q (have %v)", name, track.Names(cat))
+		return nil, fmt.Errorf("adassure: %w", err)
 	}
 	return tr, nil
 }

@@ -172,17 +172,50 @@ func BenchmarkControllerSteer(b *testing.B) {
 	}
 }
 
-// BenchmarkPathProject measures point-to-path projection on the urban-loop
-// spline lattice (the geometry hot path of every control step).
+// BenchmarkPathProject measures global point-to-path projection on a
+// spline lattice (every controller's Steer calls it each tick): near the
+// urban loop, at the loop's centre far from every edge, and at the
+// figure-eight's self-crossing, where both branches are equally near.
 func BenchmarkPathProject(b *testing.B) {
+	loop, err := track.UrbanLoop(6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eight, err := track.FigureEight(30, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	near := loop.Path().PointAt(100).Add(geom.V(0.3, -0.2))
+	for _, c := range []struct {
+		name string
+		path geom.Path
+		q    geom.Vec2
+	}{
+		{"near", loop.Path(), near},
+		{"far", loop.Path(), geom.V(45, 33)},
+		{"crossing", eight.Path(), geom.V(0.2, 0.1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.path.Project(c.q)
+			}
+		})
+	}
+}
+
+// BenchmarkPathProjectRange measures the windowed projection the route
+// follower makes every tick, with its 15 m back / 25 m ahead window.
+func BenchmarkPathProjectRange(b *testing.B) {
 	tr, err := track.UrbanLoop(6)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := geom.V(45, 33)
+	rp := tr.Path().(geom.RangeProjector)
+	const s = 100.0
+	q := tr.Path().PointAt(s).Add(geom.V(0.3, -0.2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Path().Project(p)
+		rp.ProjectRange(q, s-15, s+25)
 	}
 }
 

@@ -34,6 +34,7 @@ type Polyline struct {
 	pts    []Vec2
 	cum    []float64 // cumulative arc length at each vertex
 	closed bool
+	boxes  []box // one padded bounding box per blockSegs segments (see closest)
 }
 
 // ErrDegeneratePath is returned when a path cannot be constructed from the
@@ -78,7 +79,7 @@ func newPolyline(pts []Vec2, closed bool) (*Polyline, error) {
 		b := clean[(i+1)%n]
 		cum[i+1] = cum[i] + a.Dist(b)
 	}
-	return &Polyline{pts: clean, cum: cum, closed: closed}, nil
+	return &Polyline{pts: clean, cum: cum, closed: closed, boxes: blockBoxes(clean, segs)}, nil
 }
 
 // Points returns a copy of the polyline's vertices.
@@ -126,7 +127,15 @@ func (p *Polyline) segment(s float64) (idx int, t float64) {
 }
 
 func (p *Polyline) segStart(i int) Vec2 { return p.pts[i] }
-func (p *Polyline) segEnd(i int) Vec2   { return p.pts[(i+1)%len(p.pts)] }
+
+// segEnd returns the end of segment i; the closing segment of a closed
+// polyline ends at pts[0].
+func (p *Polyline) segEnd(i int) Vec2 {
+	if i+1 == len(p.pts) {
+		return p.pts[0]
+	}
+	return p.pts[i+1]
+}
 
 // PointAt implements Path.
 func (p *Polyline) PointAt(s float64) Vec2 {
@@ -172,37 +181,6 @@ func (p *Polyline) CurvatureAt(s float64) float64 {
 		return 0
 	}
 	return dTheta / span
-}
-
-// Project implements Path. It scans all segments; polylines used in the
-// simulator are resampled to a bounded number of vertices, so the linear
-// scan is cheap and, unlike local search, robust to self-approaching paths.
-func (p *Polyline) Project(q Vec2) (s, lateral float64) {
-	bestD2 := math.Inf(1)
-	bestS := 0.0
-	bestLat := 0.0
-	nSeg := len(p.cum) - 1
-	for i := 0; i < nSeg; i++ {
-		a, b := p.segStart(i), p.segEnd(i)
-		ab := b.Sub(a)
-		L2 := ab.NormSq()
-		var t float64
-		if L2 > 0 {
-			t = Clamp(q.Sub(a).Dot(ab)/L2, 0, 1)
-		}
-		cp := a.Lerp(b, t)
-		d2 := q.Sub(cp).NormSq()
-		if d2 < bestD2 {
-			bestD2 = d2
-			bestS = p.cum[i] + t*math.Sqrt(L2)
-			// Signed offset: positive when q is left of the segment tangent.
-			bestLat = math.Copysign(math.Sqrt(d2), ab.Cross(q.Sub(a)))
-		}
-	}
-	// cum[] is a running sum while the projection recomputes the final
-	// segment length with Sqrt; at t=1 they can disagree by one ULP, so
-	// clamp to keep the documented s ∈ [0, Length] contract exact.
-	return Clamp(bestS, 0, p.Length()), bestLat
 }
 
 // Resample returns a new polyline with vertices spaced ds apart along the

@@ -160,15 +160,11 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	catalog, err := track.Catalog(cfg.SpeedLimit)
-	if err != nil {
-		return nil, err
-	}
 	tracks := make([]*track.Track, len(cfg.Tracks))
 	for i, name := range cfg.Tracks {
-		tr, ok := catalog[name]
-		if !ok {
-			return nil, fmt.Errorf("mutate: unknown track %q (have %v)", name, track.Names(catalog))
+		tr, err := track.Builtin(name, cfg.SpeedLimit)
+		if err != nil {
+			return nil, fmt.Errorf("mutate: %w", err)
 		}
 		tracks[i] = tr
 	}

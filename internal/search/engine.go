@@ -189,15 +189,11 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	catalog, err := track.Catalog(cfg.SpeedLimit)
-	if err != nil {
-		return nil, err
-	}
 	tracks := make([]*track.Track, len(cfg.Tracks))
 	for i, name := range cfg.Tracks {
-		tr, ok := catalog[name]
-		if !ok {
-			return nil, fmt.Errorf("search: unknown track %q (have %v)", name, track.Names(catalog))
+		tr, err := track.Builtin(name, cfg.SpeedLimit)
+		if err != nil {
+			return nil, fmt.Errorf("search: %w", err)
 		}
 		tracks[i] = tr
 	}

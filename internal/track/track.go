@@ -6,6 +6,7 @@
 package track
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -169,31 +170,49 @@ func Hairpin(radius, speedLimit float64) (*Track, error) {
 	return New("hairpin", mustSpline(ctrl, false), speedLimit)
 }
 
+// builtins maps each standard track's name to its builder, parameterised
+// by the speed limit: the one table behind Builtin and Catalog.
+var builtins = map[string]func(speedLimit float64) (*Track, error){
+	"straight":           func(v float64) (*Track, error) { return Straight(200, v) },
+	"circle":             func(v float64) (*Track, error) { return Circle(25, v) },
+	"s-curve":            func(v float64) (*Track, error) { return SCurve(8, v) },
+	"figure-eight":       func(v float64) (*Track, error) { return FigureEight(30, v) },
+	"double-lane-change": func(v float64) (*Track, error) { return DoubleLaneChange(3.5, v) },
+	"urban-loop":         UrbanLoop,
+	"hairpin":            func(v float64) (*Track, error) { return Hairpin(6, v) },
+}
+
+// ErrUnknownTrack is wrapped by Builtin when no standard track has the
+// requested name.
+var ErrUnknownTrack = errors.New("unknown track")
+
+// Builtin builds the one standard track with the given name and speed
+// limit, without building the others.
+func Builtin(name string, speedLimit float64) (*Track, error) {
+	build, ok := builtins[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownTrack, name, Names(builtins))
+	}
+	return build(speedLimit)
+}
+
 // Catalog returns the named standard tracks used by the experiment
 // harness, keyed by name, all built with the given speed limit.
 func Catalog(speedLimit float64) (map[string]*Track, error) {
-	builders := []func() (*Track, error){
-		func() (*Track, error) { return Straight(200, speedLimit) },
-		func() (*Track, error) { return Circle(25, speedLimit) },
-		func() (*Track, error) { return SCurve(8, speedLimit) },
-		func() (*Track, error) { return FigureEight(30, speedLimit) },
-		func() (*Track, error) { return DoubleLaneChange(3.5, speedLimit) },
-		func() (*Track, error) { return UrbanLoop(speedLimit) },
-		func() (*Track, error) { return Hairpin(6, speedLimit) },
-	}
-	out := make(map[string]*Track, len(builders))
-	for _, b := range builders {
-		t, err := b()
+	out := make(map[string]*Track, len(builtins))
+	for _, name := range Names(builtins) {
+		t, err := builtins[name](speedLimit)
 		if err != nil {
 			return nil, err
 		}
-		out[t.Name()] = t
+		out[name] = t
 	}
 	return out, nil
 }
 
-// Names returns the sorted names in a catalog, for stable iteration.
-func Names(catalog map[string]*Track) []string {
+// Names returns the sorted keys of a catalog (or of any name-keyed map),
+// for stable iteration.
+func Names[T any](catalog map[string]T) []string {
 	names := make([]string, 0, len(catalog))
 	for n := range catalog {
 		names = append(names, n)

@@ -1,6 +1,7 @@
 package track
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -181,6 +182,36 @@ func TestCatalog(t *testing.T) {
 		if cat[n].SpeedLimit() != 8 {
 			t.Errorf("track %s speed limit = %g", n, cat[n].SpeedLimit())
 		}
+	}
+}
+
+// TestBuiltinMatchesCatalog checks that building one track by name gives
+// the catalog's geometry, and that an unknown name is a typed error that
+// lists the valid ones.
+func TestBuiltinMatchesCatalog(t *testing.T) {
+	cat, err := Catalog(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Names(cat) {
+		tr, err := Builtin(name, 8)
+		if err != nil {
+			t.Fatalf("Builtin(%q): %v", name, err)
+		}
+		want := cat[name]
+		if tr.Name() != name || tr.SpeedLimit() != 8 ||
+			math.Float64bits(tr.Path().Length()) != math.Float64bits(want.Path().Length()) ||
+			tr.Path().PointAt(17.3) != want.Path().PointAt(17.3) {
+			t.Errorf("Builtin(%q) differs from the catalog's track", name)
+		}
+	}
+	_, err = Builtin("moebius-strip", 8)
+	if !errors.Is(err, ErrUnknownTrack) {
+		t.Fatalf("unknown name: err = %v, want ErrUnknownTrack", err)
+	}
+	want := `unknown track "moebius-strip" (have [circle double-lane-change figure-eight hairpin s-curve straight urban-loop])`
+	if err.Error() != want {
+		t.Errorf("unknown name: err = %q, want %q", err, want)
 	}
 }
 
