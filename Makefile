@@ -28,15 +28,23 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark snapshot: run the Benchmark* suite and write
-# name / ns_per_op / allocs_per_op per benchmark to the next free
+# Benchmark snapshot: run every workload BENCHMARK.json names through
+# perfbench (seed 1, 30 s, untraced) and write one JSON object, keyed by
+# workload, whose values are the runs' final JSON lines, to the next free
 # BENCH_N.json, so the perf trajectory accumulates as comparable artifacts
-# across changes instead of overwriting the last snapshot.
-BENCHTIME ?= 1s
+# across changes. A failed run fails the target and leaves no file behind.
 BENCH_JSON = $(shell ls BENCH_*.json 2>/dev/null | tr -dc '0-9\n' | sort -n | awk 'END {print "BENCH_" $$1+1 ".json"}')
 bench-json:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime $(BENCHTIME) ./... \
-		| $(GO) run ./internal/tools/benchjson > $(BENCH_JSON)
+	@set -e; out=$(BENCH_JSON); dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	workloads=$$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); \
+	for w in $$workloads; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 > "$$dir/$$w"; \
+		tail -n 1 "$$dir/$$w"; \
+	done; \
+	python3 -c 'import json, sys; d = sys.argv[1]; print(json.dumps({w: json.loads(open(d + "/" + w).read().splitlines()[-1]) for w in sys.argv[2:]}, indent=2))' \
+		"$$dir" $$workloads > "$$dir/snapshot.json"; \
+	mv "$$dir/snapshot.json" $$out; \
+	echo "wrote $$out"
 
 # Print the name bench-json would write (CI names its artifact with it).
 bench-json-name:

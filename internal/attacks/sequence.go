@@ -68,13 +68,6 @@ func (s *Sequence) Window() Window {
 	return Window{Start: s.attacks[0].Window().Start, End: s.attacks[len(s.attacks)-1].Window().End}
 }
 
-// Stages returns the composed attacks in time order.
-func (s *Sequence) Stages() []GNSSAttack {
-	out := make([]GNSSAttack, len(s.attacks))
-	copy(out, s.attacks)
-	return out
-}
-
 // Apply implements GNSSAttack. Every stage sees every fix (stateful attacks
 // such as Replay and Freeze need the pass-through traffic to build their
 // capture history); the stage whose window is active determines the

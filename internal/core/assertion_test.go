@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -341,34 +339,4 @@ func TestNewAssertionValidation(t *testing.T) {
 		}
 	}()
 	NewAssertion("", "x", "x", Info, func(f Frame) Outcome { return Outcome{OK: true} }, nil)
-}
-
-func TestViolationsJSONRoundtrip(t *testing.T) {
-	vs := []Violation{
-		{AssertionID: "A1", Name: "position-jump", Severity: Critical, T: 20.05,
-			FirstBreach: 20.05, Message: "m", Evidence: map[string]float64{"x": 1.5}, Duration: 0.3},
-		{AssertionID: "A5", Name: "stale-sensor", Severity: Warning, T: 30},
-	}
-	var buf bytes.Buffer
-	if err := WriteViolationsJSON(&buf, vs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadViolationsJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].AssertionID != "A1" || got[0].Evidence["x"] != 1.5 || got[1].T != 30 {
-		t.Errorf("roundtrip = %+v", got)
-	}
-	// nil record serialises to an empty array, not null.
-	buf.Reset()
-	if err := WriteViolationsJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Errorf("nil record = %q", buf.String())
-	}
-	if _, err := ReadViolationsJSON(strings.NewReader("{oops")); err == nil {
-		t.Error("corrupt JSON accepted")
-	}
 }

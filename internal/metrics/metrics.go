@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -219,78 +218,4 @@ func columnViews(tr *trace.Trace, signal string) (t, v []float64) {
 	}
 	c := tr.Column(signal)
 	return c.Times(), c.Values()
-}
-
-// ConfusionMatrix accumulates diagnosis outcomes per ground-truth label.
-type ConfusionMatrix struct {
-	labels []string
-	index  map[string]int
-	counts [][]int
-}
-
-// NewConfusionMatrix builds a matrix over the given labels.
-func NewConfusionMatrix(labels []string) (*ConfusionMatrix, error) {
-	if len(labels) == 0 {
-		return nil, fmt.Errorf("metrics: confusion matrix needs labels")
-	}
-	idx := make(map[string]int, len(labels))
-	for i, l := range labels {
-		if _, dup := idx[l]; dup {
-			return nil, fmt.Errorf("metrics: duplicate label %q", l)
-		}
-		idx[l] = i
-	}
-	counts := make([][]int, len(labels))
-	for i := range counts {
-		counts[i] = make([]int, len(labels))
-	}
-	return &ConfusionMatrix{labels: labels, index: idx, counts: counts}, nil
-}
-
-// Add records one (truth, predicted) outcome. Unknown labels are an error.
-func (m *ConfusionMatrix) Add(truth, predicted string) error {
-	ti, ok := m.index[truth]
-	if !ok {
-		return fmt.Errorf("metrics: unknown truth label %q", truth)
-	}
-	pi, ok := m.index[predicted]
-	if !ok {
-		return fmt.Errorf("metrics: unknown predicted label %q", predicted)
-	}
-	m.counts[ti][pi]++
-	return nil
-}
-
-// Accuracy returns the trace/total ratio.
-func (m *ConfusionMatrix) Accuracy() float64 {
-	var diag, total int
-	for i := range m.counts {
-		for j, c := range m.counts[i] {
-			total += c
-			if i == j {
-				diag += c
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(diag) / float64(total)
-}
-
-// Count returns the cell (truth, predicted).
-func (m *ConfusionMatrix) Count(truth, predicted string) int {
-	ti, ok1 := m.index[truth]
-	pi, ok2 := m.index[predicted]
-	if !ok1 || !ok2 {
-		return 0
-	}
-	return m.counts[ti][pi]
-}
-
-// Labels returns the label order.
-func (m *ConfusionMatrix) Labels() []string {
-	out := make([]string, len(m.labels))
-	copy(out, m.labels)
-	return out
 }

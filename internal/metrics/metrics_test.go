@@ -158,36 +158,3 @@ func TestComfortFrom(t *testing.T) {
 		t.Error("nil trace comfort should be zero")
 	}
 }
-
-func TestConfusionMatrix(t *testing.T) {
-	m, err := NewConfusionMatrix([]string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]string{{"a", "a"}, {"a", "a"}, {"a", "b"}, {"b", "b"}, {"c", "a"}} {
-		if err := m.Add(pair[0], pair[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.Count("a", "a"); got != 2 {
-		t.Errorf("count(a,a) = %d", got)
-	}
-	if acc := m.Accuracy(); math.Abs(acc-0.6) > 1e-12 {
-		t.Errorf("accuracy = %g, want 0.6", acc)
-	}
-	if err := m.Add("x", "a"); err == nil {
-		t.Error("unknown truth accepted")
-	}
-	if err := m.Add("a", "x"); err == nil {
-		t.Error("unknown prediction accepted")
-	}
-	if _, err := NewConfusionMatrix(nil); err == nil {
-		t.Error("empty labels accepted")
-	}
-	if _, err := NewConfusionMatrix([]string{"a", "a"}); err == nil {
-		t.Error("duplicate labels accepted")
-	}
-	if got := m.Labels(); len(got) != 3 || got[0] != "a" {
-		t.Errorf("labels = %v", got)
-	}
-}

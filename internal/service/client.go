@@ -45,6 +45,16 @@ func (e *QueueFullError) Error() string {
 	return fmt.Sprintf("service: queue full, retry after %s", e.RetryAfter)
 }
 
+// queueFull types a 429 answer, reading its Retry-After hint in whole
+// seconds and falling back to one second when the hint is absent or bad.
+func queueFull(h http.Header) *QueueFullError {
+	retry := time.Second
+	if secs, err := strconv.Atoi(h.Get("Retry-After")); err == nil && secs > 0 {
+		retry = time.Duration(secs) * time.Second
+	}
+	return &QueueFullError{RetryAfter: retry}
+}
+
 // CallInfo reports transport-level facts about one Run call.
 type CallInfo struct {
 	// Cache is the X-Adassure-Cache disposition: "hit", "miss" or
@@ -88,11 +98,7 @@ func (c *Client) Run(ctx context.Context, req Request) (*Response, *CallInfo, er
 		TraceID: hres.Header.Get(TraceHeader),
 	}
 	if hres.StatusCode == http.StatusTooManyRequests {
-		retry := time.Second
-		if secs, err := strconv.Atoi(hres.Header.Get("Retry-After")); err == nil && secs > 0 {
-			retry = time.Duration(secs) * time.Second
-		}
-		return nil, info, &QueueFullError{RetryAfter: retry}
+		return nil, info, queueFull(hres.Header)
 	}
 	if hres.StatusCode != http.StatusOK {
 		return nil, info, fmt.Errorf("service: %s: %s", hres.Status, strings.TrimSpace(string(body)))

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -42,11 +41,7 @@ func (c *Client) SubmitJob(ctx context.Context, req Request) (jobs.Snapshot, err
 		return jobs.Snapshot{}, fmt.Errorf("service: read response: %w", err)
 	}
 	if hres.StatusCode == http.StatusTooManyRequests {
-		retry := time.Second
-		if secs, err := strconv.Atoi(hres.Header.Get("Retry-After")); err == nil && secs > 0 {
-			retry = time.Duration(secs) * time.Second
-		}
-		return jobs.Snapshot{}, &QueueFullError{RetryAfter: retry}
+		return jobs.Snapshot{}, queueFull(hres.Header)
 	}
 	if hres.StatusCode != http.StatusAccepted {
 		return jobs.Snapshot{}, fmt.Errorf("service: POST /v1/jobs: %s: %s", hres.Status, strings.TrimSpace(string(body)))

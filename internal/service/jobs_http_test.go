@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,6 +86,44 @@ func TestJobResultMatchesSyncRunByteForByte(t *testing.T) {
 	}
 	if got := s.Registry().Counter("jobs.done").Value(); got != 2 {
 		t.Fatalf("jobs.done = %d, want 2", got)
+	}
+}
+
+// TestJobBatchOverSharedKeys: 12 jobs submitted concurrently over 6
+// distinct keys all end done, and the shared keys cost exactly 6
+// simulations — the rest are cache hits or coalesced onto an in-flight
+// run.
+func TestJobBatchOverSharedKeys(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	const n, keys = 12, 6
+
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			snap, err := c.SubmitJob(ctx, Request{Duration: 5, Seed: int64(1 + i%keys)})
+			if err != nil {
+				t.Errorf("job %d: submit: %v", i, err)
+				return
+			}
+			final, err := c.WaitJob(ctx, snap.ID)
+			if err != nil {
+				t.Errorf("job %d: wait: %v", i, err)
+				return
+			}
+			if final.State != jobs.StateDone {
+				t.Errorf("job %d ended %q (%s), want done", i, final.State, final.Error)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := s.Registry().Counter("sim.runs").Value(); got != keys {
+		t.Fatalf("sim.runs = %d, want %d", got, keys)
+	}
+	if got := s.Registry().Counter("jobs.done").Value(); got != n {
+		t.Fatalf("jobs.done = %d, want %d", got, n)
 	}
 }
 

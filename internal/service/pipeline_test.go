@@ -192,6 +192,23 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 }
 
+// TestQueueFullRetryAfterHint: both client calls type a 429 through one
+// parser, which falls back to one second when the hint is absent,
+// malformed or not positive.
+func TestQueueFullRetryAfterHint(t *testing.T) {
+	for hint, want := range map[string]time.Duration{
+		"3": 3 * time.Second, "": time.Second, "soon": time.Second, "0": time.Second, "-4": time.Second,
+	} {
+		h := http.Header{}
+		if hint != "" {
+			h.Set("Retry-After", hint)
+		}
+		if got := queueFull(h).RetryAfter; got != want {
+			t.Errorf("Retry-After %q: got %s, want %s", hint, got, want)
+		}
+	}
+}
+
 // TestPerRequestTimeout: an execution exceeding the per-request budget is
 // cancelled inside the step loop, answered with 504 and not cached.
 func TestPerRequestTimeout(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -171,6 +172,7 @@ func TestStreamEndToEndMatchesBatch(t *testing.T) {
 	if closed.Stats == nil || closed.Stats.Rejected != 0 {
 		t.Fatalf("close stats = %+v", closed.Stats)
 	}
+
 }
 
 // TestStreamGoldenTranscript locks the full NDJSON event transcript of a
@@ -430,25 +432,51 @@ func TestStreamBadParams(t *testing.T) {
 	}
 }
 
-// TestStreamLoad drives the streaming load loop against a live server.
+// TestStreamLoad drives concurrent sessions against a live server: 4
+// sessions of the same recorded frames, 2 in flight at a time, must each
+// close cleanly with frames accepted, violations raised and the batch
+// hypothesis ranking.
 func TestStreamLoad(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
 	frames := recordNDJSON(t, replayScenario())
-	rep, err := RunStreamLoad(context.Background(), c, frames, StreamLoadOptions{
-		Sessions: 4, Concurrency: 2,
+	resp, _, err := c.Run(ctx, Request{
+		Track: "urban-loop", Controller: "pure-pursuit", Attack: "gnss-replay",
+		AttackStart: 20, AttackEnd: 50, Seed: 1, Duration: 40,
 	})
+	if err != nil {
+		t.Fatalf("batch run: %v", err)
+	}
+	wantHyps, err := json.Marshal(resp.Hypotheses)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sessions != 4 || rep.Errors != 0 {
-		t.Fatalf("report = %+v", rep)
+
+	const sessions, inFlight = 4, 2
+	var wg sync.WaitGroup
+	for w := 0; w < inFlight; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < sessions; i += inFlight {
+				res, err := c.Stream(ctx, bytes.NewReader(frames), StreamOptions{Heartbeat: 0})
+				if err != nil {
+					t.Errorf("session %d: %v", i, err)
+					return
+				}
+				closed, ok := res.Closed()
+				if !ok || closed.Reason != stream.ReasonEOF || closed.Stats == nil {
+					t.Errorf("session %d: close = %+v (closed %v)", i, closed, ok)
+					return
+				}
+				if closed.Frames == 0 || closed.Stats.Violations == 0 || closed.Stats.Rejected != 0 {
+					t.Errorf("session %d: frames %d, stats %+v", i, closed.Frames, closed.Stats)
+				}
+				if got, _ := json.Marshal(closed.Hypotheses); !bytes.Equal(got, wantHyps) {
+					t.Errorf("session %d: hypotheses diverged from batch: %s", i, got)
+				}
+			}
+		}(w)
 	}
-	if rep.Frames == 0 || rep.Violations == 0 {
-		t.Fatalf("report carried no frames/violations: %+v", rep)
-	}
-	var buf bytes.Buffer
-	rep.Print(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("empty report rendering")
-	}
+	wg.Wait()
 }

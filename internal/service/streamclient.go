@@ -11,11 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"adassure/internal/obs"
 	"adassure/internal/stream"
 )
 
@@ -123,138 +119,4 @@ func (c *Client) Stream(ctx context.Context, frames io.Reader, opts StreamOption
 		return res, fmt.Errorf("service: read events: %w", err)
 	}
 	return res, nil
-}
-
-// StreamLoadOptions configures RunStreamLoad.
-type StreamLoadOptions struct {
-	// Sessions is the total session count (default 16).
-	Sessions int
-	// Concurrency is the number of parallel sessions (default 4).
-	Concurrency int
-	// Heartbeat is the per-session heartbeat cadence (default 0 = off —
-	// pure violation traffic).
-	Heartbeat int
-	// Obs, when non-nil, receives the session latency histogram
-	// (load.stream.session_ns) and outcome counters.
-	Obs *obs.Registry
-}
-
-// StreamLoadReport summarises one streaming load run.
-type StreamLoadReport struct {
-	Sessions   int64
-	Errors     int64
-	Frames     int64
-	Events     int64
-	Violations int64
-	// Bypass counts sessions whose cache disposition confirmed the
-	// stream bypassed the result cache (all of them, on a current server).
-	Bypass  int64
-	Elapsed time.Duration
-	// FrameRate is accepted frames per second across all sessions.
-	FrameRate float64
-	// Latency is the whole-session wall-time distribution.
-	Latency obs.HistogramSummary
-	// QueueWaitP95 is the server-side admission-queue wait p95 in
-	// nanoseconds, scraped after the run (streams do not queue, but
-	// concurrent batch traffic shows up here).
-	QueueWaitP95 float64
-}
-
-// RunStreamLoad drives the streaming endpoint with opts.Concurrency
-// parallel sessions, each uploading the same NDJSON frame document, and
-// reports aggregate frame throughput — the measurement loop behind
-// adassure-load's streaming mode.
-func RunStreamLoad(ctx context.Context, c *Client, frames []byte, opts StreamLoadOptions) (*StreamLoadReport, error) {
-	if opts.Sessions <= 0 {
-		opts.Sessions = 16
-	}
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = 4
-	}
-	reg := opts.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	var (
-		sessNS    = reg.Histogram("load.stream.session_ns")
-		errCtr    = reg.Counter("load.stream.errors")
-		frameCtr  = reg.Counter("load.stream.frames")
-		eventCtr  = reg.Counter("load.stream.events")
-		violCtr   = reg.Counter("load.stream.violations")
-		bypassCtr = reg.Counter("load.stream.bypass")
-		next      atomic.Int64
-		completed atomic.Int64
-		firstErr  error
-		errOnce   sync.Once
-	)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(opts.Sessions) || ctx.Err() != nil {
-					return
-				}
-				t0 := time.Now()
-				res, err := c.Stream(ctx, bytes.NewReader(frames), StreamOptions{
-					Heartbeat: opts.Heartbeat,
-				})
-				sessNS.Observe(time.Since(t0).Nanoseconds())
-				completed.Add(1)
-				if err != nil {
-					errCtr.Inc()
-					errOnce.Do(func() { firstErr = err })
-					continue
-				}
-				eventCtr.Add(int64(len(res.Events)))
-				if res.Cache == "bypass" {
-					bypassCtr.Inc()
-				}
-				if closed, ok := res.Closed(); ok {
-					frameCtr.Add(closed.Frames)
-					if closed.Stats != nil {
-						violCtr.Add(closed.Stats.Violations)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := &StreamLoadReport{
-		Sessions:     completed.Load(),
-		Errors:       errCtr.Value(),
-		Frames:       frameCtr.Value(),
-		Events:       eventCtr.Value(),
-		Violations:   violCtr.Value(),
-		Bypass:       bypassCtr.Value(),
-		Elapsed:      elapsed,
-		Latency:      sessNS.Summary(),
-		QueueWaitP95: scrapeQueueWaitP95(ctx, c),
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		rep.FrameRate = float64(rep.Frames) / secs
-	}
-	if rep.Sessions > 0 && rep.Errors == rep.Sessions {
-		return rep, fmt.Errorf("service: streaming load failed entirely: %w", firstErr)
-	}
-	return rep, nil
-}
-
-// Print renders the report as the human-readable table adassure-load
-// emits in streaming mode.
-func (r *StreamLoadReport) Print(w io.Writer) {
-	fmt.Fprintf(w, "sessions    %d (ok %d, errors %d)\n", r.Sessions, r.Sessions-r.Errors, r.Errors)
-	fmt.Fprintf(w, "cache       bypass %d\n", r.Bypass)
-	fmt.Fprintf(w, "frames      %d (%d events, %d violations)\n", r.Frames, r.Events, r.Violations)
-	fmt.Fprintf(w, "elapsed     %.2f s\n", r.Elapsed.Seconds())
-	fmt.Fprintf(w, "frame rate  %.0f frames/s\n", r.FrameRate)
-	fmt.Fprintf(w, "session     p50 %.2f ms  p95 %.2f ms  p99 %.2f ms  (mean %.2f ms, n=%d)\n",
-		r.Latency.P50/1e6, r.Latency.P95/1e6, r.Latency.P99/1e6, r.Latency.Mean/1e6, r.Latency.Count)
-	fmt.Fprintf(w, "queue wait  p95 %.2f ms (server-side)\n", r.QueueWaitP95/1e6)
 }

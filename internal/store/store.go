@@ -307,12 +307,6 @@ func appendFrame(key string, body []byte) []byte {
 	return frame
 }
 
-// FrameSize reports the on-disk bytes one record charges against the
-// cap — the analogue of the in-memory LRU's per-entry cost function.
-func FrameSize(key string, body []byte) int64 {
-	return int64(headerSize + len(key) + len(body) + crcSize)
-}
-
 // rotateLocked starts a fresh segment after the current highest id.
 // Caller holds mu (or is inside Open before the store is shared).
 func (s *Store) rotateLocked() error {
@@ -444,26 +438,6 @@ func (s *Store) SizeBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bytes
-}
-
-// Segments reports the current segment-file count.
-func (s *Store) Segments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.segments)
-}
-
-// Keys returns the live keys in unspecified order (test and tooling
-// helper).
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.index))
-	for k := range s.index {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Dir reports the directory the store is rooted at.
