@@ -143,15 +143,30 @@ func BenchmarkMonitorStepFullCatalog(b *testing.B) {
 	}
 }
 
-// BenchmarkEKFPredictUpdate measures one IMU predict plus one GNSS update.
+// BenchmarkEKFPredictUpdate measures one IMU predict plus one update: a
+// GNSS fix (gnss) or a wheel-speed reading (odom).
 func BenchmarkEKFPredictUpdate(b *testing.B) {
-	f := fusion.NewEKF(fusion.EKFConfig{}, 0, geom.NewPose(0, 0, 0), 5)
-	t := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t += 0.01
-		f.PredictIMU(sensors.IMUReading{T: t, YawRate: 0.01, Valid: true})
-		f.UpdateGNSS(sensors.GNSSFix{T: t, Pos: geom.V(5*t, 0), Valid: true})
+	for _, c := range []struct {
+		name   string
+		update func(f *fusion.EKF, t float64)
+	}{
+		{"gnss", func(f *fusion.EKF, t float64) {
+			f.UpdateGNSS(sensors.GNSSFix{T: t, Pos: geom.V(5*t, 0), Valid: true})
+		}},
+		{"odom", func(f *fusion.EKF, t float64) {
+			f.UpdateOdom(sensors.OdomReading{T: t, Speed: 5, Valid: true})
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f := fusion.NewEKF(0, 0, geom.NewPose(0, 0, 0), 5)
+			t := 0.0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t += 0.01
+				f.PredictIMU(sensors.IMUReading{T: t, YawRate: 0.01, Valid: true})
+				c.update(f, t)
+			}
+		})
 	}
 }
 

@@ -186,23 +186,22 @@ func (c *PIDLateral) Steer(est fusion.Estimate, path geom.Path, dt float64) floa
 // saturation).
 type LQRMPC struct {
 	params vehicle.Params
-	// Horizon is the Riccati recursion depth (control steps).
-	Horizon int
-	// Dt is the prediction discretisation.
-	Dt float64
-	// Q penalises [e, ė, θe, θ̇e]; R penalises steering.
-	Qe, Qde, Qth, Qdth, R float64
-
-	gains map[int][4]float64 // speed bucket (0.5 m/s) → gain row
+	gains  map[int][4]float64 // speed bucket (0.5 m/s) → gain row
 }
+
+// LQR tuning: the Riccati recursion depth (control steps), the prediction
+// discretisation, the penalties on [e, ė, θe, θ̇e] and the steering
+// penalty.
+const (
+	lqrHorizon                     = 50
+	lqrDt                          = 0.05
+	lqrQe, lqrQde, lqrQth, lqrQdth = 1.0, 0.1, 0.8, 0.1
+	lqrR                           = 6.0
+)
 
 // NewLQRMPC builds the LQR/MPC controller with standard tuning.
 func NewLQRMPC(p vehicle.Params) *LQRMPC {
-	return &LQRMPC{
-		params: p, Horizon: 50, Dt: 0.05,
-		Qe: 1.0, Qde: 0.1, Qth: 0.8, Qdth: 0.1, R: 6.0,
-		gains: make(map[int][4]float64),
-	}
+	return &LQRMPC{params: p, gains: make(map[int][4]float64)}
 }
 
 // Name implements Lateral.
@@ -226,43 +225,61 @@ func (c *LQRMPC) gainFor(v float64) [4]float64 {
 }
 
 // solveRiccati performs the backward recursion for the kinematic lateral
-// error model at speed v and returns K of u = -K·x.
+// error model at speed v and returns K of u = -K·x. The matrices are
+// row-major fixed arrays; B is 4×1 and K is 1×4, and each shares its
+// row-major layout with its transpose. The products keep their
+// association, (S⁻¹·BᵀP)·A and (Kᵀ·R)·K, so the gains stay bit-identical.
 func (c *LQRMPC) solveRiccati(v float64) [4]float64 {
-	dt := c.Dt
+	const dt = lqrDt
 	L := c.params.Wheelbase
 	// Kinematic lateral error dynamics discretised:
 	//   e'   = e + v·θe·dt
 	//   θe'  = θe + (v/L)·δ·dt  (relative to path curvature, handled by FF)
 	// Augmented with first-difference states for damping.
-	A := fusion.NewMat(4, 4)
-	A.Set(0, 0, 1)
-	A.Set(0, 1, dt)
-	A.Set(1, 2, v)
-	A.Set(2, 2, 1)
-	A.Set(2, 3, dt)
-	B := fusion.NewMat(4, 1)
-	B.Set(3, 0, v/L)
-
-	Q := fusion.NewMat(4, 4)
-	Q.Set(0, 0, c.Qe)
-	Q.Set(1, 1, c.Qde)
-	Q.Set(2, 2, c.Qth)
-	Q.Set(3, 3, c.Qdth)
-	R := fusion.NewMat(1, 1)
-	R.Set(0, 0, c.R)
-
-	P := Q.Clone()
-	for i := 0; i < c.Horizon; i++ {
-		BtP := B.T().Mul(P)
-		S := BtP.Mul(B).Add(R)
-		K := S.Inv().Mul(BtP).Mul(A)
-		AmBK := A.Sub(B.Mul(K))
-		P = AmBK.T().Mul(P).Mul(AmBK).Add(Q).Add(K.T().Mul(R).Mul(K)).Symmetrize()
+	A := [16]float64{
+		1, dt, 0, 0,
+		0, 0, v, 0,
+		0, 0, 1, dt,
+		0, 0, 0, 0,
 	}
-	BtP := B.T().Mul(P)
-	S := BtP.Mul(B).Add(R)
-	K := S.Inv().Mul(BtP).Mul(A)
-	return [4]float64{K.At(0, 0), K.At(0, 1), K.At(0, 2), K.At(0, 3)}
+	B := [4]float64{0, 0, 0, v / L}
+	Q := [16]float64{0: lqrQe, 5: lqrQde, 10: lqrQth, 15: lqrQdth}
+	R := [1]float64{lqrR}
+
+	P := Q
+	gain := func() (K [4]float64) {
+		var BtP, SinvBtP [4]float64
+		var S, Sinv [1]float64
+		fusion.Mul(BtP[:], B[:], P[:], 4)
+		fusion.Mul(S[:], BtP[:], B[:], 4)
+		S[0] += R[0]
+		fusion.Inv(Sinv[:], S[:], 1)
+		fusion.Mul(SinvBtP[:], Sinv[:], BtP[:], 1)
+		fusion.Mul(K[:], SinvBtP[:], A[:], 4)
+		return K
+	}
+	K := gain()
+	for i := 0; i < lqrHorizon; i++ {
+		// P ← sym((A−BK)ᵀ·P·(A−BK) + Q + Kᵀ·R·K).
+		var BK, AmBK, AmBKT, AmBKtP, next, KtRK [16]float64
+		var KtR [4]float64
+		fusion.Mul(BK[:], B[:], K[:], 1)
+		for j := range AmBK {
+			AmBK[j] = A[j] - BK[j]
+		}
+		fusion.Transpose(AmBKT[:], AmBK[:], 4)
+		fusion.Mul(AmBKtP[:], AmBKT[:], P[:], 4)
+		fusion.Mul(next[:], AmBKtP[:], AmBK[:], 4)
+		fusion.Mul(KtR[:], K[:], R[:], 1)
+		fusion.Mul(KtRK[:], KtR[:], K[:], 1)
+		for j := range next {
+			next[j] += Q[j]
+			next[j] += KtRK[j]
+		}
+		fusion.Symmetrize(P[:], next[:], 4)
+		K = gain()
+	}
+	return K
 }
 
 // Steer implements Lateral.

@@ -40,15 +40,16 @@ type Complementary struct {
 	speed   float64
 	yawRate float64
 
-	// PosGain and HeadingGain are the per-fix blend factors (defaults
-	// 0.35 and 0.1).
-	PosGain     float64
-	HeadingGain float64
-
 	// fixHist is the ~1 s course baseline: heading corrections derived
 	// from a single-period chord would be noise-dominated.
 	fixHist []stampedFix
 }
+
+// Per-fix blend factors toward the GNSS position and the chord course.
+const (
+	posGain     = 0.35
+	headingGain = 0.1
+)
 
 type stampedFix struct {
 	t float64
@@ -57,7 +58,7 @@ type stampedFix struct {
 
 // NewComplementary starts the filter at a pose and speed.
 func NewComplementary(t0 float64, pose geom.Pose, speed float64) *Complementary {
-	return &Complementary{t: t0, pose: pose, speed: speed, PosGain: 0.35, HeadingGain: 0.1}
+	return &Complementary{t: t0, pose: pose, speed: speed}
 }
 
 // PredictIMU implements Localizer.
@@ -86,7 +87,7 @@ func (c *Complementary) UpdateGNSS(fix sensors.GNSSFix) (float64, bool) {
 	if !fix.Valid {
 		return 0, false
 	}
-	c.pose.Pos = c.pose.Pos.Lerp(fix.Pos, c.PosGain)
+	c.pose.Pos = c.pose.Pos.Lerp(fix.Pos, posGain)
 	c.fixHist = append(c.fixHist, stampedFix{t: fix.T, p: fix.Pos})
 	for len(c.fixHist) > 1 && fix.T-c.fixHist[0].t > 1.05 {
 		c.fixHist = c.fixHist[1:]
@@ -100,7 +101,7 @@ func (c *Complementary) UpdateGNSS(fix sensors.GNSSFix) (float64, bool) {
 		if d.Norm()/dt > 1 { // course defined only in motion
 			course := d.Angle()
 			c.pose.Heading = geom.NormalizeAngle(
-				c.pose.Heading + geom.AngleDiff(course, c.pose.Heading)*c.HeadingGain)
+				c.pose.Heading + geom.AngleDiff(course, c.pose.Heading)*headingGain)
 		}
 	}
 	return 0, true

@@ -25,57 +25,51 @@ type Estimate struct {
 	PosStdDev float64
 }
 
-// EKFConfig parameterises the filter.
-type EKFConfig struct {
-	// Process noise (continuous-time spectral densities, discretised by dt).
-	PosProcNoise     float64 // m²/s  (default 0.05)
-	HeadingProcNoise float64 // rad²/s (default 0.01)
-	SpeedProcNoise   float64 // (m/s)²/s (default 0.5)
+// Filter tuning. Process noise is a continuous-time spectral density,
+// discretised by dt; measurement noise is a 1-σ deviation.
+const (
+	posProcNoise     = 0.05 // m²/s
+	headingProcNoise = 0.01 // rad²/s
+	speedProcNoise   = 0.5  // (m/s)²/s
 
-	// Measurement noise (1-σ).
-	GNSSPosStdDev  float64 // m (default 0.2)
-	OdomSpeedStdev float64 // m/s (default 0.05)
-
-	// GateThreshold is the χ² gate on the normalised innovation squared.
-	// GNSS position updates are 2-DOF: 9.21 ≈ 99th percentile. Zero
-	// disables gating (the unguarded configuration in the experiments).
-	GateThreshold float64
-	// InitialPosStdDev seeds the covariance (default 1 m).
-	InitialPosStdDev float64
-}
-
-func (c *EKFConfig) defaults() {
-	if c.PosProcNoise <= 0 {
-		c.PosProcNoise = 0.05
-	}
-	if c.HeadingProcNoise <= 0 {
-		c.HeadingProcNoise = 0.01
-	}
-	if c.SpeedProcNoise <= 0 {
-		c.SpeedProcNoise = 0.5
-	}
-	if c.GNSSPosStdDev <= 0 {
-		c.GNSSPosStdDev = 0.2
-	}
-	if c.OdomSpeedStdev <= 0 {
-		c.OdomSpeedStdev = 0.05
-	}
-	if c.InitialPosStdDev <= 0 {
-		c.InitialPosStdDev = 1
-	}
-}
+	gnssPosStdDev    = 0.2  // m
+	odomSpeedStdDev  = 0.05 // m/s
+	initialPosStdDev = 1.0  // m, seeds the covariance
+)
 
 // DefaultGate is the 99th-percentile χ² threshold for the 2-DOF GNSS
 // position innovation.
 const DefaultGate = 9.21
 
-// EKF is an extended Kalman filter over the state [x, y, θ, v].
-// It is not safe for concurrent use.
-type EKF struct {
-	cfg EKFConfig
+// The variances are squared at run time, in float64: 0.2*0.2 rounds to
+// 0.04000000000000001 there, while the constant expression is exactly 0.04.
+var (
+	gnssVar = sq(gnssPosStdDev)
+	odomVar = sq(odomSpeedStdDev)
+	initVar = sq(initialPosStdDev)
 
-	x Mat // 4×1 state
-	p Mat // 4×4 covariance
+	// Observation models: H selects [x, y] for GNSS and [v] for odometry.
+	// A row vector and its transpose share one row-major layout, so h1
+	// serves as both 1×4 and 4×1.
+	h2  = [8]float64{1, 0, 0, 0, 0, 1, 0, 0}
+	h2T = [8]float64{1, 0, 0, 1, 0, 0, 0, 0}
+	h1  = [4]float64{0, 0, 0, 1}
+	r2  = [4]float64{gnssVar, 0, 0, gnssVar}
+
+	eye4 = [16]float64{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}
+)
+
+func sq(x float64) float64 { return x * x }
+
+// EKF is an extended Kalman filter over the state [x, y, θ, v]. Every
+// matrix is a fixed row-major array and every temporary lives on the
+// stack, so predicts and updates never allocate. It is not safe for
+// concurrent use.
+type EKF struct {
+	gate float64 // χ² gate on the GNSS NIS; 0 disables gating
+
+	x [4]float64  // state
+	p [16]float64 // 4×4 covariance
 	t float64
 
 	yawRate float64 // latest IMU yaw rate, for the estimate output
@@ -83,90 +77,20 @@ type EKF struct {
 	lastNIS      float64 // latest GNSS normalised innovation squared
 	lastAccepted bool
 	rejectStreak int
-	initialized  bool
-
-	s ekfScratch
 }
 
-// ekfScratch holds every working matrix the filter needs, preallocated once
-// in NewEKF and reused across all predicts/updates: the steady-state filter
-// performs no heap allocation. The observation matrices and measurement
-// noise (h2/r2, h1/r1) are constants of the model and are filled at
-// construction. All arithmetic goes through the bit-exact *Of matrix
-// variants, so the filter output is identical to the allocating formulation
-// it replaced.
-type ekfScratch struct {
-	F, Q, FT         Mat // 4×4 motion Jacobian, process noise, Fᵀ
-	t44a, t44b, t44c Mat // 4×4 temporaries
-	dx               Mat // 4×1 state correction
-
-	// GNSS (2-DOF position) update.
-	h2, t24    Mat // 2×4
-	h2T, pht42 Mat // 4×2
-	r2, s2     Mat // 2×2
-	s2inv      Mat // 2×2
-	aug2       Mat // 2×4 Gauss-Jordan workspace
-	y2         Mat // 2×1 innovation
-	y2T, t12   Mat // 1×2
-	nis1       Mat // 1×1
-	k42        Mat // 4×2 Kalman gain
-
-	// Odometry (1-DOF speed) update.
-	h1, t14    Mat // 1×4
-	h1T, pht41 Mat // 4×1
-	r1, s1     Mat // 1×1
-	s1inv      Mat // 1×1
-	aug1       Mat // 1×2 Gauss-Jordan workspace
-	y1         Mat // 1×1 innovation
-	k41        Mat // 4×1 Kalman gain
-}
-
-func newEKFScratch(cfg EKFConfig) ekfScratch {
-	s := ekfScratch{
-		F: NewMat(4, 4), Q: NewMat(4, 4), FT: NewMat(4, 4),
-		t44a: NewMat(4, 4), t44b: NewMat(4, 4), t44c: NewMat(4, 4),
-		dx: NewMat(4, 1),
-		h2: NewMat(2, 4), t24: NewMat(2, 4),
-		h2T: NewMat(4, 2), pht42: NewMat(4, 2),
-		r2: NewMat(2, 2), s2: NewMat(2, 2), s2inv: NewMat(2, 2),
-		aug2: NewMat(2, 4),
-		y2:   NewMat(2, 1), y2T: NewMat(1, 2), t12: NewMat(1, 2),
-		nis1: NewMat(1, 1), k42: NewMat(4, 2),
-		h1: NewMat(1, 4), t14: NewMat(1, 4),
-		h1T: NewMat(4, 1), pht41: NewMat(4, 1),
-		r1: NewMat(1, 1), s1: NewMat(1, 1), s1inv: NewMat(1, 1),
-		aug1: NewMat(1, 2),
-		y1:   NewMat(1, 1), k41: NewMat(4, 1),
+// NewEKF builds a filter initialised at the given pose and speed. gate is
+// the χ² threshold on the GNSS normalised innovation squared (DefaultGate
+// ≈ 99th percentile for the 2-DOF fix); zero disables gating, the
+// unguarded configuration in the experiments.
+func NewEKF(gate, t0 float64, pose geom.Pose, speed float64) *EKF {
+	return &EKF{
+		gate:         gate,
+		x:            [4]float64{pose.Pos.X, pose.Pos.Y, pose.Heading, speed},
+		p:            [16]float64{0: initVar, 5: initVar, 10: 0.05, 15: 0.25},
+		t:            t0,
+		lastAccepted: true,
 	}
-	// H selects [x, y] for GNSS, [v] for odometry.
-	s.h2.Set(0, 0, 1)
-	s.h2.Set(1, 1, 1)
-	s.h2T.TOf(s.h2)
-	r2 := cfg.GNSSPosStdDev * cfg.GNSSPosStdDev
-	s.r2.Set(0, 0, r2)
-	s.r2.Set(1, 1, r2)
-	s.h1.Set(0, 3, 1)
-	s.h1T.TOf(s.h1)
-	s.r1.Set(0, 0, cfg.OdomSpeedStdev*cfg.OdomSpeedStdev)
-	return s
-}
-
-// NewEKF builds a filter initialised at the given pose and speed.
-func NewEKF(cfg EKFConfig, t0 float64, pose geom.Pose, speed float64) *EKF {
-	cfg.defaults()
-	f := &EKF{cfg: cfg, x: NewMat(4, 1), p: Eye(4), t: t0, initialized: true}
-	f.x.Set(0, 0, pose.Pos.X)
-	f.x.Set(1, 0, pose.Pos.Y)
-	f.x.Set(2, 0, pose.Heading)
-	f.x.Set(3, 0, speed)
-	s2 := cfg.InitialPosStdDev * cfg.InitialPosStdDev
-	f.p.Set(0, 0, s2)
-	f.p.Set(1, 1, s2)
-	f.p.Set(2, 2, 0.05)
-	f.p.Set(3, 3, 0.25)
-	f.lastAccepted = true
-	f.s = newEKFScratch(cfg)
-	return f
 }
 
 // Time returns the filter's current time.
@@ -182,35 +106,33 @@ func (f *EKF) PredictIMU(r sensors.IMUReading) {
 	f.t = r.T
 	f.yawRate = r.YawRate
 
-	th := f.x.At(2, 0)
-	v := f.x.At(3, 0)
+	th := f.x[2]
+	v := f.x[3]
 	// Midpoint heading for the position propagation.
 	thMid := th + r.YawRate*dt/2
-	f.x.Set(0, 0, f.x.At(0, 0)+v*math.Cos(thMid)*dt)
-	f.x.Set(1, 0, f.x.At(1, 0)+v*math.Sin(thMid)*dt)
-	f.x.Set(2, 0, geom.NormalizeAngle(th+r.YawRate*dt))
-	f.x.Set(3, 0, math.Max(0, v+r.Accel*dt))
+	f.x[0] += v * math.Cos(thMid) * dt
+	f.x[1] += v * math.Sin(thMid) * dt
+	f.x[2] = geom.NormalizeAngle(th + r.YawRate*dt)
+	f.x[3] = math.Max(0, v+r.Accel*dt)
 
 	// Jacobian of the motion model wrt the state.
-	s := &f.s
-	s.F.SetEye()
-	s.F.Set(0, 2, -v*math.Sin(thMid)*dt)
-	s.F.Set(0, 3, math.Cos(thMid)*dt)
-	s.F.Set(1, 2, v*math.Cos(thMid)*dt)
-	s.F.Set(1, 3, math.Sin(thMid)*dt)
+	F := eye4
+	F[2] = -v * math.Sin(thMid) * dt
+	F[3] = math.Cos(thMid) * dt
+	F[6] = v * math.Cos(thMid) * dt
+	F[7] = math.Sin(thMid) * dt
 
-	s.Q.SetZero()
-	s.Q.Set(0, 0, f.cfg.PosProcNoise*dt)
-	s.Q.Set(1, 1, f.cfg.PosProcNoise*dt)
-	s.Q.Set(2, 2, f.cfg.HeadingProcNoise*dt)
-	s.Q.Set(3, 3, f.cfg.SpeedProcNoise*dt)
+	Q := [16]float64{0: posProcNoise * dt, 5: posProcNoise * dt, 10: headingProcNoise * dt, 15: speedProcNoise * dt}
 
-	// p ← sym(F·p·Fᵀ + Q), on scratch.
-	s.FT.TOf(s.F)
-	s.t44a.MulOf(s.F, f.p)
-	s.t44b.MulOf(s.t44a, s.FT)
-	s.t44b.AddOf(s.t44b, s.Q)
-	f.p.SymmetrizeOf(s.t44b)
+	// p ← sym(F·p·Fᵀ + Q).
+	var FT, Fp, FpFT [16]float64
+	Transpose(FT[:], F[:], 4)
+	Mul(Fp[:], F[:], f.p[:], 4)
+	Mul(FpFT[:], Fp[:], FT[:], 4)
+	for i := range FpFT {
+		FpFT[i] += Q[i]
+	}
+	Symmetrize(f.p[:], FpFT[:], 4)
 }
 
 // UpdateGNSS fuses a position fix. It returns the normalised innovation
@@ -221,24 +143,25 @@ func (f *EKF) UpdateGNSS(fix sensors.GNSSFix) (nis float64, accepted bool) {
 	if !fix.Valid {
 		return 0, false
 	}
-	s := &f.s
+	y := [2]float64{fix.Pos.X - f.x[0], fix.Pos.Y - f.x[1]}
 
-	// Innovation.
-	s.y2.Set(0, 0, fix.Pos.X-f.x.At(0, 0))
-	s.y2.Set(1, 0, fix.Pos.Y-f.x.At(1, 0))
-
-	// S = H·p·Hᵀ + R; NIS = yᵀ·S⁻¹·y, on scratch.
-	s.t24.MulOf(s.h2, f.p)
-	s.s2.MulOf(s.t24, s.h2T)
-	s.s2.AddOf(s.s2, s.r2)
-	s.s2inv.InvOf(s.s2, s.aug2)
-	s.y2T.TOf(s.y2)
-	s.t12.MulOf(s.y2T, s.s2inv)
-	s.nis1.MulOf(s.t12, s.y2)
-	nis = s.nis1.At(0, 0)
+	// S = H·p·Hᵀ + R; NIS = yᵀ·S⁻¹·y.
+	var hp [8]float64
+	var S, Sinv [4]float64
+	Mul(hp[:], h2[:], f.p[:], 4)
+	Mul(S[:], hp[:], h2T[:], 4)
+	for i := range S {
+		S[i] += r2[i]
+	}
+	Inv(Sinv[:], S[:], 2)
+	var ySinv [2]float64
+	var yy [1]float64
+	Mul(ySinv[:], y[:], Sinv[:], 2)
+	Mul(yy[:], ySinv[:], y[:], 2)
+	nis = yy[0]
 	f.lastNIS = nis
 
-	if f.cfg.GateThreshold > 0 && nis > f.cfg.GateThreshold {
+	if f.gate > 0 && nis > f.gate {
 		f.lastAccepted = false
 		f.rejectStreak++
 		return nis, false
@@ -246,18 +169,13 @@ func (f *EKF) UpdateGNSS(fix sensors.GNSSFix) (nis float64, accepted bool) {
 	f.lastAccepted = true
 	f.rejectStreak = 0
 
-	// K = p·Hᵀ·S⁻¹; x ← x + K·y; p ← sym((I − K·H)·p).
-	s.pht42.MulOf(f.p, s.h2T)
-	s.k42.MulOf(s.pht42, s.s2inv)
-	s.dx.MulOf(s.k42, s.y2)
-	f.x.AddOf(f.x, s.dx)
-	f.x.Set(2, 0, geom.NormalizeAngle(f.x.At(2, 0)))
-	f.x.Set(3, 0, math.Max(0, f.x.At(3, 0)))
-	s.t44a.MulOf(s.k42, s.h2)
-	s.t44b.SetEye()
-	s.t44b.SubOf(s.t44b, s.t44a)
-	s.t44c.MulOf(s.t44b, f.p)
-	f.p.SymmetrizeOf(s.t44c)
+	// K = p·Hᵀ·S⁻¹.
+	var pht, K [8]float64
+	Mul(pht[:], f.p[:], h2T[:], 4)
+	Mul(K[:], pht[:], Sinv[:], 2)
+	f.correct(K[:], h2[:], y[:])
+	f.x[2] = geom.NormalizeAngle(f.x[2])
+	f.x[3] = math.Max(0, f.x[3])
 	return nis, true
 }
 
@@ -267,32 +185,45 @@ func (f *EKF) UpdateOdom(r sensors.OdomReading) {
 	if !r.Valid {
 		return
 	}
-	s := &f.s
-	s.y1.Set(0, 0, r.Speed-f.x.At(3, 0))
-	s.t14.MulOf(s.h1, f.p)
-	s.s1.MulOf(s.t14, s.h1T)
-	s.s1.AddOf(s.s1, s.r1)
-	s.s1inv.InvOf(s.s1, s.aug1)
-	s.pht41.MulOf(f.p, s.h1T)
-	s.k41.MulOf(s.pht41, s.s1inv)
-	s.dx.MulOf(s.k41, s.y1)
-	f.x.AddOf(f.x, s.dx)
-	f.x.Set(3, 0, math.Max(0, f.x.At(3, 0)))
-	s.t44a.MulOf(s.k41, s.h1)
-	s.t44b.SetEye()
-	s.t44b.SubOf(s.t44b, s.t44a)
-	s.t44c.MulOf(s.t44b, f.p)
-	f.p.SymmetrizeOf(s.t44c)
+	y := [1]float64{r.Speed - f.x[3]}
+	var hp, pht, K [4]float64
+	var S, Sinv [1]float64
+	Mul(hp[:], h1[:], f.p[:], 4)
+	Mul(S[:], hp[:], h1[:], 4)
+	S[0] += odomVar
+	Inv(Sinv[:], S[:], 1)
+	Mul(pht[:], f.p[:], h1[:], 4)
+	Mul(K[:], pht[:], Sinv[:], 1)
+	f.correct(K[:], h1[:], y[:])
+	f.x[3] = math.Max(0, f.x[3])
+}
+
+// correct applies an accepted update with gain K (4×m), observation model
+// H (m×4) and innovation y (m×1): x ← x + K·y; p ← sym((I − K·H)·p).
+func (f *EKF) correct(K, H, y []float64) {
+	m := len(y)
+	var dx [4]float64
+	Mul(dx[:], K, y, m)
+	for i := range f.x {
+		f.x[i] += dx[i]
+	}
+	var KH, IKH, p [16]float64
+	Mul(KH[:], K, H, m)
+	for i := range IKH {
+		IKH[i] = eye4[i] - KH[i]
+	}
+	Mul(p[:], IKH[:], f.p[:], 4)
+	Symmetrize(f.p[:], p[:], 4)
 }
 
 // Estimate returns the current fused estimate.
 func (f *EKF) Estimate() Estimate {
-	sx := math.Sqrt(math.Max(0, f.p.At(0, 0)))
-	sy := math.Sqrt(math.Max(0, f.p.At(1, 1)))
+	sx := math.Sqrt(math.Max(0, f.p[0]))
+	sy := math.Sqrt(math.Max(0, f.p[5]))
 	return Estimate{
 		T:         f.t,
-		Pose:      geom.Pose{Pos: geom.V(f.x.At(0, 0), f.x.At(1, 0)), Heading: f.x.At(2, 0)},
-		Speed:     f.x.At(3, 0),
+		Pose:      geom.Pose{Pos: geom.V(f.x[0], f.x[1]), Heading: f.x[2]},
+		Speed:     f.x[3],
 		YawRate:   f.yawRate,
 		PosStdDev: math.Sqrt(sx * sy),
 	}
@@ -307,9 +238,9 @@ func (f *EKF) LastNIS() (nis float64, accepted bool) { return f.lastNIS, f.lastA
 // reckoning and brake.
 func (f *EKF) RejectStreak() int { return f.rejectStreak }
 
-// Covariance returns a copy of the covariance matrix (for tests and
+// Covariance returns the row-major 4×4 covariance matrix (for tests and
 // diagnostics).
-func (f *EKF) Covariance() Mat { return f.p.Clone() }
+func (f *EKF) Covariance() [16]float64 { return f.p }
 
 // String implements fmt.Stringer.
 func (f *EKF) String() string {

@@ -12,8 +12,8 @@ import (
 // simulateStraight runs the EKF against synthetic truth moving along +x at
 // constant speed, with the given GNSS noise and an optional spoof offset
 // applied from spoofT onward. Returns the filter and the final truth pos.
-func simulateStraight(cfg EKFConfig, seed int64, dur, speed, gnssNoise float64, spoof geom.Vec2, spoofT float64) (*EKF, geom.Vec2) {
-	f := NewEKF(cfg, 0, geom.NewPose(0, 0, 0), speed)
+func simulateStraight(gate float64, seed int64, dur, speed, gnssNoise float64, spoof geom.Vec2, spoofT float64) (*EKF, geom.Vec2) {
+	f := NewEKF(gate, 0, geom.NewPose(0, 0, 0), speed)
 	rng := rand.New(rand.NewSource(seed))
 	const imuDT = 0.01
 	gnssEvery := 10 // every 10 IMU steps → 10 Hz
@@ -38,7 +38,7 @@ func simulateStraight(cfg EKFConfig, seed int64, dur, speed, gnssNoise float64, 
 }
 
 func TestEKFConvergesOnCleanData(t *testing.T) {
-	f, truth := simulateStraight(EKFConfig{}, 1, 20, 5, 0.15, geom.Vec2{}, 0)
+	f, truth := simulateStraight(0, 1, 20, 5, 0.15, geom.Vec2{}, 0)
 	e := f.Estimate()
 	if d := e.Pose.Pos.Dist(truth); d > 0.3 {
 		t.Errorf("position error %.3f m after 20 s clean run", d)
@@ -55,32 +55,31 @@ func TestEKFConvergesOnCleanData(t *testing.T) {
 }
 
 func TestEKFCovariancePSDAndBounded(t *testing.T) {
-	f, _ := simulateStraight(EKFConfig{}, 2, 30, 4, 0.15, geom.Vec2{}, 0)
+	f, _ := simulateStraight(0, 2, 30, 4, 0.15, geom.Vec2{}, 0)
 	p := f.Covariance()
 	for i := 0; i < 4; i++ {
-		if p.At(i, i) <= 0 {
-			t.Errorf("covariance diagonal %d = %g, must be positive", i, p.At(i, i))
+		if p[i*4+i] <= 0 {
+			t.Errorf("covariance diagonal %d = %g, must be positive", i, p[i*4+i])
 		}
-		if p.At(i, i) > 10 {
-			t.Errorf("covariance diagonal %d = %g diverged", i, p.At(i, i))
+		if p[i*4+i] > 10 {
+			t.Errorf("covariance diagonal %d = %g diverged", i, p[i*4+i])
 		}
 		for j := 0; j < 4; j++ {
-			if math.Abs(p.At(i, j)-p.At(j, i)) > 1e-9 {
+			if math.Abs(p[i*4+j]-p[j*4+i]) > 1e-9 {
 				t.Error("covariance asymmetric")
 			}
 		}
 	}
 	// 2x2 position block must be PSD: det ≥ 0 and trace ≥ 0.
-	det := p.At(0, 0)*p.At(1, 1) - p.At(0, 1)*p.At(1, 0)
+	det := p[0]*p[5] - p[1]*p[4]
 	if det < 0 {
 		t.Errorf("position covariance block not PSD: det=%g", det)
 	}
 }
 
 func TestEKFGateRejectsSpoof(t *testing.T) {
-	cfg := EKFConfig{GateThreshold: DefaultGate}
 	// 5 s of 30 m spoof: the gate holds and the estimate stays near truth.
-	f, truth := simulateStraight(cfg, 3, 25, 5, 0.15, geom.V(0, 30), 20)
+	f, truth := simulateStraight(DefaultGate, 3, 25, 5, 0.15, geom.V(0, 30), 20)
 	e := f.Estimate()
 	if d := e.Pose.Pos.Dist(truth); d > 2 {
 		t.Errorf("gated filter dragged %.2f m by spoof", d)
@@ -99,15 +98,14 @@ func TestEKFGateCreepsUnderSustainedSpoof(t *testing.T) {
 	// the guarded stack: while the gate rejects, the covariance grows
 	// (heading is unobserved without GNSS), so after enough sustained
 	// spoofing the gate re-accepts and the filter is dragged.
-	cfg := EKFConfig{GateThreshold: DefaultGate}
-	f, truth := simulateStraight(cfg, 3, 35, 5, 0.15, geom.V(0, 30), 20)
+	f, truth := simulateStraight(DefaultGate, 3, 35, 5, 0.15, geom.V(0, 30), 20)
 	if d := f.Estimate().Pose.Pos.Dist(truth); d < 5 {
 		t.Errorf("expected gate creep after 15 s of spoofing; error only %.2f m", d)
 	}
 }
 
 func TestEKFUngatedFollowsSpoof(t *testing.T) {
-	f, truth := simulateStraight(EKFConfig{}, 3, 30, 5, 0.15, geom.V(0, 30), 20)
+	f, truth := simulateStraight(0, 3, 30, 5, 0.15, geom.V(0, 30), 20)
 	e := f.Estimate()
 	// Without the gate the filter is dragged toward the spoofed position.
 	if d := e.Pose.Pos.Dist(truth); d < 10 {
@@ -116,8 +114,7 @@ func TestEKFUngatedFollowsSpoof(t *testing.T) {
 }
 
 func TestEKFNISSpikesAtSpoofOnset(t *testing.T) {
-	cfg := EKFConfig{}
-	f := NewEKF(cfg, 0, geom.NewPose(0, 0, 0), 5)
+	f := NewEKF(0, 0, geom.NewPose(0, 0, 0), 5)
 	for t0 := 0.01; t0 <= 10; t0 += 0.01 {
 		f.PredictIMU(sensors.IMUReading{T: t0, Valid: true})
 		if int(t0*100)%10 == 0 {
@@ -132,7 +129,7 @@ func TestEKFNISSpikesAtSpoofOnset(t *testing.T) {
 }
 
 func TestEKFIgnoresInvalidAndStaleReadings(t *testing.T) {
-	f := NewEKF(EKFConfig{}, 5, geom.NewPose(1, 2, 0.3), 2)
+	f := NewEKF(0, 5, geom.NewPose(1, 2, 0.3), 2)
 	before := f.Estimate()
 	f.PredictIMU(sensors.IMUReading{T: 4, Valid: true})   // stale
 	f.PredictIMU(sensors.IMUReading{T: 6, Valid: false})  // invalid
@@ -151,7 +148,7 @@ func TestEKFTurnTracking(t *testing.T) {
 		yaw   = 0.2 // rad/s
 		dur   = 30.0
 	)
-	f := NewEKF(EKFConfig{}, 0, geom.NewPose(0, 0, 0), speed)
+	f := NewEKF(0, 0, geom.NewPose(0, 0, 0), speed)
 	rng := rand.New(rand.NewSource(9))
 	r := speed / yaw
 	truthAt := func(t float64) geom.Vec2 {
@@ -211,7 +208,7 @@ func TestDeadReckonerResetAndOdom(t *testing.T) {
 // is ~χ²(2): mean ≈ 2 and rarely above the 99% gate. This is the statistic
 // assertion A10 and the guard's gate rely on.
 func TestEKFNISDistribution(t *testing.T) {
-	f := NewEKF(EKFConfig{}, 0, geom.NewPose(0, 0, 0), 5)
+	f := NewEKF(0, 0, geom.NewPose(0, 0, 0), 5)
 	rng := rand.New(rand.NewSource(21))
 	var sum float64
 	var n, above int
@@ -305,7 +302,7 @@ func TestComplementaryComparableToEKFOnStraight(t *testing.T) {
 		}
 		return math.Sqrt(sumSq / float64(n))
 	}
-	ekfRMS := run(NewEKF(EKFConfig{}, 0, geom.NewPose(0, 0, 0), 5))
+	ekfRMS := run(NewEKF(0, 0, geom.NewPose(0, 0, 0), 5))
 	compRMS := run(NewComplementary(0, geom.NewPose(0, 0, 0), 5))
 	t.Logf("position RMS: ekf %.3f m, complementary %.3f m", ekfRMS, compRMS)
 	if ekfRMS > 0.3 || compRMS > 0.3 {

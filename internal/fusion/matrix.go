@@ -1,350 +1,118 @@
 package fusion
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Mat is a dense row-major matrix just big enough for the 4-state EKF.
-// A dedicated micro-implementation keeps the filter dependency-free and
-// allocation-transparent.
-type Mat struct {
-	r, c int
-	a    []float64
-}
+// The kernels below work on dense row-major matrices held in fixed-size
+// arrays (passed as slices), so the EKF and the LQR solve run without heap
+// allocation. Each one fixes its arithmetic order: golden outputs are
+// byte-compared, so a kernel may not reassociate, drop a `+0` or skip work
+// the original formulation did.
 
-// NewMat allocates an r×c zero matrix.
-func NewMat(r, c int) Mat {
-	if r <= 0 || c <= 0 {
-		panic(fmt.Sprintf("fusion: invalid matrix dims %dx%d", r, c))
+// Mul stores a·b into dst, where a is r×n and b is n×c (r and c follow from
+// the slice lengths). dst must not alias a or b. The loop order is i, k, j,
+// every entry starts at +0, and zero entries of a are skipped: a zero times
+// an Inf or NaN in b contributes nothing, exactly as the product has always
+// been computed here.
+func Mul(dst, a, b []float64, n int) {
+	r, c := len(a)/n, len(b)/n
+	if r*n != len(a) || c*n != len(b) || len(dst) != r*c {
+		panic(fmt.Sprintf("fusion: Mul of %d·%d elements over inner dimension %d into %d", len(a), len(b), n, len(dst)))
 	}
-	return Mat{r: r, c: c, a: make([]float64, r*c)}
-}
-
-// Eye returns the n×n identity.
-func Eye(n int) Mat {
-	m := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
+	for i := range dst {
+		dst[i] = 0
 	}
-	return m
-}
-
-// Rows returns the row count.
-func (m Mat) Rows() int { return m.r }
-
-// Cols returns the column count.
-func (m Mat) Cols() int { return m.c }
-
-// At returns element (i, j).
-func (m Mat) At(i, j int) float64 { return m.a[i*m.c+j] }
-
-// Set assigns element (i, j).
-func (m Mat) Set(i, j int, v float64) { m.a[i*m.c+j] = v }
-
-// Add returns m + n.
-func (m Mat) Add(n Mat) Mat {
-	m.mustSameShape(n)
-	out := NewMat(m.r, m.c)
-	for i := range m.a {
-		out.a[i] = m.a[i] + n.a[i]
-	}
-	return out
-}
-
-// Sub returns m - n.
-func (m Mat) Sub(n Mat) Mat {
-	m.mustSameShape(n)
-	out := NewMat(m.r, m.c)
-	for i := range m.a {
-		out.a[i] = m.a[i] - n.a[i]
-	}
-	return out
-}
-
-// Mul returns the matrix product m·n.
-func (m Mat) Mul(n Mat) Mat {
-	if m.c != n.r {
-		panic(fmt.Sprintf("fusion: dimension mismatch %dx%d · %dx%d", m.r, m.c, n.r, n.c))
-	}
-	out := NewMat(m.r, n.c)
-	for i := 0; i < m.r; i++ {
-		for k := 0; k < m.c; k++ {
-			mik := m.a[i*m.c+k]
-			if mik == 0 {
-				continue
-			}
-			for j := 0; j < n.c; j++ {
-				out.a[i*n.c+j] += mik * n.a[k*n.c+j]
-			}
-		}
-	}
-	return out
-}
-
-// T returns the transpose.
-func (m Mat) T() Mat {
-	out := NewMat(m.c, m.r)
-	for i := 0; i < m.r; i++ {
-		for j := 0; j < m.c; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Symmetrize returns (m + mᵀ)/2, used to keep covariance matrices from
-// drifting asymmetric through floating-point round-off.
-func (m Mat) Symmetrize() Mat {
-	if m.r != m.c {
-		panic("fusion: Symmetrize needs a square matrix")
-	}
-	out := NewMat(m.r, m.c)
-	for i := 0; i < m.r; i++ {
-		for j := 0; j < m.c; j++ {
-			out.Set(i, j, (m.At(i, j)+m.At(j, i))/2)
-		}
-	}
-	return out
-}
-
-// Inv returns the inverse via Gauss-Jordan with partial pivoting. It panics
-// on singular input — in the EKF the matrices being inverted are innovation
-// covariances, which are positive definite by construction; singularity
-// indicates a programming error, not a data condition.
-func (m Mat) Inv() Mat {
-	if m.r != m.c {
-		panic("fusion: Inv needs a square matrix")
-	}
-	n := m.r
-	aug := NewMat(n, 2*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			aug.Set(i, j, m.At(i, j))
-		}
-		aug.Set(i, n+i, 1)
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if abs(aug.At(r, col)) > abs(aug.At(piv, col)) {
-				piv = r
-			}
-		}
-		if abs(aug.At(piv, col)) < 1e-14 {
-			panic("fusion: singular matrix in Inv")
-		}
-		if piv != col {
-			for j := 0; j < 2*n; j++ {
-				a, b := aug.At(col, j), aug.At(piv, j)
-				aug.Set(col, j, b)
-				aug.Set(piv, j, a)
-			}
-		}
-		d := aug.At(col, col)
-		for j := 0; j < 2*n; j++ {
-			aug.Set(col, j, aug.At(col, j)/d)
-		}
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := aug.At(r, col)
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < 2*n; j++ {
-				aug.Set(r, j, aug.At(r, j)-f*aug.At(col, j))
-			}
-		}
-	}
-	out := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			out.Set(i, j, aug.At(i, n+j))
-		}
-	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (m Mat) Clone() Mat {
-	out := NewMat(m.r, m.c)
-	copy(out.a, m.a)
-	return out
-}
-
-// --- In-place variants ----------------------------------------------------
-//
-// The *Of methods below write their result into the receiver's existing
-// backing array instead of allocating a fresh matrix. They replicate the
-// allocating variants' element-wise arithmetic exactly (same loop order,
-// same accumulation sequence), so a computation rewritten onto preallocated
-// scratch produces bit-identical results — the property the EKF relies on
-// to keep golden experiment outputs stable while running allocation-free.
-
-// SetZero zeroes every element in place.
-func (m Mat) SetZero() {
-	for i := range m.a {
-		m.a[i] = 0
-	}
-}
-
-// SetEye sets the receiver to the identity in place (square matrices only).
-func (m Mat) SetEye() {
-	if m.r != m.c {
-		panic("fusion: SetEye needs a square matrix")
-	}
-	m.SetZero()
-	for i := 0; i < m.r; i++ {
-		m.Set(i, i, 1)
-	}
-}
-
-// CopyFrom copies a into the receiver (same shape).
-func (m Mat) CopyFrom(a Mat) {
-	m.mustSameShape(a)
-	copy(m.a, a.a)
-}
-
-// MulOf stores a·b into the receiver. The receiver must not alias a or b.
-func (m Mat) MulOf(a, b Mat) {
-	if a.c != b.r {
-		panic(fmt.Sprintf("fusion: dimension mismatch %dx%d · %dx%d", a.r, a.c, b.r, b.c))
-	}
-	if m.r != a.r || m.c != b.c {
-		panic(fmt.Sprintf("fusion: MulOf destination %dx%d for %dx%d product", m.r, m.c, a.r, b.c))
-	}
-	m.SetZero()
-	for i := 0; i < a.r; i++ {
-		for k := 0; k < a.c; k++ {
-			aik := a.a[i*a.c+k]
+	for i := 0; i < r; i++ {
+		for k := 0; k < n; k++ {
+			aik := a[i*n+k]
 			if aik == 0 {
 				continue
 			}
-			for j := 0; j < b.c; j++ {
-				m.a[i*b.c+j] += aik * b.a[k*b.c+j]
+			for j := 0; j < c; j++ {
+				dst[i*c+j] += aik * b[k*c+j]
 			}
 		}
 	}
 }
 
-// AddOf stores a + b element-wise into the receiver; the receiver may alias
-// either operand.
-func (m Mat) AddOf(a, b Mat) {
-	a.mustSameShape(b)
-	m.mustSameShape(a)
-	for i := range m.a {
-		m.a[i] = a.a[i] + b.a[i]
-	}
-}
-
-// SubOf stores a − b element-wise into the receiver; the receiver may alias
-// either operand.
-func (m Mat) SubOf(a, b Mat) {
-	a.mustSameShape(b)
-	m.mustSameShape(a)
-	for i := range m.a {
-		m.a[i] = a.a[i] - b.a[i]
-	}
-}
-
-// TOf stores aᵀ into the receiver. The receiver must not alias a.
-func (m Mat) TOf(a Mat) {
-	if m.r != a.c || m.c != a.r {
-		panic(fmt.Sprintf("fusion: TOf destination %dx%d for %dx%d transpose", m.r, m.c, a.c, a.r))
-	}
-	for i := 0; i < a.r; i++ {
-		for j := 0; j < a.c; j++ {
-			m.Set(j, i, a.At(i, j))
+// Transpose stores aᵀ into dst, where a has r rows. dst must not alias a.
+func Transpose(dst, a []float64, r int) {
+	c := len(a) / r
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			dst[j*r+i] = a[i*c+j]
 		}
 	}
 }
 
-// SymmetrizeOf stores (a + aᵀ)/2 into the receiver; the receiver may alias
-// a (the mirror pair is read before either half is written).
-func (m Mat) SymmetrizeOf(a Mat) {
-	if a.r != a.c {
-		panic("fusion: Symmetrize needs a square matrix")
-	}
-	m.mustSameShape(a)
-	for i := 0; i < a.r; i++ {
-		for j := i; j < a.c; j++ {
-			upper := (a.At(i, j) + a.At(j, i)) / 2
-			lower := (a.At(j, i) + a.At(i, j)) / 2
-			m.Set(i, j, upper)
-			m.Set(j, i, lower)
+// Symmetrize stores (a + aᵀ)/2 into the n×n dst, which may alias a: each
+// mirror pair is read before either half is written. It keeps covariance
+// matrices from drifting asymmetric through round-off.
+func Symmetrize(dst, a []float64, n int) {
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			upper := (a[i*n+j] + a[j*n+i]) / 2
+			lower := (a[j*n+i] + a[i*n+j]) / 2
+			dst[i*n+j] = upper
+			dst[j*n+i] = lower
 		}
 	}
 }
 
-// InvOf stores a⁻¹ into the receiver using the caller-provided n×2n
-// augmented workspace (the same Gauss-Jordan elimination as Inv, including
-// pivot order, so the two agree bit-for-bit). The receiver must not alias a.
-func (m Mat) InvOf(a, aug Mat) {
-	if a.r != a.c {
-		panic("fusion: Inv needs a square matrix")
+// Inv stores the inverse of the n×n matrix a (n ≤ 2) into dst by
+// Gauss-Jordan elimination with partial pivoting. It panics on a singular
+// matrix: the matrices inverted here are innovation covariances, positive
+// definite by construction, so singularity is a programming error, not a
+// data condition. dst must not alias a.
+func Inv(dst, a []float64, n int) {
+	if n > 2 {
+		panic("fusion: Inv supports n ≤ 2")
 	}
-	n := a.r
-	m.mustSameShape(a)
-	if aug.r != n || aug.c != 2*n {
-		panic(fmt.Sprintf("fusion: InvOf workspace %dx%d, need %dx%d", aug.r, aug.c, n, 2*n))
-	}
-	aug.SetZero()
+	var aug [8]float64 // n×2n, row-major
+	w := 2 * n
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			aug.Set(i, j, a.At(i, j))
+			aug[i*w+j] = a[i*n+j]
 		}
-		aug.Set(i, n+i, 1)
+		aug[i*w+n+i] = 1
 	}
 	for col := 0; col < n; col++ {
 		piv := col
 		for r := col + 1; r < n; r++ {
-			if abs(aug.At(r, col)) > abs(aug.At(piv, col)) {
+			if math.Abs(aug[r*w+col]) > math.Abs(aug[piv*w+col]) {
 				piv = r
 			}
 		}
-		if abs(aug.At(piv, col)) < 1e-14 {
+		if math.Abs(aug[piv*w+col]) < 1e-14 {
 			panic("fusion: singular matrix in Inv")
 		}
 		if piv != col {
-			for j := 0; j < 2*n; j++ {
-				a, b := aug.At(col, j), aug.At(piv, j)
-				aug.Set(col, j, b)
-				aug.Set(piv, j, a)
+			for j := 0; j < w; j++ {
+				aug[col*w+j], aug[piv*w+j] = aug[piv*w+j], aug[col*w+j]
 			}
 		}
-		d := aug.At(col, col)
-		for j := 0; j < 2*n; j++ {
-			aug.Set(col, j, aug.At(col, j)/d)
+		d := aug[col*w+col]
+		for j := 0; j < w; j++ {
+			aug[col*w+j] /= d
 		}
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
-			f := aug.At(r, col)
+			f := aug[r*w+col]
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < 2*n; j++ {
-				aug.Set(r, j, aug.At(r, j)-f*aug.At(col, j))
+			for j := 0; j < w; j++ {
+				aug[r*w+j] -= f * aug[col*w+j]
 			}
 		}
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			m.Set(i, j, aug.At(i, n+j))
+			dst[i*n+j] = aug[i*w+n+j]
 		}
 	}
-}
-
-func (m Mat) mustSameShape(n Mat) {
-	if m.r != n.r || m.c != n.c {
-		panic(fmt.Sprintf("fusion: shape mismatch %dx%d vs %dx%d", m.r, m.c, n.r, n.c))
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -6,61 +6,41 @@ import (
 	"testing/quick"
 )
 
-func matEq(a, b Mat, tol float64) bool {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+func near(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < a.Cols(); j++ {
-			if math.Abs(a.At(i, j)-b.At(i, j)) > tol {
-				return false
-			}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
 		}
 	}
 	return true
 }
 
-func TestMatBasics(t *testing.T) {
-	m := NewMat(2, 3)
-	m.Set(0, 1, 5)
-	if m.At(0, 1) != 5 || m.At(1, 2) != 0 {
-		t.Error("Set/At broken")
-	}
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Error("dims broken")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewMat(0,1) should panic")
-		}
-	}()
-	NewMat(0, 1)
-}
-
-func TestMatAddSubMul(t *testing.T) {
-	a := NewMat(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 3)
-	a.Set(1, 1, 4)
-	b := Eye(2)
-	sum := a.Add(b)
-	if sum.At(0, 0) != 2 || sum.At(1, 1) != 5 {
-		t.Error("Add broken")
-	}
-	diff := a.Sub(b)
-	if diff.At(0, 0) != 0 || diff.At(0, 1) != 2 {
-		t.Error("Sub broken")
-	}
-	prod := a.Mul(a)
+func TestMatMul(t *testing.T) {
+	a := [4]float64{1, 2, 3, 4}
+	var sq [4]float64
+	Mul(sq[:], a[:], a[:], 2)
 	// [[1,2],[3,4]]² = [[7,10],[15,22]]
-	want := NewMat(2, 2)
-	want.Set(0, 0, 7)
-	want.Set(0, 1, 10)
-	want.Set(1, 0, 15)
-	want.Set(1, 1, 22)
-	if !matEq(prod, want, 1e-12) {
-		t.Errorf("Mul broken: %+v", prod)
+	if sq != [4]float64{7, 10, 15, 22} {
+		t.Errorf("Mul broken: %v", sq)
+	}
+	// 2×3 · 3×1.
+	m := [6]float64{1, 2, 3, 4, 5, 6}
+	v := [3]float64{1, 0, -1}
+	var mv [2]float64
+	Mul(mv[:], m[:], v[:], 3)
+	if mv != [2]float64{-2, -2} {
+		t.Errorf("Mul 2×3·3×1 = %v", mv)
+	}
+	// A zero left-hand entry contributes nothing, even against an Inf.
+	sel := [2]float64{1, 0}
+	col := [2]float64{3, math.Inf(1)}
+	var dot [1]float64
+	Mul(dot[:], sel[:], col[:], 2)
+	if dot[0] != 3 {
+		t.Errorf("zero entry times Inf leaked into the product: %v", dot[0])
 	}
 }
 
@@ -70,34 +50,49 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Error("mismatched Mul should panic")
 		}
 	}()
-	NewMat(2, 3).Mul(NewMat(2, 3))
+	var a, b, dst [6]float64
+	Mul(dst[:], a[:], b[:], 3) // 2×3 · 2×3
 }
 
 func TestMatTranspose(t *testing.T) {
-	m := NewMat(2, 3)
-	m.Set(0, 2, 7)
-	mt := m.T()
-	if mt.Rows() != 3 || mt.Cols() != 2 || mt.At(2, 0) != 7 {
-		t.Error("transpose broken")
+	m := [6]float64{0, 0, 7, 0, 0, 0} // 2×3
+	var mt [6]float64
+	Transpose(mt[:], m[:], 2)
+	if mt[2*2+0] != 7 {
+		t.Errorf("transpose broken: %v", mt)
 	}
 }
 
 func TestMatInv(t *testing.T) {
-	m := NewMat(2, 2)
-	m.Set(0, 0, 4)
-	m.Set(0, 1, 7)
-	m.Set(1, 0, 2)
-	m.Set(1, 1, 6)
-	inv := m.Inv()
-	if !matEq(m.Mul(inv), Eye(2), 1e-10) {
+	m := [4]float64{4, 7, 2, 6}
+	var inv, prod [4]float64
+	Inv(inv[:], m[:], 2)
+	Mul(prod[:], m[:], inv[:], 2)
+	if !near(prod[:], []float64{1, 0, 0, 1}, 1e-10) {
 		t.Error("Inv: m·m⁻¹ != I")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("singular Inv should panic")
-		}
-	}()
-	NewMat(2, 2).Inv()
+	var one [1]float64
+	Inv(one[:], []float64{4}, 1)
+	if one[0] != 0.25 {
+		t.Errorf("1×1 Inv = %v", one[0])
+	}
+	for _, c := range []struct {
+		name string
+		a    []float64
+		n    int
+	}{
+		{"singular", make([]float64, 4), 2},
+		{"3×3", make([]float64, 9), 3},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s Inv should panic", c.name)
+				}
+			}()
+			Inv(make([]float64, len(c.a)), c.a, c.n)
+		}()
+	}
 }
 
 func TestMatInvProperty(t *testing.T) {
@@ -108,13 +103,15 @@ func TestMatInvProperty(t *testing.T) {
 			}
 		}
 		// Build a well-conditioned SPD matrix M = AᵀA + I.
-		m := NewMat(2, 2)
-		m.Set(0, 0, a)
-		m.Set(0, 1, b)
-		m.Set(1, 0, c)
-		m.Set(1, 1, d)
-		spd := m.T().Mul(m).Add(Eye(2))
-		return matEq(spd.Mul(spd.Inv()), Eye(2), 1e-6)
+		m := [4]float64{a, b, c, d}
+		var mt, spd, inv, prod [4]float64
+		Transpose(mt[:], m[:], 2)
+		Mul(spd[:], mt[:], m[:], 2)
+		spd[0]++
+		spd[3]++
+		Inv(inv[:], spd[:], 2)
+		Mul(prod[:], spd[:], inv[:], 2)
+		return near(prod[:], []float64{1, 0, 0, 1}, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -122,20 +119,14 @@ func TestMatInvProperty(t *testing.T) {
 }
 
 func TestMatSymmetrize(t *testing.T) {
-	m := NewMat(2, 2)
-	m.Set(0, 1, 2)
-	m.Set(1, 0, 4)
-	s := m.Symmetrize()
-	if s.At(0, 1) != 3 || s.At(1, 0) != 3 {
-		t.Error("Symmetrize broken")
+	m := [4]float64{0, 2, 4, 0}
+	var s [4]float64
+	Symmetrize(s[:], m[:], 2)
+	if s != [4]float64{0, 3, 3, 0} {
+		t.Errorf("Symmetrize broken: %v", s)
 	}
-}
-
-func TestMatClone(t *testing.T) {
-	m := Eye(2)
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Error("Clone aliases storage")
+	Symmetrize(m[:], m[:], 2) // in place
+	if m != s {
+		t.Errorf("in-place Symmetrize = %v, want %v", m, s)
 	}
 }

@@ -292,15 +292,15 @@ func Run(cfg Config) (*Result, error) {
 	start := cfg.Track.StartPose()
 	truth := vehicle.State{X: start.Pos.X, Y: start.Pos.Y, Heading: start.Heading, Speed: cfg.InitialSpeed}
 
-	ekfCfg := fusion.EKFConfig{}
+	gate := 0.0
 	if cfg.Guard.Enabled {
-		ekfCfg.GateThreshold = cfg.Guard.GateThreshold
+		gate = cfg.Guard.GateThreshold
 	}
 	newLocalizer := func(t0 float64, pose geom.Pose, speed float64) fusion.Localizer {
 		if cfg.Localizer == "complementary" {
 			return fusion.NewComplementary(t0, pose, speed)
 		}
-		return fusion.NewEKF(ekfCfg, t0, pose, speed)
+		return fusion.NewEKF(gate, t0, pose, speed)
 	}
 	ekf := newLocalizer(0, start, cfg.InitialSpeed)
 	dr := fusion.NewDeadReckoner(0, start, cfg.InitialSpeed)
