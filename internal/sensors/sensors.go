@@ -47,6 +47,12 @@ type sampler struct {
 	nextDue float64
 }
 
+// newSampler schedules samples at rate Hz, each delivered latency seconds
+// after it is taken.
+func newSampler(rate, latency float64) sampler {
+	return sampler{period: 1 / rate, latency: latency}
+}
+
 // due reports whether a new sample should be taken at time t and advances
 // the schedule. Multiple periods elapsed in one call yield a single sample
 // (the engine steps faster than any sensor, so this does not drop data).
@@ -83,42 +89,19 @@ func (n *noise) next() float64 {
 	return n.bias + n.rng.NormFloat64()*n.stddev
 }
 
-// GNSSConfig parameterises a GNSS receiver model.
-type GNSSConfig struct {
-	Rate        float64 // Hz (default 10)
-	Latency     float64 // s (default 0.05)
-	PosStdDev   float64 // m, per-axis white noise (default 0.15)
-	PosBiasWalk float64 // m per sample bias walk (default 0.002)
-	PosBiasMax  float64 // m bias saturation (default 0.5)
-	SpeedStdDev float64 // m/s (default 0.05)
-}
-
-func (c *GNSSConfig) defaults() {
-	if c.Rate <= 0 {
-		c.Rate = 10
-	}
-	if c.Latency < 0 {
-		c.Latency = 0
-	} else if c.Latency == 0 {
-		c.Latency = 0.05
-	}
-	if c.PosStdDev <= 0 {
-		c.PosStdDev = 0.15
-	}
-	if c.PosBiasWalk <= 0 {
-		c.PosBiasWalk = 0.002
-	}
-	if c.PosBiasMax <= 0 {
-		c.PosBiasMax = 0.5
-	}
-	if c.SpeedStdDev <= 0 {
-		c.SpeedStdDev = 0.05
-	}
-}
+// The GNSS receiver's fixed characteristics: a consumer-grade unit with a
+// slowly-walking position bias.
+const (
+	gnssRate        = 10    // Hz
+	gnssLatency     = 0.05  // s
+	gnssPosStdDev   = 0.15  // m, per-axis white noise
+	gnssPosBiasWalk = 0.002 // m per sample bias walk
+	gnssPosBiasMax  = 0.5   // m bias saturation
+	gnssSpeedStdDev = 0.05  // m/s
+)
 
 // GNSS is a GNSS receiver model. Not safe for concurrent use.
 type GNSS struct {
-	cfg     GNSSConfig
 	s       sampler
 	nx, ny  noise
 	nv      noise
@@ -127,20 +110,15 @@ type GNSS struct {
 }
 
 // NewGNSS builds a GNSS model with the given seed.
-func NewGNSS(cfg GNSSConfig, seed int64) *GNSS {
-	cfg.defaults()
+func NewGNSS(seed int64) *GNSS {
 	rng := rand.New(rand.NewSource(seed))
 	return &GNSS{
-		cfg: cfg,
-		s:   sampler{period: 1 / cfg.Rate, latency: cfg.Latency},
-		nx:  noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: cfg.PosStdDev, biasWalk: cfg.PosBiasWalk, biasMax: cfg.PosBiasMax},
-		ny:  noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: cfg.PosStdDev, biasWalk: cfg.PosBiasWalk, biasMax: cfg.PosBiasMax},
-		nv:  noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: cfg.SpeedStdDev},
+		s:  newSampler(gnssRate, gnssLatency),
+		nx: noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: gnssPosStdDev, biasWalk: gnssPosBiasWalk, biasMax: gnssPosBiasMax},
+		ny: noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: gnssPosStdDev, biasWalk: gnssPosBiasWalk, biasMax: gnssPosBiasMax},
+		nv: noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: gnssSpeedStdDev},
 	}
 }
-
-// Rate returns the configured sample rate in Hz.
-func (g *GNSS) Rate() float64 { return g.cfg.Rate }
 
 // Poll observes the true state at time t. It returns any fixes whose
 // delivery latency has elapsed by t, in delivery order. The returned slice
@@ -179,43 +157,20 @@ func drainDue[T any](q *[]T, out []T, t float64, when func(T) float64) []T {
 	return out
 }
 
-// IMUConfig parameterises an IMU model.
-type IMUConfig struct {
-	Rate           float64 // Hz (default 100)
-	Latency        float64 // s (default 0.005)
-	YawRateStdDev  float64 // rad/s (default 0.01)
-	AccelStdDev    float64 // m/s² (default 0.05)
-	HeadingStdDev  float64 // rad (default 0.01)
-	HeadingBias    float64 // constant heading bias, rad (fault injection)
-	YawRateBias    float64 // constant yaw-rate bias, rad/s (fault injection)
-	HeadingDriftRW float64 // rad per sample heading bias walk (default 1e-5)
-}
-
-func (c *IMUConfig) defaults() {
-	if c.Rate <= 0 {
-		c.Rate = 100
-	}
-	if c.Latency == 0 {
-		c.Latency = 0.005
-	}
-	if c.YawRateStdDev <= 0 {
-		c.YawRateStdDev = 0.01
-	}
-	if c.AccelStdDev <= 0 {
-		c.AccelStdDev = 0.05
-	}
-	if c.HeadingStdDev <= 0 {
-		c.HeadingStdDev = 0.01
-	}
-	if c.HeadingDriftRW <= 0 {
-		c.HeadingDriftRW = 1e-5
-	}
-}
+// The IMU's fixed characteristics.
+const (
+	imuRate           = 100   // Hz
+	imuLatency        = 0.005 // s
+	imuYawRateStdDev  = 0.01  // rad/s
+	imuAccelStdDev    = 0.05  // m/s²
+	imuHeadingStdDev  = 0.01  // rad
+	imuHeadingDriftRW = 1e-5  // rad per sample heading bias walk
+	imuHeadingBiasMax = 0.2   // rad heading bias saturation
+)
 
 // IMU is an inertial measurement unit model with an internally integrated
 // heading channel (gyro-integrated, with drift), as AV stacks commonly log.
 type IMU struct {
-	cfg     IMUConfig
 	s       sampler
 	nr      noise
 	na      noise
@@ -225,20 +180,15 @@ type IMU struct {
 }
 
 // NewIMU builds an IMU model with the given seed.
-func NewIMU(cfg IMUConfig, seed int64) *IMU {
-	cfg.defaults()
+func NewIMU(seed int64) *IMU {
 	rng := rand.New(rand.NewSource(seed))
 	return &IMU{
-		cfg: cfg,
-		s:   sampler{period: 1 / cfg.Rate, latency: cfg.Latency},
-		nr:  noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: cfg.YawRateStdDev, bias: cfg.YawRateBias},
-		na:  noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: cfg.AccelStdDev},
-		nh:  noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: cfg.HeadingStdDev, bias: cfg.HeadingBias, biasWalk: cfg.HeadingDriftRW, biasMax: 0.2},
+		s:  newSampler(imuRate, imuLatency),
+		nr: noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: imuYawRateStdDev},
+		na: noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: imuAccelStdDev},
+		nh: noise{rng: rand.New(rand.NewSource(rng.Int63())), stddev: imuHeadingStdDev, biasWalk: imuHeadingDriftRW, biasMax: imuHeadingBiasMax},
 	}
 }
-
-// Rate returns the configured sample rate in Hz.
-func (m *IMU) Rate() float64 { return m.cfg.Rate }
 
 // Poll observes the true state at time t and returns readings due by t.
 // The returned slice is a view into a buffer owned by the sensor and is
@@ -258,29 +208,15 @@ func (m *IMU) Poll(truth vehicle.State, t float64) []IMUReading {
 	return m.out
 }
 
-// OdomConfig parameterises the wheel-odometry model.
-type OdomConfig struct {
-	Rate        float64 // Hz (default 50)
-	Latency     float64 // s (default 0.01)
-	SpeedStdDev float64 // m/s (default 0.02)
-	ScaleError  float64 // multiplicative error, e.g. 0.01 = +1% (fault injection)
-}
-
-func (c *OdomConfig) defaults() {
-	if c.Rate <= 0 {
-		c.Rate = 50
-	}
-	if c.Latency == 0 {
-		c.Latency = 0.01
-	}
-	if c.SpeedStdDev <= 0 {
-		c.SpeedStdDev = 0.02
-	}
-}
+// The wheel odometer's fixed characteristics.
+const (
+	odomRate        = 50   // Hz
+	odomLatency     = 0.01 // s
+	odomSpeedStdDev = 0.02 // m/s
+)
 
 // Odometer is a wheel-speed sensor model.
 type Odometer struct {
-	cfg     OdomConfig
 	s       sampler
 	nv      noise
 	pending []OdomReading
@@ -288,17 +224,12 @@ type Odometer struct {
 }
 
 // NewOdometer builds an odometry model with the given seed.
-func NewOdometer(cfg OdomConfig, seed int64) *Odometer {
-	cfg.defaults()
+func NewOdometer(seed int64) *Odometer {
 	return &Odometer{
-		cfg: cfg,
-		s:   sampler{period: 1 / cfg.Rate, latency: cfg.Latency},
-		nv:  noise{rng: rand.New(rand.NewSource(seed)), stddev: cfg.SpeedStdDev},
+		s:  newSampler(odomRate, odomLatency),
+		nv: noise{rng: rand.New(rand.NewSource(seed)), stddev: odomSpeedStdDev},
 	}
 }
-
-// Rate returns the configured sample rate in Hz.
-func (o *Odometer) Rate() float64 { return o.cfg.Rate }
 
 // Poll observes the true state at time t and returns readings due by t.
 // The returned slice is a view into a buffer owned by the sensor and is
@@ -307,7 +238,7 @@ func (o *Odometer) Poll(truth vehicle.State, t float64) []OdomReading {
 	if o.s.due(t) {
 		r := OdomReading{
 			T:     t + o.s.latency,
-			Speed: math.Max(0, truth.Speed*(1+o.cfg.ScaleError)+o.nv.next()),
+			Speed: math.Max(0, truth.Speed+o.nv.next()),
 			Valid: true,
 		}
 		o.pending = append(o.pending, r)

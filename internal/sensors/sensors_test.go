@@ -19,7 +19,7 @@ func pollGNSS(g *GNSS, truth vehicle.State, dur, dt float64) []GNSSFix {
 }
 
 func TestGNSSRate(t *testing.T) {
-	g := NewGNSS(GNSSConfig{Rate: 10}, 1)
+	g := NewGNSS(1)
 	fixes := pollGNSS(g, vehicle.State{X: 5, Y: -3}, 10, 0.01)
 	// 10 s at 10 Hz → ~100 fixes (±1 for boundary/latency effects).
 	if len(fixes) < 98 || len(fixes) > 101 {
@@ -28,27 +28,29 @@ func TestGNSSRate(t *testing.T) {
 }
 
 func TestGNSSLatency(t *testing.T) {
-	g := NewGNSS(GNSSConfig{Rate: 10, Latency: 0.2}, 1)
+	g := NewGNSS(1)
 	truth := vehicle.State{}
-	// Sample taken at t=0 must not be delivered before t=0.2.
-	for ts := 0.0; ts < 0.19; ts += 0.01 {
+	// The sample taken at t=0 must not be delivered before t=gnssLatency.
+	for ts := 0.0; ts < gnssLatency-0.005; ts += 0.01 {
 		if got := g.Poll(truth, ts); len(got) != 0 {
 			t.Fatalf("fix delivered at t=%.2f before latency elapsed", ts)
 		}
 	}
-	got := g.Poll(truth, 0.2)
+	got := g.Poll(truth, gnssLatency)
 	if len(got) != 1 {
-		t.Fatalf("expected delivery at t=0.2, got %d fixes", len(got))
+		t.Fatalf("expected delivery at t=%g, got %d fixes", gnssLatency, len(got))
 	}
-	if math.Abs(got[0].T-0.2) > 1e-9 {
+	if math.Abs(got[0].T-gnssLatency) > 1e-9 {
 		t.Errorf("delivery time = %g", got[0].T)
 	}
 }
 
 func TestGNSSNoiseStatistics(t *testing.T) {
-	g := NewGNSS(GNSSConfig{Rate: 100, Latency: 1e-9, PosStdDev: 0.2, PosBiasWalk: 1e-9, PosBiasMax: 1e-6}, 42)
+	// Freeze the bias walk so the white position noise is measured alone.
+	g := NewGNSS(42)
+	g.nx.biasWalk, g.ny.biasWalk = 0, 0
 	truth := vehicle.State{X: 10, Y: 20}
-	fixes := pollGNSS(g, truth, 50, 0.005)
+	fixes := pollGNSS(g, truth, 200, 0.01)
 	if len(fixes) < 1000 {
 		t.Fatalf("too few fixes: %d", len(fixes))
 	}
@@ -64,24 +66,32 @@ func TestGNSSNoiseStatistics(t *testing.T) {
 	if math.Abs(mean) > 0.03 {
 		t.Errorf("noise mean = %g, want ~0", mean)
 	}
-	if math.Abs(std-0.2) > 0.03 {
-		t.Errorf("noise std = %g, want ~0.2", std)
+	if math.Abs(std-0.15) > 0.03 {
+		t.Errorf("noise std = %g, want ~0.15", std)
 	}
 }
 
 func TestGNSSBiasBounded(t *testing.T) {
-	g := NewGNSS(GNSSConfig{Rate: 100, Latency: 1e-9, PosStdDev: 1e-9, PosBiasWalk: 0.05, PosBiasMax: 0.5}, 7)
-	truth := vehicle.State{}
-	for _, f := range pollGNSS(g, truth, 60, 0.005) {
-		if math.Abs(f.Pos.X) > 0.5+1e-6 || math.Abs(f.Pos.Y) > 0.5+1e-6 {
+	// Silence the white noise and speed up the walk so the bias reaches
+	// its saturation bound within the test.
+	g := NewGNSS(7)
+	g.nx.stddev, g.ny.stddev = 0, 0
+	g.nx.biasWalk, g.ny.biasWalk = 0.05, 0.05
+	var peak float64
+	for _, f := range pollGNSS(g, vehicle.State{}, 600, 0.01) {
+		if math.Abs(f.Pos.X) > gnssPosBiasMax || math.Abs(f.Pos.Y) > gnssPosBiasMax {
 			t.Fatalf("bias escaped saturation: %v", f.Pos)
 		}
+		peak = math.Max(peak, math.Max(math.Abs(f.Pos.X), math.Abs(f.Pos.Y)))
+	}
+	if peak != gnssPosBiasMax {
+		t.Errorf("bias peaked at %g, never reached the %g bound", peak, gnssPosBiasMax)
 	}
 }
 
 func TestGNSSDeterministicPerSeed(t *testing.T) {
 	mk := func() []GNSSFix {
-		return pollGNSS(NewGNSS(GNSSConfig{}, 99), vehicle.State{X: 1}, 2, 0.01)
+		return pollGNSS(NewGNSS(99), vehicle.State{X: 1}, 2, 0.01)
 	}
 	a, b := mk(), mk()
 	if len(a) != len(b) {
@@ -92,7 +102,7 @@ func TestGNSSDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("fix %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	c := pollGNSS(NewGNSS(GNSSConfig{}, 100), vehicle.State{X: 1}, 2, 0.01)
+	c := pollGNSS(NewGNSS(100), vehicle.State{X: 1}, 2, 0.01)
 	same := len(a) == len(c)
 	if same {
 		same = false
@@ -110,16 +120,25 @@ func TestGNSSDeterministicPerSeed(t *testing.T) {
 }
 
 func TestGNSSSpeedNonNegative(t *testing.T) {
-	g := NewGNSS(GNSSConfig{Rate: 100, Latency: 1e-9, SpeedStdDev: 1}, 3)
-	for _, f := range pollGNSS(g, vehicle.State{Speed: 0.1}, 20, 0.005) {
+	// A true speed well inside the noise band: about half the raw
+	// measurements are negative and must be clamped.
+	g := NewGNSS(3)
+	clamped := 0
+	for _, f := range pollGNSS(g, vehicle.State{Speed: 0.01}, 20, 0.01) {
 		if f.Speed < 0 {
 			t.Fatalf("negative speed %g", f.Speed)
 		}
+		if f.Speed == 0 {
+			clamped++
+		}
+	}
+	if clamped == 0 {
+		t.Error("no measurement reached the clamp")
 	}
 }
 
 func TestIMURateAndHeading(t *testing.T) {
-	m := NewIMU(IMUConfig{Rate: 100, Latency: 1e-9}, 5)
+	m := NewIMU(5)
 	truth := vehicle.State{Heading: 1.0, YawRate: 0.2}
 	var n int
 	var meanH float64
@@ -141,27 +160,10 @@ func TestIMURateAndHeading(t *testing.T) {
 	}
 }
 
-func TestIMUBiasInjection(t *testing.T) {
-	m := NewIMU(IMUConfig{Rate: 100, Latency: 1e-9, YawRateBias: 0.1, YawRateStdDev: 1e-9}, 5)
-	truth := vehicle.State{YawRate: 0}
-	var got float64
-	var n int
-	for ts := 0.0; ts < 1; ts += 0.002 {
-		for _, r := range m.Poll(truth, ts) {
-			got += r.YawRate
-			n++
-		}
-	}
-	if n == 0 {
-		t.Fatal("no readings")
-	}
-	if math.Abs(got/float64(n)-0.1) > 1e-6 {
-		t.Errorf("injected yaw bias not observed: mean=%g", got/float64(n))
-	}
-}
-
+// TestOdometerScaleError: the odometer has no scale error; it reads the
+// true speed plus zero-mean white noise.
 func TestOdometerScaleError(t *testing.T) {
-	o := NewOdometer(OdomConfig{Rate: 50, Latency: 1e-9, SpeedStdDev: 1e-9, ScaleError: 0.05}, 1)
+	o := NewOdometer(1)
 	truth := vehicle.State{Speed: 10}
 	var got float64
 	var n int
@@ -174,8 +176,8 @@ func TestOdometerScaleError(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no readings")
 	}
-	if math.Abs(got/float64(n)-10.5) > 0.01 {
-		t.Errorf("scale error not applied: mean=%g want 10.5", got/float64(n))
+	if mean := got / float64(n); math.Abs(mean-10) > 0.01 {
+		t.Errorf("mean odometer speed %g, want 10", mean)
 	}
 }
 
@@ -184,8 +186,9 @@ func TestOdometerNonNegativeProperty(t *testing.T) {
 		if math.IsNaN(speed) || math.IsInf(speed, 0) {
 			return true
 		}
-		o := NewOdometer(OdomConfig{Rate: 50, Latency: 1e-9, SpeedStdDev: 0.5}, seed)
-		truth := vehicle.State{Speed: math.Abs(math.Mod(speed, 8))}
+		// Speeds within a few noise deviations of zero exercise the clamp.
+		o := NewOdometer(seed)
+		truth := vehicle.State{Speed: math.Abs(math.Mod(speed, 3*odomSpeedStdDev))}
 		for ts := 0.0; ts < 1; ts += 0.01 {
 			for _, r := range o.Poll(truth, ts) {
 				if r.Speed < 0 {
@@ -213,17 +216,24 @@ func TestSamplerPhaseStability(t *testing.T) {
 	}
 }
 
+// TestDefaultsApplied: every sensor samples at its fixed rate, with the
+// period computed as the float64 quotient 1/rate, and delivers after its
+// fixed latency.
 func TestDefaultsApplied(t *testing.T) {
-	g := NewGNSS(GNSSConfig{}, 1)
-	if g.Rate() != 10 {
-		t.Errorf("default GNSS rate = %g", g.Rate())
-	}
-	m := NewIMU(IMUConfig{}, 1)
-	if m.Rate() != 100 {
-		t.Errorf("default IMU rate = %g", m.Rate())
-	}
-	o := NewOdometer(OdomConfig{}, 1)
-	if o.Rate() != 50 {
-		t.Errorf("default odometer rate = %g", o.Rate())
+	for _, c := range []struct {
+		name          string
+		s             sampler
+		rate, latency float64
+	}{
+		{"gnss", NewGNSS(1).s, 10, 0.05},
+		{"imu", NewIMU(1).s, 100, 0.005},
+		{"odometer", NewOdometer(1).s, 50, 0.01},
+	} {
+		if want := 1 / c.rate; math.Float64bits(c.s.period) != math.Float64bits(want) {
+			t.Errorf("%s period = %v, want 1/%g = %v", c.name, c.s.period, c.rate, want)
+		}
+		if c.s.latency != c.latency {
+			t.Errorf("%s latency = %g, want %g", c.name, c.s.latency, c.latency)
+		}
 	}
 }

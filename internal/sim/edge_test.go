@@ -59,23 +59,6 @@ func TestVeryShortRun(t *testing.T) {
 	}
 }
 
-// TestHighControlRate: control at the engine rate (every physics step).
-func TestHighControlRate(t *testing.T) {
-	res, err := Run(Config{
-		Track: urban(t), Controller: "pure-pursuit", Seed: 1, Duration: 10,
-		ControlRate: 100, EngineRate: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps < 950 {
-		t.Errorf("expected ~1000 control steps, got %d", res.Steps)
-	}
-	if res.MaxTrueCTE > 1 {
-		t.Errorf("high-rate control degraded tracking: %.2f m", res.MaxTrueCTE)
-	}
-}
-
 // TestAllTracksAllControllersClean is the broad clean matrix: every
 // built-in route × every controller completes without violations.
 func TestAllTracksAllControllersClean(t *testing.T) {

@@ -25,6 +25,36 @@ import (
 	"adassure/internal/vehicle"
 )
 
+// The simulated platform's fixed timing: 100 Hz physics, 20 Hz control
+// and monitoring, and the speed the vehicle spawns with.
+const (
+	engineRate   float64 = 100 // Hz
+	controlRate  float64 = 20  // Hz
+	initialSpeed float64 = 1   // m/s
+)
+
+// The guard's fixed fallback policy (see GuardConfig).
+const (
+	// fallbackAfter is the consecutive-reject count that switches
+	// localization to dead reckoning.
+	fallbackAfter = 3
+	// fallbackSpeed caps the target speed while in fallback, m/s.
+	fallbackSpeed = 2
+	// recoverDist is how close (m) incoming fixes must be to the
+	// dead-reckoned position, twice in a row, to leave fallback and
+	// re-initialise fusion.
+	recoverDist = 5
+	// mrmAfter is how long (s) fallback may persist before the vehicle
+	// executes a minimum-risk manoeuvre and brakes to a stop.
+	mrmAfter = 8
+	// latchTime is how long (s) an assertion-triggered fallback is latched
+	// before recovery checks resume. A violation raised by the monitor
+	// means the measurement stream is actively hostile; unlike a gate
+	// rejection it cannot be "walked back" by measurements that merely
+	// agree with the already-dragged anchor.
+	latchTime = 20
+)
+
 // GuardConfig is the defence configuration the debug-loop experiment
 // toggles: χ²-gated fusion with dead-reckoning fallback and a speed cap
 // while the GNSS channel is distrusted.
@@ -33,11 +63,6 @@ type GuardConfig struct {
 	Enabled bool
 	// GateThreshold is the fusion χ² gate (default fusion.DefaultGate).
 	GateThreshold float64
-	// FallbackAfter is the consecutive-reject count that switches
-	// localization to dead reckoning (default 3).
-	FallbackAfter int
-	// FallbackSpeed caps the target speed while in fallback (default 2 m/s).
-	FallbackSpeed float64
 	// StaleAfter is the GNSS silence (s) that also triggers fallback —
 	// covering dropout/delay attacks where no fix ever reaches the gate
 	// (default 1.2 s).
@@ -47,42 +72,14 @@ type GuardConfig struct {
 	// assertion-driven recovery that covers slow drifts the χ² gate can
 	// never see. Requires Config.Monitor.
 	AssertionTrigger bool
-	// RecoverDist is how close (m) incoming fixes must be to the
-	// dead-reckoned position, twice in a row, to leave fallback and
-	// re-initialise fusion (default 5 m).
-	RecoverDist float64
-	// MRMAfter is how long (s) fallback may persist before the vehicle
-	// executes a minimum-risk manoeuvre and brakes to a stop (default 8 s).
-	MRMAfter float64
-	// LatchTime is how long (s) an assertion-triggered fallback is latched
-	// before recovery checks resume (default 20 s). A violation raised by
-	// the monitor means the measurement stream is actively hostile; unlike
-	// a gate rejection it cannot be "walked back" by measurements that
-	// merely agree with the already-dragged anchor.
-	LatchTime float64
 }
 
 func (g *GuardConfig) defaults() {
 	if g.GateThreshold <= 0 {
 		g.GateThreshold = fusion.DefaultGate
 	}
-	if g.FallbackAfter <= 0 {
-		g.FallbackAfter = 3
-	}
-	if g.FallbackSpeed <= 0 {
-		g.FallbackSpeed = 2
-	}
 	if g.StaleAfter <= 0 {
 		g.StaleAfter = 1.2
-	}
-	if g.RecoverDist <= 0 {
-		g.RecoverDist = 5
-	}
-	if g.MRMAfter <= 0 {
-		g.MRMAfter = 8
-	}
-	if g.LatchTime <= 0 {
-		g.LatchTime = 20
 	}
 }
 
@@ -110,8 +107,6 @@ type Config struct {
 	Controller string
 	// Vehicle is the parameter set (default ShuttleParams).
 	Vehicle vehicle.Params
-	// UseDynamicModel selects the dynamic bicycle plant.
-	UseDynamicModel bool
 	// Localizer selects the fusion stack: "ekf" (default) or
 	// "complementary" (fixed-gain filter without innovation gating — the
 	// χ² guard triggers and assertion A10 are unavailable with it).
@@ -120,10 +115,6 @@ type Config struct {
 	Seed int64
 	// Duration is the simulated time budget in seconds (default 60).
 	Duration float64
-	// ControlRate is the control/monitor frequency in Hz (default 20).
-	ControlRate float64
-	// EngineRate is the physics frequency in Hz (default 100).
-	EngineRate float64
 	// Campaign is the attack configuration (zero value = clean run).
 	Campaign attacks.Campaign
 	// WrapLateral, when non-nil, wraps the lateral controller right after
@@ -147,16 +138,15 @@ type Config struct {
 	// enabling offline re-monitoring with different catalogs/thresholds
 	// without re-simulating (see internal/offline).
 	RecordFrames bool
-	// InitialSpeed at spawn (default 1 m/s).
-	InitialSpeed float64
 	// Obs, when non-nil, receives runtime metrics: control-step count and
 	// per-step latency histogram (sim.steps, sim.step_ns), the achieved
 	// steps-per-second of the run (sim.steps_per_sec), and — via
 	// Monitor.Attach — the per-assertion monitoring cost. A nil registry
 	// adds no measurable overhead to the step loop.
 	Obs *obs.Registry
-	// RecordTrace enables full signal recording (default true via Run; the
-	// benchmark harness disables it for overhead-free timing).
+	// DisableTrace turns off signal recording (Result.Trace is then nil),
+	// for overhead-free timing and for runs that may emit non-finite
+	// commands.
 	DisableTrace bool
 	// Events, when non-nil, receives the run's structured event timeline:
 	// the scenario lifecycle span, the attack activation window, guard
@@ -190,18 +180,6 @@ func (c *Config) defaults() error {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 60
-	}
-	if c.ControlRate <= 0 {
-		c.ControlRate = 20
-	}
-	if c.EngineRate <= 0 {
-		c.EngineRate = 100
-	}
-	if c.EngineRate < c.ControlRate {
-		return fmt.Errorf("sim: engine rate %g Hz below control rate %g Hz", c.EngineRate, c.ControlRate)
-	}
-	if c.InitialSpeed <= 0 {
-		c.InitialSpeed = 1
 	}
 	switch c.Localizer {
 	case "":
@@ -278,19 +256,14 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	var model vehicle.Model
-	if cfg.UseDynamicModel {
-		model = vehicle.NewDynamic(cfg.Vehicle)
-	} else {
-		model = vehicle.NewKinematic(cfg.Vehicle)
-	}
+	model := vehicle.NewKinematic(cfg.Vehicle)
 
-	gnss := sensors.NewGNSS(sensors.GNSSConfig{}, cfg.Seed*7+1)
-	imu := sensors.NewIMU(sensors.IMUConfig{}, cfg.Seed*7+2)
-	odom := sensors.NewOdometer(sensors.OdomConfig{}, cfg.Seed*7+3)
+	gnss := sensors.NewGNSS(cfg.Seed*7 + 1)
+	imu := sensors.NewIMU(cfg.Seed*7 + 2)
+	odom := sensors.NewOdometer(cfg.Seed*7 + 3)
 
 	start := cfg.Track.StartPose()
-	truth := vehicle.State{X: start.Pos.X, Y: start.Pos.Y, Heading: start.Heading, Speed: cfg.InitialSpeed}
+	truth := vehicle.State{X: start.Pos.X, Y: start.Pos.Y, Heading: start.Heading, Speed: initialSpeed}
 
 	gate := 0.0
 	if cfg.Guard.Enabled {
@@ -302,12 +275,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return fusion.NewEKF(gate, t0, pose, speed)
 	}
-	ekf := newLocalizer(0, start, cfg.InitialSpeed)
-	dr := fusion.NewDeadReckoner(0, start, cfg.InitialSpeed)
+	ekf := newLocalizer(0, start, initialSpeed)
+	dr := fusion.NewDeadReckoner(0, start, initialSpeed)
 
 	res := &Result{}
-	engineDT := 1 / cfg.EngineRate
-	controlEvery := int(math.Round(cfg.EngineRate / cfg.ControlRate))
+	engineDT := 1 / engineRate
+	controlEvery := int(math.Round(engineRate / controlRate))
 	controlDT := engineDT * float64(controlEvery)
 
 	// Trace recording is columnar: the column handles are resolved once,
@@ -374,7 +347,7 @@ func Run(cfg Config) (*Result, error) {
 	// ~1 s of fixes at 10 Hz plus slack; eviction compacts in place so the
 	// backing array is allocated once per run.
 	fixHist := make([]stampedFix, 0, 64)
-	derivedCourse, derivedSpeed := start.Heading, cfg.InitialSpeed
+	derivedCourse, derivedSpeed := start.Heading, initialSpeed
 
 	var lastIMU sensors.IMUReading
 	lastIMUAt := math.Inf(-1)
@@ -455,7 +428,7 @@ func Run(cfg Config) (*Result, error) {
 				if t < latchUntil {
 					continue
 				}
-				if fix.Pos.Dist(dr.Estimate().Pose.Pos) < cfg.Guard.RecoverDist {
+				if fix.Pos.Dist(dr.Estimate().Pose.Pos) < recoverDist {
 					recoveryCount++
 				} else {
 					recoveryCount = 0
@@ -527,9 +500,9 @@ func Run(cfg Config) (*Result, error) {
 			}
 			if assertionHit {
 				// New evidence of hostility (re-)latches the quarantine.
-				latchUntil = t + cfg.Guard.LatchTime
+				latchUntil = t + latchTime
 			}
-			gateTrigger := ekf.RejectStreak() >= cfg.Guard.FallbackAfter ||
+			gateTrigger := ekf.RejectStreak() >= fallbackAfter ||
 				t-lastFixAt > cfg.Guard.StaleAfter
 			if !inFallback && (gateTrigger || assertionHit) {
 				inFallback = true
@@ -578,10 +551,10 @@ func Run(cfg Config) (*Result, error) {
 		// enters sharp corners ~1 m/s hot.
 		target := math.Min(profile.TargetAt(s), profile.TargetAt(s+est.Speed*0.6))
 		if inFallback {
-			if target > cfg.Guard.FallbackSpeed {
-				target = cfg.Guard.FallbackSpeed
+			if target > fallbackSpeed {
+				target = fallbackSpeed
 			}
-			if t-fallbackSince > cfg.Guard.MRMAfter {
+			if t-fallbackSince > mrmAfter {
 				target = 0 // minimum-risk manoeuvre: come to a stop
 			}
 		}

@@ -7,18 +7,6 @@ import (
 	"adassure/internal/geom"
 )
 
-// Model advances a vehicle state under a command. Implementations are the
-// plants under test; they must be deterministic.
-type Model interface {
-	// Step integrates the state forward by dt seconds under cmd and
-	// returns the new state. dt must be positive.
-	Step(s State, cmd Command, dt float64) State
-	// Params returns the parameter set the model was built with.
-	Params() Params
-	// Name identifies the model in reports.
-	Name() string
-}
-
 // Kinematic is the rear-axle kinematic bicycle model:
 //
 //	ẋ = v cos θ, ẏ = v sin θ, θ̇ = v tan(δ)/L, v̇ = a
@@ -39,12 +27,6 @@ func NewKinematic(p Params) *Kinematic {
 	}
 	return &Kinematic{p: p}
 }
-
-// Params implements Model.
-func (m *Kinematic) Params() Params { return m.p }
-
-// Name implements Model.
-func (m *Kinematic) Name() string { return "kinematic-bicycle" }
 
 // applyActuators realises the commanded steer/accel through saturation,
 // slew limiting and first-order lag, returning the realised values.
@@ -81,8 +63,9 @@ func applyActuators(p Params, s State, cmd Command, dt float64) (steer, accel fl
 	return steer, accel
 }
 
-// Step implements Model using RK2 (midpoint) integration of the kinematic
-// equations, which keeps circular arcs accurate at simulator step sizes.
+// Step integrates the state forward by dt seconds under cmd using RK2
+// (midpoint) integration of the kinematic equations, which keeps circular
+// arcs accurate at simulator step sizes. dt must be positive.
 func (m *Kinematic) Step(s State, cmd Command, dt float64) State {
 	if dt <= 0 {
 		panic(fmt.Sprintf("vehicle: non-positive dt %g", dt))
@@ -107,103 +90,3 @@ func (m *Kinematic) Step(s State, cmd Command, dt float64) State {
 	}
 	return next
 }
-
-// Dynamic is a linear single-track (dynamic bicycle) model with lateral
-// tire forces linear in slip angle. At low speed it blends into the
-// kinematic model to avoid the well-known singularity at v→0.
-type Dynamic struct {
-	p       Params
-	kin     *Kinematic
-	blendLo float64 // below this speed: pure kinematic
-	blendHi float64 // above this speed: pure dynamic
-}
-
-// NewDynamic builds a dynamic bicycle model.
-func NewDynamic(p Params) *Dynamic {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	if p.Mass <= 0 || p.Iz <= 0 || p.Lf <= 0 || p.Lr <= 0 || p.Cf <= 0 || p.Cr <= 0 {
-		panic("vehicle: dynamic model requires positive mass, inertia, axle distances and cornering stiffnesses")
-	}
-	return &Dynamic{p: p, kin: NewKinematic(p), blendLo: 1.0, blendHi: 3.0}
-}
-
-// Params implements Model.
-func (m *Dynamic) Params() Params { return m.p }
-
-// Name implements Model.
-func (m *Dynamic) Name() string { return "dynamic-bicycle" }
-
-// Step implements Model.
-func (m *Dynamic) Step(s State, cmd Command, dt float64) State {
-	if dt <= 0 {
-		panic(fmt.Sprintf("vehicle: non-positive dt %g", dt))
-	}
-	kin := m.kin.Step(s, cmd, dt)
-	if s.Speed <= m.blendLo {
-		return kin
-	}
-	dyn := m.stepDynamic(s, cmd, dt)
-	if s.Speed >= m.blendHi {
-		return dyn
-	}
-	// Linear blend in the transition band.
-	w := (s.Speed - m.blendLo) / (m.blendHi - m.blendLo)
-	return State{
-		X:       kin.X*(1-w) + dyn.X*w,
-		Y:       kin.Y*(1-w) + dyn.Y*w,
-		Heading: geom.AngleLerp(kin.Heading, dyn.Heading, w),
-		Speed:   kin.Speed*(1-w) + dyn.Speed*w,
-		YawRate: kin.YawRate*(1-w) + dyn.YawRate*w,
-		Accel:   kin.Accel*(1-w) + dyn.Accel*w,
-		Steer:   kin.Steer*(1-w) + dyn.Steer*w,
-		Slip:    dyn.Slip * w,
-	}
-}
-
-func (m *Dynamic) stepDynamic(s State, cmd Command, dt float64) State {
-	p := m.p
-	steer, accel := applyActuators(p, s, cmd, dt)
-
-	vx := math.Max(s.Speed, 0.5) // longitudinal speed, floored for stability
-	vy := s.Slip
-	r := s.YawRate
-
-	// Slip angles (small-angle linear tire model).
-	alphaF := math.Atan2(vy+p.Lf*r, vx) - steer
-	alphaV := math.Atan2(vy-p.Lr*r, vx)
-	Fyf := -p.Cf * alphaF
-	Fyr := -p.Cr * alphaV
-
-	// Lateral and yaw dynamics (explicit Euler; dt is small and the linear
-	// tire model is well-damped at shuttle speeds).
-	vyDot := (Fyf*math.Cos(steer)+Fyr)/p.Mass - vx*r
-	rDot := (p.Lf*Fyf*math.Cos(steer) - p.Lr*Fyr) / p.Iz
-
-	vyNext := vy + vyDot*dt
-	rNext := r + rDot*dt
-	vxNext := geom.Clamp(s.Speed+accel*dt, 0, p.MaxSpeed)
-
-	thMid := s.Heading + rNext*dt/2
-	cos, sin := math.Cos(thMid), math.Sin(thMid)
-	// World-frame velocity from body-frame (vx, vy).
-	dx := (vx*cos - vy*sin) * dt
-	dy := (vx*sin + vy*cos) * dt
-
-	return State{
-		X:       s.X + dx,
-		Y:       s.Y + dy,
-		Heading: geom.NormalizeAngle(s.Heading + rNext*dt),
-		Speed:   vxNext,
-		YawRate: rNext,
-		Accel:   accel,
-		Steer:   steer,
-		Slip:    vyNext,
-	}
-}
-
-var (
-	_ Model = (*Kinematic)(nil)
-	_ Model = (*Dynamic)(nil)
-)

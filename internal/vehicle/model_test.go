@@ -185,71 +185,6 @@ func TestKinematicStateStaysFiniteProperty(t *testing.T) {
 	}
 }
 
-func TestDynamicMatchesKinematicAtLowSpeed(t *testing.T) {
-	p := ShuttleParams()
-	kin := NewKinematic(p)
-	dyn := NewDynamic(p)
-	s := State{Speed: 0.8} // below blend-low threshold
-	cmd := Command{Steer: 0.2, Accel: 0}
-	a := kin.Step(s, cmd, 0.01)
-	b := dyn.Step(s, cmd, 0.01)
-	if math.Abs(a.X-b.X) > 1e-12 || math.Abs(a.Y-b.Y) > 1e-12 {
-		t.Error("dynamic model should equal kinematic below blend speed")
-	}
-}
-
-func TestDynamicStableStraightAtSpeed(t *testing.T) {
-	p := SedanParams()
-	m := NewDynamic(p)
-	s := State{Speed: 15}
-	for i := 0; i < 2000; i++ {
-		s = m.Step(s, Command{Steer: 0, Accel: 0}, 0.01)
-	}
-	if math.Abs(s.Y) > 0.01 || math.Abs(s.Slip) > 0.01 || math.Abs(s.YawRate) > 0.01 {
-		t.Errorf("straight-line drift: y=%g slip=%g r=%g", s.Y, s.Slip, s.YawRate)
-	}
-}
-
-func TestDynamicSteadyStateTurn(t *testing.T) {
-	p := SedanParams()
-	m := NewDynamic(p)
-	s := State{Speed: 10}
-	steer := 0.05
-	for i := 0; i < 4000; i++ {
-		s = m.Step(s, Command{Steer: steer, Accel: 0}, 0.005)
-	}
-	// Steady-state yaw rate should be near v·δ/(L + K·v²) with understeer
-	// gradient K = m(Lr·Cr − Lf·Cf)/(Cf·Cr·L)... just require the sign and
-	// a sane band around the kinematic value.
-	kinYaw := s.Speed * math.Tan(steer) / p.Wheelbase
-	if s.YawRate <= 0 {
-		t.Fatalf("yaw rate %g should be positive for left steer", s.YawRate)
-	}
-	if s.YawRate > kinYaw*1.2 || s.YawRate < kinYaw*0.5 {
-		t.Errorf("steady-state yaw %g outside plausible band around kinematic %g", s.YawRate, kinYaw)
-	}
-}
-
-func TestDynamicConstructorValidation(t *testing.T) {
-	p := ShuttleParams()
-	p.Mass = 0
-	defer func() {
-		if recover() == nil {
-			t.Error("zero mass should panic")
-		}
-	}()
-	NewDynamic(p)
-}
-
-func TestModelNames(t *testing.T) {
-	if NewKinematic(ShuttleParams()).Name() == "" {
-		t.Error("kinematic name empty")
-	}
-	if NewDynamic(ShuttleParams()).Name() == "" {
-		t.Error("dynamic name empty")
-	}
-}
-
 func TestHeadingAlwaysNormalized(t *testing.T) {
 	m := NewKinematic(instantParams())
 	s := State{Speed: 5}

@@ -1,8 +1,8 @@
-// Package vehicle models the ego vehicle: parameter sets, kinematic and
-// dynamic bicycle models, and actuator dynamics (steering/throttle lag and
-// rate limits). These are the plants the ADAssure methodology debugs
-// controllers against; they substitute for the physical shuttle platform
-// the original study drove on a test track.
+// Package vehicle models the ego vehicle: parameter sets, the kinematic
+// bicycle model, and actuator dynamics (steering/throttle lag and rate
+// limits). This is the plant the ADAssure methodology debugs controllers
+// against; it substitutes for the physical shuttle platform the original
+// study drove on a test track.
 package vehicle
 
 import (
@@ -10,7 +10,7 @@ import (
 	"math"
 )
 
-// Params describes a vehicle's geometry, mass properties and limits.
+// Params describes a vehicle's geometry and limits.
 // The default set approximates a low-speed autonomous shuttle
 // (iseAuto-class: short wheelbase, modest speed envelope).
 type Params struct {
@@ -32,14 +32,6 @@ type Params struct {
 	// and the comfort assertions.
 	MaxJerk float64
 
-	// Dynamic-model parameters (unused by the kinematic model).
-	Mass float64 // kg
-	Iz   float64 // yaw inertia, kg·m²
-	Lf   float64 // CG to front axle, m
-	Lr   float64 // CG to rear axle, m
-	Cf   float64 // front cornering stiffness, N/rad
-	Cr   float64 // rear cornering stiffness, N/rad
-
 	// SteerTimeConstant is the first-order steering-actuator lag in
 	// seconds (0 disables the lag).
 	SteerTimeConstant float64
@@ -59,12 +51,6 @@ func ShuttleParams() Params {
 		MaxBrake:          3.0,
 		MaxLatAccel:       2.5,
 		MaxJerk:           2.0,
-		Mass:              2200,
-		Iz:                2600,
-		Lf:                1.3,
-		Lr:                1.5,
-		Cf:                55000,
-		Cr:                60000,
 		SteerTimeConstant: 0.15,
 		AccelTimeConstant: 0.25,
 	}
@@ -82,12 +68,6 @@ func SedanParams() Params {
 		MaxBrake:          6.0,
 		MaxLatAccel:       4.0,
 		MaxJerk:           4.0,
-		Mass:              1500,
-		Iz:                2250,
-		Lf:                1.2,
-		Lr:                1.5,
-		Cf:                80000,
-		Cr:                88000,
 		SteerTimeConstant: 0.1,
 		AccelTimeConstant: 0.2,
 	}
@@ -131,7 +111,6 @@ type State struct {
 	YawRate float64 // rad/s
 	Accel   float64 // realised longitudinal acceleration, m/s²
 	Steer   float64 // realised steering angle at the wheels, rad
-	Slip    float64 // lateral-velocity slip (dynamic model only), m/s
 }
 
 // Command is a controller's output for one step.
