@@ -98,6 +98,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mutate -run '^$$' -fuzz FuzzMutantSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamNDJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run '^$$' -fuzz FuzzSearchSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzKeyedRequest -fuzztime $(FUZZTIME)
 
 # Regenerate every evaluation table/figure (see EXPERIMENTS.md).
 tables:

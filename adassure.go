@@ -33,8 +33,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"sync"
 
 	"adassure/internal/attacks"
+	"adassure/internal/control"
 	"adassure/internal/core"
 	"adassure/internal/diagnosis"
 	"adassure/internal/events"
@@ -309,7 +313,8 @@ type Scenario struct {
 	Controller ControllerName
 	// Attack is the injected attack class (default AttackNone).
 	Attack AttackName
-	// AttackStart/AttackEnd bound the attack window (defaults 20/50 s).
+	// AttackStart/AttackEnd bound the attack window (defaults 20/50 s;
+	// zeroed without an attack).
 	AttackStart, AttackEnd float64
 	// Seed drives all stochastic components (default 1).
 	Seed int64
@@ -320,7 +325,8 @@ type Scenario struct {
 	// Guarded enables the defended stack (gate + assertion-triggered
 	// fallback).
 	Guarded bool
-	// ThresholdScale loosens (>1) or tightens (<1) the catalog thresholds.
+	// ThresholdScale loosens (>1) or tightens (<1) the catalog thresholds
+	// (default 1).
 	ThresholdScale float64
 	// RecordFrames captures the frame stream into the result's Recording
 	// for offline re-monitoring.
@@ -450,10 +456,50 @@ func (s Scenario) Run() (*ScenarioResult, error) {
 	return s.RunContext(context.Background())
 }
 
-// RunContext executes the scenario under ctx: cancelling it (or hitting
-// its deadline) aborts the simulation within one control step and returns
-// an error wrapping ctx.Err(). nil means context.Background().
-func (s Scenario) RunContext(ctx context.Context) (*ScenarioResult, error) {
+// ScenarioNames are the values each Scenario name field accepts, read
+// from the registries that build them: Scenario.Canonicalize checks names
+// against them, and the serving layer's /v1/catalog lists them.
+type ScenarioNames struct {
+	// Assertions are the catalog assertion IDs, in catalog order.
+	Assertions []string `json:"assertions"`
+	// Attacks are "none" and every built-in attack class.
+	Attacks []string `json:"attacks"`
+	// Controllers are the lateral controllers, in registry order.
+	Controllers []string `json:"controllers"`
+	// Localizers are the fusion stacks, the default first.
+	Localizers []string `json:"localizers"`
+	// Tracks are the built-in routes, sorted.
+	Tracks []string `json:"tracks"`
+}
+
+// Names returns the accepted scenario names. They are built once and
+// shared: callers must not modify the slices.
+func Names() ScenarioNames { return scenarioNames() }
+
+var scenarioNames = sync.OnceValue(func() ScenarioNames {
+	n := ScenarioNames{
+		Assertions:  core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true}).AssertionIDs(),
+		Attacks:     []string{string(AttackNone)},
+		Controllers: control.Names(),
+		Localizers:  sim.Localizers(),
+		Tracks:      track.BuiltinNames(),
+	}
+	for _, c := range attacks.StandardClasses() {
+		n.Attacks = append(n.Attacks, string(c))
+	}
+	return n
+})
+
+// Canonicalize validates the scenario and returns it with every
+// defaultable field filled in, so equivalent scenarios compare equal:
+// track urban-loop, controller pure-pursuit, attack none, localizer ekf,
+// seed 1, 70 s, 6 m/s and threshold scale 1. An attack window defaults to
+// [20, 50) s; without an attack it is meaningless and zeroed. Assertions
+// are sorted and deduplicated (nil when empty). Names must be in Names()
+// (a CustomTrack skips the track-name check), and durations, speed limits
+// and threshold scales must be positive and finite. The receiver is not
+// modified.
+func (s Scenario) Canonicalize() (Scenario, error) {
 	if s.Track == "" {
 		s.Track = TrackUrbanLoop
 	}
@@ -463,11 +509,8 @@ func (s Scenario) RunContext(ctx context.Context) (*ScenarioResult, error) {
 	if s.Attack == "" {
 		s.Attack = AttackNone
 	}
-	if s.AttackStart == 0 {
-		s.AttackStart = 20
-	}
-	if s.AttackEnd == 0 {
-		s.AttackEnd = 50
+	if s.Localizer == "" {
+		s.Localizer = sim.Localizers()[0]
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -476,12 +519,75 @@ func (s Scenario) RunContext(ctx context.Context) (*ScenarioResult, error) {
 		s.Duration = 70
 	}
 	if s.SpeedLimit == 0 {
-		s.SpeedLimit = 6
+		s.SpeedLimit = track.DefaultSpeedLimit
+	}
+	if s.ThresholdScale == 0 {
+		s.ThresholdScale = 1
+	}
+	if s.Attack == AttackNone {
+		s.AttackStart, s.AttackEnd = 0, 0
+	} else {
+		if s.AttackStart == 0 {
+			s.AttackStart = 20
+		}
+		if s.AttackEnd == 0 {
+			s.AttackEnd = 50
+		}
+	}
+	if len(s.Assertions) > 0 {
+		ids := slices.Clone(s.Assertions)
+		slices.Sort(ids)
+		s.Assertions = slices.Compact(ids)
+	} else {
+		s.Assertions = nil
+	}
+
+	n := Names()
+	switch {
+	case s.CustomTrack == nil && !slices.Contains(n.Tracks, string(s.Track)):
+		return s, fmt.Errorf("adassure: unknown track %q (have %v)", s.Track, n.Tracks)
+	case !slices.Contains(n.Controllers, string(s.Controller)):
+		return s, fmt.Errorf("adassure: unknown controller %q (have %v)", s.Controller, n.Controllers)
+	case !slices.Contains(n.Attacks, string(s.Attack)):
+		return s, fmt.Errorf("adassure: unknown attack %q (have %v)", s.Attack, n.Attacks)
+	case !slices.Contains(n.Localizers, s.Localizer):
+		return s, fmt.Errorf("adassure: unknown localizer %q (have %v)", s.Localizer, n.Localizers)
+	case !positive(s.Duration):
+		return s, fmt.Errorf("adassure: duration must be a positive finite number of seconds, got %v", s.Duration)
+	case !positive(s.SpeedLimit):
+		return s, fmt.Errorf("adassure: speed limit must be positive and finite, got %v", s.SpeedLimit)
+	case !positive(s.ThresholdScale):
+		return s, fmt.Errorf("adassure: threshold scale must be positive and finite, got %v", s.ThresholdScale)
+	case !finite(s.AttackStart) || !finite(s.AttackEnd) || s.AttackStart < 0:
+		return s, fmt.Errorf("adassure: attack window [%v, %v] must be finite and non-negative", s.AttackStart, s.AttackEnd)
+	case s.Attack != AttackNone && s.AttackEnd <= s.AttackStart:
+		return s, fmt.Errorf("adassure: attack window end %g must exceed start %g", s.AttackEnd, s.AttackStart)
+	}
+	for _, id := range s.Assertions {
+		if !slices.Contains(n.Assertions, id) {
+			return s, fmt.Errorf("adassure: unknown catalog assertion %q (have %v)", id, n.Assertions)
+		}
+	}
+	return s, nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func positive(v float64) bool { return finite(v) && v > 0 }
+
+// RunContext executes the scenario under ctx: cancelling it (or hitting
+// its deadline) aborts the simulation within one control step and returns
+// an error wrapping ctx.Err(). nil means context.Background(). The
+// scenario is canonicalized first, so an invalid one is an error before
+// anything runs.
+func (s Scenario) RunContext(ctx context.Context) (*ScenarioResult, error) {
+	s, err := s.Canonicalize()
+	if err != nil {
+		return nil, err
 	}
 
 	tr := s.CustomTrack
 	if tr == nil {
-		var err error
 		if tr, err = BuiltinTrack(s.Track, s.SpeedLimit); err != nil {
 			return nil, err
 		}
@@ -489,19 +595,18 @@ func (s Scenario) RunContext(ctx context.Context) (*ScenarioResult, error) {
 
 	var camp Campaign
 	if s.Attack != AttackNone {
-		var err error
 		camp, err = attacks.Standard(attacks.Class(s.Attack), attacks.Window{Start: s.AttackStart, End: s.AttackEnd}, s.Seed)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	mon, err := buildCatalogMonitor(core.CatalogConfig{
+	mon, err := core.NewCatalogMonitorWith(core.CatalogConfig{
 		ThresholdScale:     s.ThresholdScale,
 		IncludeGroundTruth: true,
 	}, s.Assertions)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("adassure: %w", err)
 	}
 	cfg := sim.Config{
 		Context:      ctx,
@@ -560,18 +665,6 @@ func (s Scenario) RunContext(ctx context.Context) (*ScenarioResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// buildCatalogMonitor loads the built-in catalog, optionally restricted
-// to an explicit assertion-ID subset. IDs are matched against the catalog
-// the config produces, so requesting e.g. "A12" without ground truth
-// enabled is an error rather than a silent no-op.
-func buildCatalogMonitor(cfg CatalogConfig, ids []string) (*Monitor, error) {
-	m, err := core.NewCatalogMonitorWith(cfg, ids)
-	if err != nil {
-		return nil, fmt.Errorf("adassure: %w", err)
-	}
-	return m, nil
 }
 
 // RunScenarios executes independent scenarios concurrently across a

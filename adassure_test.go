@@ -2,6 +2,8 @@ package adassure
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -65,6 +67,74 @@ func TestScenarioUnknownTrack(t *testing.T) {
 func TestScenarioUnknownAttack(t *testing.T) {
 	if _, err := (Scenario{Attack: "quantum"}).Run(); err == nil {
 		t.Error("unknown attack accepted")
+	}
+}
+
+// TestScenarioRejectsInvalidValues: every invalid scenario is an error
+// from Run before anything simulates, never a panic, a zero-step
+// "success" or a silent substitution of the default.
+func TestScenarioRejectsInvalidValues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		scn  Scenario
+	}{
+		{"NaN duration", Scenario{Duration: math.NaN()}},
+		{"negative duration", Scenario{Duration: -5}},
+		{"infinite duration", Scenario{Duration: math.Inf(1)}},
+		{"negative threshold scale", Scenario{ThresholdScale: -2}},
+		{"NaN threshold scale", Scenario{ThresholdScale: math.NaN()}},
+		{"infinite threshold scale", Scenario{ThresholdScale: math.Inf(1)}},
+		{"NaN speed limit", Scenario{SpeedLimit: math.NaN()}},
+		{"negative speed limit", Scenario{SpeedLimit: -1}},
+		{"inverted attack window", Scenario{Attack: AttackStepSpoof, AttackStart: 30, AttackEnd: 10}},
+		{"negative attack start", Scenario{Attack: AttackStepSpoof, AttackStart: -1}},
+		{"NaN attack end", Scenario{Attack: AttackStepSpoof, AttackEnd: math.NaN()}},
+		{"unknown controller", Scenario{Controller: "yolo"}},
+		{"unknown localizer", Scenario{Localizer: "gps-only"}},
+		{"unknown assertion", Scenario{Assertions: []string{"A1", "A99"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.scn.Canonicalize(); err == nil {
+				t.Error("Canonicalize accepted it")
+			}
+			out, err := tc.scn.Run()
+			if err == nil {
+				t.Errorf("Run accepted it (%d steps)", out.Sim.Steps)
+			}
+		})
+	}
+}
+
+// TestScenarioCanonicalize: defaults are filled in explicitly, a clean
+// run's window is zeroed, assertions are sorted and deduplicated, and
+// canonicalizing twice changes nothing.
+func TestScenarioCanonicalize(t *testing.T) {
+	got, err := Scenario{AttackStart: 5, AttackEnd: 9, Assertions: []string{"A3", "A1", "A3"}}.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Scenario{
+		Track: TrackUrbanLoop, Controller: ControllerPurePursuit, Attack: AttackNone,
+		Seed: 1, Duration: 70, SpeedLimit: 6, ThresholdScale: 1, Localizer: "ekf",
+		Assertions: []string{"A1", "A3"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("canonical = %+v, want %+v", got, want)
+	}
+	attacked, err := Scenario{Attack: AttackDriftSpoof}.Canonicalize()
+	if err != nil || attacked.AttackStart != 20 || attacked.AttackEnd != 50 {
+		t.Errorf("attacked window = [%v, %v] (%v), want [20, 50]", attacked.AttackStart, attacked.AttackEnd, err)
+	}
+	again, err := got.Canonicalize()
+	if err != nil || !reflect.DeepEqual(again, got) {
+		t.Errorf("not idempotent: %+v -> %+v (%v)", got, again, err)
+	}
+	custom, err := TrackFromWaypoints("depot", []Waypoint{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 100, Y: 5}}, false, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Scenario{Track: "depot", CustomTrack: custom}).Canonicalize(); err != nil {
+		t.Errorf("custom track rejected by name: %v", err)
 	}
 }
 

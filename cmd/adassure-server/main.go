@@ -37,8 +37,9 @@
 // All resource limits are validated together at boot — nonsense
 // combinations (a cache cap that cannot hold one response, -store-bytes
 // without -store-dir, a job tier wider than 4x the simulation pool) are
-// rejected with one error listing every violation, and the resolved
-// values are logged as a single "limits" record.
+// rejected with one error listing every violation, and the values the
+// server enforces, defaults resolved, are logged as a single "limits"
+// record.
 //
 // POST /v1/stream serves online monitoring: chunked NDJSON frames in,
 // NDJSON events out over one full-duplex exchange, with per-session
@@ -137,41 +138,8 @@ func run(argv []string, stdout, stderr *os.File) error {
 		tracer = telemetry.New(telemetry.Config{MaxTraces: *traceStore})
 	}
 
-	// The combined limits validation: every violation is reported at
-	// once, and the resolved envelope is logged as one "limits" record
-	// before anything starts.
-	limits := service.Limits{
-		Workers:      *workers,
-		QueueDepth:   *queue,
-		CacheBytes:   *cacheBytes,
-		Timeout:      *timeout,
-		MaxDuration:  *maxDuration,
-		StoreDir:     *storeDir,
-		StoreBytes:   *storeBytes,
-		JobWorkers:   *jobsWorkers,
-		JobQueue:     *jobsQueue,
-		JobRetention: *jobsKeep,
-	}
-	if err := limits.Validate(); err != nil {
-		return fmt.Errorf("invalid limits:\n%w", err)
-	}
-	limits.LogSummary(logger)
-
 	reg := obs.NewRegistry()
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		st, err = store.Open(*storeDir, store.Options{MaxBytes: *storeBytes, Obs: reg})
-		if err != nil {
-			return fmt.Errorf("open store: %w", err)
-		}
-		logger.Info("store opened",
-			slog.String("dir", *storeDir),
-			slog.Int("entries", st.Len()),
-			slog.Int64("bytes", st.SizeBytes()),
-		)
-	}
-	svc := service.New(service.Config{
+	cfg := service.Config{
 		Workers:     *workers,
 		QueueDepth:  *queue,
 		CacheBytes:  *cacheBytes,
@@ -182,7 +150,8 @@ func run(argv []string, stdout, stderr *os.File) error {
 		Tracer:      tracer,
 		Logger:      logger,
 		EnablePprof: *pprofOn,
-		Store:       st,
+		StoreDir:    *storeDir,
+		StoreBytes:  *storeBytes,
 		Jobs: service.JobsLimits{
 			Workers:    *jobsWorkers,
 			QueueDepth: *jobsQueue,
@@ -195,7 +164,26 @@ func run(argv []string, stdout, stderr *os.File) error {
 			ErrorBudget:        *streamBudget,
 			Heartbeat:          *streamBeat,
 		},
-	})
+	}
+	// The combined limits validation: every violation is reported at
+	// once, before anything starts. New logs the enforced envelope as one
+	// "limits" record.
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("invalid limits:\n%w", err)
+	}
+	if cfg.StoreDir != "" {
+		var err error
+		cfg.Store, err = store.Open(cfg.StoreDir, store.Options{MaxBytes: cfg.StoreBytes, Obs: reg})
+		if err != nil {
+			return fmt.Errorf("open store: %w", err)
+		}
+		logger.Info("store opened",
+			slog.String("dir", cfg.StoreDir),
+			slog.Int("entries", cfg.Store.Len()),
+			slog.Int64("bytes", cfg.Store.SizeBytes()),
+		)
+	}
+	svc := service.New(cfg)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -38,6 +38,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 
 	"adassure"
 )
@@ -144,8 +145,8 @@ func writeBundles(out *adassure.ScenarioResult, dir, prefix string) int {
 
 func main() {
 	var (
-		trackName  = flag.String("track", "urban-loop", "track: straight|circle|s-curve|figure-eight|double-lane-change|urban-loop|hairpin")
-		controller = flag.String("controller", "pure-pursuit", "lateral controller: pure-pursuit|stanley|pid-lateral|lqr-mpc")
+		trackName  = flag.String("track", "urban-loop", "track: "+strings.Join(adassure.Names().Tracks, "|"))
+		controller = flag.String("controller", "pure-pursuit", "lateral controller: "+strings.Join(adassure.Names().Controllers, "|"))
 		attack     = flag.String("attack", "none", "attack class (see adassure.AttackNames) or none")
 		seed       = flag.Int64("seed", 1, "random seed")
 		duration   = flag.Float64("duration", 70, "simulated seconds")
@@ -158,7 +159,7 @@ func main() {
 		traceJSON  = flag.String("json", "", "write the signal trace as JSON to this file")
 		reportMD   = flag.String("report", "", "write the full Markdown debugging report to this file")
 		recordOut  = flag.String("record", "", "write the frame recording (for offline re-monitoring) to this file")
-		list       = flag.Bool("list", false, "list available tracks, controllers and attacks, then exit")
+		list       = flag.Bool("list", false, "list available tracks, controllers, attacks and localizers, then exit")
 		seedCount  = flag.Int("seeds", 1, "run this many consecutive seeds (starting at -seed) and print a per-seed summary")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "scenario-execution pool size for -seeds > 1")
 		metricsOut = flag.String("metrics", "", "write a JSON runtime-metrics snapshot (sim/monitor/runner) to this file")
@@ -171,13 +172,11 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("tracks:      straight circle s-curve figure-eight double-lane-change urban-loop hairpin")
-		fmt.Println("controllers: pure-pursuit stanley pid-lateral lqr-mpc")
-		fmt.Print("attacks:     none")
-		for _, a := range adassure.AttackNames() {
-			fmt.Printf(" %s", a)
-		}
-		fmt.Println()
+		n := adassure.Names()
+		fmt.Println("tracks:      " + strings.Join(n.Tracks, " "))
+		fmt.Println("controllers: " + strings.Join(n.Controllers, " "))
+		fmt.Println("attacks:     " + strings.Join(n.Attacks, " "))
+		fmt.Println("localizers:  " + strings.Join(n.Localizers, " "))
 		return
 	}
 

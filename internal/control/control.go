@@ -10,6 +10,7 @@ package control
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"adassure/internal/fusion"
 	"adassure/internal/geom"
@@ -362,6 +363,18 @@ func (c *SpeedPID) Accel(currentSpeed, targetSpeed, dt float64) float64 {
 func All(p vehicle.Params) []Lateral {
 	return []Lateral{NewPurePursuit(p), NewStanley(p), NewPIDLateral(p), NewLQRMPC(p)}
 }
+
+// Names lists every lateral controller's Name, in All's order. The list
+// is built once and shared: callers must not modify it.
+func Names() []string { return names() }
+
+var names = sync.OnceValue(func() []string {
+	var out []string
+	for _, c := range All(vehicle.ShuttleParams()) {
+		out = append(out, c.Name())
+	}
+	return out
+})
 
 // ByName constructs a lateral controller by its Name string.
 func ByName(name string, p vehicle.Params) (Lateral, error) {

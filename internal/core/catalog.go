@@ -89,8 +89,12 @@ func NewCatalogMonitor(cfg CatalogConfig) *Monitor {
 // evaluation order — and therefore the violation record — is independent
 // of how the caller listed the IDs. IDs the config does not produce (e.g.
 // "A12" without ground truth enabled) are an error rather than a silent
-// no-op.
+// no-op, and so is a NaN or infinite ThresholdScale, which no threshold
+// can be scaled by.
 func NewCatalogMonitorWith(cfg CatalogConfig, ids []string) (*Monitor, error) {
+	if math.IsNaN(cfg.ThresholdScale) || math.IsInf(cfg.ThresholdScale, 0) {
+		return nil, fmt.Errorf("core: threshold scale must be finite, got %v", cfg.ThresholdScale)
+	}
 	entries := NewCatalog(cfg)
 	m := NewMonitor()
 	if len(ids) == 0 {

@@ -66,6 +66,19 @@ func TestCatalogIDsAndSizes(t *testing.T) {
 	}
 }
 
+// TestCatalogMonitorWithRejectsNonFiniteScale: a NaN or infinite scale is
+// an error, not a panic inside A11's window construction.
+func TestCatalogMonitorWithRejectsNonFiniteScale(t *testing.T) {
+	for _, k := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewCatalogMonitorWith(CatalogConfig{ThresholdScale: k}, nil); err == nil {
+			t.Errorf("threshold scale %v accepted", k)
+		}
+	}
+	if _, err := NewCatalogMonitorWith(CatalogConfig{ThresholdScale: 2}, nil); err != nil {
+		t.Errorf("threshold scale 2 rejected: %v", err)
+	}
+}
+
 // runCatalog feeds frames and returns fired IDs.
 func runCatalog(t *testing.T, frames []Frame) []string {
 	t.Helper()

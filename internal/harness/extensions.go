@@ -249,7 +249,7 @@ func ExtensionX5FusionAblation(o Options) (*Table, error) {
 			"finding: the gated heading blend of the complementary filter is NOT dragged by a drift spoof the way the EKF's cross-covariances are, so A13 loses its online signal — only the offline safety envelope (A12) catches the drift. The EKF's 'weakness' (heading drag) is exactly what makes the drift observable online.",
 		},
 	}
-	locs := []string{"ekf", "complementary"}
+	locs := sim.Localizers()
 	attacked := []attacks.Class{attacks.ClassStepSpoof, attacks.ClassDriftSpoof}
 	type cell struct {
 		loc   string

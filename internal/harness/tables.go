@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"adassure/internal/attacks"
+	"adassure/internal/control"
 	"adassure/internal/diagnosis"
 	"adassure/internal/metrics"
 	"adassure/internal/sim"
@@ -250,9 +251,9 @@ func Table5ControllerComparison(o Options) (*Table, error) {
 		},
 		Notes: []string{"per-controller weakness signatures appear in the clean-violations column and in the relative attack deviations"},
 	}
-	controllers := []string{"pure-pursuit", "stanley", "pid-lateral", "lqr-mpc"}
 	classes := []attacks.Class{attacks.ClassNone, attacks.ClassDriftSpoof, attacks.ClassStepSpoof}
 	var jobs []campaignJob
+	controllers := control.Names()
 	for _, ctrl := range controllers {
 		for _, class := range classes {
 			jobs = append(jobs, seedJobs(class, ctrl, o.Seeds, sim.GuardConfig{})...)

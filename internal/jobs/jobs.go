@@ -333,6 +333,12 @@ func NewManager(cfg Config) *Manager {
 // QueueLen reports jobs admitted but not yet dispatched.
 func (m *Manager) QueueLen() int { return len(m.queue) }
 
+// Workers reports the dispatcher count.
+func (m *Manager) Workers() int { return m.cfg.Workers }
+
+// Retention reports how many finished jobs are kept for polling.
+func (m *Manager) Retention() int { return m.cfg.Retention }
+
 // QueueCap reports the admission-queue capacity.
 func (m *Manager) QueueCap() int { return cap(m.queue) }
 

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
+	"adassure/internal/control"
 	"adassure/internal/core"
 	"adassure/internal/events"
 	"adassure/internal/obs"
@@ -34,8 +36,6 @@ type Config struct {
 	Seed int64
 	// Duration is the simulated seconds per run (default 60).
 	Duration float64
-	// SpeedLimit of the routes in m/s (default 6).
-	SpeedLimit float64
 	// Workers sizes the runner pool (default GOMAXPROCS). The report is
 	// byte-identical for any value.
 	Workers int
@@ -53,7 +53,13 @@ type Config struct {
 	Context context.Context
 }
 
-func (c *Config) defaults() error {
+// Canonicalize validates the config and returns it with every defaultable
+// field filled in: controller pure-pursuit, tracks urban-loop + hairpin,
+// the DefaultCatalog grid, seed 1 and 60 s per run. Controller and track
+// names must be in control.Names and track.BuiltinNames, the duration
+// positive and finite, and the mutants valid and unique by canonical ID.
+// The receiver is not modified.
+func (c Config) Canonicalize() (Config, error) {
 	if c.Controller == "" {
 		c.Controller = "pure-pursuit"
 	}
@@ -69,30 +75,32 @@ func (c *Config) defaults() error {
 	if c.Duration == 0 {
 		c.Duration = 60
 	}
+	if !slices.Contains(control.Names(), c.Controller) {
+		return c, fmt.Errorf("mutate: unknown controller %q (have %v)", c.Controller, control.Names())
+	}
+	for _, tr := range c.Tracks {
+		if !slices.Contains(track.BuiltinNames(), tr) {
+			return c, fmt.Errorf("mutate: unknown track %q (have %v)", tr, track.BuiltinNames())
+		}
+	}
 	if c.Duration <= 0 || math.IsNaN(c.Duration) || math.IsInf(c.Duration, 0) {
-		return fmt.Errorf("mutate: duration must be positive and finite, got %g", c.Duration)
-	}
-	if c.SpeedLimit == 0 {
-		c.SpeedLimit = 6
-	}
-	if c.SpeedLimit <= 0 || math.IsNaN(c.SpeedLimit) || math.IsInf(c.SpeedLimit, 0) {
-		return fmt.Errorf("mutate: speed limit must be positive and finite, got %g", c.SpeedLimit)
+		return c, fmt.Errorf("mutate: duration must be positive and finite, got %g", c.Duration)
 	}
 	canon := make([]Spec, len(c.Mutants))
 	seen := map[string]bool{}
 	for i, m := range c.Mutants {
 		cm, err := m.Canonicalize()
 		if err != nil {
-			return err
+			return c, err
 		}
 		if seen[cm.ID()] {
-			return fmt.Errorf("mutate: duplicate mutant %q in grid", cm.ID())
+			return c, fmt.Errorf("mutate: duplicate mutant %q in grid", cm.ID())
 		}
 		seen[cm.ID()] = true
 		canon[i] = cm
 	}
 	c.Mutants = canon
-	return nil
+	return c, nil
 }
 
 // CellResult is one (mutant × track) run scored against that track's
@@ -157,12 +165,13 @@ type Report struct {
 // index-ordered collection, so the report is deterministic in Config for
 // any worker count.
 func Run(cfg Config) (*Report, error) {
-	if err := cfg.defaults(); err != nil {
+	cfg, err := cfg.Canonicalize()
+	if err != nil {
 		return nil, err
 	}
 	tracks := make([]*track.Track, len(cfg.Tracks))
 	for i, name := range cfg.Tracks {
-		tr, err := track.Builtin(name, cfg.SpeedLimit)
+		tr, err := track.Builtin(name, track.DefaultSpeedLimit)
 		if err != nil {
 			return nil, fmt.Errorf("mutate: %w", err)
 		}

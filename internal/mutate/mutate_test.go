@@ -3,6 +3,7 @@ package mutate
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -180,6 +181,28 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(Config{Duration: -5}); err == nil {
 		t.Error("negative duration not rejected")
+	}
+}
+
+// TestConfigCanonicalize: defaults are filled in, canonicalizing twice
+// changes nothing, and an unknown controller is rejected up front rather
+// than inside the first simulation.
+func TestConfigCanonicalize(t *testing.T) {
+	c, err := Config{Mutants: []Spec{{Op: OpGainScale}}}.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Controller != "pure-pursuit" || c.Seed != 1 || c.Duration != 60 ||
+		!reflect.DeepEqual(c.Tracks, []string{"urban-loop", "hairpin"}) ||
+		!reflect.DeepEqual(c.Mutants, []Spec{{Op: OpGainScale, Param: 3}}) {
+		t.Errorf("canonical = %+v", c)
+	}
+	if again, err := c.Canonicalize(); err != nil || !reflect.DeepEqual(again, c) {
+		t.Errorf("not idempotent: %+v -> %+v (%v)", c, again, err)
+	}
+	if _, err := (Config{Controller: "yolo"}).Canonicalize(); err == nil ||
+		!strings.Contains(err.Error(), "unknown controller") {
+		t.Errorf("unknown controller not rejected: %v", err)
 	}
 }
 

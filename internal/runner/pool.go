@@ -34,8 +34,9 @@ import (
 //     counted (runner.pool.panics) and reported to the job's OnPanic hook
 //     so the submitter can fail its own waiters.
 type Pool struct {
-	queue chan poolJob
-	wg    sync.WaitGroup
+	workers int
+	queue   chan poolJob
+	wg      sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
@@ -94,6 +95,7 @@ func NewPool(opts PoolOptions) *Pool {
 		opts.QueueDepth = 2 * opts.Workers
 	}
 	p := &Pool{
+		workers:   opts.Workers,
 		queue:     make(chan poolJob, opts.QueueDepth),
 		submitted: opts.Obs.Counter("runner.pool.submitted"),
 		rejected:  opts.Obs.Counter("runner.pool.rejected"),
@@ -172,6 +174,9 @@ func (p *Pool) TrySubmit(ctx context.Context, fn func(ctx context.Context), onPa
 
 // QueueLen reports how many admitted jobs are waiting for a worker.
 func (p *Pool) QueueLen() int { return len(p.queue) }
+
+// Workers reports the number of executing goroutines.
+func (p *Pool) Workers() int { return p.workers }
 
 // Cap reports the admission-queue capacity.
 func (p *Pool) Cap() int { return cap(p.queue) }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
+	"adassure/internal/control"
 	"adassure/internal/core"
 	"adassure/internal/events"
 	"adassure/internal/mutate"
@@ -54,13 +56,8 @@ type Config struct {
 	// Budget caps oracle evaluations: per track × channel pair in descent
 	// mode (default 16), per track in cem mode (default 48).
 	Budget int
-	// Shrink and Ratio tune the descent ladder (defaults 0.5 and 1.15).
-	Shrink float64
-	Ratio  float64
 	// Duration is the simulated seconds per probe run (default 60).
 	Duration float64
-	// SpeedLimit of the routes in m/s (default 6).
-	SpeedLimit float64
 	// Workers sizes the runner pool (default GOMAXPROCS). The report is
 	// byte-identical for any value.
 	Workers int
@@ -79,7 +76,15 @@ type Config struct {
 	Context context.Context
 }
 
-func (c *Config) defaults() error {
+// Canonicalize validates the config and returns it with every defaultable
+// field filled in: controller pure-pursuit, tracks urban-loop + hairpin,
+// the DefaultChannels space, mode descent, seed 1, budget 16 (48 in cem
+// mode) and 60 s per probe. Controller and track names must be in
+// control.Names and track.BuiltinNames, the duration positive and finite,
+// the budget at least 1, and the channels valid and unique by canonical
+// ID. Assertions are left as given; Run checks them against the catalog.
+// The receiver is not modified.
+func (c Config) Canonicalize() (Config, error) {
 	if c.Controller == "" {
 		c.Controller = "pure-pursuit"
 	}
@@ -92,9 +97,6 @@ func (c *Config) defaults() error {
 	if c.Mode == "" {
 		c.Mode = ModeDescent
 	}
-	if c.Mode != ModeDescent && c.Mode != ModeCEM {
-		return fmt.Errorf("search: unknown mode %q (want %q or %q)", c.Mode, ModeDescent, ModeCEM)
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -105,42 +107,41 @@ func (c *Config) defaults() error {
 			c.Budget = 16
 		}
 	}
-	if c.Budget < 1 {
-		return fmt.Errorf("search: budget must be >= 1, got %d", c.Budget)
-	}
-	if c.Shrink == 0 {
-		c.Shrink = 0.5
-	}
-	if c.Ratio == 0 {
-		c.Ratio = 1.15
-	}
 	if c.Duration == 0 {
 		c.Duration = 60
 	}
+	if !slices.Contains(control.Names(), c.Controller) {
+		return c, fmt.Errorf("search: unknown controller %q (have %v)", c.Controller, control.Names())
+	}
+	for _, tr := range c.Tracks {
+		if !slices.Contains(track.BuiltinNames(), tr) {
+			return c, fmt.Errorf("search: unknown track %q (have %v)", tr, track.BuiltinNames())
+		}
+	}
+	if c.Mode != ModeDescent && c.Mode != ModeCEM {
+		return c, fmt.Errorf("search: unknown mode %q (want %q or %q)", c.Mode, ModeDescent, ModeCEM)
+	}
+	if c.Budget < 1 {
+		return c, fmt.Errorf("search: budget must be >= 1, got %d", c.Budget)
+	}
 	if c.Duration <= 0 || math.IsNaN(c.Duration) || math.IsInf(c.Duration, 0) {
-		return fmt.Errorf("search: duration must be positive and finite, got %g", c.Duration)
-	}
-	if c.SpeedLimit == 0 {
-		c.SpeedLimit = 6
-	}
-	if c.SpeedLimit <= 0 || math.IsNaN(c.SpeedLimit) || math.IsInf(c.SpeedLimit, 0) {
-		return fmt.Errorf("search: speed limit must be positive and finite, got %g", c.SpeedLimit)
+		return c, fmt.Errorf("search: duration must be positive and finite, got %g", c.Duration)
 	}
 	canon := make([]Spec, len(c.Channels))
 	seen := map[string]bool{}
 	for i, ch := range c.Channels {
 		cc, err := ch.Canonicalize()
 		if err != nil {
-			return err
+			return c, err
 		}
 		if seen[cc.ID()] {
-			return fmt.Errorf("search: duplicate channel %q", cc.ID())
+			return c, fmt.Errorf("search: duplicate channel %q", cc.ID())
 		}
 		seen[cc.ID()] = true
 		canon[i] = cc
 	}
 	c.Channels = canon
-	return nil
+	return c, nil
 }
 
 // FrontierPoint is one converged point of the evasion frontier: per track
@@ -186,12 +187,13 @@ type Report struct {
 // across the runner pool with index-ordered collection, so the report is
 // deterministic in Config for any worker count.
 func Run(cfg Config) (*Report, error) {
-	if err := cfg.defaults(); err != nil {
+	cfg, err := cfg.Canonicalize()
+	if err != nil {
 		return nil, err
 	}
 	tracks := make([]*track.Track, len(cfg.Tracks))
 	for i, name := range cfg.Tracks {
-		tr, err := track.Builtin(name, cfg.SpeedLimit)
+		tr, err := track.Builtin(name, track.DefaultSpeedLimit)
 		if err != nil {
 			return nil, fmt.Errorf("search: %w", err)
 		}
@@ -238,8 +240,8 @@ func Run(cfg Config) (*Report, error) {
 		Seed:       cfg.Seed,
 		Duration:   cfg.Duration,
 		Budget:     cfg.Budget,
-		Shrink:     cfg.Shrink,
-		Ratio:      cfg.Ratio,
+		Shrink:     defaultShrink,
+		Ratio:      defaultRatio,
 		Tracks:     append([]string(nil), cfg.Tracks...),
 		Assertions: assertionOrder,
 	}
@@ -369,7 +371,7 @@ func (e *engine) runDescent(rep *Report) error {
 		}
 		pt, err := DescendMagnitude(oracle, DescendOptions{
 			Min: ch.Min, Max: ch.Max,
-			Shrink: cfg.Shrink, Ratio: cfg.Ratio, Budget: cfg.Budget,
+			Budget: cfg.Budget,
 		})
 		if err != nil {
 			return FrontierPoint{}, err

@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -185,6 +186,30 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(Config{Assertions: []string{"A99"}, Duration: 1, Budget: 1}); err == nil {
 		t.Error("unknown assertion subset not rejected")
+	}
+}
+
+// TestConfigCanonicalize: defaults are filled in (the budget by mode),
+// canonicalizing twice changes nothing, and an unknown controller is
+// rejected up front rather than inside the first probe.
+func TestConfigCanonicalize(t *testing.T) {
+	c, err := Config{Mode: ModeCEM}.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Controller != "pure-pursuit" || c.Seed != 1 || c.Duration != 60 || c.Budget != 48 ||
+		!reflect.DeepEqual(c.Tracks, []string{"urban-loop", "hairpin"}) || len(c.Channels) != len(DefaultChannels()) {
+		t.Errorf("canonical = %+v", c)
+	}
+	if again, err := c.Canonicalize(); err != nil || !reflect.DeepEqual(again, c) {
+		t.Errorf("not idempotent: %+v -> %+v (%v)", c, again, err)
+	}
+	if d, err := (Config{}).Canonicalize(); err != nil || d.Mode != ModeDescent || d.Budget != 16 {
+		t.Errorf("descent defaults = %+v (%v)", d, err)
+	}
+	if _, err := (Config{Controller: "yolo"}).Canonicalize(); err == nil ||
+		!strings.Contains(err.Error(), "unknown controller") {
+		t.Errorf("unknown controller not rejected: %v", err)
 	}
 }
 

@@ -42,6 +42,13 @@ const (
 	StatusAllEvading  = "all-evading"
 )
 
+// The descent ladder's defaults: halve the magnitude until the catalog
+// goes quiet, and call the bracket converged within 15%.
+const (
+	defaultShrink = 0.5
+	defaultRatio  = 1.15
+)
+
 // DescendOptions tunes DescendMagnitude. Zero values select the defaults.
 type DescendOptions struct {
 	// Min and Max bound the magnitude axis (required, 0 < Min <= Max).
@@ -58,10 +65,10 @@ type DescendOptions struct {
 
 func (o *DescendOptions) defaults() error {
 	if o.Shrink == 0 {
-		o.Shrink = 0.5
+		o.Shrink = defaultShrink
 	}
 	if o.Ratio == 0 {
-		o.Ratio = 1.15
+		o.Ratio = defaultRatio
 	}
 	if o.Budget == 0 {
 		o.Budget = 32

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"log/slog"
 	"math"
@@ -10,38 +11,38 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adassure/internal/store"
 )
 
-// TestLimitsValidateJoinsEveryViolation: one Validate call reports all
-// broken knobs at once, each as a typed *LimitError.
+// TestLimitsValidateJoinsEveryViolation: one Config.Validate call reports
+// all broken limits at once, each as a typed *LimitError.
 func TestLimitsValidateJoinsEveryViolation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		limits Limits
+		cfg    Config
 		fields []string
 	}{
-		{"every knob", Limits{
-			Workers:      -1,
-			QueueDepth:   -2,
-			CacheBytes:   100, // positive but below the useful floor
-			Timeout:      -time.Second,
-			MaxDuration:  math.NaN(),
-			StoreBytes:   1 << 20, // set without StoreDir
-			JobWorkers:   -3,
-			JobQueue:     -4,
-			JobRetention: -5,
+		{"every knob", Config{
+			Workers:     -1,
+			QueueDepth:  -2,
+			CacheBytes:  100, // positive but below the useful floor
+			Timeout:     -time.Second,
+			MaxDuration: math.NaN(),
+			StoreBytes:  1 << 20, // set without StoreDir
+			Jobs:        JobsLimits{Workers: -3, QueueDepth: -4, Retention: -5},
 		}, []string{
 			"-workers", "-queue", "-cache-bytes", "-timeout", "-max-duration",
 			"-store-bytes", "-jobs-workers", "-jobs-queue", "-jobs-retention",
 		}},
 		// A non-finite cap would pass every "duration > cap" check, so it
 		// must be refused rather than silently switching the cap off.
-		{"NaN max duration", Limits{MaxDuration: math.NaN()}, []string{"-max-duration"}},
-		{"+Inf max duration", Limits{MaxDuration: math.Inf(1)}, []string{"-max-duration"}},
-		{"-Inf max duration", Limits{MaxDuration: math.Inf(-1)}, []string{"-max-duration"}},
+		{"NaN max duration", Config{MaxDuration: math.NaN()}, []string{"-max-duration"}},
+		{"+Inf max duration", Config{MaxDuration: math.Inf(1)}, []string{"-max-duration"}},
+		{"-Inf max duration", Config{MaxDuration: math.Inf(-1)}, []string{"-max-duration"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.limits.Validate()
+			err := tc.cfg.Validate()
 			if err == nil {
 				t.Fatal("pathological limits validated clean")
 			}
@@ -62,16 +63,16 @@ func TestLimitsValidateJoinsEveryViolation(t *testing.T) {
 // TestLimitsValidateCombinations: knobs fine alone can be rejected
 // together.
 func TestLimitsValidateCombinations(t *testing.T) {
-	if err := (Limits{Workers: 2, JobWorkers: 64}).Validate(); err == nil {
+	if err := (Config{Workers: 2, Jobs: JobsLimits{Workers: 64}}).Validate(); err == nil {
 		t.Fatal("job tier 32x wider than the simulation pool validated clean")
 	}
-	if err := (Limits{Workers: 2, JobWorkers: 8}).Validate(); err != nil {
+	if err := (Config{Workers: 2, Jobs: JobsLimits{Workers: 8}}).Validate(); err != nil {
 		t.Fatalf("4x job tier rejected: %v", err)
 	}
-	if err := (Limits{}).Validate(); err != nil {
+	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero-value limits rejected: %v", err)
 	}
-	if err := (Limits{CacheBytes: -1}).Validate(); err != nil {
+	if err := (Config{CacheBytes: -1}).Validate(); err != nil {
 		t.Fatalf("explicitly disabled cache rejected: %v", err)
 	}
 }
@@ -80,35 +81,46 @@ func TestLimitsValidateCombinations(t *testing.T) {
 // directory (or creatable path).
 func TestLimitsValidateStoreDir(t *testing.T) {
 	dir := t.TempDir()
-	if err := (Limits{StoreDir: dir}).Validate(); err != nil {
+	if err := (Config{StoreDir: dir}).Validate(); err != nil {
 		t.Fatalf("usable store dir rejected: %v", err)
 	}
-	if err := (Limits{StoreDir: filepath.Join(dir, "new")}).Validate(); err != nil {
+	if err := (Config{StoreDir: filepath.Join(dir, "new")}).Validate(); err != nil {
 		t.Fatalf("creatable store dir rejected: %v", err)
 	}
 	file := filepath.Join(dir, "file")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Limits{StoreDir: file}).Validate(); err == nil {
+	if err := (Config{StoreDir: file}).Validate(); err == nil {
 		t.Fatal("plain file accepted as store dir")
 	}
-	if err := (Limits{StoreDir: dir, StoreBytes: 1024}).Validate(); err == nil {
+	if err := (Config{StoreDir: dir, StoreBytes: 1024}).Validate(); err == nil {
 		t.Fatal("store cap below one segment accepted")
 	}
 }
 
-// TestLimitsLogSummaryResolvesDefaults: the boot line carries resolved
-// values, not the zero placeholders.
+// TestLimitsLogSummaryResolvesDefaults: the boot "limits" record carries
+// the values the server enforces, not the zero placeholders that select
+// them.
 func TestLimitsLogSummaryResolvesDefaults(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	log := slog.New(slog.NewTextHandler(&buf, nil))
-	Limits{StoreDir: "/tmp/s"}.LogSummary(log)
+	s := New(Config{
+		Workers: 2,
+		Store:   st,
+		Logger:  slog.New(slog.NewTextHandler(&buf, nil)),
+	})
+	t.Cleanup(func() { s.Close(context.Background()) })
 	out := buf.String()
-	for _, want := range []string{"job_workers=2", "store_bytes=268435456", "msg=limits"} {
+	for _, want := range []string{
+		"msg=limits", "workers=2", "queue=4", "cache_bytes=67108864", "timeout=1m0s", "max_duration=600",
+		"store_bytes=268435456", "job_workers=2", "job_queue=16", "job_retention=256",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("limits line missing %q: %s", want, out)
 		}
 	}
-	Limits{}.LogSummary(nil) // nil logger must not panic
 }

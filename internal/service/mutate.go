@@ -38,58 +38,28 @@ type MutateRequest struct {
 const maxCampaignRuns = 64
 
 // Canonicalize validates the request and fills every defaultable field, so
-// equivalent campaigns collapse onto one cache key. The receiver is not
-// mutated.
+// equivalent campaigns collapse onto one cache key. The campaign fields
+// are canonicalized by mutate.Config; the request adds the server's
+// duration cap and the grid cap. The receiver is not mutated.
 func (r MutateRequest) Canonicalize(maxDuration float64) (MutateRequest, error) {
-	if r.Controller == "" {
-		r.Controller = "pure-pursuit"
+	cfg, err := r.Config().Canonicalize()
+	if err != nil {
+		return r, err
 	}
-	if len(r.Tracks) == 0 {
-		r.Tracks = []string{"urban-loop", "hairpin"}
+	if maxDuration > 0 && cfg.Duration > maxDuration {
+		return r, fmt.Errorf("duration %g s exceeds the server cap of %g s", cfg.Duration, maxDuration)
 	}
-	if len(r.Mutants) == 0 {
-		r.Mutants = mutate.DefaultCatalog()
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Duration == 0 {
-		r.Duration = 60
-	}
-
-	if !contains(validControllers, r.Controller) {
-		return r, fmt.Errorf("unknown controller %q (have %v)", r.Controller, validControllers)
-	}
-	for _, tr := range r.Tracks {
-		if !contains(validTracks, tr) {
-			return r, fmt.Errorf("unknown track %q (have %v)", tr, validTracks)
-		}
-	}
-	if !finite(r.Duration) || r.Duration <= 0 {
-		return r, fmt.Errorf("duration must be a positive finite number of seconds, got %v", r.Duration)
-	}
-	if maxDuration > 0 && r.Duration > maxDuration {
-		return r, fmt.Errorf("duration %g s exceeds the server cap of %g s", r.Duration, maxDuration)
-	}
-	canon := make([]mutate.Spec, len(r.Mutants))
-	seen := map[string]bool{}
-	for i, m := range r.Mutants {
-		cm, err := m.Canonicalize()
-		if err != nil {
-			return r, err
-		}
-		if seen[cm.ID()] {
-			return r, fmt.Errorf("duplicate mutant %q in grid", cm.ID())
-		}
-		seen[cm.ID()] = true
-		canon[i] = cm
-	}
-	r.Mutants = canon
-	if runs := len(r.Tracks) * (len(r.Mutants) + 1); runs > maxCampaignRuns {
+	if runs := len(cfg.Tracks) * (len(cfg.Mutants) + 1); runs > maxCampaignRuns {
 		return r, fmt.Errorf("campaign grid of %d runs exceeds the cap of %d (fewer mutants or tracks)",
 			runs, maxCampaignRuns)
 	}
-	return r, nil
+	return MutateRequest{
+		Controller: cfg.Controller,
+		Tracks:     cfg.Tracks,
+		Mutants:    cfg.Mutants,
+		Seed:       cfg.Seed,
+		Duration:   cfg.Duration,
+	}, nil
 }
 
 // Key returns the content address of a canonicalized campaign request. The

@@ -7,8 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"adassure"
 	"adassure/internal/forensics"
@@ -56,141 +54,44 @@ type Request struct {
 	BundleHalfWindow float64 `json:"bundle_half_window,omitempty"`
 }
 
-// validNames are the accepted enum values, kept in one place so the
-// /v1/catalog endpoint and validation can never drift apart.
-var (
-	validTracks = []string{
-		"straight", "circle", "s-curve", "figure-eight",
-		"double-lane-change", "urban-loop", "hairpin",
-	}
-	validControllers = []string{"pure-pursuit", "stanley", "pid-lateral", "lqr-mpc"}
-	validLocalizers  = []string{"ekf", "complementary"}
-
-	assertionIDsOnce sync.Once
-	assertionIDs     []string
-)
-
-// validAssertions enumerates the catalog assertion IDs a request may
-// select (the full catalog including the ground-truth assertion, which
-// the simulator always has available).
-func validAssertions() []string {
-	assertionIDsOnce.Do(func() {
-		assertionIDs = adassure.NewCatalogMonitor(adassure.CatalogConfig{
-			IncludeGroundTruth: true,
-		}).AssertionIDs()
-	})
-	return assertionIDs
-}
-
-func validAttacks() []string {
-	out := []string{"none"}
-	for _, a := range adassure.AttackNames() {
-		out = append(out, string(a))
-	}
-	return out
-}
-
-func contains(list []string, v string) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
 // Canonicalize validates the request and fills every defaultable field
 // with its explicit value, so equivalent requests collapse onto one cache
-// key. maxDuration caps the simulated seconds a single request may ask
-// for (<= 0 means no cap). The receiver is not mutated.
+// key. The scenario fields are canonicalized by adassure.Scenario; the
+// request adds the server's duration cap (maxDuration <= 0 means no cap)
+// and the bundle fields. The receiver is not mutated.
 func (r Request) Canonicalize(maxDuration float64) (Request, error) {
-	if r.Track == "" {
-		r.Track = "urban-loop"
+	scn, err := r.Scenario().Canonicalize()
+	if err != nil {
+		return r, err
 	}
-	if r.Controller == "" {
-		r.Controller = "pure-pursuit"
+	if maxDuration > 0 && scn.Duration > maxDuration {
+		return r, fmt.Errorf("duration %g s exceeds the server cap of %g s", scn.Duration, maxDuration)
 	}
-	if r.Attack == "" {
-		r.Attack = "none"
+	out := Request{
+		Track:          string(scn.Track),
+		Controller:     string(scn.Controller),
+		Attack:         string(scn.Attack),
+		AttackStart:    scn.AttackStart,
+		AttackEnd:      scn.AttackEnd,
+		Seed:           scn.Seed,
+		Duration:       scn.Duration,
+		SpeedLimit:     scn.SpeedLimit,
+		Guarded:        scn.Guarded,
+		ThresholdScale: scn.ThresholdScale,
+		Localizer:      scn.Localizer,
+		Assertions:     scn.Assertions,
+		Bundles:        r.Bundles,
 	}
-	if r.Localizer == "" {
-		r.Localizer = "ekf"
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Duration == 0 {
-		r.Duration = 70
-	}
-	if r.SpeedLimit == 0 {
-		r.SpeedLimit = 6
-	}
-	if r.ThresholdScale == 0 {
-		r.ThresholdScale = 1
-	}
-	if r.Attack == "none" {
-		// The window is meaningless without an attack: zero it so clean
-		// runs with decorative windows share one cache entry.
-		r.AttackStart, r.AttackEnd = 0, 0
-	} else {
-		if r.AttackStart == 0 {
-			r.AttackStart = 20
+	if r.Bundles {
+		out.BundleHalfWindow = r.BundleHalfWindow
+		if out.BundleHalfWindow == 0 {
+			out.BundleHalfWindow = forensics.DefaultHalfWindow
 		}
-		if r.AttackEnd == 0 {
-			r.AttackEnd = 50
+		if math.IsNaN(out.BundleHalfWindow) || math.IsInf(out.BundleHalfWindow, 0) || out.BundleHalfWindow < 0 {
+			return r, fmt.Errorf("bundle_half_window must be non-negative and finite, got %v", out.BundleHalfWindow)
 		}
 	}
-	if !r.Bundles {
-		r.BundleHalfWindow = 0
-	} else if r.BundleHalfWindow == 0 {
-		r.BundleHalfWindow = forensics.DefaultHalfWindow
-	}
-	if len(r.Assertions) > 0 {
-		ids := append([]string(nil), r.Assertions...)
-		sort.Strings(ids)
-		uniq := ids[:0]
-		for i, id := range ids {
-			if i == 0 || id != ids[i-1] {
-				uniq = append(uniq, id)
-			}
-		}
-		r.Assertions = uniq
-	} else {
-		r.Assertions = nil
-	}
-
-	switch {
-	case !contains(validTracks, r.Track):
-		return r, fmt.Errorf("unknown track %q (have %v)", r.Track, validTracks)
-	case !contains(validControllers, r.Controller):
-		return r, fmt.Errorf("unknown controller %q (have %v)", r.Controller, validControllers)
-	case !contains(validAttacks(), r.Attack):
-		return r, fmt.Errorf("unknown attack %q (have %v)", r.Attack, validAttacks())
-	case !contains(validLocalizers, r.Localizer):
-		return r, fmt.Errorf("unknown localizer %q (have %v)", r.Localizer, validLocalizers)
-	case !finite(r.Duration) || r.Duration <= 0:
-		return r, fmt.Errorf("duration must be a positive finite number of seconds, got %v", r.Duration)
-	case maxDuration > 0 && r.Duration > maxDuration:
-		return r, fmt.Errorf("duration %g s exceeds the server cap of %g s", r.Duration, maxDuration)
-	case !finite(r.SpeedLimit) || r.SpeedLimit <= 0:
-		return r, fmt.Errorf("speed_limit must be positive and finite, got %v", r.SpeedLimit)
-	case !finite(r.ThresholdScale) || r.ThresholdScale <= 0:
-		return r, fmt.Errorf("threshold_scale must be positive and finite, got %v", r.ThresholdScale)
-	case !finite(r.AttackStart) || !finite(r.AttackEnd) || r.AttackStart < 0:
-		return r, fmt.Errorf("attack window [%v, %v] must be finite and non-negative", r.AttackStart, r.AttackEnd)
-	case r.Attack != "none" && r.AttackEnd <= r.AttackStart:
-		return r, fmt.Errorf("attack window end %g must exceed start %g", r.AttackEnd, r.AttackStart)
-	case !finite(r.BundleHalfWindow) || r.BundleHalfWindow < 0:
-		return r, fmt.Errorf("bundle_half_window must be non-negative and finite, got %v", r.BundleHalfWindow)
-	}
-	for _, id := range r.Assertions {
-		if !contains(validAssertions(), id) {
-			return r, fmt.Errorf("unknown catalog assertion %q (have %v)", id, validAssertions())
-		}
-	}
-	return r, nil
+	return out, nil
 }
 
 // Key returns the content address of a canonicalized request: the SHA-256

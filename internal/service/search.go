@@ -47,78 +47,35 @@ type SearchRequest struct {
 const maxSearchEvals = 128
 
 // Canonicalize validates the request and fills every defaultable field, so
-// equivalent campaigns collapse onto one cache key. The receiver is not
-// mutated.
+// equivalent campaigns collapse onto one cache key. The campaign fields
+// are canonicalized by search.Config; the request adds the server's
+// duration cap and the probe-run cap. The receiver is not mutated.
 func (r SearchRequest) Canonicalize(maxDuration float64) (SearchRequest, error) {
-	if r.Controller == "" {
-		r.Controller = "pure-pursuit"
+	cfg, err := r.Config().Canonicalize()
+	if err != nil {
+		return r, err
 	}
-	if len(r.Tracks) == 0 {
-		r.Tracks = []string{"urban-loop", "hairpin"}
+	if maxDuration > 0 && cfg.Duration > maxDuration {
+		return r, fmt.Errorf("duration %g s exceeds the server cap of %g s", cfg.Duration, maxDuration)
 	}
-	if len(r.Channels) == 0 {
-		r.Channels = search.DefaultChannels()
-	}
-	if r.Mode == "" {
-		r.Mode = search.ModeDescent
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Budget == 0 {
-		if r.Mode == search.ModeCEM {
-			r.Budget = 48
-		} else {
-			r.Budget = 16
-		}
-	}
-	if r.Duration == 0 {
-		r.Duration = 60
-	}
-
-	if !contains(validControllers, r.Controller) {
-		return r, fmt.Errorf("unknown controller %q (have %v)", r.Controller, validControllers)
-	}
-	for _, tr := range r.Tracks {
-		if !contains(validTracks, tr) {
-			return r, fmt.Errorf("unknown track %q (have %v)", tr, validTracks)
-		}
-	}
-	if r.Mode != search.ModeDescent && r.Mode != search.ModeCEM {
-		return r, fmt.Errorf("unknown mode %q (want %q or %q)", r.Mode, search.ModeDescent, search.ModeCEM)
-	}
-	if !finite(r.Duration) || r.Duration <= 0 {
-		return r, fmt.Errorf("duration must be a positive finite number of seconds, got %v", r.Duration)
-	}
-	if maxDuration > 0 && r.Duration > maxDuration {
-		return r, fmt.Errorf("duration %g s exceeds the server cap of %g s", r.Duration, maxDuration)
-	}
-	if r.Budget < 1 {
-		return r, fmt.Errorf("budget must be >= 1, got %d", r.Budget)
-	}
-	canon := make([]search.Spec, len(r.Channels))
-	seen := map[string]bool{}
-	for i, ch := range r.Channels {
-		cc, err := ch.Canonicalize()
-		if err != nil {
-			return r, err
-		}
-		if seen[cc.ID()] {
-			return r, fmt.Errorf("duplicate channel %q", cc.ID())
-		}
-		seen[cc.ID()] = true
-		canon[i] = cc
-	}
-	r.Channels = canon
-	evals := r.Budget * len(r.Tracks)
-	if r.Mode == search.ModeDescent {
-		evals *= len(r.Channels)
+	evals := cfg.Budget * len(cfg.Tracks)
+	if cfg.Mode == search.ModeDescent {
+		evals *= len(cfg.Channels)
 	}
 	if evals > maxSearchEvals {
 		return r, fmt.Errorf("search of %d probe runs exceeds the cap of %d (lower the budget, channels or tracks)",
 			evals, maxSearchEvals)
 	}
-	return r, nil
+	return SearchRequest{
+		Controller: cfg.Controller,
+		Tracks:     cfg.Tracks,
+		Channels:   cfg.Channels,
+		Assertions: cfg.Assertions,
+		Mode:       cfg.Mode,
+		Seed:       cfg.Seed,
+		Budget:     cfg.Budget,
+		Duration:   cfg.Duration,
+	}, nil
 }
 
 // Key returns the content address of a canonicalized search request. The

@@ -105,6 +105,10 @@ type Config struct {
 	// and every fresh result is appended to it, so cached evidence
 	// survives restarts. The server owns Close-ing it.
 	Store *store.Store
+	// StoreDir and StoreBytes are the directory and byte cap Store was
+	// opened with, for Validate to check ("" and 0 without a store).
+	StoreDir   string
+	StoreBytes int64
 	// Jobs tunes the async job tier (zero value = defaults; Disable turns
 	// the /v1/jobs endpoints off).
 	Jobs JobsLimits
@@ -221,6 +225,8 @@ func New(cfg Config) *Server {
 		})
 	}
 
+	s.logLimits()
+
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.traced("/v1/run", handleKeyed[Request](s)))
 	mux.HandleFunc("POST /v1/stream", s.traced("/v1/stream", s.handleStream))
@@ -251,6 +257,31 @@ func New(cfg Config) *Server {
 	}
 	s.mux = mux
 	return s
+}
+
+// logLimits emits the one boot record of every resource limit as the
+// server enforces it: defaults resolved, read back from the pool, the job
+// manager and the store where those resolve their own.
+func (s *Server) logLimits() {
+	attrs := []slog.Attr{
+		slog.Int("workers", s.pool.Workers()),
+		slog.Int("queue", s.pool.Cap()),
+		slog.Int64("cache_bytes", s.cfg.CacheBytes),
+		slog.Duration("timeout", s.cfg.Timeout),
+		slog.Float64("max_duration", s.cfg.MaxDuration),
+	}
+	if s.store != nil {
+		attrs = append(attrs,
+			slog.String("store_dir", s.store.Dir()),
+			slog.Int64("store_bytes", s.store.MaxBytes()))
+	}
+	if s.jobs != nil {
+		attrs = append(attrs,
+			slog.Int("job_workers", s.jobs.Workers()),
+			slog.Int("job_queue", s.jobs.QueueCap()),
+			slog.Int("job_retention", s.jobs.Retention()))
+	}
+	s.log.LogAttrs(context.Background(), slog.LevelInfo, "limits", attrs...)
 }
 
 // Handler returns the service mux, ready to mount on any http.Server
@@ -492,17 +523,12 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, b)
 }
 
-// handleCatalog enumerates the accepted request vocabulary.
+// handleCatalog enumerates the accepted request vocabulary: the names
+// the canonicalizers check, read from the same registries.
 func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
-	b, _ := json.Marshal(map[string]any{
-		"tracks":      validTracks,
-		"controllers": validControllers,
-		"attacks":     validAttacks(),
-		"localizers":  validLocalizers,
-		"assertions": adassure.NewCatalogMonitor(adassure.CatalogConfig{
-			IncludeGroundTruth: true,
-		}).AssertionIDs(),
-		"mutants": adassure.MutantOps(),
-	})
+	b, _ := json.Marshal(struct {
+		adassure.ScenarioNames
+		Mutants []string `json:"mutants"`
+	}{adassure.Names(), adassure.MutantOps()})
 	writeJSON(w, http.StatusOK, b)
 }

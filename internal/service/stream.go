@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -141,8 +142,8 @@ func parseStreamParams(r *http.Request, limits StreamLimits) (streamParams, erro
 	}
 	if raw := q.Get("threshold_scale"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v <= 0 {
-			return p, fmt.Errorf("threshold_scale must be a positive number, got %q", raw)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return p, fmt.Errorf("threshold_scale must be a positive finite number, got %q", raw)
 		}
 		p.thresholdScale = v
 	}

@@ -415,12 +415,18 @@ func TestStreamDrainMidSession(t *testing.T) {
 	}
 }
 
-// TestStreamBadParams pins query-string validation.
+// TestStreamBadParams pins query-string validation. A NaN or infinite
+// threshold scale is a 400 like any other bad scale: it must never reach
+// the catalog, whose A11 window it would make invalid.
 func TestStreamBadParams(t *testing.T) {
 	s := New(Config{Workers: 1})
 	t.Cleanup(func() { s.Close(context.Background()) })
 	for _, q := range []string{
+		"?threshold_scale=NaN",
+		"?threshold_scale=Inf",
+		"?threshold_scale=-Inf",
 		"?threshold_scale=-1",
+		"?threshold_scale=0",
 		"?threshold_scale=abc",
 		"?heartbeat=-2",
 		"?assertions=A1,NOPE",

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"adassure/internal/attacks"
@@ -99,6 +100,12 @@ type FaultSet struct {
 	Actuator func(cmd vehicle.Command, t float64) vehicle.Command
 }
 
+// Localizers lists the fusion stacks Config.Localizer accepts, the
+// default first. Callers must not modify it.
+func Localizers() []string { return localizers }
+
+var localizers = []string{"ekf", "complementary"}
+
 // Config describes one simulation run.
 type Config struct {
 	// Track is the route to drive. Required.
@@ -181,11 +188,9 @@ func (c *Config) defaults() error {
 	if c.Duration <= 0 {
 		c.Duration = 60
 	}
-	switch c.Localizer {
-	case "":
-		c.Localizer = "ekf"
-	case "ekf", "complementary":
-	default:
+	if c.Localizer == "" {
+		c.Localizer = localizers[0]
+	} else if !slices.Contains(localizers, c.Localizer) {
 		return fmt.Errorf("sim: unknown localizer %q", c.Localizer)
 	}
 	c.Guard.defaults()

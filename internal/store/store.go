@@ -443,6 +443,9 @@ func (s *Store) SizeBytes() int64 {
 // Dir reports the directory the store is rooted at.
 func (s *Store) Dir() string { return s.dir }
 
+// MaxBytes reports the total on-disk cap, defaults resolved.
+func (s *Store) MaxBytes() int64 { return s.opts.MaxBytes }
+
 func (s *Store) closeSegments() {
 	for _, seg := range s.segments {
 		if seg.f != nil {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"adassure/internal/geom"
 )
@@ -182,6 +183,16 @@ var builtins = map[string]func(speedLimit float64) (*Track, error){
 	"hairpin":            func(v float64) (*Track, error) { return Hairpin(6, v) },
 }
 
+// DefaultSpeedLimit is the speed limit in m/s a built-in track is driven
+// at when the caller does not choose one.
+const DefaultSpeedLimit = 6.0
+
+// BuiltinNames lists the standard track names in sorted order. The list
+// is built once and shared: callers must not modify it.
+func BuiltinNames() []string { return builtinNames() }
+
+var builtinNames = sync.OnceValue(func() []string { return Names(builtins) })
+
 // ErrUnknownTrack is wrapped by Builtin when no standard track has the
 // requested name.
 var ErrUnknownTrack = errors.New("unknown track")
@@ -191,7 +202,7 @@ var ErrUnknownTrack = errors.New("unknown track")
 func Builtin(name string, speedLimit float64) (*Track, error) {
 	build, ok := builtins[name]
 	if !ok {
-		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownTrack, name, Names(builtins))
+		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownTrack, name, BuiltinNames())
 	}
 	return build(speedLimit)
 }
@@ -200,7 +211,7 @@ func Builtin(name string, speedLimit float64) (*Track, error) {
 // harness, keyed by name, all built with the given speed limit.
 func Catalog(speedLimit float64) (map[string]*Track, error) {
 	out := make(map[string]*Track, len(builtins))
-	for _, name := range Names(builtins) {
+	for _, name := range BuiltinNames() {
 		t, err := builtins[name](speedLimit)
 		if err != nil {
 			return nil, err
