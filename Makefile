@@ -93,6 +93,7 @@ search-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzSplineProject -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzProjectDifferential -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/planner -run '^$$' -fuzz FuzzSpeedProfileDifferential -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fusion -run '^$$' -fuzz FuzzEKFDifferential -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mutate -run '^$$' -fuzz FuzzMutantSpec -fuzztime $(FUZZTIME)

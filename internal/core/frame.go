@@ -116,9 +116,11 @@ func DefaultLimits(maxSpeed, maxLatAccel, maxJerk, maxSteer, maxSteerRate, wheel
 	}
 }
 
-// Finite reports whether the frame's core estimate signals are finite;
-// non-finite frames indicate an instrumentation bug and are skipped by the
-// monitor with a diagnostic.
+// Finite reports whether the frame's core estimate signals are finite.
+// Monitor.Step skips a non-finite frame silently: it only counts it (the
+// skipped total of Monitor.Frames and the monitor.frames_skipped counter);
+// no assertion sees it and no violation or diagnostic is raised. ROADMAP
+// item 6 plans a typed violation for it.
 func (f Frame) Finite() bool {
 	for _, v := range []float64{f.T, f.EstX, f.EstY, f.EstHeading, f.EstSpeed, f.CmdSteer, f.CmdAccel} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -35,6 +35,11 @@ type Polyline struct {
 	cum    []float64 // cumulative arc length at each vertex
 	closed bool
 	boxes  []box // one padded bounding box per blockSegs segments (see closest)
+	// hint[b] is the segment holding arc b·Length/nSeg, where nSeg =
+	// len(cum)-1; hintScale is nSeg/Length. They give segment an O(1)
+	// starting guess (see segment).
+	hint      []int32
+	hintScale float64
 }
 
 // ErrDegeneratePath is returned when a path cannot be constructed from the
@@ -79,7 +84,27 @@ func newPolyline(pts []Vec2, closed bool) (*Polyline, error) {
 		b := clean[(i+1)%n]
 		cum[i+1] = cum[i] + a.Dist(b)
 	}
-	return &Polyline{pts: clean, cum: cum, closed: closed, boxes: blockBoxes(clean, segs)}, nil
+	hint, hintScale := segmentHints(cum)
+	return &Polyline{pts: clean, cum: cum, closed: closed, boxes: blockBoxes(clean, segs),
+		hint: hint, hintScale: hintScale}, nil
+}
+
+// segmentHints returns one hint per segment of the cumulative arc table
+// cum: the segment holding arc b·L/nSeg for bucket b, and the scale
+// nSeg/L that maps an arc length to its bucket.
+func segmentHints(cum []float64) ([]int32, float64) {
+	nSeg := len(cum) - 1
+	L := cum[nSeg]
+	hint := make([]int32, nSeg)
+	i := 0
+	for b := range hint {
+		a := float64(b) * L / float64(nSeg)
+		for i < nSeg-1 && cum[i+1] <= a {
+			i++
+		}
+		hint[b] = int32(i)
+	}
+	return hint, float64(nSeg) / L
 }
 
 // Points returns a copy of the polyline's vertices.
@@ -96,9 +121,18 @@ func (p *Polyline) Length() float64 { return p.cum[len(p.cum)-1] }
 func (p *Polyline) Closed() bool { return p.closed }
 
 // wrap clamps (open) or wraps (closed) an arc length into [0, Length).
+// On a closed path, s in [0, L) is already wrapped and s in [L, 2L) wraps
+// to s−L, which is exact there (Sterbenz) and so equals math.Mod's exact
+// remainder; preview samples past the seam land in that range.
 func (p *Polyline) wrap(s float64) float64 {
 	L := p.Length()
 	if p.closed {
+		if 0 <= s && s < L {
+			return s
+		}
+		if L <= s && s < 2*L {
+			return s - L
+		}
 		s = math.Mod(s, L)
 		if s < 0 {
 			s += L
@@ -109,15 +143,36 @@ func (p *Polyline) wrap(s float64) float64 {
 }
 
 // segment locates the segment index containing arc length s and the offset
-// into it. s must already be wrapped.
+// into it. s must already be wrapped. The index is the largest i ≤ len−2
+// with cum[i] < s, else 0, even where cum repeats a value.
 func (p *Polyline) segment(s float64) (idx int, t float64) {
-	// cum is sorted; find first cum[i+1] >= s.
-	idx = sort.SearchFloat64s(p.cum, s)
-	if idx > 0 {
-		idx--
-	}
-	if idx >= len(p.cum)-1 {
-		idx = len(p.cum) - 2
+	last := len(p.cum) - 2
+	if 0 <= s && s <= p.cum[last+1] {
+		// Start at the hint for s's bucket, step back until cum[idx] < s
+		// (or idx is 0), then forward while the next vertex is still below
+		// s. cum is sorted, so the walk ends at the same index wherever it
+		// starts: the hint's rounding costs steps, never the result.
+		b := last
+		if f := s * p.hintScale; f < float64(last) {
+			b = int(f)
+		}
+		idx = int(p.hint[b])
+		for idx > 0 && p.cum[idx] >= s {
+			idx--
+		}
+		for idx < last && p.cum[idx+1] < s {
+			idx++
+		}
+	} else {
+		// Non-finite or out-of-range s: cum is sorted; find first
+		// cum[i+1] >= s.
+		idx = sort.SearchFloat64s(p.cum, s)
+		if idx > 0 {
+			idx--
+		}
+		if idx > last {
+			idx = last
+		}
 	}
 	segLen := p.cum[idx+1] - p.cum[idx]
 	if segLen <= 0 {

@@ -18,13 +18,18 @@ import (
 // curvature, and a braking preview so the vehicle slows before corners
 // rather than in them.
 type SpeedProfile struct {
-	path        geom.Path
-	limitAt     func(s float64) float64
-	maxLat      float64
-	maxBrake    float64
-	preview     float64 // lookahead distance for corner braking, m
-	previewStep float64
+	path     geom.Path
+	limitAt  func(s float64) float64
+	maxLat   float64
+	maxBrake float64
 }
+
+// The braking preview samples the curvature bound every previewStep metres
+// up to preview metres ahead.
+const (
+	preview     = 40.0 // lookahead distance for corner braking, m
+	previewStep = 0.5
+)
 
 // NewSpeedProfile builds a profile for a path under the vehicle's limits.
 func NewSpeedProfile(path geom.Path, speedLimit float64, p vehicle.Params) (*SpeedProfile, error) {
@@ -39,12 +44,10 @@ func NewSpeedProfile(path geom.Path, speedLimit float64, p vehicle.Params) (*Spe
 	}
 	cap := math.Min(speedLimit, p.MaxSpeed)
 	return &SpeedProfile{
-		path:        path,
-		limitAt:     func(float64) float64 { return cap },
-		maxLat:      p.MaxLatAccel,
-		maxBrake:    p.MaxBrake * 0.7, // comfort braking, not emergency
-		preview:     40,
-		previewStep: 0.5,
+		path:     path,
+		limitAt:  func(float64) float64 { return cap },
+		maxLat:   p.MaxLatAccel,
+		maxBrake: p.MaxBrake * 0.7, // comfort braking, not emergency
 	}, nil
 }
 
@@ -81,9 +84,20 @@ func (sp *SpeedProfile) curveSpeed(s float64) float64 {
 // TargetAt returns the target speed at arc position s, including the
 // braking preview: the speed is lowered so that any upcoming curvature
 // bound within the preview window is reachable under comfort braking.
+//
+// The loop stops at the braking horizon, the first d with
+// √(2·maxBrake·d) ≥ v, because no later sample can lower v. Let
+// c = 2·maxBrake·d, rounded as in reachable. d += previewStep is exact, so
+// c does not decrease as d grows. ahead² ≥ 0 and rounding is monotone, so
+// fl(ahead² + c) ≥ c; Sqrt is correctly rounded and monotone, so every
+// later reachable is ≥ √c ≥ v, or NaN, and neither passes reachable < v.
+// A NaN v never passes the horizon test, so it runs the whole window.
 func (sp *SpeedProfile) TargetAt(s float64) float64 {
 	v := sp.curveSpeed(s)
-	for d := sp.previewStep; d <= sp.preview; d += sp.previewStep {
+	for d := previewStep; d <= preview; d += previewStep {
+		if math.Sqrt(2*sp.maxBrake*d) >= v {
+			break
+		}
 		ahead := sp.curveSpeed(s + d)
 		// v² = v_ahead² + 2·a·d  (braking backward from the constraint)
 		reachable := math.Sqrt(ahead*ahead + 2*sp.maxBrake*d)

@@ -82,7 +82,7 @@ type Config struct {
 // mode) and 60 s per probe. Controller and track names must be in
 // control.Names and track.BuiltinNames, the duration positive and finite,
 // the budget at least 1, and the channels valid and unique by canonical
-// ID. Assertions are left as given; Run checks them against the catalog.
+// ID. Assertions must be catalog IDs and are kept as given.
 // The receiver is not modified.
 func (c Config) Canonicalize() (Config, error) {
 	if c.Controller == "" {
@@ -126,6 +126,11 @@ func (c Config) Canonicalize() (Config, error) {
 	}
 	if c.Duration <= 0 || math.IsNaN(c.Duration) || math.IsInf(c.Duration, 0) {
 		return c, fmt.Errorf("search: duration must be positive and finite, got %g", c.Duration)
+	}
+	if len(c.Assertions) > 0 {
+		if _, err := core.NewCatalogMonitorWith(core.CatalogConfig{IncludeGroundTruth: true}, c.Assertions); err != nil {
+			return c, fmt.Errorf("search: %w", err)
+		}
 	}
 	canon := make([]Spec, len(c.Channels))
 	seen := map[string]bool{}
@@ -199,8 +204,8 @@ func Run(cfg Config) (*Report, error) {
 		}
 		tracks[i] = tr
 	}
-	// Validate the assertion subset once, and pin the active catalog order
-	// for the report and kill sorting.
+	// Pin the active catalog order (Canonicalize checked the subset) for
+	// the report and kill sorting.
 	orderMon, err := core.NewCatalogMonitorWith(core.CatalogConfig{IncludeGroundTruth: true}, cfg.Assertions)
 	if err != nil {
 		return nil, err

@@ -190,8 +190,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 // TestConfigCanonicalize: defaults are filled in (the budget by mode),
-// canonicalizing twice changes nothing, and an unknown controller is
-// rejected up front rather than inside the first probe.
+// canonicalizing twice changes nothing, and an unknown controller or
+// assertion is rejected up front rather than inside the first probe.
 func TestConfigCanonicalize(t *testing.T) {
 	c, err := Config{Mode: ModeCEM}.Canonicalize()
 	if err != nil {
@@ -210,6 +210,15 @@ func TestConfigCanonicalize(t *testing.T) {
 	if _, err := (Config{Controller: "yolo"}).Canonicalize(); err == nil ||
 		!strings.Contains(err.Error(), "unknown controller") {
 		t.Errorf("unknown controller not rejected: %v", err)
+	}
+	if _, err := (Config{Assertions: []string{"A1", "A99"}}).Canonicalize(); err == nil ||
+		!strings.Contains(err.Error(), "unknown catalog assertion") {
+		t.Errorf("unknown assertion not rejected: %v", err)
+	}
+	// A valid subset is kept as given, order included.
+	if c, err := (Config{Assertions: []string{"A5", "A1"}}).Canonicalize(); err != nil ||
+		!reflect.DeepEqual(c.Assertions, []string{"A5", "A1"}) {
+		t.Errorf("assertion subset = %v (%v), want [A5 A1]", c.Assertions, err)
 	}
 }
 

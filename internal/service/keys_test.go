@@ -107,7 +107,7 @@ func TestKeyPins(t *testing.T) {
 func FuzzKeyedRequest(f *testing.F) {
 	for _, k := range keyedKinds {
 		kind := uint8(slices.IndexFunc(fuzzPaths, func(p string) bool { return p == k.path }))
-		for _, doc := range []string{k.body, k.explicit, k.slow, k.bad} {
+		for _, doc := range append([]string{k.body, k.explicit, k.slow}, k.bad...) {
 			f.Add(kind, doc)
 		}
 	}

@@ -21,8 +21,8 @@ type keyedKind struct {
 	body, explicit string
 	// slow cannot finish inside a 30 ms budget (MaxDuration 1000).
 	slow string
-	// bad fails canonicalization.
-	bad string
+	// bad holds documents that fail canonicalization.
+	bad []string
 }
 
 // keyedKinds are the three request kinds of the keyed pipeline. Every
@@ -37,7 +37,7 @@ var keyedKinds = []keyedKind{
 			"seed": 2, "duration": 5, "speed_limit": 6, "threshold_scale": 1, "localizer": "ekf",
 			"attack_start": 33, "attack_end": 44}`, // the window is decorative without an attack
 		slow: `{"duration": 300}`,
-		bad:  `{"attack": "gnss-teleport"}`,
+		bad:  []string{`{"attack": "gnss-teleport"}`, `{"assertions": ["A99"]}`},
 	},
 	{
 		name: "mutate",
@@ -46,7 +46,7 @@ var keyedKinds = []keyedKind{
 		explicit: `{"controller": "pure-pursuit", "tracks": ["urban-loop"],
 			"mutants": [{"op": "ctrl-gain-scale", "param": 3}], "seed": 1, "duration": 10}`,
 		slow: `{"tracks": ["urban-loop"], "duration": 600}`,
-		bad:  `{"mutants": [{"op": "ctrl-teleport"}]}`,
+		bad:  []string{`{"mutants": [{"op": "ctrl-teleport"}]}`},
 	},
 	{
 		name: "search",
@@ -57,7 +57,7 @@ var keyedKinds = []keyedKind{
 			"channels": [{"op": "sense-gnss-quantize", "min": 0.05, "max": 2.5}],
 			"seed": 1, "budget": 4, "duration": 15}`,
 		slow: `{"tracks": ["urban-loop"], "channels": [{"op": "sense-gnss-quantize"}], "budget": 8, "duration": 600}`,
-		bad:  `{"mode": "anneal"}`,
+		bad:  []string{`{"mode": "anneal"}`, `{"assertions": ["A1", "A99"]}`},
 	},
 }
 
@@ -237,11 +237,14 @@ func TestKeyedBadRequest(t *testing.T) {
 	for _, k := range keyedKinds {
 		t.Run(k.name, func(t *testing.T) {
 			s, c := newTestServer(t, Config{Workers: 1})
-			for _, tc := range []struct{ doc, want string }{
+			cases := []struct{ doc, want string }{
 				{`{"seed": `, "decode request: "},
 				{`{"no_such_field": 1}`, "decode request: "},
-				{k.bad, "invalid request: "},
-			} {
+			}
+			for _, doc := range k.bad {
+				cases = append(cases, struct{ doc, want string }{doc, "invalid request: "})
+			}
+			for _, tc := range cases {
 				resp, body := postJSON(t, c, k.path, []byte(tc.doc))
 				if resp.StatusCode != http.StatusBadRequest {
 					t.Fatalf("%s: status %d, want 400 (body %s)", tc.doc, resp.StatusCode, body)
@@ -250,8 +253,8 @@ func TestKeyedBadRequest(t *testing.T) {
 					t.Fatalf("%s: error %q, want prefix %q", tc.doc, msg, tc.want)
 				}
 			}
-			if got := s.Registry().Counter("service.bad_requests").Value(); got != 3 {
-				t.Fatalf("bad_requests counter = %d, want 3", got)
+			if got := s.Registry().Counter("service.bad_requests").Value(); got != int64(len(cases)) {
+				t.Fatalf("bad_requests counter = %d, want %d", got, len(cases))
 			}
 			if got := simRuns(s); got != 0 {
 				t.Fatalf("invalid requests triggered %d simulations", got)

@@ -2,6 +2,7 @@ package track
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"adassure/internal/geom"
@@ -53,14 +54,19 @@ func (t *Track) Zones() []SpeedZone {
 }
 
 // LimitAt returns the speed limit applicable at arc position s, accounting
-// for zones. On closed tracks s is wrapped into [0, Length).
+// for zones. On closed tracks s is wrapped into [0, Length): one add or
+// subtract on [−L, 2L), math.Mod beyond it. A non-finite s (±Inf wraps to
+// NaN) is in no zone and gets the base limit.
 func (t *Track) LimitAt(s float64) float64 {
 	if t.path.Closed() {
 		L := t.path.Length()
-		for s < 0 {
+		if s < -L || s >= 2*L {
+			s = math.Mod(s, L)
+		}
+		if s < 0 {
 			s += L
 		}
-		for s >= L {
+		if s >= L {
 			s -= L
 		}
 	}

@@ -2,7 +2,9 @@ package track
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"adassure/internal/geom"
 )
@@ -78,6 +80,73 @@ func TestLimitAtWrapsClosedTracks(t *testing.T) {
 	}
 	if got := tr.LimitAt(-L + 5); got != 2 {
 		t.Errorf("negative-wrapped LimitAt = %g, want 2", got)
+	}
+}
+
+// refLimitAt is LimitAt's former wrap by repeated add and subtract,
+// which never returns for an infinite s or one where s − L == s.
+func refLimitAt(t *Track, s float64) float64 {
+	L := t.path.Length()
+	for s < 0 {
+		s += L
+	}
+	for s >= L {
+		s -= L
+	}
+	return t.LimitAt(s)
+}
+
+// TestLimitAtWrapEdges: LimitAt returns for every arc (NaN and ±Inf get the
+// base limit), and on [−L, 2L) it wraps exactly as the former loop did.
+func TestLimitAtWrapEdges(t *testing.T) {
+	base, err := UrbanLoop(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	L := base.Path().Length()
+	tr, err := base.WithZones(SpeedZone{Start: 0, End: 10, Limit: 2}, SpeedZone{Start: L - 5, End: L + 3, Limit: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		s, got float64
+	}
+	results := make(chan result)
+	edges := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 1e17, -1e17}
+	go func() {
+		for _, s := range edges {
+			results <- result{s, tr.LimitAt(s)}
+		}
+		close(results)
+	}()
+	deadline := time.After(5 * time.Second)
+	for range edges {
+		select {
+		case r := <-results:
+			if math.IsNaN(r.s) || math.IsInf(r.s, 0) {
+				if r.got != 6 {
+					t.Errorf("LimitAt(%v) = %v, want the base limit 6", r.s, r.got)
+				}
+			} else if r.got != 6 && r.got != 2 && r.got != 3 {
+				t.Errorf("LimitAt(%v) = %v, not a limit of the track", r.s, r.got)
+			}
+		case <-deadline:
+			t.Fatal("LimitAt did not return within 5 s")
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 20000; k++ {
+		s := (rng.Float64()*3 - 1) * L
+		if k%2 == 0 {
+			// Land on and beside the zone edges and the seam.
+			s = []float64{0, 10, L - 5, L, -L, L + 10, 2*L - 5, L + 3, 2 * L}[rng.Intn(9)]
+			if step := rng.Intn(3); step != 1 {
+				s = math.Nextafter(s, float64(step-1)*math.Inf(1))
+			}
+		}
+		if got, want := tr.LimitAt(s), refLimitAt(tr, s); got != want {
+			t.Fatalf("LimitAt(%v) = %v, former wrap gives %v", s, got, want)
+		}
 	}
 }
 
