@@ -81,6 +81,10 @@ func TestScenarioRejectsInvalidValues(t *testing.T) {
 		{"NaN duration", Scenario{Duration: math.NaN()}},
 		{"negative duration", Scenario{Duration: -5}},
 		{"infinite duration", Scenario{Duration: math.Inf(1)}},
+		{"negative infinite duration", Scenario{Duration: math.Inf(-1)}},
+		{"over-long duration", Scenario{Duration: 1e300}},
+		{"over-long recorded duration", Scenario{Duration: 1e300, RecordFrames: true}},
+		{"duration just over the bound", Scenario{Duration: maxDuration + 0.01}},
 		{"negative threshold scale", Scenario{ThresholdScale: -2}},
 		{"NaN threshold scale", Scenario{ThresholdScale: math.NaN()}},
 		{"infinite threshold scale", Scenario{ThresholdScale: math.Inf(1)}},

@@ -6,7 +6,6 @@ import (
 	"adassure/internal/attacks"
 	"adassure/internal/core"
 	"adassure/internal/coverage"
-	"adassure/internal/geom"
 	"adassure/internal/metrics"
 	"adassure/internal/sim"
 )
@@ -17,10 +16,6 @@ import (
 // (step spoof: gate-detectable; drift spoof: assertion-only).
 func ExtensionX1GuardAblation(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:    "X1",
 		Title: "Guard-component ablation (mean max |true CTE|, m)",
@@ -48,24 +43,22 @@ func ExtensionX1GuardAblation(o Options) (*Table, error) {
 		{"full guard", sim.GuardConfig{Enabled: true, AssertionTrigger: true}},
 	}
 	classes := []attacks.Class{attacks.ClassStepSpoof, attacks.ClassDriftSpoof}
-	var jobs []campaignJob
+	var grid []gridCell
 	for _, v := range variants {
 		for _, class := range classes {
-			jobs = append(jobs, seedJobs(class, o.Controller, o.Seeds, v.guard)...)
+			grid = append(grid, gridCell{class: class, controller: o.Controller, guard: v.guard})
 		}
 	}
-	outs, err := campaignGrid(o, tr, jobs)
+	outs, err := run(o, o.Seeds, grid)
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	for _, v := range variants {
+	for i, v := range variants {
 		row := []string{v.name}
-		for range classes {
+		for k := range classes {
 			var sum float64
-			for si := 0; si < o.Seeds; si++ {
-				sum += outs[idx].res.MaxTrueCTE
-				idx++
+			for _, res := range outs[i*len(classes)+k] {
+				sum += res.MaxTrueCTE
 			}
 			row = append(row, fmt.Sprintf("%.2f", sum/float64(o.Seeds)))
 		}
@@ -80,10 +73,6 @@ func ExtensionX1GuardAblation(o Options) (*Table, error) {
 // A13.
 func ExtensionX2DriftRateSweep(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:    "X2",
 		Title: "Drift-rate sweep: detection latency and impact vs spoof aggressiveness",
@@ -95,63 +84,27 @@ func ExtensionX2DriftRateSweep(o Options) (*Table, error) {
 		},
 	}
 	rates := []float64{0.1, 0.25, 0.5, 1.0, 2.0, 4.0}
-	type cell struct {
-		rate float64
-		seed int64
+	grid := make([]gridCell, len(rates))
+	for i, rate := range rates {
+		grid[i] = gridCell{class: attacks.ClassDriftSpoof, size: rate, controller: o.Controller}
 	}
-	type outcome struct {
-		det metrics.Detection
-		cte float64
-	}
-	var jobs []cell
-	for _, rate := range rates {
-		for seed := int64(1); seed <= int64(o.Seeds); seed++ {
-			jobs = append(jobs, cell{rate: rate, seed: seed})
-		}
-	}
-	outs, err := grid(o, jobs, func(c cell) (outcome, error) {
-		drift, err := attacks.NewDriftSpoof(attacks.Window{Start: attackOnset, End: attackEnd}, geom.V(0, 1), c.rate, 15)
-		if err != nil {
-			return outcome{}, err
-		}
-		mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
-		res, err := sim.Run(sim.Config{
-			Track: tr, Controller: o.Controller, Seed: c.seed, Duration: o.duration(),
-			Campaign: attacks.Campaign{GNSS: drift}, Monitor: mon, DisableTrace: true, Obs: o.Obs,
-		})
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{det: metrics.Detect(mon.Violations(), attackOnset), cte: res.MaxTrueCTE}, nil
-	})
+	outs, err := run(o, o.Seeds, grid)
 	if err != nil {
 		return nil, err
 	}
-	for ri, rate := range rates {
-		var ds []metrics.Detection
-		firstBy := map[string]int{}
+	for i, rate := range rates {
+		ds := detections(outs[i], attackOnset)
 		var worst float64
-		for si := 0; si < o.Seeds; si++ {
-			out := outs[ri*o.Seeds+si]
-			ds = append(ds, out.det)
-			if out.det.Detected {
-				firstBy[out.det.ByID]++
-			}
-			if out.cte > worst {
-				worst = out.cte
+		for _, res := range outs[i] {
+			if res.MaxTrueCTE > worst {
+				worst = res.MaxTrueCTE
 			}
 		}
 		r := metrics.Aggregate(ds)
-		best, bestN := "-", 0
-		for id, n := range firstBy {
-			if n > bestN || (n == bestN && id < best) {
-				best, bestN = id, n
-			}
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", rate),
 			fmt.Sprintf("%.2f", r.MeanLatency),
-			best,
+			firstDetector(ds),
 			fmt.Sprintf("%.2f", worst),
 			fmt.Sprintf("%d/%d", r.Detected, r.Runs),
 		})
@@ -165,29 +118,19 @@ func ExtensionX2DriftRateSweep(o Options) (*Table, error) {
 // positives), plus dead-assertion and redundancy findings.
 func ExtensionX4AssertionUtility(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	classes := append([]attacks.Class{attacks.ClassNone}, attacks.StandardClasses()...)
-	var jobs []campaignJob
-	for _, class := range classes {
-		jobs = append(jobs, seedJobs(class, o.Controller, o.Seeds, sim.GuardConfig{})...)
-	}
-	outs, err := campaignGrid(o, tr, jobs)
+	outs, err := run(o, o.Seeds, classCells(o.Controller, classes...))
 	if err != nil {
 		return nil, err
 	}
 	var runs []coverage.Run
 	for ci, class := range classes {
-		for si := 0; si < o.Seeds; si++ {
-			onset := attackOnset
-			if class == attacks.ClassNone {
-				onset = -1
-			}
-			runs = append(runs, coverage.Run{
-				Label: string(class), Onset: onset, Violations: outs[ci*o.Seeds+si].mon.Violations(),
-			})
+		onset := attackOnset
+		if class == attacks.ClassNone {
+			onset = -1
+		}
+		for _, res := range outs[ci] {
+			runs = append(runs, coverage.Run{Label: string(class), Onset: onset, Violations: res.Violations})
 		}
 	}
 	registered := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true}).AssertionIDs()
@@ -232,10 +175,6 @@ func ExtensionX4AssertionUtility(o Options) (*Table, error) {
 // the localizer provides no innovation statistic (A10 unavailable).
 func ExtensionX5FusionAblation(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:    "X5",
 		Title: "Fusion ablation: EKF vs complementary filter",
@@ -250,94 +189,36 @@ func ExtensionX5FusionAblation(o Options) (*Table, error) {
 		},
 	}
 	locs := sim.Localizers()
-	attacked := []attacks.Class{attacks.ClassStepSpoof, attacks.ClassDriftSpoof}
-	type cell struct {
-		loc   string
-		class attacks.Class // ClassNone marks the clean tracking run
-		seed  int64
-	}
-	type outcome struct {
-		rms  float64
-		viol int
-		det  metrics.Detection
-	}
-	var jobs []cell
+	// The clean run measures tracking; the two attacks, detection.
+	classes := []attacks.Class{attacks.ClassNone, attacks.ClassStepSpoof, attacks.ClassDriftSpoof}
+	var grid []gridCell
 	for _, loc := range locs {
-		for seed := int64(1); seed <= int64(o.Seeds); seed++ {
-			jobs = append(jobs, cell{loc: loc, class: attacks.ClassNone, seed: seed})
-		}
-		for _, class := range attacked {
-			for seed := int64(1); seed <= int64(o.Seeds); seed++ {
-				jobs = append(jobs, cell{loc: loc, class: class, seed: seed})
-			}
+		for _, class := range classes {
+			grid = append(grid, gridCell{class: class, controller: o.Controller, localizer: loc})
 		}
 	}
-	outs, err := grid(o, jobs, func(c cell) (outcome, error) {
-		mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
-		cfg := sim.Config{
-			Track: tr, Controller: o.Controller, Seed: c.seed, Duration: o.duration(),
-			Localizer: c.loc, Monitor: mon, DisableTrace: true, Obs: o.Obs,
-		}
-		if c.class != attacks.ClassNone {
-			camp, err := attacks.Standard(c.class, attacks.Window{Start: attackOnset, End: attackEnd}, c.seed)
-			if err != nil {
-				return outcome{}, err
-			}
-			cfg.Campaign = camp
-		}
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{
-			rms:  res.RMSTrueCTE,
-			viol: len(mon.Violations()),
-			det:  metrics.Detect(mon.Violations(), attackOnset),
-		}, nil
-	})
+	outs, err := run(o, o.Seeds, grid)
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	for _, loc := range locs {
+	for i, loc := range locs {
 		var rms float64
 		var cleanViol int
-		det := map[attacks.Class]metrics.Rates{}
-		first := map[attacks.Class]string{}
-		for si := 0; si < o.Seeds; si++ {
-			rms += outs[idx].rms
-			cleanViol += outs[idx].viol
-			idx++
+		for _, res := range outs[i*len(classes)] {
+			rms += res.RMSTrueCTE
+			cleanViol += len(res.Violations)
 		}
 		rms /= float64(o.Seeds)
-		for _, class := range attacked {
-			var ds []metrics.Detection
-			firstBy := map[string]int{}
-			for si := 0; si < o.Seeds; si++ {
-				d := outs[idx].det
-				idx++
-				ds = append(ds, d)
-				if d.Detected {
-					firstBy[d.ByID]++
-				}
-			}
-			det[class] = metrics.Aggregate(ds)
-			best, bestN := "-", 0
-			for id, n := range firstBy {
-				if n > bestN || (n == bestN && id < best) {
-					best, bestN = id, n
-				}
-			}
-			first[class] = best
-		}
+		step := detections(outs[i*len(classes)+1], attackOnset)
+		drift := detections(outs[i*len(classes)+2], attackOnset)
 		t.Rows = append(t.Rows, []string{
 			loc,
 			fmt.Sprintf("%.3f", rms),
 			fmt.Sprintf("%d", cleanViol),
-			fmt.Sprintf("%.2f", det[attacks.ClassStepSpoof].MeanLatency),
-			first[attacks.ClassStepSpoof],
-			fmt.Sprintf("%.2f", det[attacks.ClassDriftSpoof].MeanLatency),
-			first[attacks.ClassDriftSpoof],
+			fmt.Sprintf("%.2f", metrics.Aggregate(step).MeanLatency),
+			firstDetector(step),
+			fmt.Sprintf("%.2f", metrics.Aggregate(drift).MeanLatency),
+			firstDetector(drift),
 		})
 	}
 	return t, nil
@@ -347,10 +228,6 @@ func ExtensionX5FusionAblation(o Options) (*Table, error) {
 // step spoof still gets caught, and by what.
 func ExtensionX3StepMagnitudeSweep(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:    "X3",
 		Title: "Step-magnitude sweep: detection floor of the catalog",
@@ -362,55 +239,22 @@ func ExtensionX3StepMagnitudeSweep(o Options) (*Table, error) {
 		},
 	}
 	mags := []float64{0.25, 0.5, 1.0, 2.0, 5.0, 10.0}
-	type cell struct {
-		mag  float64
-		seed int64
+	grid := make([]gridCell, len(mags))
+	for i, mag := range mags {
+		grid[i] = gridCell{class: attacks.ClassStepSpoof, size: mag, controller: o.Controller}
 	}
-	var jobs []cell
-	for _, mag := range mags {
-		for seed := int64(1); seed <= int64(o.Seeds); seed++ {
-			jobs = append(jobs, cell{mag: mag, seed: seed})
-		}
-	}
-	outs, err := grid(o, jobs, func(c cell) (metrics.Detection, error) {
-		step, err := attacks.NewStepSpoof(attacks.Window{Start: attackOnset, End: attackEnd}, geom.V(0, c.mag))
-		if err != nil {
-			return metrics.Detection{}, err
-		}
-		mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
-		if _, err := sim.Run(sim.Config{
-			Track: tr, Controller: o.Controller, Seed: c.seed, Duration: o.duration(),
-			Campaign: attacks.Campaign{GNSS: step}, Monitor: mon, DisableTrace: true, Obs: o.Obs,
-		}); err != nil {
-			return metrics.Detection{}, err
-		}
-		return metrics.Detect(mon.Violations(), attackOnset), nil
-	})
+	outs, err := run(o, o.Seeds, grid)
 	if err != nil {
 		return nil, err
 	}
-	for mi, mag := range mags {
-		var ds []metrics.Detection
-		firstBy := map[string]int{}
-		for si := 0; si < o.Seeds; si++ {
-			d := outs[mi*o.Seeds+si]
-			ds = append(ds, d)
-			if d.Detected {
-				firstBy[d.ByID]++
-			}
-		}
+	for i, mag := range mags {
+		ds := detections(outs[i], attackOnset)
 		r := metrics.Aggregate(ds)
-		best, bestN := "-", 0
-		for id, n := range firstBy {
-			if n > bestN || (n == bestN && id < best) {
-				best, bestN = id, n
-			}
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", mag),
 			fmt.Sprintf("%d/%d", r.Detected, r.Runs),
 			fmt.Sprintf("%.2f", r.MeanLatency),
-			best,
+			firstDetector(ds),
 		})
 	}
 	return t, nil

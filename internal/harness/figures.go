@@ -9,7 +9,6 @@ import (
 	"adassure/internal/core"
 	"adassure/internal/metrics"
 	"adassure/internal/obs"
-	"adassure/internal/sim"
 )
 
 // Figure1CrossTrackSeries regenerates F1: the true and believed cross-track
@@ -17,14 +16,11 @@ import (
 // marked — the headline "silent failure" figure.
 func Figure1CrossTrackSeries(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
+	outs, err := run(o, 1, classCells(o.Controller, attacks.ClassDriftSpoof))
 	if err != nil {
 		return nil, err
 	}
-	res, mon, err := campaignRun(o, tr, attacks.ClassDriftSpoof, o.Controller, 1, sim.GuardConfig{})
-	if err != nil {
-		return nil, err
-	}
+	res := outs[0][0]
 	t := &Table{
 		ID:      "F1",
 		Title:   "Cross-track error vs time under gradual drift spoof (series)",
@@ -39,8 +35,8 @@ func Figure1CrossTrackSeries(o Options) (*Table, error) {
 			fmt.Sprintf("%+.2f", believed),
 		})
 	}
-	if v, ok := mon.FirstViolationAfter(attackOnset); ok {
-		t.Notes = append(t.Notes, fmt.Sprintf("attack onset t=%.0f s; first violation %s at t=%.2f s", attackOnset, v.AssertionID, v.T))
+	if d := metrics.Detect(res.Violations, attackOnset); d.Detected {
+		t.Notes = append(t.Notes, fmt.Sprintf("attack onset t=%.0f s; first violation %s at t=%.2f s", attackOnset, d.ByID, attackOnset+d.Latency))
 	}
 	t.Notes = append(t.Notes, "expected shape: believed CTE stays near zero while true CTE ramps — the drift is invisible to the controller's own error signal")
 	return t, nil
@@ -50,14 +46,11 @@ func Figure1CrossTrackSeries(o Options) (*Table, error) {
 // trajectory under a step spoof on the figure-eight.
 func Figure2Trajectory(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
+	outs, err := run(o, 1, classCells(o.Controller, attacks.ClassStepSpoof))
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := campaignRun(o, tr, attacks.ClassStepSpoof, o.Controller, 1, sim.GuardConfig{})
-	if err != nil {
-		return nil, err
-	}
+	res := outs[0][0]
 	t := &Table{
 		ID:      "F2",
 		Title:   "Trajectory under step spoof: truth vs estimate vs delivered GNSS",
@@ -84,32 +77,11 @@ func Figure2Trajectory(o Options) (*Table, error) {
 // seeds for a fast attack (step) and a slow one (drift).
 func Figure3LatencyCDF(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	seeds := o.Seeds
 	if !o.Quick && seeds < 10 {
 		seeds = 10
 	}
-	collect := func(class attacks.Class) ([]float64, error) {
-		outs, err := campaignGrid(o, tr, seedJobs(class, o.Controller, seeds, sim.GuardConfig{}))
-		if err != nil {
-			return nil, err
-		}
-		var lats []float64
-		for _, out := range outs {
-			if d := metrics.Detect(out.mon.Violations(), attackOnset); d.Detected {
-				lats = append(lats, d.Latency)
-			}
-		}
-		return lats, nil
-	}
-	step, err := collect(attacks.ClassStepSpoof)
-	if err != nil {
-		return nil, err
-	}
-	drift, err := collect(attacks.ClassDriftSpoof)
+	outs, err := run(o, seeds, classCells(o.Controller, attacks.ClassStepSpoof, attacks.ClassDriftSpoof))
 	if err != nil {
 		return nil, err
 	}
@@ -119,13 +91,16 @@ func Figure3LatencyCDF(o Options) (*Table, error) {
 		Columns: []string{"attack", "latency (s)", "CDF"},
 		Notes:   []string{fmt.Sprintf("%d seeds per class; expected shape: the step CDF saturates within a fraction of a second, drift only after several seconds", seeds)},
 	}
-	for _, pair := range []struct {
-		name string
-		lats []float64
-	}{{"step-spoof", step}, {"drift-spoof", drift}} {
-		for _, p := range metrics.CDF(pair.lats) {
+	for i, name := range []string{"step-spoof", "drift-spoof"} {
+		var lats []float64
+		for _, d := range detections(outs[i], attackOnset) {
+			if d.Detected {
+				lats = append(lats, d.Latency)
+			}
+		}
+		for _, p := range metrics.CDF(lats) {
 			t.Rows = append(t.Rows, []string{
-				pair.name, fmt.Sprintf("%.2f", p.Value), fmt.Sprintf("%.2f", p.Fraction),
+				name, fmt.Sprintf("%.2f", p.Value), fmt.Sprintf("%.2f", p.Fraction),
 			})
 		}
 	}
@@ -230,142 +205,61 @@ func observedCostNotes(reg *obs.Registry, frames int) []string {
 // scale trades detection latency against pre-onset false positives.
 func Figure5ThresholdAblation(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
+	var catalogs []core.CatalogConfig
+	for _, scale := range []float64{0.5, 0.75, 1.0, 1.5, 2.0} {
+		catalogs = append(catalogs, core.CatalogConfig{ThresholdScale: scale})
 	}
-	t := &Table{
+	return catalogAblation(o, &Table{
 		ID:      "F5",
 		Title:   "Threshold-scale ablation: FP/run vs drift detection latency",
 		Columns: []string{"threshold scale", "FP/run (clean)", "drift latency (s)", "drift detected"},
 		Notes:   []string{"scale multiplies every catalog threshold; expected shape: tighter thresholds detect sooner but alarm on nominal runs"},
-	}
-	scales := []float64{0.5, 0.75, 1.0, 1.5, 2.0}
-	type cell struct {
-		scale float64
-		seed  int64
-	}
-	type outcome struct {
-		fp  int
-		det metrics.Detection
-	}
-	var jobs []cell
-	for _, scale := range scales {
-		for seed := int64(1); seed <= int64(o.Seeds); seed++ {
-			jobs = append(jobs, cell{scale: scale, seed: seed})
-		}
-	}
-	outs, err := grid(o, jobs, func(c cell) (outcome, error) {
-		// Clean run for FP measurement.
-		mon := core.NewCatalogMonitor(core.CatalogConfig{ThresholdScale: c.scale, IncludeGroundTruth: true})
-		if _, err := sim.Run(sim.Config{
-			Track: tr, Controller: o.Controller, Seed: c.seed,
-			Duration: o.duration(), Monitor: mon, DisableTrace: true, Obs: o.Obs,
-		}); err != nil {
-			return outcome{}, err
-		}
-
-		// Drift run for latency.
-		camp, err := attacks.Standard(attacks.ClassDriftSpoof, attacks.Window{Start: attackOnset, End: attackEnd}, c.seed)
-		if err != nil {
-			return outcome{}, err
-		}
-		mon2 := core.NewCatalogMonitor(core.CatalogConfig{ThresholdScale: c.scale, IncludeGroundTruth: true})
-		if _, err := sim.Run(sim.Config{
-			Track: tr, Controller: o.Controller, Seed: c.seed,
-			Duration: o.duration(), Campaign: camp, Monitor: mon2, DisableTrace: true, Obs: o.Obs,
-		}); err != nil {
-			return outcome{}, err
-		}
-		return outcome{fp: len(mon.Violations()), det: metrics.Detect(mon2.Violations(), attackOnset)}, nil
+	}, attacks.ClassDriftSpoof, catalogs, func(c core.CatalogConfig) string {
+		return fmt.Sprintf("%.2f", c.ThresholdScale)
 	})
-	if err != nil {
-		return nil, err
-	}
-	for si, scale := range scales {
-		var fp int
-		var ds []metrics.Detection
-		for i := 0; i < o.Seeds; i++ {
-			out := outs[si*o.Seeds+i]
-			fp += out.fp
-			ds = append(ds, out.det)
-		}
-		r := metrics.Aggregate(ds)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.2f", scale),
-			fmt.Sprintf("%.2f", float64(fp)/float64(o.Seeds)),
-			fmt.Sprintf("%.2f", r.MeanLatency),
-			fmt.Sprintf("%d/%d", r.Detected, r.Runs),
-		})
-	}
-	return t, nil
 }
 
 // Figure6DebounceAblation regenerates F6: sweeping the k-of-n debounce
 // window trades noise-attack false structure against detection latency.
 func Figure6DebounceAblation(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
+	var catalogs []core.CatalogConfig
+	for _, deb := range []core.Debounce{{K: 1, N: 1}, {K: 2, N: 3}, {K: 4, N: 5}, {K: 6, N: 8}} {
+		catalogs = append(catalogs, core.CatalogConfig{Debounce: deb})
 	}
-	t := &Table{
+	return catalogAblation(o, &Table{
 		ID:      "F6",
 		Title:   "Debounce-window ablation (uniform k-of-n override)",
 		Columns: []string{"debounce", "FP/run (clean)", "step latency (s)", "step detected"},
 		Notes:   []string{"expected shape: longer windows suppress residual false alarms at the cost of detection latency growing with N"},
-	}
-	debounces := []core.Debounce{{K: 1, N: 1}, {K: 2, N: 3}, {K: 4, N: 5}, {K: 6, N: 8}}
-	type cell struct {
-		deb  core.Debounce
-		seed int64
-	}
-	type outcome struct {
-		fp  int
-		det metrics.Detection
-	}
-	var jobs []cell
-	for _, deb := range debounces {
-		for seed := int64(1); seed <= int64(o.Seeds); seed++ {
-			jobs = append(jobs, cell{deb: deb, seed: seed})
-		}
-	}
-	outs, err := grid(o, jobs, func(c cell) (outcome, error) {
-		mon := core.NewCatalogMonitor(core.CatalogConfig{Debounce: c.deb, IncludeGroundTruth: true})
-		if _, err := sim.Run(sim.Config{
-			Track: tr, Controller: o.Controller, Seed: c.seed,
-			Duration: o.duration(), Monitor: mon, DisableTrace: true, Obs: o.Obs,
-		}); err != nil {
-			return outcome{}, err
-		}
-
-		camp, err := attacks.Standard(attacks.ClassStepSpoof, attacks.Window{Start: attackOnset, End: attackEnd}, c.seed)
-		if err != nil {
-			return outcome{}, err
-		}
-		mon2 := core.NewCatalogMonitor(core.CatalogConfig{Debounce: c.deb, IncludeGroundTruth: true})
-		if _, err := sim.Run(sim.Config{
-			Track: tr, Controller: o.Controller, Seed: c.seed,
-			Duration: o.duration(), Campaign: camp, Monitor: mon2, DisableTrace: true, Obs: o.Obs,
-		}); err != nil {
-			return outcome{}, err
-		}
-		return outcome{fp: len(mon.Violations()), det: metrics.Detect(mon2.Violations(), attackOnset)}, nil
+	}, attacks.ClassStepSpoof, catalogs, func(c core.CatalogConfig) string {
+		return fmt.Sprintf("%d-of-%d", c.Debounce.K, c.Debounce.N)
 	})
+}
+
+// catalogAblation fills t with one row per catalog variant: its label, the
+// mean violation count of clean runs (every one a false positive) and the
+// detection of class, over the option's seeds.
+func catalogAblation(o Options, t *Table, class attacks.Class, catalogs []core.CatalogConfig, label func(core.CatalogConfig) string) (*Table, error) {
+	var grid []gridCell
+	for _, cat := range catalogs {
+		grid = append(grid,
+			gridCell{class: attacks.ClassNone, controller: o.Controller, catalog: cat},
+			gridCell{class: class, controller: o.Controller, catalog: cat},
+		)
+	}
+	outs, err := run(o, o.Seeds, grid)
 	if err != nil {
 		return nil, err
 	}
-	for di, deb := range debounces {
+	for i, cat := range catalogs {
 		var fp int
-		var ds []metrics.Detection
-		for i := 0; i < o.Seeds; i++ {
-			out := outs[di*o.Seeds+i]
-			fp += out.fp
-			ds = append(ds, out.det)
+		for _, res := range outs[2*i] {
+			fp += len(res.Violations)
 		}
-		r := metrics.Aggregate(ds)
+		r := metrics.Aggregate(detections(outs[2*i+1], attackOnset))
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d-of-%d", deb.K, deb.N),
+			label(cat),
 			fmt.Sprintf("%.2f", float64(fp)/float64(o.Seeds)),
 			fmt.Sprintf("%.2f", r.MeanLatency),
 			fmt.Sprintf("%d/%d", r.Detected, r.Runs),

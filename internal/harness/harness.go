@@ -22,11 +22,12 @@ import (
 	"adassure/internal/core"
 	"adassure/internal/events"
 	"adassure/internal/forensics"
+	"adassure/internal/geom"
+	"adassure/internal/metrics"
 	"adassure/internal/obs"
 	"adassure/internal/runner"
 	"adassure/internal/sim"
 	"adassure/internal/track"
-	"adassure/internal/vehicle"
 )
 
 // Table is a rendered experiment result: an identifier, column headers and
@@ -117,13 +118,24 @@ type Options struct {
 	// Events, when non-nil, records the structured event timeline of every
 	// scenario an experiment fans out (scenario lifecycle, attack windows,
 	// violation episodes, guard intervals) plus the runner's per-worker job
-	// spans. Tracks are scoped "<class>/<controller>/s<seed>/" so the cells
-	// of a grid stay distinct on one shared recorder. Like Obs, attaching a
-	// recorder never changes the rendered tables.
+	// spans. Each scenario's tracks are scoped by its cell name,
+	// "<class>_<controller>_seed<N>[_guard]/", so the cells of one
+	// experiment stay distinct on a shared recorder; two experiments that
+	// run the same cell (T1 and T2 both run every class) reuse its lanes.
+	// "_guard" marks the full guard (gate, staleness and assertion
+	// trigger). A cell that varies more than class, controller and seed
+	// gets one suffix per varied field, in this order: "-gate<χ²>",
+	// "-stale<s>" and "-noassert" on "_guard" for a partial guard (X1),
+	// "_size<x>" for a sized drift or step spoof (X2, X3), "_<localizer>"
+	// (X5), "_scale<x>" (F5) and "_debounce<k>-of-<n>" (F6); numbers print
+	// in %g form. Like Obs, attaching a recorder never changes the
+	// rendered tables.
 	Events *events.Recorder
 	// BundleDir, when non-empty, writes one forensic bundle JSON per
-	// violation episode of every campaign cell into the directory (created
-	// on demand), named <class>_<controller>_seed<seed>[_guard]_<bundle>.
+	// violation episode of every scenario an experiment fans out into the
+	// directory (created on demand), named <cell name>_<bundle>, with the
+	// cell name of Events, e.g.
+	// gnss-drift-spoof_pure-pursuit_seed1_guard_bundle_000_A13_t0026.50s.json.
 	BundleDir string
 }
 
@@ -149,48 +161,144 @@ func (o Options) duration() float64 {
 	return 70
 }
 
-// campaignRun executes one attacked (or clean) run with a fresh catalog
-// monitor and returns the result plus monitor.
-func campaignRun(o Options, tr *track.Track, class attacks.Class, controller string, seed int64, guard sim.GuardConfig) (*sim.Result, *core.Monitor, error) {
-	camp, err := attacks.Standard(class, attacks.Window{Start: attackOnset, End: attackEnd}, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	cellID := fmt.Sprintf("%s_%s_seed%d", class, controller, seed)
-	if guard.Enabled {
-		cellID += "_guard"
-	}
-	mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
-	res, err := sim.Run(sim.Config{
-		Track:        tr,
-		Controller:   controller,
-		Vehicle:      vehicle.ShuttleParams(),
-		Seed:         seed,
-		Duration:     o.duration(),
-		Campaign:     camp,
-		Monitor:      mon,
-		Guard:        guard,
-		DisableTrace: false,
-		Obs:          o.Obs,
-		Events:       o.Events,
-		EventScope:   cellID + "/",
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if o.BundleDir != "" {
-		if err := writeCellBundles(o, tr, camp, cellID, controller, seed, res); err != nil {
-			return nil, nil, err
-		}
-	}
-	return res, mon, nil
+// gridCell is one scenario of an experiment grid: exactly the fields the
+// experiments vary. The rest is fixed for every cell: the urban-loop
+// track, the shuttle, the [attackOnset, attackEnd) window, the run length
+// and a catalog monitor that includes the ground-truth assertion.
+type gridCell struct {
+	// class selects the standard campaign (ClassNone is a clean run).
+	class attacks.Class
+	// size, when non-zero, replaces the standard magnitude of class with
+	// a GNSS attack built for this cell alone: the drift rate (m/s) of a
+	// drift spoof (X2) or the offset (m) of a step spoof (X3).
+	size       float64
+	controller string
+	// seed is set by run, which repeats every cell over seeds 1..n.
+	seed      int64
+	guard     sim.GuardConfig
+	localizer string // "" is the default EKF
+	// catalog varies the threshold scale (F5) or the debounce (F6).
+	catalog core.CatalogConfig
 }
 
-// writeCellBundles emits the forensic bundles of one campaign cell into
-// Options.BundleDir. Filenames embed the cell ID plus the bundle's own
+// classCells returns one unguarded default cell per class.
+func classCells(controller string, classes ...attacks.Class) []gridCell {
+	cells := make([]gridCell, len(classes))
+	for i, class := range classes {
+		cells[i] = gridCell{class: class, controller: controller}
+	}
+	return cells
+}
+
+// name identifies the cell in event tracks and bundle file names; the
+// scheme is documented on Options.Events. A suffix appears for each field
+// that differs from its zero value, so a cell that varies only class,
+// controller, seed and the full guard keeps its plain name.
+func (c gridCell) name() string {
+	name := fmt.Sprintf("%s_%s_seed%d", c.class, c.controller, c.seed)
+	if g := c.guard; g.Enabled {
+		name += "_guard"
+		if g.GateThreshold != 0 {
+			name += fmt.Sprintf("-gate%g", g.GateThreshold)
+		}
+		if g.StaleAfter != 0 {
+			name += fmt.Sprintf("-stale%g", g.StaleAfter)
+		}
+		if !g.AssertionTrigger {
+			name += "-noassert"
+		}
+	}
+	if c.size != 0 {
+		name += fmt.Sprintf("_size%g", c.size)
+	}
+	if c.localizer != "" {
+		name += "_" + c.localizer
+	}
+	if c.catalog.ThresholdScale != 0 {
+		name += fmt.Sprintf("_scale%g", c.catalog.ThresholdScale)
+	}
+	if d := c.catalog.Debounce; d.N != 0 {
+		name += fmt.Sprintf("_debounce%d-of-%d", d.K, d.N)
+	}
+	return name
+}
+
+// campaign builds the cell's attack campaign.
+func (c gridCell) campaign() (attacks.Campaign, error) {
+	win := attacks.Window{Start: attackOnset, End: attackEnd}
+	if c.size == 0 {
+		return attacks.Standard(c.class, win, c.seed)
+	}
+	switch c.class {
+	case attacks.ClassDriftSpoof:
+		a, err := attacks.NewDriftSpoof(win, geom.V(0, 1), c.size, 15)
+		return attacks.Campaign{GNSS: a}, err
+	case attacks.ClassStepSpoof:
+		a, err := attacks.NewStepSpoof(win, geom.V(0, c.size))
+		return attacks.Campaign{GNSS: a}, err
+	}
+	return attacks.Campaign{}, fmt.Errorf("harness: %s has no size", c.class)
+}
+
+// run simulates every cell once per seed 1..seeds across the worker pool
+// and returns the results as out[cell][seed-1]. It is the package's only
+// sim.Run call. Results are collected index-ordered, so every experiment
+// aggregates in a fixed order and renders byte-identically for any
+// worker count. Each run builds its own campaign, monitor and sensors;
+// the only values the workers share (the track and the options) are
+// immutable.
+func run(o Options, seeds int, cells []gridCell) ([][]*sim.Result, error) {
+	tr, err := track.UrbanLoop(6)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]gridCell, 0, len(cells)*seeds)
+	for _, c := range cells {
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			c.seed = seed
+			jobs = append(jobs, c)
+		}
+	}
+	flat, err := runner.Map(runner.Options{Workers: o.Workers, OnProgress: o.Progress, Obs: o.Obs, Events: o.Events}, jobs,
+		func(_ context.Context, _ int, c gridCell) (*sim.Result, error) {
+			camp, err := c.campaign()
+			if err != nil {
+				return nil, err
+			}
+			c.catalog.IncludeGroundTruth = true
+			res, err := sim.Run(sim.Config{
+				Track:      tr,
+				Controller: c.controller,
+				Localizer:  c.localizer,
+				Seed:       c.seed,
+				Duration:   o.duration(),
+				Campaign:   camp,
+				Monitor:    core.NewCatalogMonitor(c.catalog),
+				Guard:      c.guard,
+				Obs:        o.Obs,
+				Events:     o.Events,
+				EventScope: c.name() + "/",
+			})
+			if err != nil || o.BundleDir == "" {
+				return res, err
+			}
+			return res, writeCellBundles(o, tr, camp, c, res)
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]*sim.Result, len(cells))
+	for i := range out {
+		out[i] = flat[i*seeds : (i+1)*seeds]
+	}
+	return out, nil
+}
+
+// writeCellBundles emits the forensic bundles of one cell into
+// Options.BundleDir. Filenames embed the cell name plus the bundle's own
 // canonical name, so concurrent grid workers never collide and the same
 // cell re-run by a later experiment overwrites deterministically.
-func writeCellBundles(o Options, tr *track.Track, camp attacks.Campaign, cellID, controller string, seed int64, res *sim.Result) error {
+func writeCellBundles(o Options, tr *track.Track, camp attacks.Campaign, c gridCell, res *sim.Result) error {
 	if len(res.Violations) == 0 {
 		return nil
 	}
@@ -204,9 +312,9 @@ func writeCellBundles(o Options, tr *track.Track, camp attacks.Campaign, cellID,
 	bundles := forensics.Build(forensics.Input{
 		Scenario: map[string]string{
 			"track":      tr.Name(),
-			"controller": controller,
+			"controller": c.controller,
 			"attack":     string(camp.Class()),
-			"seed":       fmt.Sprintf("%d", seed),
+			"seed":       fmt.Sprintf("%d", c.seed),
 		},
 		Violations: res.Violations,
 		Trace:      res.Trace,
@@ -217,9 +325,10 @@ func writeCellBundles(o Options, tr *track.Track, camp attacks.Campaign, cellID,
 	if err := os.MkdirAll(o.BundleDir, 0o755); err != nil {
 		return fmt.Errorf("harness: create bundle dir: %w", err)
 	}
+	prefix := c.name() + "_"
 	for i := range bundles {
 		b := &bundles[i]
-		path := filepath.Join(o.BundleDir, cellID+"_"+b.Filename())
+		path := filepath.Join(o.BundleDir, prefix+b.Filename())
 		f, err := os.Create(path)
 		if err == nil {
 			err = b.WriteJSON(f)
@@ -234,51 +343,33 @@ func writeCellBundles(o Options, tr *track.Track, camp attacks.Campaign, cellID,
 	return nil
 }
 
-// urbanTrack builds the workhorse scenario route.
-func urbanTrack() (*track.Track, error) { return track.UrbanLoop(6) }
-
-// grid fans one batch of independent scenario jobs across the worker
-// pool and returns the outputs index-ordered, so every consumer can
-// aggregate in job order and produce output identical to the sequential
-// path. All simulation state (monitors, sensors, RNGs) is constructed
-// inside the job; the only values shared across goroutines are immutable
-// (the track and the options).
-func grid[I, O any](o Options, jobs []I, fn func(I) (O, error)) ([]O, error) {
-	return runner.Map(runner.Options{Workers: o.Workers, OnProgress: o.Progress, Obs: o.Obs, Events: o.Events}, jobs,
-		func(_ context.Context, _ int, j I) (O, error) { return fn(j) })
-}
-
-// campaignJob is one cell of a (class × controller × seed × guard)
-// experiment grid, executed by campaignRun.
-type campaignJob struct {
-	class      attacks.Class
-	controller string
-	seed       int64
-	guard      sim.GuardConfig
-}
-
-// campaignOut pairs a run result with its catalog monitor.
-type campaignOut struct {
-	res *sim.Result
-	mon *core.Monitor
-}
-
-// campaignGrid fans campaignRun over the job grid.
-func campaignGrid(o Options, tr *track.Track, jobs []campaignJob) ([]campaignOut, error) {
-	return grid(o, jobs, func(j campaignJob) (campaignOut, error) {
-		res, mon, err := campaignRun(o, tr, j.class, j.controller, j.seed, j.guard)
-		return campaignOut{res: res, mon: mon}, err
-	})
-}
-
-// seedJobs builds the per-seed job column for one (class, controller,
-// guard) configuration, seeds 1..n.
-func seedJobs(class attacks.Class, controller string, n int, guard sim.GuardConfig) []campaignJob {
-	jobs := make([]campaignJob, 0, n)
-	for seed := int64(1); seed <= int64(n); seed++ {
-		jobs = append(jobs, campaignJob{class: class, controller: controller, seed: seed, guard: guard})
+// detections scores each run's violations against the attack onset (a
+// negative onset scores a clean run: every violation is a false positive).
+func detections(rs []*sim.Result, onset float64) []metrics.Detection {
+	ds := make([]metrics.Detection, len(rs))
+	for i, r := range rs {
+		ds[i] = metrics.Detect(r.Violations, onset)
 	}
-	return jobs
+	return ds
+}
+
+// firstDetector returns the assertion that most often raised the first
+// post-onset violation across ds, ties broken by the lower ID, or "-" when
+// no run was detected.
+func firstDetector(ds []metrics.Detection) string {
+	firstBy := map[string]int{}
+	for _, d := range ds {
+		if d.Detected {
+			firstBy[d.ByID]++
+		}
+	}
+	best, bestN := "-", 0
+	for id, n := range firstBy {
+		if n > bestN || (n == bestN && id < best) {
+			best, bestN = id, n
+		}
+	}
+	return best
 }
 
 // Experiment couples an ID with its generator, for the registry consumed by

@@ -16,10 +16,6 @@ import (
 // seeds). This is the paper-style assertion-coverage matrix.
 func Table1DetectionMatrix(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	ids := []string{"A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10", "A11", "A12", "A13", "A14", "A15"}
 	t := &Table{
 		ID:      "T1",
@@ -31,20 +27,15 @@ func Table1DetectionMatrix(o Options) (*Table, error) {
 		},
 	}
 	classes := attacks.StandardClasses()
-	var jobs []campaignJob
-	for _, class := range classes {
-		jobs = append(jobs, seedJobs(class, o.Controller, o.Seeds, sim.GuardConfig{})...)
-	}
-	outs, err := campaignGrid(o, tr, jobs)
+	outs, err := run(o, o.Seeds, classCells(o.Controller, classes...))
 	if err != nil {
 		return nil, err
 	}
 	for ci, class := range classes {
 		hits := map[string]int{}
-		for si := 0; si < o.Seeds; si++ {
-			mon := outs[ci*o.Seeds+si].mon
+		for _, res := range outs[ci] {
 			seen := map[string]bool{}
-			for _, v := range mon.Violations() {
+			for _, v := range res.Violations {
 				if v.T >= attackOnset && !seen[v.AssertionID] {
 					seen[v.AssertionID] = true
 					hits[v.AssertionID]++
@@ -68,10 +59,6 @@ func Table1DetectionMatrix(o Options) (*Table, error) {
 // assertion and the detection latency statistics across seeds.
 func Table2DetectionLatency(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "T2",
 		Title:   "Detection latency per attack class",
@@ -82,34 +69,15 @@ func Table2DetectionLatency(o Options) (*Table, error) {
 		},
 	}
 	classes := attacks.StandardClasses()
-	var jobs []campaignJob
-	for _, class := range classes {
-		jobs = append(jobs, seedJobs(class, o.Controller, o.Seeds, sim.GuardConfig{})...)
-	}
-	outs, err := campaignGrid(o, tr, jobs)
+	outs, err := run(o, o.Seeds, classCells(o.Controller, classes...))
 	if err != nil {
 		return nil, err
 	}
 	for ci, class := range classes {
-		var ds []metrics.Detection
-		firstBy := map[string]int{}
-		for si := 0; si < o.Seeds; si++ {
-			mon := outs[ci*o.Seeds+si].mon
-			d := metrics.Detect(mon.Violations(), attackOnset)
-			ds = append(ds, d)
-			if d.Detected {
-				firstBy[d.ByID]++
-			}
-		}
+		ds := detections(outs[ci], attackOnset)
 		r := metrics.Aggregate(ds)
-		best, bestN := "-", 0
-		for id, n := range firstBy {
-			if n > bestN || (n == bestN && id < best) {
-				best, bestN = id, n
-			}
-		}
 		t.Rows = append(t.Rows, []string{
-			string(class), best,
+			string(class), firstDetector(ds),
 			fmt.Sprintf("%.2f", r.MeanLatency),
 			fmt.Sprintf("%.2f", r.MedianLatency),
 			fmt.Sprintf("%.2f", r.P90Latency),
@@ -123,10 +91,6 @@ func Table2DetectionLatency(o Options) (*Table, error) {
 // rate across randomized runs, plus clean-run false alarms.
 func Table3DetectionRates(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "T3",
 		Title:   "Detection and false-positive rates",
@@ -138,25 +102,16 @@ func Table3DetectionRates(o Options) (*Table, error) {
 		seeds = 5
 	}
 	classes := append([]attacks.Class{attacks.ClassNone}, attacks.StandardClasses()...)
-	var jobs []campaignJob
-	for _, class := range classes {
-		jobs = append(jobs, seedJobs(class, o.Controller, seeds, sim.GuardConfig{})...)
-	}
-	outs, err := campaignGrid(o, tr, jobs)
+	outs, err := run(o, seeds, classCells(o.Controller, classes...))
 	if err != nil {
 		return nil, err
 	}
 	for ci, class := range classes {
-		var ds []metrics.Detection
-		for si := 0; si < seeds; si++ {
-			mon := outs[ci*seeds+si].mon
-			onset := attackOnset
-			if class == attacks.ClassNone {
-				onset = -1
-			}
-			ds = append(ds, metrics.Detect(mon.Violations(), onset))
+		onset := attackOnset
+		if class == attacks.ClassNone {
+			onset = -1
 		}
-		r := metrics.Aggregate(ds)
+		r := metrics.Aggregate(detections(outs[ci], onset))
 		rate := fmt.Sprintf("%.0f%%", r.DetectionRate*100)
 		if class == attacks.ClassNone {
 			rate = "n/a"
@@ -172,21 +127,13 @@ func Table3DetectionRates(o Options) (*Table, error) {
 // per attack class, with the most common misdiagnosis.
 func Table4DiagnosisAccuracy(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "T4",
 		Title:   "Root-cause diagnosis accuracy",
 		Columns: []string{"attack", "top-1", "top-2", "most common top-1"},
 	}
 	classes := attacks.StandardClasses()
-	var jobs []campaignJob
-	for _, class := range classes {
-		jobs = append(jobs, seedJobs(class, o.Controller, o.Seeds, sim.GuardConfig{})...)
-	}
-	outs, err := campaignGrid(o, tr, jobs)
+	outs, err := run(o, o.Seeds, classCells(o.Controller, classes...))
 	if err != nil {
 		return nil, err
 	}
@@ -194,9 +141,8 @@ func Table4DiagnosisAccuracy(o Options) (*Table, error) {
 	for ci, class := range classes {
 		top1, top2 := 0, 0
 		preds := map[string]int{}
-		for si := 0; si < o.Seeds; si++ {
-			mon := outs[ci*o.Seeds+si].mon
-			hyps := diagnosis.Diagnose(mon.Violations())
+		for _, res := range outs[ci] {
+			hyps := diagnosis.Diagnose(res.Violations)
 			preds[string(hyps[0].Cause)]++
 			if string(hyps[0].Cause) == string(class) {
 				top1++
@@ -239,10 +185,6 @@ func Table4DiagnosisAccuracy(o Options) (*Table, error) {
 // vulnerability per lateral controller.
 func Table5ControllerComparison(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:    "T5",
 		Title: "Controller comparison: clean tracking vs attack-induced deviation (max |true CTE|, m)",
@@ -252,31 +194,26 @@ func Table5ControllerComparison(o Options) (*Table, error) {
 		Notes: []string{"per-controller weakness signatures appear in the clean-violations column and in the relative attack deviations"},
 	}
 	classes := []attacks.Class{attacks.ClassNone, attacks.ClassDriftSpoof, attacks.ClassStepSpoof}
-	var jobs []campaignJob
 	controllers := control.Names()
+	var grid []gridCell
 	for _, ctrl := range controllers {
-		for _, class := range classes {
-			jobs = append(jobs, seedJobs(class, ctrl, o.Seeds, sim.GuardConfig{})...)
-		}
+		grid = append(grid, classCells(ctrl, classes...)...)
 	}
-	outs, err := campaignGrid(o, tr, jobs)
+	outs, err := run(o, o.Seeds, grid)
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	for _, ctrl := range controllers {
+	for i, ctrl := range controllers {
 		cells := map[string]float64{}
 		var cleanViol int
-		for _, class := range classes {
+		for k, class := range classes {
 			var worst float64
-			for si := 0; si < o.Seeds; si++ {
-				out := outs[idx]
-				idx++
-				if out.res.MaxTrueCTE > worst {
-					worst = out.res.MaxTrueCTE
+			for _, res := range outs[i*len(classes)+k] {
+				if res.MaxTrueCTE > worst {
+					worst = res.MaxTrueCTE
 				}
 				if class == attacks.ClassNone {
-					cleanViol += len(out.mon.Violations())
+					cleanViol += len(res.Violations)
 				}
 			}
 			cells[string(class)] = worst
@@ -297,10 +234,6 @@ func Table5ControllerComparison(o Options) (*Table, error) {
 // stack, per attack class.
 func Table6DebugLoop(o Options) (*Table, error) {
 	o.defaults()
-	tr, err := urbanTrack()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:    "T6",
 		Title: "Debug loop: unguarded vs assertion-guarded stack (max |true CTE|, m)",
@@ -316,28 +249,24 @@ func Table6DebugLoop(o Options) (*Table, error) {
 		attacks.ClassFreeze, attacks.ClassDropout, attacks.ClassMeander,
 	}
 	guardOn := sim.GuardConfig{Enabled: true, AssertionTrigger: true}
-	var jobs []campaignJob
+	var grid []gridCell
 	for _, class := range classes {
-		for seed := int64(1); seed <= int64(o.Seeds); seed++ {
-			jobs = append(jobs,
-				campaignJob{class: class, controller: o.Controller, seed: seed},
-				campaignJob{class: class, controller: o.Controller, seed: seed, guard: guardOn},
-			)
-		}
+		grid = append(grid,
+			gridCell{class: class, controller: o.Controller},
+			gridCell{class: class, controller: o.Controller, guard: guardOn},
+		)
 	}
-	outs, err := campaignGrid(o, tr, jobs)
+	outs, err := run(o, o.Seeds, grid)
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	for _, class := range classes {
+	for k, class := range classes {
 		var unguarded, guarded, fb float64
 		for si := 0; si < o.Seeds; si++ {
-			unguarded += outs[idx].res.MaxTrueCTE
-			gres := outs[idx+1].res
+			unguarded += outs[2*k][si].MaxTrueCTE
+			gres := outs[2*k+1][si]
 			guarded += gres.MaxTrueCTE
 			fb += gres.FallbackTime
-			idx += 2
 		}
 		n := float64(o.Seeds)
 		unguarded /= n

@@ -34,6 +34,11 @@ const (
 	initialSpeed float64 = 1   // m/s
 )
 
+// maxDuration bounds Config.Duration (s). It keeps the step count and the
+// trace and frame preallocations, which scale with the duration, finite
+// and allocatable.
+const maxDuration = 3600
+
 // The guard's fixed fallback policy (see GuardConfig).
 const (
 	// fallbackAfter is the consecutive-reject count that switches
@@ -120,7 +125,9 @@ type Config struct {
 	Localizer string
 	// Seed drives all stochastic components.
 	Seed int64
-	// Duration is the simulated time budget in seconds (default 60).
+	// Duration is the simulated time budget in seconds: 0 means 60, and
+	// anything else must lie in (0, 3600], at most one simulated hour.
+	// A negative, non-finite or longer duration is an error.
 	Duration float64
 	// Campaign is the attack configuration (zero value = clean run).
 	Campaign attacks.Campaign
@@ -185,8 +192,11 @@ func (c *Config) defaults() error {
 	if err := c.Vehicle.Validate(); err != nil {
 		return err
 	}
-	if c.Duration <= 0 {
+	switch {
+	case c.Duration == 0:
 		c.Duration = 60
+	case !(c.Duration > 0 && c.Duration <= maxDuration):
+		return fmt.Errorf("sim: duration must be in (0, %g] s, got %v", float64(maxDuration), c.Duration)
 	}
 	if c.Localizer == "" {
 		c.Localizer = localizers[0]

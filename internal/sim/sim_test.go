@@ -43,6 +43,22 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Track: urban(t), Controller: "bogus"}); err == nil {
 		t.Error("unknown controller accepted")
 	}
+	// A bad duration is an error, never a zero-step run, a silent 60 s
+	// or (with frames recorded) a makeslice panic.
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 1e300, maxDuration + 0.01} {
+		for _, frames := range []bool{false, true} {
+			if res, err := Run(Config{Track: urban(t), Controller: "pure-pursuit", Duration: d, RecordFrames: frames}); err == nil {
+				t.Errorf("duration %v (frames %v) accepted: %d steps", d, frames, res.Steps)
+			}
+		}
+	}
+	res, err := Run(Config{Track: urban(t), Controller: "pure-pursuit", DisableTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SimTime != 60 {
+		t.Errorf("zero duration ran %v s, want the 60 s default", res.SimTime)
+	}
 }
 
 func TestCleanRunTracksWell(t *testing.T) {
