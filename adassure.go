@@ -553,8 +553,8 @@ func (s Scenario) Canonicalize() (Scenario, error) {
 		return s, fmt.Errorf("adassure: unknown attack %q (have %v)", s.Attack, n.Attacks)
 	case !slices.Contains(n.Localizers, s.Localizer):
 		return s, fmt.Errorf("adassure: unknown localizer %q (have %v)", s.Localizer, n.Localizers)
-	case !(s.Duration > 0 && s.Duration <= maxDuration):
-		return s, fmt.Errorf("adassure: duration must be in (0, %g] s, got %v", float64(maxDuration), s.Duration)
+	case !(s.Duration > 0 && s.Duration <= sim.MaxDuration):
+		return s, fmt.Errorf("adassure: duration must be in (0, %g] s, got %v", float64(sim.MaxDuration), s.Duration)
 	case !positive(s.SpeedLimit):
 		return s, fmt.Errorf("adassure: speed limit must be positive and finite, got %v", s.SpeedLimit)
 	case !positive(s.ThresholdScale):
@@ -571,11 +571,6 @@ func (s Scenario) Canonicalize() (Scenario, error) {
 	}
 	return s, nil
 }
-
-// maxDuration is the simulator's bound on Config.Duration, one simulated
-// hour; Canonicalize enforces it so an over-long scenario is rejected
-// before anything runs.
-const maxDuration = 3600
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 

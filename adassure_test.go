@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"adassure/internal/sim"
 )
 
 func TestScenarioDefaultsCleanRun(t *testing.T) {
@@ -84,7 +86,7 @@ func TestScenarioRejectsInvalidValues(t *testing.T) {
 		{"negative infinite duration", Scenario{Duration: math.Inf(-1)}},
 		{"over-long duration", Scenario{Duration: 1e300}},
 		{"over-long recorded duration", Scenario{Duration: 1e300, RecordFrames: true}},
-		{"duration just over the bound", Scenario{Duration: maxDuration + 0.01}},
+		{"duration just over the bound", Scenario{Duration: sim.MaxDuration + 0.01}},
 		{"negative threshold scale", Scenario{ThresholdScale: -2}},
 		{"NaN threshold scale", Scenario{ThresholdScale: math.NaN()}},
 		{"infinite threshold scale", Scenario{ThresholdScale: math.Inf(1)}},

@@ -31,56 +31,15 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"time"
 
 	"adassure"
+	"adassure/internal/cli"
 )
-
-// startObs builds the registry for -metrics/-pprof, starting the pprof
-// server when addr is non-empty. Returns nil when both flags are off.
-func startObs(metricsPath, pprofAddr string) *adassure.Registry {
-	if metricsPath == "" && pprofAddr == "" {
-		return nil
-	}
-	reg := adassure.NewRegistry()
-	if pprofAddr != "" {
-		expvar.Publish("adassure", expvar.Func(func() any { return reg.Snapshot() }))
-		go func() {
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "adassure-bench: pprof server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "pprof+expvar serving on http://%s/debug/pprof (metrics at /debug/vars)\n", pprofAddr)
-	}
-	return reg
-}
-
-// writeMetrics dumps the registry snapshot to path.
-func writeMetrics(reg *adassure.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = reg.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-bench: write metrics:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("metrics written to %s\n", path)
-}
 
 func main() {
 	var (
@@ -89,23 +48,15 @@ func main() {
 		quick      = flag.Bool("quick", false, "shorten runs for a smoke pass")
 		controller = flag.String("controller", "pure-pursuit", "default lateral controller")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "scenario-execution pool size")
-		metricsOut = flag.String("metrics", "", "write a JSON runtime-metrics snapshot (sim/monitor/runner) to this file")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
-		eventsOut  = flag.String("events", "", "write the structured event timeline as JSON to this file")
-		perfOut    = flag.String("perfetto", "", "write the event timeline as Chrome trace-event JSON (open in ui.perfetto.dev)")
-		flightCap  = flag.Int("flight", 0, "flight-recorder mode: keep only the newest N events (0 = unbounded)")
 		bundleDir  = flag.String("bundles", "", "write one forensic bundle JSON per violation episode into this directory")
 	)
+	o := cli.Register(flag.CommandLine)
 	flag.Parse()
 
-	reg := startObs(*metricsOut, *pprofAddr)
-	var rec *adassure.EventRecorder
-	if *eventsOut != "" || *perfOut != "" {
-		rec = adassure.NewEventRecorder(*flightCap)
-	}
+	o.Start(os.Stderr)
 	opts := adassure.ExperimentOptions{
 		Seeds: *seeds, Quick: *quick, Controller: *controller, Workers: *workers,
-		Obs: reg, Events: rec, BundleDir: *bundleDir,
+		Obs: o.Registry, Events: o.Recorder, BundleDir: *bundleDir,
 	}
 
 	run := func(eid string) {
@@ -129,35 +80,8 @@ func main() {
 			run(e.ID)
 		}
 	}
-	writeMetrics(reg, *metricsOut)
-	writeEventOutputs(rec, *eventsOut, *perfOut)
-}
-
-// writeEventOutputs persists the recorded timeline: raw event JSON to
-// eventsPath and/or a Perfetto-loadable Chrome trace to perfettoPath.
-func writeEventOutputs(rec *adassure.EventRecorder, eventsPath, perfettoPath string) {
-	if rec == nil {
-		return
+	if err := o.Finish(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "adassure-bench:", err)
+		os.Exit(1)
 	}
-	write := func(path, what string, fn func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adassure-bench: write %s: %v\n", what, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s written to %s\n", what, path)
-	}
-	write(eventsPath, "events", rec.WriteJSON)
-	write(perfettoPath, "perfetto trace", func(f io.Writer) error {
-		return adassure.WritePerfetto(f, rec.Events())
-	})
 }

@@ -8,39 +8,33 @@
 //
 //	adassure-dataset -seeds 5 [-workers N] > corpus.csv
 //
-// The (class × seed) grid fans across -workers goroutines (default
-// GOMAXPROCS) on the internal/runner pool. Results are index-ordered and
-// every run is deterministic in its seed, so the CSV on stdout is
-// byte-identical for any worker count, including 1.
+// Every (class × seed) cell is an adassure.Scenario on urban-loop, run
+// through adassure.RunScenarioBatch across -workers goroutines (default
+// GOMAXPROCS). Results are index-ordered and every run is deterministic in
+// its seed, so the CSV on stdout is byte-identical for any worker count,
+// including 1. The feature columns cover adassure.Names().Assertions.
 //
 // Observability: -metrics out.json writes a JSON metrics snapshot of the
 // whole campaign (sim step histogram, per-assertion monitoring cost,
 // runner job stats), -pprof addr serves net/http/pprof plus the live
 // snapshot under expvar while the campaign runs, -events out.json records
-// the structured event timeline across all runs, -perfetto out.json
-// exports that timeline as Chrome trace-event JSON (one lane per pool
-// worker; open in ui.perfetto.dev) and -flight N bounds the recorder to
-// the newest N events.
+// the structured event timeline across all runs (one scenario lane per
+// run, scoped "s<index>/", with its attack window, violation episodes and
+// diagnosis, plus one runner lane per pool worker), -perfetto out.json
+// exports that timeline as Chrome trace-event JSON (open in
+// ui.perfetto.dev) and -flight N bounds the recorder to the newest N
+// events.
 package main
 
 import (
-	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 
-	"adassure/internal/attacks"
-	"adassure/internal/core"
+	"adassure"
+	"adassure/internal/cli"
 	"adassure/internal/coverage"
-	"adassure/internal/events"
-	"adassure/internal/obs"
-	"adassure/internal/runner"
-	"adassure/internal/sim"
-	"adassure/internal/track"
 )
 
 func main() {
@@ -50,132 +44,62 @@ func main() {
 	}
 }
 
-// datasetJob is one (class × seed) cell of the campaign grid.
-type datasetJob struct {
-	class attacks.Class
-	seed  int64
-}
-
 // run generates the corpus onto stdout; it is main minus process exit so
 // tests can compare the CSV bytes across worker counts.
 func run(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("adassure-dataset", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		seeds       = fs.Int("seeds", 5, "seeds per class")
-		controller  = fs.String("controller", "pure-pursuit", "lateral controller")
-		duration    = fs.Float64("duration", 70, "run duration (s)")
-		onset       = fs.Float64("onset", 20, "attack onset (s)")
-		end         = fs.Float64("end", 50, "attack end (s)")
-		workers     = fs.Int("workers", 0, "parallel simulation workers (default GOMAXPROCS; 1 = sequential)")
-		metricsPath = fs.String("metrics", "", "write a JSON metrics snapshot of the campaign to this file")
-		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof and live metrics on this address while running")
-		eventsPath  = fs.String("events", "", "write the structured event timeline as JSON to this file")
-		perfPath    = fs.String("perfetto", "", "write the event timeline as Chrome trace-event JSON (open in ui.perfetto.dev)")
-		flightCap   = fs.Int("flight", 0, "flight-recorder mode: keep only the newest N events (0 = unbounded)")
+		seeds      = fs.Int("seeds", 5, "seeds per class")
+		controller = fs.String("controller", "pure-pursuit", "lateral controller")
+		duration   = fs.Float64("duration", 70, "run duration (s)")
+		onset      = fs.Float64("onset", 20, "attack onset (s)")
+		end        = fs.Float64("end", 50, "attack end (s)")
+		workers    = fs.Int("workers", 0, "parallel simulation workers (default GOMAXPROCS; 1 = sequential)")
 	)
+	o := cli.Register(fs)
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
+	o.Start(stderr)
 
-	var reg *obs.Registry
-	if *metricsPath != "" || *pprofAddr != "" {
-		reg = obs.NewRegistry()
-	}
-	if *pprofAddr != "" {
-		expvar.Publish("adassure", expvar.Func(func() any { return reg.Snapshot() }))
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(stderr, "adassure-dataset: pprof server:", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "pprof+expvar serving on http://%s/debug/pprof (metrics at /debug/vars)\n", *pprofAddr)
-	}
-	var rec *events.Recorder
-	if *eventsPath != "" || *perfPath != "" {
-		rec = events.NewRecorder(*flightCap)
-	}
-
-	tr, err := track.UrbanLoop(6)
-	if err != nil {
-		return err
-	}
-	var jobs []datasetJob
-	for _, class := range append([]attacks.Class{attacks.ClassNone}, attacks.StandardClasses()...) {
+	// The grid is canonicalized up front, so a bad flag is an error before
+	// anything runs and each row is labelled with the window its run used.
+	var scns []adassure.Scenario
+	for _, attack := range adassure.Names().Attacks {
 		for seed := int64(1); seed <= int64(*seeds); seed++ {
-			jobs = append(jobs, datasetJob{class: class, seed: seed})
+			scn, err := adassure.Scenario{
+				Controller:  adassure.ControllerName(*controller),
+				Attack:      adassure.AttackName(attack),
+				AttackStart: *onset, AttackEnd: *end,
+				Seed: seed, Duration: *duration,
+			}.Canonicalize()
+			if err != nil {
+				return err
+			}
+			scns = append(scns, scn)
 		}
 	}
-
-	runs, err := runner.Map(runner.Options{
-		Workers: *workers,
-		Obs:     reg,
-		Events:  rec,
-	}, jobs, func(_ context.Context, _ int, job datasetJob) (coverage.Run, error) {
-		camp, err := attacks.Standard(job.class, attacks.Window{Start: *onset, End: *end}, job.seed)
-		if err != nil {
-			return coverage.Run{}, err
-		}
-		mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
-		if _, err := sim.Run(sim.Config{
-			Track: tr, Controller: *controller, Seed: job.seed, Duration: *duration,
-			Campaign: camp, Monitor: mon, DisableTrace: true, Obs: reg,
-		}); err != nil {
-			return coverage.Run{}, err
-		}
-		o := *onset
-		if job.class == attacks.ClassNone {
-			o = -1
-		}
-		return coverage.Run{Label: string(job.class), Onset: o, Violations: mon.Violations()}, nil
-	})
+	outs, err := adassure.RunScenarioBatch(adassure.BatchOptions{
+		Workers: *workers, Obs: o.Registry, Events: o.Recorder,
+	}, scns)
 	if err != nil {
 		return err
 	}
-	// Progress lines go out after collection, in grid order, so stderr is
-	// as deterministic as the CSV regardless of worker interleaving.
-	for i, r := range runs {
-		fmt.Fprintf(stderr, "ran %s seed %d (%d violations)\n", jobs[i].class, jobs[i].seed, len(r.Violations))
-	}
 
-	ids := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true}).AssertionIDs()
-	if err := coverage.WriteDatasetCSV(stdout, runs, ids); err != nil {
+	runs := make([]coverage.Run, len(outs))
+	for i, out := range outs {
+		s := scns[i]
+		runs[i] = coverage.Run{Label: string(s.Attack), Onset: -1, Violations: out.Violations}
+		if s.Attack != adassure.AttackNone {
+			runs[i].Onset = s.AttackStart
+		}
+		// Progress lines go out after collection, in grid order, so stderr
+		// is as deterministic as the CSV regardless of worker interleaving.
+		fmt.Fprintf(stderr, "ran %s seed %d (%d violations)\n", s.Attack, s.Seed, len(out.Violations))
+	}
+	if err := coverage.WriteDatasetCSV(stdout, runs, adassure.Names().Assertions); err != nil {
 		return err
 	}
-	if reg != nil && *metricsPath != "" {
-		if err := writeFile(*metricsPath, reg.WriteJSON); err != nil {
-			return fmt.Errorf("write metrics: %w", err)
-		}
-		fmt.Fprintf(stderr, "metrics written to %s\n", *metricsPath)
-	}
-	if rec != nil {
-		if *eventsPath != "" {
-			if err := writeFile(*eventsPath, rec.WriteJSON); err != nil {
-				return fmt.Errorf("write events: %w", err)
-			}
-			fmt.Fprintf(stderr, "events written to %s\n", *eventsPath)
-		}
-		if *perfPath != "" {
-			if err := writeFile(*perfPath, func(w io.Writer) error {
-				return events.WritePerfetto(w, rec.Events())
-			}); err != nil {
-				return fmt.Errorf("write perfetto trace: %w", err)
-			}
-			fmt.Fprintf(stderr, "perfetto trace written to %s\n", *perfPath)
-		}
-	}
-	return nil
-}
-
-// writeFile creates path and streams fn into it.
-func writeFile(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return o.Finish(stderr)
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adassure/internal/events"
 )
 
 // TestDatasetDeterministicAcrossWorkers: the CSV on stdout — and the
@@ -39,20 +41,22 @@ func TestDatasetDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDatasetObservabilityOutputs: -metrics and -events write parseable,
-// non-empty artifacts.
+// non-empty artifacts, and the event log links every corpus row back to
+// its evidence: one scenario lane per run, and each run's violation
+// episodes on that run's lanes, as many as its row counts.
 func TestDatasetObservabilityOutputs(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
-	events := filepath.Join(dir, "events.json")
+	eventsPath := filepath.Join(dir, "events.json")
 	var out, errb bytes.Buffer
 	argv := []string{
-		"-seeds", "1", "-duration", "5", "-workers", "2",
-		"-metrics", metrics, "-events", events,
+		"-seeds", "1", "-duration", "15", "-onset", "10", "-end", "14", "-workers", "2",
+		"-metrics", metrics, "-events", eventsPath,
 	}
 	if err := run(argv, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{metrics, events} {
+	for _, p := range []string{metrics, eventsPath} {
 		b, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
@@ -63,6 +67,56 @@ func TestDatasetObservabilityOutputs(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "metrics written to") {
 		t.Fatalf("stderr missing metrics confirmation:\n%s", errb.String())
+	}
+
+	// Run i's row reports n violations on stderr; its lanes are "s<i>/...".
+	var want []int
+	for _, line := range strings.Split(errb.String(), "\n") {
+		var class string
+		var seed, n int
+		if _, err := fmt.Sscanf(line, "ran %s seed %d (%d violations)", &class, &seed, &n); err == nil {
+			want = append(want, n)
+		}
+	}
+	if len(want) != 13 {
+		t.Fatalf("stderr reports %d runs, want 13:\n%s", len(want), errb.String())
+	}
+	f, err := os.Open(eventsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lg, err := events.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarioLanes := map[string]bool{}
+	episodes := map[string]int{}
+	for _, e := range lg.Events {
+		scope, _, _ := strings.Cut(e.Track, "/")
+		switch {
+		case e.Cat == events.CatScenario && strings.HasSuffix(e.Track, "/scenario"):
+			scenarioLanes[scope] = true
+		case e.Cat == events.CatViolation && e.Kind == events.Begin:
+			episodes[scope]++
+		}
+	}
+	if len(scenarioLanes) != len(want) {
+		t.Fatalf("event log has %d scenario lanes, want one per run (%d)", len(scenarioLanes), len(want))
+	}
+	total := 0
+	for i, n := range want {
+		scope := fmt.Sprintf("s%d", i)
+		if !scenarioLanes[scope] {
+			t.Fatalf("run %d has no %s/scenario lane", i, scope)
+		}
+		if episodes[scope] != n {
+			t.Fatalf("run %d: %d violation episodes on %s/ lanes, its row reports %d", i, episodes[scope], scope, n)
+		}
+		total += n
+	}
+	if total == 0 || len(episodes) > len(want) {
+		t.Fatalf("violation episodes %v: want some, all on run lanes", episodes)
 	}
 }
 

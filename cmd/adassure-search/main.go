@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"adassure"
+	"adassure/internal/cli"
 )
 
 func fatalf(format string, args ...any) {
@@ -161,29 +162,20 @@ func main() {
 			len(rep.Frontier), rep.TotalEvals, time.Since(start).Seconds())
 	}
 
-	writeFile := func(path, what string, fn func(io.Writer) error) {
-		if path == "" || path == "-" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fatalf("write %s: %v", what, err)
-		}
-		fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
+	report := *jsonOut
+	if report == "-" {
+		report = "" // already written to stdout
 	}
-	if *jsonOut != "" && *jsonOut != "-" {
-		writeFile(*jsonOut, "report", rep.WriteJSON)
-	}
-	if reg != nil {
-		writeFile(*metricsOut, "metrics", reg.WriteJSON)
-	}
-	if rec != nil {
-		writeFile(*eventsOut, "events", rec.WriteJSON)
+	for _, f := range []struct {
+		path, what string
+		fn         func(io.Writer) error
+	}{
+		{report, "report", rep.WriteJSON},
+		{*metricsOut, "metrics", reg.WriteJSON},
+		{*eventsOut, "events", rec.WriteJSON},
+	} {
+		if err := cli.Write(os.Stderr, f.path, f.what, f.fn); err != nil {
+			fatalf("%v", err)
+		}
 	}
 }

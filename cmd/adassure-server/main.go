@@ -78,6 +78,7 @@ import (
 	"syscall"
 	"time"
 
+	"adassure/internal/cli"
 	"adassure/internal/obs"
 	"adassure/internal/service"
 	"adassure/internal/store"
@@ -219,23 +220,5 @@ func run(argv []string, stdout, stderr *os.File) error {
 	if err := svc.Close(ctx); err != nil {
 		fmt.Fprintln(stderr, "adassure-server: drain:", err)
 	}
-	if *metricsPath != "" {
-		if err := writeMetrics(reg, *metricsPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "metrics written to %s\n", *metricsPath)
-	}
-	return nil
-}
-
-func writeMetrics(reg *obs.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("write metrics: %w", err)
-	}
-	return f.Close()
+	return cli.Write(stdout, *metricsPath, "metrics", reg.WriteJSON)
 }

@@ -29,85 +29,22 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 
 	"adassure"
+	"adassure/internal/cli"
 )
 
-// startObs builds the registry for -metrics/-pprof, starting the pprof
-// server when addr is non-empty. Returns nil when both flags are off.
-func startObs(metricsPath, pprofAddr string) *adassure.Registry {
-	if metricsPath == "" && pprofAddr == "" {
-		return nil
-	}
-	reg := adassure.NewRegistry()
-	if pprofAddr != "" {
-		expvar.Publish("adassure", expvar.Func(func() any { return reg.Snapshot() }))
-		go func() {
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "adassure-sim: pprof server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "pprof+expvar serving on http://%s/debug/pprof (metrics at /debug/vars)\n", pprofAddr)
-	}
-	return reg
-}
-
-// writeMetrics dumps the registry snapshot to path.
-func writeMetrics(reg *adassure.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = reg.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-sim: write metrics:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("metrics written to %s\n", path)
-}
-
-// writeEventOutputs persists the recorded timeline: raw event JSON to
-// eventsPath and/or a Perfetto-loadable Chrome trace to perfettoPath.
-func writeEventOutputs(rec *adassure.EventRecorder, eventsPath, perfettoPath string) {
-	if rec == nil {
-		return
-	}
-	write := func(path, what string, fn func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adassure-sim: write %s: %v\n", what, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s written to %s\n", what, path)
-	}
-	write(eventsPath, "events", rec.WriteJSON)
-	write(perfettoPath, "perfetto trace", func(f io.Writer) error {
-		return adassure.WritePerfetto(f, rec.Events())
-	})
+// fatal prints err under the program name and exits 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "adassure-sim:", err)
+	os.Exit(1)
 }
 
 // writeBundles emits one forensic bundle per violation episode of the run
@@ -122,22 +59,12 @@ func writeBundles(out *adassure.ScenarioResult, dir, prefix string) int {
 		return 0
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-sim: create bundle dir:", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("create bundle dir: %w", err))
 	}
 	for i := range bundles {
 		b := &bundles[i]
-		path := filepath.Join(dir, prefix+b.Filename())
-		f, err := os.Create(path)
-		if err == nil {
-			err = b.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write bundle:", err)
-			os.Exit(1)
+		if err := cli.Write(io.Discard, filepath.Join(dir, prefix+b.Filename()), "bundle", b.WriteJSON); err != nil {
+			fatal(err)
 		}
 	}
 	return len(bundles)
@@ -162,13 +89,9 @@ func main() {
 		list       = flag.Bool("list", false, "list available tracks, controllers, attacks and localizers, then exit")
 		seedCount  = flag.Int("seeds", 1, "run this many consecutive seeds (starting at -seed) and print a per-seed summary")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "scenario-execution pool size for -seeds > 1")
-		metricsOut = flag.String("metrics", "", "write a JSON runtime-metrics snapshot (sim/monitor/runner) to this file")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
-		eventsOut  = flag.String("events", "", "write the structured event timeline as JSON to this file")
-		perfOut    = flag.String("perfetto", "", "write the event timeline as Chrome trace-event JSON (open in ui.perfetto.dev)")
-		flightCap  = flag.Int("flight", 0, "flight-recorder mode: keep only the newest N events (0 = unbounded)")
 		bundleDir  = flag.String("bundles", "", "write one forensic bundle JSON per violation episode into this directory")
 	)
+	o := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -180,15 +103,12 @@ func main() {
 		return
 	}
 
-	reg := startObs(*metricsOut, *pprofAddr)
+	o.Start(os.Stderr)
+	reg, rec := o.Registry, o.Recorder
 	// Bundles need the frame stream around each violation, and carry the
 	// assertion eval history when a registry is attached — force both on.
 	if *bundleDir != "" && reg == nil {
 		reg = adassure.NewRegistry()
-	}
-	var rec *adassure.EventRecorder
-	if *eventsOut != "" || *perfOut != "" {
-		rec = adassure.NewEventRecorder(*flightCap)
 	}
 	scn := adassure.Scenario{
 		Track:          adassure.TrackName(*trackName),
@@ -210,8 +130,9 @@ func main() {
 			os.Exit(1)
 		}
 		runSweep(scn, *seedCount, *workers, reg, rec, *bundleDir)
-		writeMetrics(reg, *metricsOut)
-		writeEventOutputs(rec, *eventsOut, *perfOut)
+		if err := o.Finish(os.Stdout); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -219,8 +140,7 @@ func main() {
 	// carries runner job stats alongside the sim/monitor metrics.
 	outs, err := adassure.RunScenarioBatch(adassure.BatchOptions{Workers: 1, Obs: reg, Events: rec}, []adassure.Scenario{scn})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-sim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	out := outs[0]
 
@@ -240,69 +160,27 @@ func main() {
 	fmt.Println()
 	fmt.Print(out.Report())
 
-	if *traceCSV != "" && r.Trace != nil {
-		f, err := os.Create(*traceCSV)
-		if err == nil {
-			err = r.Trace.WriteCSV(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
+	for _, f := range []struct {
+		path, what string
+		fn         func(io.Writer) error
+	}{
+		{*traceCSV, "trace", r.Trace.WriteCSV},
+		{*reportMD, "report", out.WriteMarkdownReport},
+		{*recordOut, "recording", out.Recording.Write},
+		{*traceJSON, "trace", r.Trace.WriteJSON},
+	} {
+		if err := cli.Write(os.Stdout, f.path, f.what, f.fn); err != nil {
+			fatal(err)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *traceCSV)
-	}
-	if *reportMD != "" {
-		f, err := os.Create(*reportMD)
-		if err == nil {
-			err = out.WriteMarkdownReport(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write report:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", *reportMD)
-	}
-	if *recordOut != "" && out.Recording != nil {
-		f, err := os.Create(*recordOut)
-		if err == nil {
-			err = out.Recording.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write recording:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("recording written to %s\n", *recordOut)
-	}
-	if *traceJSON != "" && r.Trace != nil {
-		f, err := os.Create(*traceJSON)
-		if err == nil {
-			err = r.Trace.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *traceJSON)
 	}
 	if n := writeBundles(out, *bundleDir, ""); n > 0 {
 		fmt.Printf("%d forensic bundle(s) written to %s\n", n, *bundleDir)
 	} else if *bundleDir != "" {
 		fmt.Println("no violations: no forensic bundles written")
 	}
-	writeMetrics(reg, *metricsOut)
-	writeEventOutputs(rec, *eventsOut, *perfOut)
+	if err := o.Finish(os.Stdout); err != nil {
+		fatal(err)
+	}
 }
 
 // runSweep repeats the scenario for n consecutive seeds across the worker
@@ -316,8 +194,7 @@ func runSweep(scn adassure.Scenario, n, workers int, reg *adassure.Registry, rec
 	}
 	outs, err := adassure.RunScenarioBatch(adassure.BatchOptions{Workers: workers, Obs: reg, Events: rec}, scns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-sim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if bundleDir != "" {
 		total := 0

@@ -1,0 +1,122 @@
+package cli
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"flag"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"adassure/internal/events"
+)
+
+// parse registers the flag set on a fresh FlagSet and parses argv.
+func parse(t *testing.T, argv ...string) *Obs {
+	t.Helper()
+	fset := flag.NewFlagSet("cli-test", flag.ContinueOnError)
+	o := Register(fset)
+	if err := fset.Parse(argv); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// TestAllFlagsOff: with no observability flag, Start builds nothing and
+// announces nothing, and Finish writes and prints nothing.
+func TestAllFlagsOff(t *testing.T) {
+	o := parse(t)
+	var stderr, out bytes.Buffer
+	o.Start(&stderr)
+	if o.Registry != nil || o.Recorder != nil {
+		t.Fatalf("Start with every flag off built registry %v, recorder %v", o.Registry, o.Recorder)
+	}
+	if err := o.Finish(&out); err != nil {
+		t.Fatal(err)
+	}
+	if stderr.Len() != 0 || out.Len() != 0 {
+		t.Fatalf("flags off printed %q on stderr and %q on the report writer", stderr.String(), out.String())
+	}
+}
+
+// TestFinishWritesEveryFile: with -metrics, -events and -perfetto, Finish
+// writes three parseable JSON documents and prints one line per file, in
+// that order; -flight bounds the recorder.
+func TestFinishWritesEveryFile(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.json")
+	evs := filepath.Join(dir, "e.json")
+	perf := filepath.Join(dir, "p.json")
+	o := parse(t, "-metrics", metrics, "-events", evs, "-perfetto", perf, "-flight", "2")
+	o.Start(io.Discard)
+	if o.Registry == nil || o.Recorder == nil {
+		t.Fatal("Start did not build the registry and recorder the flags ask for")
+	}
+	if got := o.Recorder.Capacity(); got != 2 {
+		t.Fatalf("recorder capacity = %d, want the -flight bound 2", got)
+	}
+	o.Registry.Counter("test.count").Inc()
+	o.Recorder.Begin(events.CatScenario, "s0/scenario", "run", 0, nil)
+	o.Recorder.End(events.CatScenario, "s0/scenario", "run", 1, nil)
+
+	var out bytes.Buffer
+	if err := o.Finish(&out); err != nil {
+		t.Fatal(err)
+	}
+	want := "metrics written to " + metrics + "\n" +
+		"events written to " + evs + "\n" +
+		"perfetto trace written to " + perf + "\n"
+	if out.String() != want {
+		t.Fatalf("Finish printed\n%s\nwant\n%s", out.String(), want)
+	}
+	for _, p := range []string{metrics, evs, perf} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc any
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("%s is not JSON: %v", p, err)
+		}
+	}
+	b, _ := os.ReadFile(metrics)
+	if !strings.Contains(string(b), `"test.count"`) {
+		t.Fatalf("metrics snapshot misses the recorded counter:\n%s", b)
+	}
+}
+
+// TestWriteUncreatable: a path that cannot be created is a wrapped error
+// naming what was being written, fn never runs and no line is printed.
+func TestWriteUncreatable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "out.json")
+	var out bytes.Buffer
+	called := false
+	err := Write(&out, path, "report", func(io.Writer) error { called = true; return nil })
+	if err == nil || !errors.Is(err, fs.ErrNotExist) || !strings.HasPrefix(err.Error(), "write report: ") {
+		t.Fatalf("err = %v, want a wrapped not-exist error prefixed \"write report: \"", err)
+	}
+	if called || out.Len() != 0 {
+		t.Fatalf("failed create ran fn (%v) or printed %q", called, out.String())
+	}
+}
+
+// TestWriteReportsStreamError: an error from fn is wrapped, the file is
+// still closed and no line is printed; an empty path writes nothing.
+func TestWriteReportsStreamError(t *testing.T) {
+	boom := errors.New("boom")
+	var out bytes.Buffer
+	err := Write(&out, filepath.Join(t.TempDir(), "x"), "trace", func(io.Writer) error { return boom })
+	if !errors.Is(err, boom) || err.Error() != "write trace: boom" {
+		t.Fatalf("err = %v, want \"write trace: boom\"", err)
+	}
+	if err := Write(&out, "", "trace", func(io.Writer) error { return boom }); err != nil {
+		t.Fatalf("empty path: %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("printed %q", out.String())
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 
@@ -57,8 +56,9 @@ type Config struct {
 // field filled in: controller pure-pursuit, tracks urban-loop + hairpin,
 // the DefaultCatalog grid, seed 1 and 60 s per run. Controller and track
 // names must be in control.Names and track.BuiltinNames, the duration
-// positive and finite, and the mutants valid and unique by canonical ID.
-// The receiver is not modified.
+// in (0, sim.MaxDuration], and the mutants valid and unique by canonical ID.
+// The receiver is not modified; on error the returned config still carries
+// the defaults.
 func (c Config) Canonicalize() (Config, error) {
 	if c.Controller == "" {
 		c.Controller = "pure-pursuit"
@@ -83,8 +83,8 @@ func (c Config) Canonicalize() (Config, error) {
 			return c, fmt.Errorf("mutate: unknown track %q (have %v)", tr, track.BuiltinNames())
 		}
 	}
-	if c.Duration <= 0 || math.IsNaN(c.Duration) || math.IsInf(c.Duration, 0) {
-		return c, fmt.Errorf("mutate: duration must be positive and finite, got %g", c.Duration)
+	if !(c.Duration > 0 && c.Duration <= sim.MaxDuration) {
+		return c, fmt.Errorf("mutate: duration must be in (0, %g] s, got %g", float64(sim.MaxDuration), c.Duration)
 	}
 	canon := make([]Spec, len(c.Mutants))
 	seen := map[string]bool{}

@@ -182,6 +182,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{Duration: -5}); err == nil {
 		t.Error("negative duration not rejected")
 	}
+	if _, err := Run(Config{Duration: 3600.01}); err == nil ||
+		!strings.HasPrefix(err.Error(), "mutate: duration") {
+		t.Errorf("duration over sim.MaxDuration not rejected by Canonicalize: %v", err)
+	}
 }
 
 // TestConfigCanonicalize: defaults are filled in, canonicalizing twice

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"strconv"
 
@@ -80,10 +79,11 @@ type Config struct {
 // field filled in: controller pure-pursuit, tracks urban-loop + hairpin,
 // the DefaultChannels space, mode descent, seed 1, budget 16 (48 in cem
 // mode) and 60 s per probe. Controller and track names must be in
-// control.Names and track.BuiltinNames, the duration positive and finite,
+// control.Names and track.BuiltinNames, the duration in (0, sim.MaxDuration],
 // the budget at least 1, and the channels valid and unique by canonical
 // ID. Assertions must be catalog IDs and are kept as given.
-// The receiver is not modified.
+// The receiver is not modified; on error the returned config still carries
+// the defaults.
 func (c Config) Canonicalize() (Config, error) {
 	if c.Controller == "" {
 		c.Controller = "pure-pursuit"
@@ -124,8 +124,8 @@ func (c Config) Canonicalize() (Config, error) {
 	if c.Budget < 1 {
 		return c, fmt.Errorf("search: budget must be >= 1, got %d", c.Budget)
 	}
-	if c.Duration <= 0 || math.IsNaN(c.Duration) || math.IsInf(c.Duration, 0) {
-		return c, fmt.Errorf("search: duration must be positive and finite, got %g", c.Duration)
+	if !(c.Duration > 0 && c.Duration <= sim.MaxDuration) {
+		return c, fmt.Errorf("search: duration must be in (0, %g] s, got %g", float64(sim.MaxDuration), c.Duration)
 	}
 	if len(c.Assertions) > 0 {
 		if _, err := core.NewCatalogMonitorWith(core.CatalogConfig{IncludeGroundTruth: true}, c.Assertions); err != nil {

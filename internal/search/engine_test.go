@@ -184,6 +184,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{Duration: -5, Budget: 1}); err == nil {
 		t.Error("negative duration not rejected")
 	}
+	if _, err := Run(Config{Duration: 3600.01, Budget: 1}); err == nil ||
+		!strings.HasPrefix(err.Error(), "search: duration") {
+		t.Errorf("duration over sim.MaxDuration not rejected by Canonicalize: %v", err)
+	}
 	if _, err := Run(Config{Assertions: []string{"A99"}, Duration: 1, Budget: 1}); err == nil {
 		t.Error("unknown assertion subset not rejected")
 	}

@@ -42,12 +42,15 @@ const maxCampaignRuns = 64
 // are canonicalized by mutate.Config; the request adds the server's
 // duration cap and the grid cap. The receiver is not mutated.
 func (r MutateRequest) Canonicalize(maxDuration float64) (MutateRequest, error) {
+	// The server cap is checked before the campaign's own errors, so a
+	// request over both it and sim.MaxDuration names the cap it broke;
+	// Canonicalize returns the defaulted config even when it rejects it.
 	cfg, err := r.Config().Canonicalize()
-	if err != nil {
-		return r, err
-	}
 	if maxDuration > 0 && cfg.Duration > maxDuration {
 		return r, fmt.Errorf("duration %g s exceeds the server cap of %g s", cfg.Duration, maxDuration)
+	}
+	if err != nil {
+		return r, err
 	}
 	if runs := len(cfg.Tracks) * (len(cfg.Mutants) + 1); runs > maxCampaignRuns {
 		return r, fmt.Errorf("campaign grid of %d runs exceeds the cap of %d (fewer mutants or tracks)",

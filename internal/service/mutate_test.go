@@ -145,6 +145,29 @@ func TestMutateBadRequests(t *testing.T) {
 	}
 }
 
+// TestCampaignDurationOverSimBound: with the server cap disabled, a mutate
+// or search campaign longer than sim.MaxDuration is rejected by the
+// campaign's canonical form as a 400, not run into a 500 sim error.
+func TestCampaignDurationOverSimBound(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, MaxDuration: -1})
+	for path, body := range map[string]string{
+		"/v1/mutate": `{"tracks": ["urban-loop"], "mutants": [{"op": "identity"}], "duration": 4000}`,
+		"/v1/search": `{"tracks": ["urban-loop"], "channels": [{"op": "sense-gnss-latency"}], "budget": 1, "duration": 4000}`,
+	} {
+		resp, got := postJSON(t, c, path, []byte(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (body %s)", path, resp.StatusCode, got)
+		}
+		if msg := errorEnvelope(t, got); !strings.Contains(msg, "duration") {
+			t.Fatalf("%s: error %q does not mention the duration", path, msg)
+		}
+	}
+	reg := s.Registry()
+	if runs, errs := reg.Counter("sim.runs").Value(), reg.Counter("service.sim_errors").Value(); runs != 0 || errs != 0 {
+		t.Fatalf("over-long campaigns ran %d simulations and counted %d sim errors, want 0 and 0", runs, errs)
+	}
+}
+
 // TestUnknownRouteAndMethod: the JSON fallback answers unknown paths with
 // a 404 envelope and wrong-method calls on real routes with 405 + Allow,
 // instead of the mux's plain-text defaults.

@@ -51,12 +51,15 @@ const maxSearchEvals = 128
 // are canonicalized by search.Config; the request adds the server's
 // duration cap and the probe-run cap. The receiver is not mutated.
 func (r SearchRequest) Canonicalize(maxDuration float64) (SearchRequest, error) {
+	// The server cap is checked before the campaign's own errors, so a
+	// request over both it and sim.MaxDuration names the cap it broke;
+	// Canonicalize returns the defaulted config even when it rejects it.
 	cfg, err := r.Config().Canonicalize()
-	if err != nil {
-		return r, err
-	}
 	if maxDuration > 0 && cfg.Duration > maxDuration {
 		return r, fmt.Errorf("duration %g s exceeds the server cap of %g s", cfg.Duration, maxDuration)
+	}
+	if err != nil {
+		return r, err
 	}
 	evals := cfg.Budget * len(cfg.Tracks)
 	if cfg.Mode == search.ModeDescent {

@@ -34,10 +34,11 @@ const (
 	initialSpeed float64 = 1   // m/s
 )
 
-// maxDuration bounds Config.Duration (s). It keeps the step count and the
-// trace and frame preallocations, which scale with the duration, finite
-// and allocatable.
-const maxDuration = 3600
+// MaxDuration bounds Config.Duration (s), one simulated hour. It keeps the
+// step count and the trace and frame preallocations, which scale with the
+// duration, finite and allocatable. Every canonicalizer that admits a run
+// duration checks it against this bound.
+const MaxDuration = 3600
 
 // The guard's fixed fallback policy (see GuardConfig).
 const (
@@ -195,8 +196,8 @@ func (c *Config) defaults() error {
 	switch {
 	case c.Duration == 0:
 		c.Duration = 60
-	case !(c.Duration > 0 && c.Duration <= maxDuration):
-		return fmt.Errorf("sim: duration must be in (0, %g] s, got %v", float64(maxDuration), c.Duration)
+	case !(c.Duration > 0 && c.Duration <= MaxDuration):
+		return fmt.Errorf("sim: duration must be in (0, %g] s, got %v", float64(MaxDuration), c.Duration)
 	}
 	if c.Localizer == "" {
 		c.Localizer = localizers[0]

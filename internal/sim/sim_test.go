@@ -45,7 +45,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// A bad duration is an error, never a zero-step run, a silent 60 s
 	// or (with frames recorded) a makeslice panic.
-	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 1e300, maxDuration + 0.01} {
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 1e300, MaxDuration + 0.01} {
 		for _, frames := range []bool{false, true} {
 			if res, err := Run(Config{Track: urban(t), Controller: "pure-pursuit", Duration: d, RecordFrames: frames}); err == nil {
 				t.Errorf("duration %v (frames %v) accepted: %d steps", d, frames, res.Steps)
