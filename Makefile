@@ -56,9 +56,11 @@ bench-json-name:
 
 # Golden-file regression suite: every deterministic experiment rendering,
 # the event-timeline render and the diagnosis report must match their
-# committed snapshots byte-for-byte.
+# committed snapshots byte-for-byte, and the frame-level digest of the
+# 364-cell track × controller × attack grid its committed hash.
 golden:
 	$(GO) test ./internal/harness -run TestGolden
+	$(GO) test . -run TestFrameDigest
 	$(GO) test ./internal/events -run TestGoldenTimelineT4
 	$(GO) test ./internal/diagnosis -run TestGoldenReport
 	$(GO) test ./internal/service -run TestStreamGoldenTranscript
@@ -68,6 +70,7 @@ golden:
 # the diff before committing.
 golden-update:
 	$(GO) test ./internal/harness -run TestGolden -update
+	$(GO) test . -run TestFrameDigest -update-frame-digest
 	$(GO) test ./internal/events -run TestGoldenTimelineT4 -update
 	$(GO) test ./internal/diagnosis -run TestGoldenReport -update
 	$(GO) test ./internal/service -run TestStreamGoldenTranscript -update-stream
@@ -95,6 +98,7 @@ fuzz-smoke:
 	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzProjectDifferential -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/planner -run '^$$' -fuzz FuzzSpeedProfileDifferential -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fusion -run '^$$' -fuzz FuzzEKFDifferential -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRealGCD -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mutate -run '^$$' -fuzz FuzzMutantSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamNDJSON -fuzztime $(FUZZTIME)

@@ -208,22 +208,31 @@ func NewStreamSession(cfg StreamConfig) (*StreamSession, error) { return stream.
 // NewAssertion wraps an evaluation closure as a custom Assertion; see also
 // the DSL helpers BoundAssertion, RateAssertion, ConsistencyAssertion.
 func NewAssertion(id, name, desc string, sev Severity, eval func(Frame) Outcome, reset func()) Assertion {
-	return core.NewAssertion(id, name, desc, sev, eval, reset)
+	var byRef func(*Frame, *Outcome) // nil stays nil, so core still rejects it
+	if eval != nil {
+		byRef = func(f *Frame, o *Outcome) { *o = eval(*f) }
+	}
+	return core.NewAssertion(id, name, desc, sev, byRef, reset)
 }
 
 // BoundAssertion asserts lo ≤ extract(frame) ≤ hi.
 func BoundAssertion(id, name, desc string, sev Severity, extract func(Frame) (float64, bool), lo, hi float64) Assertion {
-	return core.Bound(id, name, desc, sev, core.Extractor(extract), lo, hi)
+	return core.Bound(id, name, desc, sev, byValue(extract), lo, hi)
 }
 
 // RateAssertion asserts |d extract/dt| ≤ maxRate.
 func RateAssertion(id, name, desc string, sev Severity, extract func(Frame) (float64, bool), maxRate float64) Assertion {
-	return core.Rate(id, name, desc, sev, core.Extractor(extract), maxRate)
+	return core.Rate(id, name, desc, sev, byValue(extract), maxRate)
 }
 
 // ConsistencyAssertion asserts |a − b| ≤ tol whenever both apply.
 func ConsistencyAssertion(id, name, desc string, sev Severity, a, b func(Frame) (float64, bool), tol float64) Assertion {
-	return core.Consistency(id, name, desc, sev, core.Extractor(a), core.Extractor(b), nil, tol)
+	return core.Consistency(id, name, desc, sev, byValue(a), byValue(b), nil, tol)
+}
+
+// byValue adapts a frame-by-value extractor to core's by-reference one.
+func byValue(extract func(Frame) (float64, bool)) core.Extractor {
+	return func(f *Frame) (float64, bool) { return extract(*f) }
 }
 
 // Diagnose ranks root-cause hypotheses for a violation record.

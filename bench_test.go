@@ -126,20 +126,29 @@ func BenchmarkRunScenarios(b *testing.B) {
 
 // BenchmarkMonitorStepFullCatalog measures the runtime-monitoring cost per
 // control frame with the complete catalog loaded — the number behind the
-// "negligible overhead" claim.
+// "negligible overhead" claim. It replays the recorded frames of a clean
+// run and of a GNSS step-spoof run, so every assertion sees a real stream:
+// A15 folds real fix deltas, and the spoof raises and clears episodes.
 func BenchmarkMonitorStepFullCatalog(b *testing.B) {
-	mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
-	f := core.Frame{
-		T: 0, Dt: 0.05, EstSpeed: 5, GNSSValid: true, GNSSAge: 0.02,
-		GNSSSpeed: 5, OdomSpeed: 5, NIS: 1, NISFresh: true, TrueSpeed: 5,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.T += 0.05
-		f.EstX += 0.25
-		f.GNSSX = f.EstX
-		f.Progress += 0.25
-		mon.Step(f)
+	for _, attack := range []AttackName{AttackNone, AttackStepSpoof} {
+		res, err := Scenario{Attack: attack, RecordFrames: true}.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames := res.Recording.Frames
+		b.Run(string(attack), func(b *testing.B) {
+			mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(frames)
+				if k == 0 && i > 0 {
+					b.StopTimer()
+					mon.Reset()
+					b.StartTimer()
+				}
+				mon.Step(frames[k])
+			}
+		})
 	}
 }
 

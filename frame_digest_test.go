@@ -1,0 +1,132 @@
+package adassure
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
+	"hash"
+	"math"
+	"os"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+var updateFrameDigest = flag.Bool("update-frame-digest", false, "rewrite testdata/frame_digest.hex")
+
+// frameDigestGrid is every built-in track × controller × attack class (none
+// included), 364 cells of 30 s each. The guard alternates over the grid as
+// in perfbench's sweep; cell i runs seed i+1.
+func frameDigestGrid() []Scenario {
+	tracks := []TrackName{TrackStraight, TrackCircle, TrackSCurve, TrackFigureEight,
+		TrackDoubleLaneChange, TrackUrbanLoop, TrackHairpin}
+	controllers := []ControllerName{ControllerPurePursuit, ControllerStanley, ControllerPIDLateral, ControllerLQRMPC}
+	classes := append([]AttackName{AttackNone}, AttackNames()...)
+	var grid []Scenario
+	for ti, tr := range tracks {
+		for ci, ctl := range controllers {
+			for ai, at := range classes {
+				grid = append(grid, Scenario{
+					Track: tr, Controller: ctl, Attack: at, Guarded: (ti+ci+ai)%2 == 1,
+					Seed: int64(len(grid) + 1), Duration: 30, RecordFrames: true,
+				})
+			}
+		}
+	}
+	return grid
+}
+
+// digestWriter feeds values to a hash in a fixed binary form: floats by
+// their IEEE-754 bits, so a digest tells apart values that print alike.
+type digestWriter struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func (w *digestWriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(w.buf[:], v)
+	w.h.Write(w.buf[:])
+}
+
+func (w *digestWriter) str(s string) {
+	w.u64(uint64(len(s)))
+	w.h.Write([]byte(s))
+}
+
+// value hashes the scalar fields of a struct, recursively, in declaration
+// order; fields of other kinds (slices, pointers) are skipped.
+func (w *digestWriter) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float64:
+		w.u64(math.Float64bits(v.Float()))
+	case reflect.Bool:
+		if v.Bool() {
+			w.u64(1)
+		} else {
+			w.u64(0)
+		}
+	case reflect.Int, reflect.Int64:
+		w.u64(uint64(v.Int()))
+	case reflect.String:
+		w.str(v.String())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			w.value(v.Field(i))
+		}
+	}
+}
+
+// TestFrameDigest runs the 364-cell grid and hashes every recorded frame,
+// every violation (evidence included) and each run's summary into one
+// SHA-256 digest, which must equal the committed one: any change to a bit
+// the simulator, the fusion filter or the monitor produces shows here.
+// Regenerate with -update-frame-digest after an intended change. The
+// race detector makes the grid too slow to run, so -race skips it.
+func TestFrameDigest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 364-run grid is too slow under the race detector")
+	}
+	res, err := RunScenarios(context.Background(), frameDigestGrid(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &digestWriter{h: sha256.New()}
+	for _, r := range res {
+		w.u64(uint64(len(r.Recording.Frames)))
+		for i := range r.Recording.Frames {
+			w.value(reflect.ValueOf(&r.Recording.Frames[i]).Elem())
+		}
+		w.u64(uint64(len(r.Violations)))
+		for _, v := range r.Violations {
+			w.value(reflect.ValueOf(v))
+			keys := make([]string, 0, len(v.Evidence))
+			for k := range v.Evidence {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				w.str(k)
+				w.u64(math.Float64bits(v.Evidence[k]))
+			}
+		}
+		w.value(reflect.ValueOf(*r.Sim))
+	}
+	got := hex.EncodeToString(w.h.Sum(nil))
+	const path = "testdata/frame_digest.hex"
+	if *updateFrameDigest {
+		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != strings.TrimSpace(string(want)) {
+		t.Fatalf("frame digest %s, committed %s", got, strings.TrimSpace(string(want)))
+	}
+}

@@ -18,9 +18,13 @@ func TestAssertionEvalAllocs(t *testing.T) {
 		a := e.Assertion
 		// Warm any internal state (EMA filters, rate trackers).
 		for i := 0; i < 10; i++ {
-			a.Eval(goodFrame(float64(i) * 0.05))
+			eval(a, goodFrame(float64(i)*0.05))
 		}
-		allocs := testing.AllocsPerRun(200, func() { _ = a.Eval(f) })
+		var out Outcome
+		allocs := testing.AllocsPerRun(200, func() {
+			out = Outcome{}
+			a.Eval(&f, &out)
+		})
 		if allocs > 0 {
 			t.Errorf("%s: Eval allocates %.1f objects/op in steady state, want 0", a.ID(), allocs)
 		}

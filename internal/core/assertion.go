@@ -42,13 +42,23 @@ type Outcome struct {
 	// threshold-ablation experiments.
 	Margin float64
 	// Evidence carries the named values the assertion examined. It is a
-	// compact value type (see Evidence) so returning an Outcome performs no
-	// heap allocation; the monitor materialises a map only when a violation
-	// is raised.
+	// fixed-capacity value (see Evidence), built in place, so an evaluation
+	// performs no heap allocation; the monitor materialises a map only when
+	// a violation is raised.
 	Evidence Evidence
 	// Skip indicates the assertion was not applicable this frame (e.g. no
 	// fresh measurement); skipped frames do not advance the debouncer.
 	Skip bool
+}
+
+// Set records the frame's verdict: whether the invariant holds and by what
+// margin. It returns the outcome's evidence set, to which the assertion
+// adds the values behind the verdict:
+//
+//	o.Set(v <= hi, hi-v).And("value", v).And("hi", hi)
+func (o *Outcome) Set(ok bool, margin float64) *Evidence {
+	o.OK, o.Margin = ok, margin
+	return &o.Evidence
 }
 
 // Assertion is one runtime invariant over the frame stream. Implementations
@@ -63,8 +73,10 @@ type Assertion interface {
 	Description() string
 	// Severity grades the invariant.
 	Severity() Severity
-	// Eval checks the invariant on a frame.
-	Eval(f Frame) Outcome
+	// Eval checks the invariant on a frame and records the result in out,
+	// which arrives as the zero Outcome. Both are passed by reference so a
+	// monitor step copies neither the frame nor the outcome per assertion.
+	Eval(f *Frame, out *Outcome)
 	// Reset clears history for a new run.
 	Reset()
 }
@@ -156,6 +168,12 @@ type Monitor struct {
 	violations []Violation
 	frames     int
 	skippedBad int
+
+	// frame is Step's copy of the frame being evaluated and out the slot
+	// each assertion records its outcome in: the assertions work on both by
+	// reference, so a step copies the frame once, not once per assertion.
+	frame Frame
+	out   Outcome
 
 	// Observability (nil registry = uninstrumented, the default).
 	obs        *obs.Registry
@@ -269,10 +287,13 @@ func (m *Monitor) Add(a Assertion, deb Debounce) *Monitor {
 	return m
 }
 
-// Step evaluates every assertion on the frame.
-func (m *Monitor) Step(f Frame) {
+// Step evaluates every assertion on the frame. It copies the frame once
+// into the monitor and hands every assertion that copy by reference.
+func (m *Monitor) Step(frame Frame) {
 	m.frames++
 	m.framesCtr.Inc()
+	m.frame = frame
+	f := &m.frame
 	if !f.Finite() {
 		m.skippedBad++
 		m.skippedCtr.Inc()
@@ -288,7 +309,9 @@ func (m *Monitor) Step(f Frame) {
 		prev = start
 	}
 	for _, e := range m.entries {
-		m.apply(e, f, e.a.Eval(f))
+		m.out = Outcome{}
+		e.a.Eval(f, &m.out)
+		m.apply(e, f.T, &m.out)
 		if m.obs != nil {
 			now := time.Now()
 			e.evalNS.Observe(now.Sub(prev).Nanoseconds())
@@ -303,27 +326,27 @@ func (m *Monitor) Step(f Frame) {
 
 // apply pushes one evaluation outcome through an entry's debounce window
 // and episode bookkeeping.
-func (m *Monitor) apply(e *monitored, f Frame, out Outcome) {
+func (m *Monitor) apply(e *monitored, t float64, out *Outcome) {
 	if out.Skip {
 		return
 	}
 	if !out.OK && !e.inEpisode && e.firstBreachUnset() {
-		e.firstBreach = f.T
+		e.firstBreach = t
 	}
 	fails, filled := e.push(!out.OK)
 	switch {
 	case !e.inEpisode && filled >= e.deb.K && fails >= e.deb.K:
 		e.inEpisode = true
 		e.everFailed = true
-		if e.firstBreach > f.T || e.firstBreachUnset() {
-			e.firstBreach = f.T
+		if e.firstBreach > t || e.firstBreachUnset() {
+			e.firstBreach = t
 		}
 		e.openIdx = len(m.violations)
 		m.violations = append(m.violations, Violation{
 			AssertionID: e.a.ID(),
 			Name:        e.a.Name(),
 			Severity:    e.a.Severity(),
-			T:           f.T,
+			T:           t,
 			FirstBreach: e.firstBreach,
 			Message:     fmt.Sprintf("%s: %s (%d of last %d frames failing)", e.a.ID(), e.a.Description(), fails, filled),
 			Evidence:    out.Evidence.Map(),
@@ -335,7 +358,7 @@ func (m *Monitor) apply(e *monitored, f Frame, out Outcome) {
 		}
 		if m.events != nil {
 			m.events.Begin(events.CatViolation, m.evScope+"assertion/"+e.a.ID(),
-				e.a.ID()+" "+e.a.Name(), f.T, map[string]float64{
+				e.a.ID()+" "+e.a.Name(), t, map[string]float64{
 					"first_breach": e.firstBreach,
 					"severity":     float64(e.a.Severity()),
 				})
@@ -345,7 +368,7 @@ func (m *Monitor) apply(e *monitored, f Frame, out Outcome) {
 		e.inEpisode = false
 		e.firstBreach = -1
 		if e.openIdx >= 0 {
-			m.violations[e.openIdx].Duration = f.T - m.violations[e.openIdx].T
+			m.violations[e.openIdx].Duration = t - m.violations[e.openIdx].T
 			if m.onClose != nil {
 				m.onClose(m.violations[e.openIdx])
 			}
@@ -353,7 +376,7 @@ func (m *Monitor) apply(e *monitored, f Frame, out Outcome) {
 		}
 		if m.events != nil {
 			m.events.End(events.CatViolation, m.evScope+"assertion/"+e.a.ID(),
-				e.a.ID()+" "+e.a.Name(), f.T, nil)
+				e.a.ID()+" "+e.a.Name(), t, nil)
 		}
 	case !e.inEpisode && fails == 0:
 		e.firstBreach = -1
@@ -447,13 +470,13 @@ func (m *Monitor) Reset() {
 
 // Extractor pulls one value from a frame; ok=false means not applicable on
 // this frame (the debouncer then skips it).
-type Extractor func(f Frame) (v float64, ok bool)
+type Extractor func(f *Frame) (v float64, ok bool)
 
 // funcAssertion adapts a closure to the Assertion interface.
 type funcAssertion struct {
 	id, name, desc string
 	sev            Severity
-	eval           func(f Frame) Outcome
+	eval           func(f *Frame, o *Outcome)
 	reset          func()
 }
 
@@ -461,8 +484,8 @@ func (a *funcAssertion) ID() string          { return a.id }
 func (a *funcAssertion) Name() string        { return a.name }
 func (a *funcAssertion) Description() string { return a.desc }
 func (a *funcAssertion) Severity() Severity  { return a.sev }
-func (a *funcAssertion) Eval(f Frame) Outcome {
-	return a.eval(f)
+func (a *funcAssertion) Eval(f *Frame, out *Outcome) {
+	a.eval(f, out)
 }
 func (a *funcAssertion) Reset() {
 	if a.reset != nil {
@@ -470,9 +493,9 @@ func (a *funcAssertion) Reset() {
 	}
 }
 
-// NewAssertion wraps an evaluation closure as an Assertion. reset may be
-// nil for stateless assertions.
-func NewAssertion(id, name, desc string, sev Severity, eval func(f Frame) Outcome, reset func()) Assertion {
+// NewAssertion wraps an evaluation closure as an Assertion: eval has
+// Eval's contract. reset may be nil for stateless assertions.
+func NewAssertion(id, name, desc string, sev Severity, eval func(f *Frame, o *Outcome), reset func()) Assertion {
 	if id == "" || name == "" || eval == nil {
 		panic("core: NewAssertion requires id, name and eval")
 	}
@@ -485,17 +508,14 @@ func Bound(id, name, desc string, sev Severity, ex Extractor, lo, hi float64) As
 	if lo > hi {
 		panic(fmt.Sprintf("core: Bound %s has inverted bounds", id))
 	}
-	return NewAssertion(id, name, desc, sev, func(f Frame) Outcome {
+	return NewAssertion(id, name, desc, sev, func(f *Frame, o *Outcome) {
 		v, ok := ex(f)
 		if !ok {
-			return Outcome{Skip: true}
+			o.Skip = true
+			return
 		}
 		margin := math.Min(v-lo, hi-v)
-		return Outcome{
-			OK:       v >= lo && v <= hi,
-			Margin:   margin,
-			Evidence: Ev("value", v).And("lo", lo).And("hi", hi),
-		}
+		o.Set(v >= lo && v <= hi, margin).And("value", v).And("lo", lo).And("hi", hi)
 	}, nil)
 }
 
@@ -506,26 +526,25 @@ func Rate(id, name, desc string, sev Severity, ex Extractor, maxRate float64) As
 	}
 	var prevV, prevT float64
 	var has bool
-	return NewAssertion(id, name, desc, sev, func(f Frame) Outcome {
+	return NewAssertion(id, name, desc, sev, func(f *Frame, o *Outcome) {
 		v, ok := ex(f)
 		if !ok {
-			return Outcome{Skip: true}
+			o.Skip = true
+			return
 		}
 		if !has {
 			prevV, prevT, has = v, f.T, true
-			return Outcome{Skip: true}
+			o.Skip = true
+			return
 		}
 		dt := f.T - prevT
 		if dt <= 0 {
-			return Outcome{Skip: true}
+			o.Skip = true
+			return
 		}
 		rate := math.Abs(v-prevV) / dt
 		prevV, prevT = v, f.T
-		return Outcome{
-			OK:       rate <= maxRate,
-			Margin:   maxRate - rate,
-			Evidence: Ev("rate", rate).And("max", maxRate),
-		}
+		o.Set(rate <= maxRate, maxRate-rate).And("rate", rate).And("max", maxRate)
 	}, func() { has = false })
 }
 
@@ -539,32 +558,30 @@ func Consistency(id, name, desc string, sev Severity, a, b Extractor, diff func(
 	if diff == nil {
 		diff = func(x, y float64) float64 { return x - y }
 	}
-	return NewAssertion(id, name, desc, sev, func(f Frame) Outcome {
+	return NewAssertion(id, name, desc, sev, func(f *Frame, o *Outcome) {
 		x, ok1 := a(f)
 		y, ok2 := b(f)
 		if !ok1 || !ok2 {
-			return Outcome{Skip: true}
+			o.Skip = true
+			return
 		}
 		d := math.Abs(diff(x, y))
-		return Outcome{
-			OK:       d <= tol,
-			Margin:   tol - d,
-			Evidence: Ev("a", x).And("b", y).And("diff", d).And("tol", tol),
-		}
+		o.Set(d <= tol, tol-d).And("a", x).And("b", y).And("diff", d).And("tol", tol)
 	}, nil)
 }
 
 // WindowCount asserts that a per-frame event (pred) occurs at most maxCount
 // times within any sliding window of the given duration.
-func WindowCount(id, name, desc string, sev Severity, pred func(f Frame) (event, ok bool), window float64, maxCount int) Assertion {
+func WindowCount(id, name, desc string, sev Severity, pred func(f *Frame) (event, ok bool), window float64, maxCount int) Assertion {
 	if window <= 0 || maxCount < 0 {
 		panic(fmt.Sprintf("core: WindowCount %s needs positive window and non-negative count", id))
 	}
 	var times []float64
-	return NewAssertion(id, name, desc, sev, func(f Frame) Outcome {
+	return NewAssertion(id, name, desc, sev, func(f *Frame, o *Outcome) {
 		event, ok := pred(f)
 		if !ok {
-			return Outcome{Skip: true}
+			o.Skip = true
+			return
 		}
 		if event {
 			times = append(times, f.T)
@@ -581,10 +598,7 @@ func WindowCount(id, name, desc string, sev Severity, pred func(f Frame) (event,
 			times = times[:n]
 		}
 		n := len(times)
-		return Outcome{
-			OK:       n <= maxCount,
-			Margin:   float64(maxCount - n),
-			Evidence: Ev("count", float64(n)).And("max", float64(maxCount)).And("window", window),
-		}
+		o.Set(n <= maxCount, float64(maxCount-n)).
+			And("count", float64(n)).And("max", float64(maxCount)).And("window", window)
 	}, func() { times = nil })
 }

@@ -34,7 +34,7 @@ func TestDebounceValidate(t *testing.T) {
 // failWhen builds an assertion failing when the frame's CTE exceeds 1.
 func failWhen() Assertion {
 	return Bound("T1", "test-bound", "test", Warning,
-		func(f Frame) (float64, bool) { return f.CTE, true }, -1, 1)
+		func(f *Frame) (float64, bool) { return f.CTE, true }, -1, 1)
 }
 
 func TestMonitorImmediateDebounce(t *testing.T) {
@@ -123,7 +123,7 @@ func TestMonitorFirstBreachPrecedesRaise(t *testing.T) {
 
 func TestMonitorSkipDoesNotAdvance(t *testing.T) {
 	// Assertion applicable only when GNSSValid.
-	a := Bound("T2", "gated", "gated", Warning, func(f Frame) (float64, bool) {
+	a := Bound("T2", "gated", "gated", Warning, func(f *Frame) (float64, bool) {
 		if !f.GNSSValid {
 			return 0, false
 		}
@@ -191,7 +191,7 @@ func TestMonitorReset(t *testing.T) {
 func TestFirstViolationQueries(t *testing.T) {
 	m := NewMonitor().
 		Add(failWhen(), Debounce{K: 1, N: 1}).
-		Add(Bound("T3", "b", "b", Critical, func(f Frame) (float64, bool) { return f.EstSpeed, true }, 0, 4), Debounce{K: 1, N: 1})
+		Add(Bound("T3", "b", "b", Critical, func(f *Frame) (float64, bool) { return f.EstSpeed, true }, 0, 4), Debounce{K: 1, N: 1})
 	f := frameAt(1.0)
 	f.CTE = 5 // T1 fails; EstSpeed=5 > 4 → T3 fails too
 	m.Step(f)
@@ -212,15 +212,15 @@ func TestFirstViolationQueries(t *testing.T) {
 }
 
 func TestBoundMargin(t *testing.T) {
-	a := Bound("B", "b", "b", Info, func(f Frame) (float64, bool) { return f.CTE, true }, -1, 1)
+	a := Bound("B", "b", "b", Info, func(f *Frame) (float64, bool) { return f.CTE, true }, -1, 1)
 	f := frameAt(0)
 	f.CTE = 0.4
-	out := a.Eval(f)
+	out := eval(a, f)
 	if !out.OK || math.Abs(out.Margin-0.6) > 1e-12 {
 		t.Errorf("margin = %g, want 0.6", out.Margin)
 	}
 	f.CTE = 1.5
-	out = a.Eval(f)
+	out = eval(a, f)
 	if out.OK || math.Abs(out.Margin+0.5) > 1e-12 {
 		t.Errorf("outside margin = %g, want -0.5", out.Margin)
 	}
@@ -232,60 +232,60 @@ func TestBoundPanicsOnInvertedBounds(t *testing.T) {
 			t.Error("inverted bounds should panic")
 		}
 	}()
-	Bound("B", "b", "b", Info, func(f Frame) (float64, bool) { return 0, true }, 1, -1)
+	Bound("B", "b", "b", Info, func(f *Frame) (float64, bool) { return 0, true }, 1, -1)
 }
 
 func TestRateAssertion(t *testing.T) {
-	a := Rate("R", "r", "r", Info, func(f Frame) (float64, bool) { return f.CmdAccel, true }, 10)
+	a := Rate("R", "r", "r", Info, func(f *Frame) (float64, bool) { return f.CmdAccel, true }, 10)
 	f := frameAt(0)
 	f.CmdAccel = 0
-	if out := a.Eval(f); !out.Skip {
+	if out := eval(a, f); !out.Skip {
 		t.Error("first frame should be skipped")
 	}
 	f = frameAt(0.1)
 	f.CmdAccel = 0.5 // rate 5 ≤ 10
-	if out := a.Eval(f); !out.OK || out.Skip {
+	if out := eval(a, f); !out.OK || out.Skip {
 		t.Errorf("rate 5 should pass: %+v", out)
 	}
 	f = frameAt(0.2)
 	f.CmdAccel = 2.5 // rate 20 > 10
-	if out := a.Eval(f); out.OK {
+	if out := eval(a, f); out.OK {
 		t.Error("rate 20 should fail")
 	}
 	a.Reset()
 	f = frameAt(0.3)
-	if out := a.Eval(f); !out.Skip {
+	if out := eval(a, f); !out.Skip {
 		t.Error("Reset should clear history")
 	}
 }
 
 func TestConsistencyAssertion(t *testing.T) {
 	a := Consistency("C", "c", "c", Info,
-		func(f Frame) (float64, bool) { return f.GNSSSpeed, f.GNSSValid },
-		func(f Frame) (float64, bool) { return f.OdomSpeed, true },
+		func(f *Frame) (float64, bool) { return f.GNSSSpeed, f.GNSSValid },
+		func(f *Frame) (float64, bool) { return f.OdomSpeed, true },
 		nil, 1.0)
 	f := frameAt(0)
 	f.GNSSSpeed, f.OdomSpeed = 5, 5.5
-	if out := a.Eval(f); !out.OK {
+	if out := eval(a, f); !out.OK {
 		t.Error("0.5 diff within tol 1 should pass")
 	}
 	f.OdomSpeed = 7
-	if out := a.Eval(f); out.OK {
+	if out := eval(a, f); out.OK {
 		t.Error("2.0 diff should fail")
 	}
 	f.GNSSValid = false
-	if out := a.Eval(f); !out.Skip {
+	if out := eval(a, f); !out.Skip {
 		t.Error("inapplicable extractor should skip")
 	}
 }
 
 func TestWindowCountAssertion(t *testing.T) {
 	a := WindowCount("W", "w", "w", Info,
-		func(f Frame) (bool, bool) { return f.CmdSteer > 0, true }, 1.0, 2)
+		func(f *Frame) (bool, bool) { return f.CmdSteer > 0, true }, 1.0, 2)
 	step := func(t0, steer float64) Outcome {
 		f := frameAt(t0)
 		f.CmdSteer = steer
-		return a.Eval(f)
+		return eval(a, f)
 	}
 	step(0.0, 1)
 	step(0.1, 1)
@@ -338,5 +338,5 @@ func TestNewAssertionValidation(t *testing.T) {
 			t.Error("empty id should panic")
 		}
 	}()
-	NewAssertion("", "x", "x", Info, func(f Frame) Outcome { return Outcome{OK: true} }, nil)
+	NewAssertion("", "x", "x", Info, func(f *Frame, o *Outcome) { o.OK = true }, nil)
 }

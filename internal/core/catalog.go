@@ -31,7 +31,7 @@ func (c *CatalogConfig) defaults() {
 
 // freshGNSS reports whether a new fix was delivered within this frame's
 // control period.
-func freshGNSS(f Frame) bool { return f.GNSSValid && f.GNSSAge <= f.Dt+1e-9 }
+func freshGNSS(f *Frame) bool { return f.GNSSValid && f.GNSSAge <= f.Dt+1e-9 }
 
 // NewCatalog instantiates the built-in assertions A1–A15 with the given
 // configuration, each paired with its default debounce policy.
@@ -133,9 +133,10 @@ func A1PositionJump(lim Limits, k float64) Assertion {
 	var has bool
 	return NewAssertion("A1", "position-jump",
 		fmt.Sprintf("implied GNSS speed between fixes <= %.1f m/s", maxImplied), Critical,
-		func(f Frame) Outcome {
+		func(f *Frame, o *Outcome) {
 			if !freshGNSS(f) {
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			// Key on the fix's own timestamp, not the frame's: a fix can be
 			// "fresh" on two consecutive control frames, and comparing it
@@ -144,19 +145,18 @@ func A1PositionJump(lim Limits, k float64) Assertion {
 			tFix := f.T - f.GNSSAge
 			if !has {
 				px, py, pt, has = f.GNSSX, f.GNSSY, tFix, true
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			dt := tFix - pt
 			if dt <= 1e-6 {
-				return Outcome{Skip: true} // same fix as last frame
+				o.Skip = true // same fix as last frame
+				return
 			}
 			implied := math.Hypot(f.GNSSX-px, f.GNSSY-py) / dt
 			px, py, pt = f.GNSSX, f.GNSSY, tFix
-			return Outcome{
-				OK:       implied <= maxImplied,
-				Margin:   maxImplied - implied,
-				Evidence: Ev("implied_speed", implied).And("max", maxImplied),
-			}
+			o.Set(implied <= maxImplied, maxImplied-implied).
+				And("implied_speed", implied).And("max", maxImplied)
 		}, func() { has = false })
 }
 
@@ -168,7 +168,7 @@ func A2CrossTrack(lim Limits, k float64) Assertion {
 	bound := lim.CTEBound * k
 	return Bound("A2", "cross-track-bound",
 		fmt.Sprintf("|cross-track error| <= %.2f m while moving", bound), Critical,
-		func(f Frame) (float64, bool) {
+		func(f *Frame) (float64, bool) {
 			if f.EstSpeed < 0.5 {
 				return 0, false
 			}
@@ -183,7 +183,7 @@ func A3HeadingConsistency(lim Limits, k float64) Assertion {
 	tol := lim.HeadingTol * k
 	return Consistency("A3", "heading-consistency",
 		fmt.Sprintf("|GNSS course - IMU heading| <= %.2f rad while moving", tol), Warning,
-		func(f Frame) (float64, bool) {
+		func(f *Frame) (float64, bool) {
 			// Course over ground is a chord direction: during hard yaw it
 			// legitimately lags the instantaneous heading by ~ω·baseline/2,
 			// so the check only applies in near-straight motion at speed.
@@ -192,7 +192,7 @@ func A3HeadingConsistency(lim Limits, k float64) Assertion {
 			}
 			return f.GNSSCourse, true
 		},
-		func(f Frame) (float64, bool) {
+		func(f *Frame) (float64, bool) {
 			if f.IMUAge > lim.MaxSensorAge {
 				return 0, false
 			}
@@ -208,7 +208,7 @@ func A4SpeedConsistency(lim Limits, k float64) Assertion {
 	tol := lim.SpeedTol * k
 	return Consistency("A4", "speed-consistency",
 		fmt.Sprintf("|GNSS speed - odometry speed| <= %.2f m/s", tol), Warning,
-		func(f Frame) (float64, bool) {
+		func(f *Frame) (float64, bool) {
 			// The receiver-derived speed is a chord average over ~1 s; under
 			// hard acceleration it legitimately lags the instantaneous wheel
 			// speed by ~a/2, so the check applies in quasi-steady motion.
@@ -217,7 +217,7 @@ func A4SpeedConsistency(lim Limits, k float64) Assertion {
 			}
 			return f.GNSSSpeed, true
 		},
-		func(f Frame) (float64, bool) {
+		func(f *Frame) (float64, bool) {
 			if f.OdomAge > lim.MaxSensorAge {
 				return 0, false
 			}
@@ -233,7 +233,7 @@ func A5StaleSensor(lim Limits, k float64) Assertion {
 	maxAge := lim.MaxSensorAge * k
 	return Bound("A5", "stale-sensor",
 		fmt.Sprintf("GNSS fix age <= %.2f s", maxAge), Warning,
-		func(f Frame) (float64, bool) { return f.GNSSAge, true },
+		func(f *Frame) (float64, bool) { return f.GNSSAge, true },
 		math.Inf(-1), maxAge)
 }
 
@@ -245,12 +245,13 @@ func A6SteeringCurvature(lim Limits, k float64) Assertion {
 	slack := 0.25 * k // rad of unexplained steering allowed
 	return NewAssertion("A6", "steering-curvature",
 		fmt.Sprintf("steer within geometric band of upcoming curvature + %.2f rad + error terms", slack), Warning,
-		func(f Frame) Outcome {
+		func(f *Frame, o *Outcome) {
 			// Below ~1.5 m/s every geometric controller is legitimately
 			// twitchy (spawn transients, Stanley's 1/v gain), so the check
 			// applies only in motion.
 			if f.EstSpeed < 1.5 {
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			// Geometric steering band implied by the curvature the vehicle
 			// is in or about to enter (controllers legitimately anticipate
@@ -269,11 +270,8 @@ func A6SteeringCurvature(lim Limits, k float64) Assertion {
 			case f.CmdSteer > hi:
 				dev = f.CmdSteer - hi
 			}
-			return Outcome{
-				OK:       dev <= allowance,
-				Margin:   allowance - dev,
-				Evidence: Ev("deviation", dev).And("allowance", allowance).And("band_lo", lo).And("band_hi", hi),
-			}
+			o.Set(dev <= allowance, allowance-dev).
+				And("deviation", dev).And("allowance", allowance).And("band_lo", lo).And("band_hi", hi)
 		}, nil)
 }
 
@@ -287,7 +285,7 @@ func A7LateralAccel(lim Limits, k float64) Assertion {
 	bound := lim.MaxLatAccel * 1.7 * k
 	return Bound("A7", "lateral-accel",
 		fmt.Sprintf("|v·yawrate| <= %.2f m/s²", bound), Critical,
-		func(f Frame) (float64, bool) {
+		func(f *Frame) (float64, bool) {
 			return f.EstSpeed * f.EstYawRate, true
 		}, -bound, bound)
 }
@@ -302,7 +300,7 @@ func A8Jerk(lim Limits, k float64) Assertion {
 	bound := lim.MaxJerk * 5 * k
 	return Rate("A8", "jerk-bound",
 		fmt.Sprintf("|d(accel)/dt| <= %.1f m/s³", bound), Warning,
-		func(f Frame) (float64, bool) { return f.CmdAccel, true },
+		func(f *Frame) (float64, bool) { return f.CmdAccel, true },
 		bound)
 }
 
@@ -315,18 +313,15 @@ func A9ProgressMonotone(lim Limits, k float64) Assertion {
 	var has bool
 	return NewAssertion("A9", "progress-monotone",
 		fmt.Sprintf("route progress regression <= %.1f m per step", tol), Critical,
-		func(f Frame) Outcome {
+		func(f *Frame, o *Outcome) {
 			if !has {
 				prev, has = f.Progress, true
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			drop := prev - f.Progress
 			prev = f.Progress
-			return Outcome{
-				OK:       drop <= tol,
-				Margin:   tol - drop,
-				Evidence: Ev("regression", drop).And("tol", tol),
-			}
+			o.Set(drop <= tol, tol-drop).And("regression", drop).And("tol", tol)
 		}, func() { has = false })
 }
 
@@ -337,7 +332,7 @@ func A10InnovationGate(lim Limits, k float64) Assertion {
 	gate := lim.NISGate * k
 	return Bound("A10", "innovation-gate",
 		fmt.Sprintf("GNSS NIS <= %.2f", gate), Warning,
-		func(f Frame) (float64, bool) {
+		func(f *Frame) (float64, bool) {
 			if !f.NISFresh {
 				return 0, false
 			}
@@ -356,7 +351,7 @@ func A11Oscillation(lim Limits, k float64) Assertion {
 	var has bool
 	return WindowCount("A11", "oscillation-bound",
 		fmt.Sprintf("steering sign changes <= %d per %.0f s", maxChanges, window), Warning,
-		func(f Frame) (bool, bool) {
+		func(f *Frame) (bool, bool) {
 			if f.EstSpeed < 1 {
 				return false, false
 			}
@@ -377,7 +372,7 @@ func A12SafetyEnvelope(lim Limits, k float64) Assertion {
 	bound := lim.CTEBound * 2.5 * k
 	return Bound("A12", "safety-envelope",
 		fmt.Sprintf("|true cross-track deviation| <= %.2f m", bound), Critical,
-		func(f Frame) (float64, bool) {
+		func(f *Frame) (float64, bool) {
 			if f.TrueSpeed < 0.5 {
 				return 0, false
 			}
@@ -402,15 +397,17 @@ func A13HeadingReference(lim Limits, k float64) Assertion {
 	var has bool
 	return NewAssertion("A13", "heading-reference",
 		fmt.Sprintf("EMA|fused heading - IMU heading| <= %.3f rad", tol), Critical,
-		func(f Frame) Outcome {
+		func(f *Frame, o *Outcome) {
 			if f.IMUAge > lim.MaxSensorAge {
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			d := angleDiff(f.EstHeading, f.IMUHeading)
 			if !has {
 				lastT, has = f.T, true
 				ema = d
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			alpha := (f.T - lastT) / tau
 			if alpha > 1 {
@@ -419,11 +416,7 @@ func A13HeadingReference(lim Limits, k float64) Assertion {
 			lastT = f.T
 			ema += (d - ema) * alpha
 			dev := math.Abs(ema)
-			return Outcome{
-				OK:       dev <= tol,
-				Margin:   tol - dev,
-				Evidence: Ev("ema_divergence", ema).And("instant", d).And("tol", tol),
-			}
+			o.Set(dev <= tol, tol-dev).And("ema_divergence", ema).And("instant", d).And("tol", tol)
 		}, func() { ema = 0; has = false })
 }
 
@@ -444,11 +437,12 @@ func A14ActuatorResponse(lim Limits, k float64) Assertion {
 	var has bool
 	return NewAssertion("A14", "actuator-response",
 		fmt.Sprintf("EMA|measured yaw - commanded yaw| <= %.2f rad/s", tol), Critical,
-		func(f Frame) Outcome {
+		func(f *Frame, o *Outcome) {
 			if !has {
 				lastT, has = f.T, true
 				filtSteer = f.CmdSteer
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			dt := f.T - lastT
 			lastT = f.T
@@ -457,7 +451,8 @@ func A14ActuatorResponse(lim Limits, k float64) Assertion {
 			// entry) produces a spurious transient residual.
 			filtSteer += (f.CmdSteer - filtSteer) * (1 - math.Exp(-dt/actLag))
 			if f.EstSpeed < 1.5 || f.IMUAge > lim.MaxSensorAge {
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			expected := f.EstSpeed * math.Tan(filtSteer) / lim.Wheelbase
 			residual := f.IMUYawRate - expected
@@ -467,11 +462,8 @@ func A14ActuatorResponse(lim Limits, k float64) Assertion {
 			}
 			ema += (residual - ema) * alpha
 			dev := math.Abs(ema)
-			return Outcome{
-				OK:       dev <= tol,
-				Margin:   tol - dev,
-				Evidence: Ev("ema_residual", ema).And("expected_yaw", expected).And("measured_yaw", f.IMUYawRate).And("tol", tol),
-			}
+			o.Set(dev <= tol, tol-dev).
+				And("ema_residual", ema).And("expected_yaw", expected).And("measured_yaw", f.IMUYawRate).And("tol", tol)
 		}, func() { ema = 0; filtSteer = 0; has = false })
 }
 
@@ -503,18 +495,21 @@ func A15LatticeConsistency(lim Limits, k float64) Assertion {
 	var has bool
 	return NewAssertion("A15", "gnss-lattice",
 		fmt.Sprintf("GCD of consecutive GNSS position deltas < %.3f m (no quantization lattice)", minGrid), Warning,
-		func(f Frame) Outcome {
+		func(f *Frame, o *Outcome) {
 			if !freshGNSS(f) {
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			tFix := f.T - f.GNSSAge
 			if !has {
 				px, py, pt, has = f.GNSSX, f.GNSSY, tFix, true
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			dtFix := tFix - pt
 			if dtFix <= 1e-6 {
-				return Outcome{Skip: true} // same fix as last frame
+				o.Skip = true // same fix as last frame
+				return
 			}
 			// Expected per-axis travel between fixes, from the fused state:
 			// a near-zero delta despite commanded motion is a stalled axis —
@@ -543,7 +538,8 @@ func A15LatticeConsistency(lim Limits, k float64) Assertion {
 				sn++
 			}
 			if n < minFill {
-				return Outcome{Skip: true}
+				o.Skip = true
+				return
 			}
 			g := buf[0]
 			for i := 1; i < n; i++ {
@@ -580,11 +576,8 @@ func A15LatticeConsistency(lim Limits, k float64) Assertion {
 			if distinct < 2 && stallSum < maxStall {
 				pitch = 0 // degenerate: no lattice evidence
 			}
-			return Outcome{
-				OK:       pitch < minGrid,
-				Margin:   minGrid - pitch,
-				Evidence: Ev("lattice_pitch", pitch).And("gcd", g).And("min_grid", minGrid).And("stalled", float64(stallSum)),
-			}
+			o.Set(pitch < minGrid, minGrid-pitch).
+				And("lattice_pitch", pitch).And("gcd", g).And("min_grid", minGrid).And("stalled", float64(stallSum))
 		}, func() { n, next, sn, snext, has = 0, 0, 0, 0, false })
 }
 
@@ -594,14 +587,43 @@ func A15LatticeConsistency(lim Limits, k float64) Assertion {
 // incommensurate inputs it collapses toward eps.
 func realGCD(a, b, eps float64) float64 {
 	for b > eps {
-		a, b = b, math.Mod(a, b)
+		a, b = b, rem(a, b)
 	}
 	return a
 }
 
+// rem is math.Mod(a, b), bit for bit, without its bit-by-bit long division
+// on the arguments realGCD folds. For 0 ≤ a < b, fmod is a. For a ≥ b > 0
+// the quotient q = Trunc(a/b) of the correctly rounded a/b is the true
+// quotient or one more, while it is below 2⁵². The exact a − q·b is then
+// a multiple of b's ulp (a ≥ b is a multiple of it too) with magnitude at
+// most b, so it is representable: the FMA computes it exactly, and adding
+// b back when it is negative is exact too and gives fmod's remainder.
+// Every other argument — negative, NaN, ±Inf, zero b, a huge quotient —
+// takes math.Mod.
+func rem(a, b float64) float64 {
+	if a >= 0 && b > 0 {
+		if a < b {
+			return a
+		}
+		if q := math.Trunc(a / b); q < 1<<52 {
+			r := math.FMA(-q, b, a)
+			if r < 0 {
+				r += b
+			}
+			return r
+		}
+	}
+	return math.Mod(a, b)
+}
+
 // angleDiff is the angular difference used by heading-consistency checks.
+// On (−2π, 2π) math.Mod by 2π is the identity, so it is skipped there.
 func angleDiff(a, b float64) float64 {
-	d := math.Mod(a-b, 2*math.Pi)
+	d := a - b
+	if !(math.Abs(d) < 2*math.Pi) {
+		d = math.Mod(d, 2*math.Pi)
+	}
 	switch {
 	case d > math.Pi:
 		d -= 2 * math.Pi

@@ -27,6 +27,13 @@ func goodFrame(t float64) Frame {
 	}
 }
 
+// eval evaluates a on a copy of f and returns the outcome.
+func eval(a Assertion, f Frame) Outcome {
+	var out Outcome
+	a.Eval(&f, &out)
+	return out
+}
+
 func TestCatalogCleanStream(t *testing.T) {
 	m := NewCatalogMonitor(CatalogConfig{Limits: testLimits(), IncludeGroundTruth: true})
 	for i := 0; i < 400; i++ {
@@ -118,11 +125,11 @@ func TestA1IgnoresSameFixAcrossFrames(t *testing.T) {
 	a := A1PositionJump(lim, 1)
 	f1 := goodFrame(1.0)
 	f1.GNSSAge = 0.0
-	a.Eval(f1) // seeds history
+	eval(a, f1) // seeds history
 	f2 := goodFrame(1.05)
 	f2.GNSSX = f1.GNSSX // same fix content
 	f2.GNSSAge = 0.05   // same fix, older
-	if out := a.Eval(f2); !out.Skip {
+	if out := eval(a, f2); !out.Skip {
 		t.Errorf("same fix should be skipped, got %+v", out)
 	}
 }
@@ -146,7 +153,7 @@ func TestA2SkipsWhenStationary(t *testing.T) {
 	f := goodFrame(0)
 	f.EstSpeed = 0.1
 	f.CTE = 50
-	if out := a.Eval(f); !out.Skip {
+	if out := eval(a, f); !out.Skip {
 		t.Error("A2 should skip when stationary")
 	}
 }
@@ -170,7 +177,7 @@ func TestA3SkipsDuringHardYaw(t *testing.T) {
 	f := goodFrame(0)
 	f.IMUYawRate = 0.5
 	f.GNSSCourse = 2
-	if out := a.Eval(f); !out.Skip {
+	if out := eval(a, f); !out.Skip {
 		t.Error("A3 should skip during hard yaw")
 	}
 }
@@ -222,7 +229,7 @@ func TestA6AllowsSteeringForUpcomingCorner(t *testing.T) {
 	f := goodFrame(0)
 	f.CurvAheadMax = 0.15 // corner ahead
 	f.CmdSteer = math.Atan(0.15 * 2.8)
-	if out := a.Eval(f); !out.OK {
+	if out := eval(a, f); !out.OK {
 		t.Errorf("anticipatory steering should pass: %+v", out)
 	}
 }
@@ -291,7 +298,7 @@ func TestA10SkipsStaleNIS(t *testing.T) {
 	f := goodFrame(0)
 	f.NIS = 500
 	f.NISFresh = false
-	if out := a.Eval(f); !out.Skip {
+	if out := eval(a, f); !out.Skip {
 		t.Error("A10 should skip when no update was attempted")
 	}
 }

@@ -12,30 +12,27 @@ type evidenceKV struct {
 }
 
 // Evidence is a fixed-capacity set of named values attached to an assertion
-// outcome. It is a plain value type: building one performs no heap
-// allocation, which keeps the per-frame assertion-eval path allocation-free
-// (the previous map[string]float64 representation cost one map per
-// evaluation, the single largest allocator in the monitor hot loop). The
-// map form is materialised only when a violation is actually raised — see
-// Evidence.Map and Monitor.apply.
+// outcome. It is a plain value: building one performs no heap allocation,
+// which keeps the per-frame assertion-eval path allocation-free (the
+// previous map[string]float64 representation cost one map per evaluation,
+// the single largest allocator in the monitor hot loop). An assertion
+// builds it in place in the Outcome the monitor hands it (see Outcome.Set),
+// so it is not copied either. The map form is materialised only when a
+// violation is actually raised — see Evidence.Map and Monitor.apply.
 type Evidence struct {
 	n  int
 	kv [evidenceCap]evidenceKV
 }
 
-// Ev starts an evidence set with one named value. Chain further values with
-// And:
+// And adds one named value to the set in place and returns the set, so
+// values chain:
 //
-//	core.Ev("value", v).And("lo", lo).And("hi", hi)
-func Ev(key string, v float64) Evidence {
-	var e Evidence
-	return e.And(key, v)
-}
-
-// And returns a copy of the set extended with one more named value. It
-// panics past the capacity: evidence shapes are static per assertion, so an
-// overflow is a programming error that any test run surfaces immediately.
-func (e Evidence) And(key string, v float64) Evidence {
+//	o.Set(ok, margin).And("value", v).And("lo", lo).And("hi", hi)
+//
+// It panics past the capacity: evidence shapes are static per assertion, so
+// an overflow is a programming error that any test run surfaces
+// immediately.
+func (e *Evidence) And(key string, v float64) *Evidence {
 	if e.n >= evidenceCap {
 		panic("core: evidence overflow — raise evidenceCap")
 	}
@@ -45,10 +42,10 @@ func (e Evidence) And(key string, v float64) Evidence {
 }
 
 // Len returns the number of named values in the set.
-func (e Evidence) Len() int { return e.n }
+func (e *Evidence) Len() int { return e.n }
 
 // Get returns the named value, if present.
-func (e Evidence) Get(key string) (float64, bool) {
+func (e *Evidence) Get(key string) (float64, bool) {
 	for i := 0; i < e.n; i++ {
 		if e.kv[i].Key == key {
 			return e.kv[i].Val, true
@@ -59,7 +56,7 @@ func (e Evidence) Get(key string) (float64, bool) {
 
 // Map materialises the set as a map for violation records and JSON export.
 // An empty set yields nil, matching the legacy "no evidence" encoding.
-func (e Evidence) Map() map[string]float64 {
+func (e *Evidence) Map() map[string]float64 {
 	if e.n == 0 {
 		return nil
 	}

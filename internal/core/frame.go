@@ -2,7 +2,7 @@
 // framework for autonomous-driving control stacks. It defines the signal
 // frame sampled every control step, a small assertion DSL (bound, rate,
 // consistency and window predicates with k-of-n debouncing), the built-in
-// assertion catalog A1–A12, and the monitor engine that evaluates the
+// assertion catalog A1–A15, and the monitor engine that evaluates the
 // catalog online and emits violations with attached evidence.
 //
 // The methodology: run a scenario with the Monitor attached, collect the

@@ -110,25 +110,29 @@ func (f *EKF) PredictIMU(r sensors.IMUReading) {
 	v := f.x[3]
 	// Midpoint heading for the position propagation.
 	thMid := th + r.YawRate*dt/2
-	f.x[0] += v * math.Cos(thMid) * dt
-	f.x[1] += v * math.Sin(thMid) * dt
+	cos, sin := math.Cos(thMid), math.Sin(thMid)
+	f.x[0] += v * cos * dt
+	f.x[1] += v * sin * dt
 	f.x[2] = geom.NormalizeAngle(th + r.YawRate*dt)
 	f.x[3] = math.Max(0, v+r.Accel*dt)
 
-	// Jacobian of the motion model wrt the state.
-	F := eye4
-	F[2] = -v * math.Sin(thMid) * dt
-	F[3] = math.Cos(thMid) * dt
-	F[6] = v * math.Cos(thMid) * dt
-	F[7] = math.Sin(thMid) * dt
+	// The Jacobian of the motion model wrt the state is the identity plus
+	// a, b in row 0 and c, d in row 1, columns 2 and 3.
+	a, b, c, d := -v*sin*dt, cos*dt, v*cos*dt, sin*dt
 
 	Q := [16]float64{0: posProcNoise * dt, 5: posProcNoise * dt, 10: headingProcNoise * dt, 15: speedProcNoise * dt}
 
 	// p ← sym(F·p·Fᵀ + Q).
-	var FT, Fp, FpFT [16]float64
-	Transpose(FT[:], F[:], 4)
-	Mul(Fp[:], F[:], f.p[:], 4)
-	Mul(FpFT[:], Fp[:], FT[:], 4)
+	var FpFT [16]float64
+	predictCov(&FpFT, &f.p, a, b, c, d)
+	if !finite(FpFT[:]) {
+		F := eye4
+		F[2], F[3], F[6], F[7] = a, b, c, d
+		var FT, Fp [16]float64
+		Transpose(FT[:], F[:], 4)
+		Mul(Fp[:], F[:], f.p[:], 4)
+		Mul(FpFT[:], Fp[:], FT[:], 4)
+	}
 	for i := range FpFT {
 		FpFT[i] += Q[i]
 	}
@@ -145,11 +149,23 @@ func (f *EKF) UpdateGNSS(fix sensors.GNSSFix) (nis float64, accepted bool) {
 	}
 	y := [2]float64{fix.Pos.X - f.x[0], fix.Pos.Y - f.x[1]}
 
-	// S = H·p·Hᵀ + R; NIS = yᵀ·S⁻¹·y.
-	var hp [8]float64
+	// S = H·p·Hᵀ + R; NIS = yᵀ·S⁻¹·y. H selects [x, y], so H·p·Hᵀ is p's
+	// top-left block and p·Hᵀ its first two columns. Picking them equals
+	// Mul's products bit for bit while every entry of p is finite (see
+	// predictCov); otherwise a dropped 0·Inf would have been NaN.
 	var S, Sinv [4]float64
-	Mul(hp[:], h2[:], f.p[:], 4)
-	Mul(S[:], hp[:], h2T[:], 4)
+	var pht [8]float64
+	if finite(f.p[:]) {
+		S = [4]float64{0 + f.p[0], 0 + f.p[1], 0 + f.p[4], 0 + f.p[5]}
+		for i := 0; i < 4; i++ {
+			pht[2*i], pht[2*i+1] = 0+f.p[4*i], 0+f.p[4*i+1]
+		}
+	} else {
+		var hp [8]float64
+		Mul(hp[:], h2[:], f.p[:], 4)
+		Mul(S[:], hp[:], h2T[:], 4)
+		Mul(pht[:], f.p[:], h2T[:], 4)
+	}
 	for i := range S {
 		S[i] += r2[i]
 	}
@@ -170,8 +186,7 @@ func (f *EKF) UpdateGNSS(fix sensors.GNSSFix) (nis float64, accepted bool) {
 	f.rejectStreak = 0
 
 	// K = p·Hᵀ·S⁻¹.
-	var pht, K [8]float64
-	Mul(pht[:], f.p[:], h2T[:], 4)
+	var K [8]float64
 	Mul(K[:], pht[:], Sinv[:], 2)
 	f.correct(K[:], h2[:], y[:])
 	f.x[2] = geom.NormalizeAngle(f.x[2])
@@ -186,20 +201,31 @@ func (f *EKF) UpdateOdom(r sensors.OdomReading) {
 		return
 	}
 	y := [1]float64{r.Speed - f.x[3]}
-	var hp, pht, K [4]float64
+	// H selects v, so H·p·Hᵀ is p's last diagonal entry and p·Hᵀ its last
+	// column; picked while p is finite, as in UpdateGNSS.
+	var pht, K [4]float64
 	var S, Sinv [1]float64
-	Mul(hp[:], h1[:], f.p[:], 4)
-	Mul(S[:], hp[:], h1[:], 4)
+	if finite(f.p[:]) {
+		S[0] = 0 + f.p[15]
+		for i := range pht {
+			pht[i] = 0 + f.p[4*i+3]
+		}
+	} else {
+		var hp [4]float64
+		Mul(hp[:], h1[:], f.p[:], 4)
+		Mul(S[:], hp[:], h1[:], 4)
+		Mul(pht[:], f.p[:], h1[:], 4)
+	}
 	S[0] += odomVar
 	Inv(Sinv[:], S[:], 1)
-	Mul(pht[:], f.p[:], h1[:], 4)
 	Mul(K[:], pht[:], Sinv[:], 1)
 	f.correct(K[:], h1[:], y[:])
 	f.x[3] = math.Max(0, f.x[3])
 }
 
-// correct applies an accepted update with gain K (4×m), observation model
-// H (m×4) and innovation y (m×1): x ← x + K·y; p ← sym((I − K·H)·p).
+// correct applies an accepted update with gain K (4×m), selector
+// observation model H (m×4: h2 or h1) and innovation y (m×1):
+// x ← x + K·y; p ← sym((I − K·H)·p).
 func (f *EKF) correct(K, H, y []float64) {
 	m := len(y)
 	var dx [4]float64
@@ -207,12 +233,16 @@ func (f *EKF) correct(K, H, y []float64) {
 	for i := range f.x {
 		f.x[i] += dx[i]
 	}
-	var KH, IKH, p [16]float64
-	Mul(KH[:], K, H, m)
-	for i := range IKH {
-		IKH[i] = eye4[i] - KH[i]
+	var p [16]float64
+	correctCov(&p, &f.p, K)
+	if !finite(p[:]) {
+		var KH, IKH [16]float64
+		Mul(KH[:], K, H, m)
+		for i := range IKH {
+			IKH[i] = eye4[i] - KH[i]
+		}
+		Mul(p[:], IKH[:], f.p[:], 4)
 	}
-	Mul(p[:], IKH[:], f.p[:], 4)
 	Symmetrize(f.p[:], p[:], 4)
 }
 

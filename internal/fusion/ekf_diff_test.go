@@ -87,8 +87,8 @@ func diffEKF(got *EKF, want *refEKF) string {
 
 // checkAgainstReference runs the stream through the fixed-array filter and
 // the reference and fails at the first reading after which any output
-// differs in its bits.
-func checkAgainstReference(t *testing.T, gate float64, start geom.Pose, speed float64, stream []reading) {
+// differs in its bits. It returns the filter.
+func checkAgainstReference(t *testing.T, gate float64, start geom.Pose, speed float64, stream []reading) *EKF {
 	t.Helper()
 	got, want := NewEKF(gate, 0, start, speed), newRefEKF(gate, 0, start, speed)
 	if d := diffEKF(got, want); d != "" {
@@ -103,9 +103,10 @@ func checkAgainstReference(t *testing.T, gate float64, start geom.Pose, speed fl
 			t.Fatalf("reading %d %v: %s", i, r, d)
 		}
 		if gp {
-			return
+			return got
 		}
 	}
+	return got
 }
 
 // synthStream drives a vehicle at speed v and yaw rate yaw for dur seconds:
@@ -150,31 +151,59 @@ func synthStream(seed int64, dur, v, yaw float64, spoof geom.Vec2, spoofT float6
 
 // TestEKFMatchesReference: on synthetic streams — straight and turning,
 // clean and spoofed, gated and ungated, with invalid and out-of-order
-// readings — every output of the fixed-array filter equals the reference's
-// bit for bit after every reading.
+// readings, standing still, braking through zero, and poisoned by a
+// non-finite IMU reading — every output of the fixed-array filter equals
+// the reference's bit for bit after every reading.
 func TestEKFMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		seed    int64
+		speed   float64
 		yaw     float64
 		spoof   geom.Vec2
 		spoofT  float64
 		junk    bool
 		gate    float64
 		heading float64
+		// poison, when valid, is delivered a third of the way in, 5 ms
+		// after the IMU reading before it unless it has a timestamp; the
+		// covariance must be non-finite at the end, so the updates ran the
+		// general kernels from then on.
+		poison sensors.IMUReading
 	}{
-		{name: "straight", seed: 1},
-		{name: "turn", seed: 2, yaw: 0.2, heading: 3},
-		{name: "tight-turn-wraps-heading", seed: 3, yaw: -0.9, heading: -3.1},
-		{name: "spoof-ungated", seed: 4, spoof: geom.V(0, 30), spoofT: 8},
-		{name: "spoof-gated", seed: 4, spoof: geom.V(0, 30), spoofT: 8, gate: DefaultGate},
-		{name: "drift-gated-turn", seed: 5, yaw: 0.15, spoof: geom.V(4, -3), spoofT: 5, gate: DefaultGate},
-		{name: "junk-ungated", seed: 6, yaw: 0.1, junk: true},
-		{name: "junk-gated", seed: 7, yaw: -0.1, junk: true, spoof: geom.V(10, 0), spoofT: 6, gate: DefaultGate},
+		{name: "straight", seed: 1, speed: 6},
+		{name: "turn", seed: 2, speed: 6, yaw: 0.2, heading: 3},
+		{name: "tight-turn-wraps-heading", seed: 3, speed: 6, yaw: -0.9, heading: -3.1},
+		{name: "spoof-ungated", seed: 4, speed: 6, spoof: geom.V(0, 30), spoofT: 8},
+		{name: "spoof-gated", seed: 4, speed: 6, spoof: geom.V(0, 30), spoofT: 8, gate: DefaultGate},
+		{name: "drift-gated-turn", seed: 5, speed: 6, yaw: 0.15, spoof: geom.V(4, -3), spoofT: 5, gate: DefaultGate},
+		{name: "junk-ungated", seed: 6, speed: 6, yaw: 0.1, junk: true},
+		{name: "junk-gated", seed: 7, speed: 6, yaw: -0.1, junk: true, spoof: geom.V(10, 0), spoofT: 6, gate: DefaultGate},
+		// At zero speed the Jacobian's velocity terms are ±0.
+		{name: "zero-speed", seed: 8, yaw: 0.1, heading: 2},
+		{name: "brake-through-zero", seed: 9, speed: 0.8, yaw: -0.2, gate: DefaultGate},
+		{name: "nan-yaw-rate-poisons-covariance", seed: 10, speed: 6, yaw: 0.1,
+			poison: sensors.IMUReading{YawRate: math.NaN(), Valid: true}},
+		{name: "inf-yaw-rate-poisons-covariance", seed: 11, speed: 6, gate: DefaultGate,
+			poison: sensors.IMUReading{YawRate: math.Inf(-1), Valid: true}},
+		{name: "inf-timestamp-poisons-covariance", seed: 12, speed: 6, yaw: 0.1,
+			poison: sensors.IMUReading{T: math.Inf(1), Valid: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			stream := synthStream(c.seed, 20, 6, c.yaw, c.spoof, c.spoofT, c.junk)
-			checkAgainstReference(t, c.gate, geom.NewPose(3, -2, c.heading), 6, stream)
+			stream := synthStream(c.seed, 20, c.speed, c.yaw, c.spoof, c.spoofT, c.junk)
+			if c.poison.Valid {
+				at := len(stream) / 3
+				for i := at - 1; c.poison.T == 0; i-- {
+					if stream[i].kind == 'i' {
+						c.poison.T = stream[i].imu.T + 0.005
+					}
+				}
+				stream = append(stream[:at:at], append([]reading{{kind: 'i', imu: c.poison}}, stream[at:]...)...)
+			}
+			got := checkAgainstReference(t, c.gate, geom.NewPose(3, -2, c.heading), c.speed, stream)
+			if p := got.Covariance(); c.poison.Valid == finite(p[:]) {
+				t.Errorf("covariance finite = %v at the end, want %v: %v", finite(p[:]), !c.poison.Valid, p)
+			}
 		})
 	}
 }
@@ -229,4 +258,61 @@ func FuzzEKFDifferential(f *testing.F) {
 		}
 		checkAgainstReference(t, gate, geom.NewPose(0, 0, 0.3), 5, stream)
 	})
+}
+
+// TestEKFSeededCovarianceMatchesReference starts both filters from
+// covariances no sensor stream reaches directly — signed zeros, an entry
+// whose Kalman gain overflows, infinities outside the blocks the updates
+// select, NaN — and checks every output bit for bit over a short stream of
+// predicts and both updates. These are the operands on which the
+// structured kernels must hand over to the general ones.
+func TestEKFSeededCovarianceMatchesReference(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name string
+		p    [16]float64
+	}{
+		{"signed-zeros", [16]float64{1, negZero, negZero, negZero, negZero, 1, negZero, 0, negZero, negZero, 0.05, negZero, negZero, 0, negZero, 0.25}},
+		{"overflowing-gain", [16]float64{0: 1e-3, 2: 1e308, 5: 1, 8: 1e308, 10: 0.05, 15: 0.25}},
+		{"inf-outside-position-block", [16]float64{0: 1, 3: inf, 5: 1, 10: 0.05, 12: inf, 15: 0.25}},
+		{"inf-outside-speed-entry", [16]float64{0: 1, 5: 1, 6: inf, 9: inf, 10: 0.05, 15: 0.25}},
+		{"inf-speed-variance", [16]float64{0: 1, 5: 1, 10: 0.05, 15: inf}},
+		{"nan-heading-variance", [16]float64{0: 1, 5: 1, 10: math.NaN(), 15: 0.25}},
+	} {
+		for _, first := range []byte{'i', 'g', 'o'} {
+			t.Run(fmt.Sprintf("%s/%c", c.name, first), func(t *testing.T) {
+				start := geom.NewPose(1, 2, 0.4)
+				got, want := NewEKF(DefaultGate, 0, start, 3), newRefEKF(DefaultGate, 0, start, 3)
+				got.p = c.p
+				copy(want.p.a, c.p[:])
+				stream := []reading{
+					{kind: 'i', imu: sensors.IMUReading{T: 0.01, YawRate: 0.1, Accel: 0.5, Valid: true}},
+					{kind: 'g', gnss: sensors.GNSSFix{T: 0.01, Pos: geom.V(1.2, 1.9), Valid: true}},
+					{kind: 'o', odom: sensors.OdomReading{T: 0.01, Speed: 3.1, Valid: true}},
+					{kind: 'i', imu: sensors.IMUReading{T: 0.02, YawRate: -0.1, Valid: true}},
+					{kind: 'g', gnss: sensors.GNSSFix{T: 0.02, Pos: geom.V(1.3, 2.1), Valid: true}},
+					{kind: 'o', odom: sensors.OdomReading{T: 0.02, Speed: 2.9, Valid: true}},
+				}
+				for i, r := range stream {
+					if r.kind == first {
+						stream = append(stream[i:], stream[:i]...)
+						break
+					}
+				}
+				for i, r := range stream {
+					gp, wp := applyReading(got, r), applyReading(want, r)
+					if gp != wp {
+						t.Fatalf("reading %d %v: panicked %v, reference %v", i, r, gp, wp)
+					}
+					if d := diffEKF(got, want); d != "" {
+						t.Fatalf("reading %d %v: %s", i, r, d)
+					}
+					if gp {
+						return
+					}
+				}
+			})
+		}
+	}
 }

@@ -9,7 +9,8 @@ import (
 // arrays (passed as slices), so the EKF and the LQR solve run without heap
 // allocation. Each one fixes its arithmetic order: golden outputs are
 // byte-compared, so a kernel may not reassociate, drop a `+0` or skip work
-// the original formulation did.
+// the original formulation did, except where the argument at predictCov
+// shows that the skipped work changes no bit.
 
 // Mul stores a·b into dst, where a is r×n and b is n×c (r and c follow from
 // the slice lengths). dst must not alias a or b. The loop order is i, k, j,
@@ -35,6 +36,77 @@ func Mul(dst, a, b []float64, n int) {
 			}
 		}
 	}
+}
+
+// The structured kernels below write out Mul's products with the EKF's
+// sparse factors (the motion Jacobian F, the selector (I − K·H)) in Mul's
+// exact order: each entry starts at +0 and adds its terms with k
+// ascending. They drop the terms whose factor is a structural zero and keep
+// those whose factor is a data zero that Mul skips. Either way the term is
+// ±0 while the other factor is finite, and a sum that starts at +0 is
+// never −0 under round-to-nearest, so adding a ±0 term leaves it
+// unchanged. Every operand entry is a factor of some term of the result,
+// and a non-finite term leaves its sum non-finite, so a finite result
+// proves every operand and intermediate finite and the result equal to
+// Mul's bit for bit. A caller recomputes with Mul when the result is not
+// finite.
+
+// predictCov stores F·p·Fᵀ into dst, where F is the identity plus a, b at
+// (0, 2), (0, 3) and c, d at (1, 2), (1, 3): Mul(Fp, F, p) then
+// Mul(dst, Fp, Fᵀ).
+func predictCov(dst, p *[16]float64, a, b, c, d float64) {
+	var fp [16]float64
+	for j := 0; j < 4; j++ {
+		fp[j] = 0 + p[j] + a*p[8+j] + b*p[12+j]
+		fp[4+j] = 0 + p[4+j] + c*p[8+j] + d*p[12+j]
+		fp[8+j] = 0 + p[8+j]
+		fp[12+j] = 0 + p[12+j]
+	}
+	for i := 0; i < 16; i += 4 {
+		dst[i] = 0 + fp[i] + fp[i+2]*a + fp[i+3]*b
+		dst[i+1] = 0 + fp[i+1] + fp[i+2]*c + fp[i+3]*d
+		dst[i+2] = 0 + fp[i+2]
+		dst[i+3] = 0 + fp[i+3]
+	}
+}
+
+// correctCov stores (I − K·H)·p into dst for the gain K (4×m) of a
+// selector H: h2 (rows pick x and y) when K has 8 entries, h1 (picks v)
+// when it has 4.
+func correctCov(dst, p *[16]float64, K []float64) {
+	if len(K) == 8 {
+		for i := 0; i < 4; i++ {
+			c0, c1 := eye4[4*i]-K[2*i], eye4[4*i+1]-K[2*i+1]
+			for j := 0; j < 4; j++ {
+				s := 0 + c0*p[j] + c1*p[4+j]
+				if i >= 2 {
+					s += p[4*i+j]
+				}
+				dst[4*i+j] = s
+			}
+		}
+		return
+	}
+	for i := 0; i < 4; i++ {
+		c := eye4[4*i+3] - K[i]
+		for j := 0; j < 4; j++ {
+			s := 0.0
+			if i < 3 {
+				s += p[4*i+j]
+			}
+			dst[4*i+j] = s + c*p[12+j]
+		}
+	}
+}
+
+// finite reports whether every entry of a is finite: v − v is +0 for a
+// finite v and NaN otherwise, and NaN survives the sum.
+func finite(a []float64) bool {
+	z := 0.0
+	for _, v := range a {
+		z += v - v
+	}
+	return z == 0
 }
 
 // Transpose stores aᵀ into dst, where a has r rows. dst must not alias a.

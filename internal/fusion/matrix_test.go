@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -128,5 +129,91 @@ func TestMatSymmetrize(t *testing.T) {
 	Symmetrize(m[:], m[:], 2) // in place
 	if m != s {
 		t.Errorf("in-place Symmetrize = %v, want %v", m, s)
+	}
+}
+
+// kernelEntry draws a matrix entry that stresses the structured kernels'
+// argument: signed zeros, subnormals, huge values whose products overflow,
+// infinities, NaN and ordinary magnitudes.
+func kernelEntry(rng *rand.Rand) float64 {
+	switch rng.Intn(12) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.SmallestNonzeroFloat64 * float64(rng.Intn(5)-2)
+	case 3:
+		return math.MaxFloat64 / float64(1+rng.Intn(4)) * float64(2*rng.Intn(2)-1)
+	case 4:
+		return math.Inf(2*rng.Intn(2) - 1)
+	case 5:
+		if rng.Intn(4) == 0 {
+			return math.NaN()
+		}
+	}
+	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+}
+
+// TestStructuredKernelsMatchMul checks predictCov and correctCov against
+// the general kernels they write out: whenever a structured result is
+// finite, it equals Mul's bit for bit, on operands drawn with signed zeros,
+// subnormals, overflowing magnitudes, infinities and NaN.
+func TestStructuredKernelsMatchMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var checked, fellBack int
+	for n := 0; n < 200000; n++ {
+		var p [16]float64
+		dense := rng.Intn(2) == 0
+		for i := range p {
+			if dense {
+				p[i] = kernelEntry(rng)
+			} else {
+				p[i] = rng.NormFloat64()
+			}
+		}
+		var got, want [16]float64
+		switch n % 3 {
+		case 0:
+			var e [4]float64
+			for i := range e {
+				e[i] = kernelEntry(rng)
+			}
+			predictCov(&got, &p, e[0], e[1], e[2], e[3])
+			F := eye4
+			F[2], F[3], F[6], F[7] = e[0], e[1], e[2], e[3]
+			var FT, Fp [16]float64
+			Transpose(FT[:], F[:], 4)
+			Mul(Fp[:], F[:], p[:], 4)
+			Mul(want[:], Fp[:], FT[:], 4)
+		default:
+			K, H := make([]float64, 8), h2[:]
+			if n%3 == 2 {
+				K, H = K[:4], h1[:]
+			}
+			for i := range K {
+				K[i] = kernelEntry(rng)
+			}
+			correctCov(&got, &p, K)
+			var KH, IKH [16]float64
+			Mul(KH[:], K, H, len(K)/4)
+			for i := range IKH {
+				IKH[i] = eye4[i] - KH[i]
+			}
+			Mul(want[:], IKH[:], p[:], 4)
+		}
+		if !finite(got[:]) {
+			fellBack++
+			continue
+		}
+		checked++
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("case %d entry %d: structured %v (%#x), Mul %v (%#x); p=%v", n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), p)
+			}
+		}
+	}
+	if checked < 10000 || fellBack < 10000 {
+		t.Fatalf("draws exercised %d finite and %d non-finite results; want both", checked, fellBack)
 	}
 }

@@ -123,7 +123,9 @@ func NormalizeAngle(a float64) float64 {
 	if math.IsNaN(a) || math.IsInf(a, 0) {
 		return a
 	}
-	a = math.Mod(a, 2*math.Pi)
+	if math.Abs(a) >= 2*math.Pi { // math.Mod is the identity inside
+		a = math.Mod(a, 2*math.Pi)
+	}
 	switch {
 	case a <= -math.Pi:
 		a += 2 * math.Pi
