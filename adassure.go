@@ -761,8 +761,10 @@ func WriteComparisonReport(w io.Writer, title string, before, after *ScenarioRes
 	})
 }
 
-// BuiltinTrack constructs one of the built-in routes with the given speed
-// limit, for use with SimConfig directly.
+// BuiltinTrack returns one of the built-in routes with the given speed
+// limit, for use with SimConfig directly. The route's path is built once
+// per process and shared by every track of that name: it is immutable, so
+// concurrent runs may use it.
 func BuiltinTrack(name TrackName, speedLimit float64) (*Track, error) {
 	tr, err := track.Builtin(string(name), speedLimit)
 	if err != nil {

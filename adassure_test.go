@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"adassure/internal/sim"
@@ -332,5 +333,46 @@ func TestRunMutationCampaignFacade(t *testing.T) {
 	back, err := ReadMutationReport(&buf)
 	if err != nil || back.MutationScore != rep.MutationScore {
 		t.Errorf("report round trip failed: %v", err)
+	}
+}
+
+// TestSharedBuiltinTrackConcurrentRuns runs scenarios on the same
+// built-in tracks, whose paths every run shares, from several goroutines
+// at once. Under -race it checks that nothing writes a shared path; in
+// every mode each result must equal the same scenario run alone.
+func TestSharedBuiltinTrackConcurrentRuns(t *testing.T) {
+	var scenarios []Scenario
+	for i, ctl := range []ControllerName{ControllerPurePursuit, ControllerStanley, ControllerPIDLateral, ControllerLQRMPC} {
+		for _, tr := range []TrackName{TrackUrbanLoop, TrackFigureEight} {
+			scenarios = append(scenarios, Scenario{Track: tr, Controller: ctl, Seed: int64(1 + i), Duration: 8})
+		}
+	}
+	want := make([]*ScenarioResult, len(scenarios))
+	for i, s := range scenarios {
+		out, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out
+	}
+	got := make([]*ScenarioResult, len(scenarios))
+	errs := make([]error, len(scenarios))
+	var wg sync.WaitGroup
+	for i, s := range scenarios {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = s.Run()
+		}()
+	}
+	wg.Wait()
+	for i := range scenarios {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if g, w := got[i].Sim.Final, want[i].Sim.Final; g != w || len(got[i].Violations) != len(want[i].Violations) {
+			t.Errorf("%+v: concurrent run ended at %+v with %d violations, alone at %+v with %d",
+				scenarios[i], g, len(got[i].Violations), w, len(want[i].Violations))
+		}
 	}
 }

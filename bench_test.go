@@ -24,6 +24,7 @@ import (
 	"adassure/internal/core"
 	"adassure/internal/fusion"
 	"adassure/internal/geom"
+	"adassure/internal/planner"
 	"adassure/internal/sensors"
 	"adassure/internal/sim"
 	"adassure/internal/track"
@@ -198,14 +199,19 @@ func BenchmarkControllerSteer(b *testing.B) {
 
 // BenchmarkPathProject measures global point-to-path projection on a
 // spline lattice (every controller's Steer calls it each tick): near the
-// urban loop, at the loop's centre far from every edge, and at the
-// figure-eight's self-crossing, where both branches are equally near.
+// urban loop, at the loop's centre far from every edge, at the
+// figure-eight's self-crossing, where both branches are equally near, and
+// near the middle of the 200 m straight (an open path of 801 segments).
 func BenchmarkPathProject(b *testing.B) {
 	loop, err := track.UrbanLoop(6)
 	if err != nil {
 		b.Fatal(err)
 	}
 	eight, err := track.FigureEight(30, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	straight, err := track.Straight(200, 6)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,6 +224,7 @@ func BenchmarkPathProject(b *testing.B) {
 		{"near", loop.Path(), near},
 		{"far", loop.Path(), geom.V(45, 33)},
 		{"crossing", eight.Path(), geom.V(0.2, 0.1)},
+		{"straight", straight.Path(), straight.Path().PointAt(100).Add(geom.V(0.3, -0.2))},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -242,6 +249,39 @@ func BenchmarkPathProjectRange(b *testing.B) {
 		rp.ProjectRange(q, s-15, s+25)
 	}
 }
+
+// BenchmarkSpeedProfileTargetAt measures the two speed-preview queries the
+// step makes each control tick, at s and s + 3 m, for the shuttle on every
+// built-in track, stepping s by 0.37 m along each track in turn.
+func BenchmarkSpeedProfileTargetAt(b *testing.B) {
+	cat, err := track.Catalog(track.DefaultSpeedLimit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type query struct {
+		sp *planner.SpeedProfile
+		s  float64
+	}
+	var qs []query
+	for _, name := range track.Names(cat) {
+		sp, err := planner.NewSpeedProfileForTrack(cat[name], vehicle.ShuttleParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for s := 0.0; s < cat[name].Path().Length(); s += 0.37 {
+			qs = append(qs, query{sp, s})
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		targetSink = q.sp.TargetAt(q.s) + q.sp.TargetAt(q.s+3)
+	}
+}
+
+// targetSink keeps BenchmarkSpeedProfileTargetAt's calls from being
+// optimised away.
+var targetSink float64
 
 // BenchmarkSimSecond measures one simulated second of the full closed loop
 // (physics + sensors + fusion + control + monitor) — the end-to-end

@@ -435,6 +435,9 @@ func A14ActuatorResponse(lim Limits, k float64) Assertion {
 	filtSteer := 0.0
 	var lastT float64
 	var has bool
+	// The lag's smoothing factor for the frame interval lagDt, recomputed
+	// only when an interval differs from the last one (a NaN one always).
+	lagDt, lagAlpha := math.NaN(), 0.0
 	return NewAssertion("A14", "actuator-response",
 		fmt.Sprintf("EMA|measured yaw - commanded yaw| <= %.2f rad/s", tol), Critical,
 		func(f *Frame, o *Outcome) {
@@ -449,7 +452,10 @@ func A14ActuatorResponse(lim Limits, k float64) Assertion {
 			// The actuator follows the command with a first-order lag; the
 			// expectation must model that, or every fast slew (corner
 			// entry) produces a spurious transient residual.
-			filtSteer += (f.CmdSteer - filtSteer) * (1 - math.Exp(-dt/actLag))
+			if dt != lagDt {
+				lagDt, lagAlpha = dt, 1-math.Exp(-dt/actLag)
+			}
+			filtSteer += (f.CmdSteer - filtSteer) * lagAlpha
 			if f.EstSpeed < 1.5 || f.IMUAge > lim.MaxSensorAge {
 				o.Skip = true
 				return

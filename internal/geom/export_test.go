@@ -6,3 +6,6 @@ func (s *Spline) Lattice() *Polyline { return s.lattice }
 
 // FuzzCoordBound is fuzzCoordBound for the external fuzz targets.
 const FuzzCoordBound = fuzzCoordBound
+
+// SuperSegs is superSegs for the external tests.
+const SuperSegs = superSegs

@@ -35,6 +35,7 @@ type Polyline struct {
 	cum    []float64 // cumulative arc length at each vertex
 	closed bool
 	boxes  []box // one padded bounding box per blockSegs segments (see closest)
+	supers []box // the union of each superBlocks consecutive boxes
 	// hint[b] is the segment holding arc b·Length/nSeg, where nSeg =
 	// len(cum)-1; hintScale is nSeg/Length. They give segment an O(1)
 	// starting guess (see segment).
@@ -85,7 +86,8 @@ func newPolyline(pts []Vec2, closed bool) (*Polyline, error) {
 		cum[i+1] = cum[i] + a.Dist(b)
 	}
 	hint, hintScale := segmentHints(cum)
-	return &Polyline{pts: clean, cum: cum, closed: closed, boxes: blockBoxes(clean, segs),
+	boxes, supers := blockBoxes(clean, segs)
+	return &Polyline{pts: clean, cum: cum, closed: closed, boxes: boxes, supers: supers,
 		hint: hint, hintScale: hintScale}, nil
 }
 
@@ -142,6 +144,16 @@ func (p *Polyline) wrap(s float64) float64 {
 	return Clamp(s, 0, L)
 }
 
+// hintAt returns the hint for an arc length s in [0, Length]: a segment
+// near the one holding s.
+func (p *Polyline) hintAt(s float64) int {
+	b := len(p.hint) - 1
+	if f := s * p.hintScale; f < float64(b) {
+		b = int(f)
+	}
+	return int(p.hint[b])
+}
+
 // segment locates the segment index containing arc length s and the offset
 // into it. s must already be wrapped. The index is the largest i ≤ len−2
 // with cum[i] < s, else 0, even where cum repeats a value.
@@ -152,11 +164,7 @@ func (p *Polyline) segment(s float64) (idx int, t float64) {
 		// (or idx is 0), then forward while the next vertex is still below
 		// s. cum is sorted, so the walk ends at the same index wherever it
 		// starts: the hint's rounding costs steps, never the result.
-		b := last
-		if f := s * p.hintScale; f < float64(last) {
-			b = int(f)
-		}
-		idx = int(p.hint[b])
+		idx = p.hintAt(s)
 		for idx > 0 && p.cum[idx] >= s {
 			idx--
 		}

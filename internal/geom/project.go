@@ -20,16 +20,27 @@ type RangeProjector interface {
 // box in the pruned search (see closest).
 const blockSegs = 16
 
+// superBlocks is the number of consecutive block boxes that one superblock
+// box covers; superSegs is the number of segments under it.
+const (
+	superBlocks = 8
+	superSegs   = superBlocks * blockSegs
+)
+
 // box is an axis-aligned bounding box around one block of segments, padded
 // so that every closest point a segment of the block can yield lies inside
 // it (see blockBoxes).
 type box struct{ minX, minY, maxX, maxY float64 }
 
 // blockBoxes returns one box per run of blockSegs consecutive segments of
-// the polyline through pts (closed: the last segment returns to pts[0]).
-func blockBoxes(pts []Vec2, nSeg int) []box {
-	boxes := make([]box, (nSeg+blockSegs-1)/blockSegs)
-	for b := range boxes {
+// the polyline through pts (closed: the last segment returns to pts[0]),
+// and one superblock box per superBlocks block boxes, their union. Both
+// share one allocation.
+func blockBoxes(pts []Vec2, nSeg int) (blocks, supers []box) {
+	nb := (nSeg + blockSegs - 1) / blockSegs
+	all := make([]box, nb+(nb+superBlocks-1)/superBlocks)
+	blocks, supers = all[:nb:nb], all[nb:]
+	for b := range blocks {
 		first := b * blockSegs
 		last := min(first+blockSegs, nSeg) // vertex index of the block's final segment end
 		bx := box{minX: pts[first].X, minY: pts[first].Y, maxX: pts[first].X, maxY: pts[first].Y}
@@ -44,9 +55,17 @@ func blockBoxes(pts []Vec2, nSeg int) []box {
 		// need no pad: their differences are exact.)
 		padX := (math.Abs(bx.minX) + math.Abs(bx.maxX)) * 0x1p-48
 		padY := (math.Abs(bx.minY) + math.Abs(bx.maxY)) * 0x1p-48
-		boxes[b] = box{bx.minX - padX, bx.minY - padY, bx.maxX + padX, bx.maxY + padY}
+		blocks[b] = box{bx.minX - padX, bx.minY - padY, bx.maxX + padX, bx.maxY + padY}
 	}
-	return boxes
+	for sb := range supers {
+		u := blocks[sb*superBlocks]
+		for _, bx := range blocks[sb*superBlocks+1 : min((sb+1)*superBlocks, nb)] {
+			u.minX, u.maxX = min(u.minX, bx.minX), max(u.maxX, bx.maxX)
+			u.minY, u.maxY = min(u.minY, bx.minY), max(u.maxY, bx.maxY)
+		}
+		supers[sb] = u
+	}
+	return blocks, supers
 }
 
 // lowerBound returns a value no greater than the squared distance that
@@ -119,19 +138,30 @@ type segRun struct{ lo, hi int }
 
 // closest returns the first-minimum closest point to q over the segments of
 // runs (ascending, disjoint), the same bits as scanning them all in order.
-// It cuts the runs at block boundaries into chunks, scans the chunk whose
-// block box is nearest q for an upper bound, and then scans, in order, only
-// the chunks whose box could match that bound.
+// It cuts the runs at block boundaries into chunks. Pass 1 finds the chunk
+// whose block box is nearest q (the first such in index order), skipping
+// every superblock whose box is no nearer than the best block so far; pass
+// 2 scans, in order, only the chunks whose box could match the distance
+// found in that chunk, skipping whole superblocks that cannot. A
+// superblock's bound never exceeds the bound of a block inside it, so
+// neither skip changes which chunks are chosen or scanned.
 func (p *Polyline) closest(q Vec2, runs []segRun) nearest {
 	kLo, kHi, kLB := -1, -1, math.Inf(1)
 	for _, r := range runs {
 		for lo := r.lo; lo < r.hi; {
-			b := lo / blockSegs
-			hi := min((b+1)*blockSegs, r.hi)
-			if lb := p.boxes[b].lowerBound(q); kLo < 0 || lb < kLB {
-				kLo, kHi, kLB = lo, hi, lb
+			sHi := min((lo/superSegs+1)*superSegs, r.hi)
+			if kLo >= 0 && !(p.supers[lo/superSegs].lowerBound(q) < kLB) {
+				lo = sHi
+				continue
 			}
-			lo = hi
+			for lo < sHi {
+				b := lo / blockSegs
+				hi := min((b+1)*blockSegs, sHi)
+				if lb := p.boxes[b].lowerBound(q); kLo < 0 || lb < kLB {
+					kLo, kHi, kLB = lo, hi, lb
+				}
+				lo = hi
+			}
 		}
 	}
 	best := newNearest(q)
@@ -142,19 +172,26 @@ func (p *Polyline) closest(q Vec2, runs []segRun) nearest {
 	near.scan(p, kLo, kHi)
 	for _, r := range runs {
 		for lo := r.lo; lo < r.hi; {
-			b := lo / blockSegs
-			hi := min((b+1)*blockSegs, r.hi)
-			switch {
-			case lo == kLo:
-				// Merging the chunk's own first minimum is the same as
-				// rescanning it.
-				if near.d2 < best.d2 {
-					best = near
-				}
-			case p.boxes[b].lowerBound(q) <= near.d2:
-				best.scan(p, lo, hi)
+			sHi := min((lo/superSegs+1)*superSegs, r.hi)
+			if (kLo < lo || kLo >= sHi) && !(p.supers[lo/superSegs].lowerBound(q) <= near.d2) {
+				lo = sHi
+				continue
 			}
-			lo = hi
+			for lo < sHi {
+				b := lo / blockSegs
+				hi := min((b+1)*blockSegs, sHi)
+				switch {
+				case lo == kLo:
+					// Merging the chunk's own first minimum is the same as
+					// rescanning it.
+					if near.d2 < best.d2 {
+						best = near
+					}
+				case p.boxes[b].lowerBound(q) <= near.d2:
+					best.scan(p, lo, hi)
+				}
+				lo = hi
+			}
 		}
 	}
 	return best
@@ -171,21 +208,15 @@ func (p *Polyline) Project(q Vec2) (s, lateral float64) {
 
 // ProjectRange implements RangeProjector for polylines. cum[] is sorted, so
 // the segments overlapping the window form one index run (two when the
-// window wraps a closed path's seam), found by binary search and searched
-// like Project searches the whole path. An inverted, empty or whole-loop
-// window falls back to Project.
+// window wraps a closed path's seam), found from the segment hint table
+// and searched like Project searches the whole path. An inverted, empty or
+// whole-loop window falls back to Project.
 func (p *Polyline) ProjectRange(q Vec2, s0, s1 float64) (s, lateral float64) {
 	if s1 <= s0 {
 		return p.Project(q)
 	}
 	L := p.Length()
 	nSeg := len(p.cum) - 1
-	// first returns the first segment whose end reaches w0; upto returns
-	// the end of the run of segments that start at or before w1. A NaN
-	// bound gives an empty run.
-	first := func(w0 float64) int { return sort.Search(nSeg, func(i int) bool { return p.cum[i+1] >= w0 }) }
-	upto := func(w1 float64) int { return sort.Search(nSeg, func(i int) bool { return !(p.cum[i] <= w1) }) }
-
 	var runs [2]segRun
 	switch {
 	case !p.closed:
@@ -194,7 +225,7 @@ func (p *Polyline) ProjectRange(q Vec2, s0, s1 float64) (s, lateral float64) {
 		if s1 <= s0 {
 			return p.Project(q)
 		}
-		runs[0] = segRun{first(s0), upto(s1)}
+		runs[0] = segRun{p.firstEnding(s0), p.startsUpTo(s1)}
 	case s1-s0 >= L:
 		return p.Project(q)
 	default:
@@ -205,19 +236,56 @@ func (p *Polyline) ProjectRange(q Vec2, s0, s1 float64) (s, lateral float64) {
 		}
 		w1 := w0 + (s1 - s0)
 		if w1 <= L {
-			runs[0] = segRun{first(w0), upto(w1)}
+			runs[0] = segRun{p.firstEnding(w0), p.startsUpTo(w1)}
 			break
 		}
-		// The seam's head [0, upto(w1-L)) and tail [first(w0), nSeg); a
-		// segment in both is searched once.
-		head := upto(w1 - L)
-		runs = [2]segRun{{0, head}, {max(first(w0), head), nSeg}}
+		// The seam's head [0, startsUpTo(w1-L)) and tail
+		// [firstEnding(w0), nSeg); a segment in both is searched once.
+		head := p.startsUpTo(w1 - L)
+		runs = [2]segRun{{0, head}, {max(p.firstEnding(w0), head), nSeg}}
 	}
 	best := p.closest(q, runs[:])
 	if math.IsInf(best.d2, 1) {
 		return p.Project(q)
 	}
 	return best.result(p)
+}
+
+// firstEnding returns the first segment whose end reaches w, or the
+// segment count if none does: sort.Search over cum[i+1] >= w. Within
+// [0, Length] it walks from the hint for w; the predicate is monotone, so
+// the walk ends where the binary search would. A NaN w gives the count.
+func (p *Polyline) firstEnding(w float64) int {
+	nSeg := len(p.cum) - 1
+	if !(0 <= w && w <= p.cum[nSeg]) {
+		return sort.Search(nSeg, func(i int) bool { return p.cum[i+1] >= w })
+	}
+	i := p.hintAt(w)
+	for i > 0 && p.cum[i] >= w {
+		i--
+	}
+	for i < nSeg && p.cum[i+1] < w {
+		i++
+	}
+	return i
+}
+
+// startsUpTo returns the number of segments that start at or before w:
+// sort.Search over !(cum[i] <= w), walked from the hint like firstEnding.
+// A NaN w gives 0.
+func (p *Polyline) startsUpTo(w float64) int {
+	nSeg := len(p.cum) - 1
+	if !(0 <= w && w <= p.cum[nSeg]) {
+		return sort.Search(nSeg, func(i int) bool { return !(p.cum[i] <= w) })
+	}
+	i := p.hintAt(w)
+	for i > 0 && !(p.cum[i-1] <= w) {
+		i--
+	}
+	for i < nSeg && p.cum[i] <= w {
+		i++
+	}
+	return i
 }
 
 // ProjectRange implements RangeProjector for splines via the lattice.

@@ -288,6 +288,43 @@ func TestProjectMatchesLinearScanOnRandomPaths(t *testing.T) {
 		}
 		newDiffer(t, fmt.Sprintf("spline %d closed=%v", k, closed), sp.Lattice()).queries(rng, 25)
 	}
+	// Longer paths, so the search runs over three or more superblocks.
+	for k := 0; k < 6; k++ {
+		n := 3*geom.SuperSegs + rng.Intn(4*geom.SuperSegs)
+		pts := make([]geom.Vec2, n)
+		pos := geom.V(0, 0)
+		for i := range pts {
+			pos = pos.Add(geom.V(rng.NormFloat64(), rng.NormFloat64()))
+			pts[i] = pos
+		}
+		newPoly := geom.NewPolyline
+		if k%2 == 0 {
+			newPoly = geom.NewClosedPolyline
+		}
+		p, err := newPoly(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newDiffer(t, fmt.Sprintf("long walk %d closed=%v", k, k%2 == 0), p)
+		if segs := len(d.ref.cum) - 1; segs <= 2*geom.SuperSegs {
+			t.Fatalf("%s: %d segments, fewer than three superblocks", d.name, segs)
+		}
+		d.queries(rng, 15)
+
+		ctrl := make([]geom.Vec2, 12+rng.Intn(12))
+		for i := range ctrl {
+			ctrl[i] = geom.V((rng.Float64()-0.5)*200, (rng.Float64()-0.5)*200)
+		}
+		sp, err := geom.NewSpline(ctrl, geom.SplineOpts{Closed: k%2 == 1})
+		if err != nil {
+			t.Fatalf("long spline %d: %v", k, err)
+		}
+		d = newDiffer(t, fmt.Sprintf("long spline %d closed=%v", k, k%2 == 1), sp.Lattice())
+		if segs := len(d.ref.cum) - 1; segs <= 2*geom.SuperSegs {
+			t.Fatalf("%s: %d segments, fewer than three superblocks", d.name, segs)
+		}
+		d.queries(rng, 15)
+	}
 }
 
 // TestProjectTieBreakAcrossBlocks puts the query at the centre of
@@ -319,6 +356,50 @@ func TestProjectTieBreakAcrossBlocks(t *testing.T) {
 		}
 		d.queries(rng, 20)
 	}
+}
+
+// TestProjectTieBreakAcrossSuperblocks uses a 64 m × 2 m rectangle of
+// 0.25 m segments (528 segments, at least three superblocks) whose
+// vertices and distances are exact. A point on the midline is exactly 1 m
+// from both long sides, and at x = 32 also from the two bottom segments
+// that meet at the first superblock boundary: the first segment in index
+// order must win, as in the scan.
+func TestProjectTieBreakAcrossSuperblocks(t *testing.T) {
+	var pts []geom.Vec2
+	for i := 0; i < 256; i++ {
+		pts = append(pts, geom.V(float64(i)/4, 0))
+	}
+	for i := 0; i < 8; i++ {
+		pts = append(pts, geom.V(64, float64(i)/4))
+	}
+	for i := 0; i < 256; i++ {
+		pts = append(pts, geom.V(64-float64(i)/4, 2))
+	}
+	for i := 0; i < 8; i++ {
+		pts = append(pts, geom.V(0, 2-float64(i)/4))
+	}
+	p, err := geom.NewClosedPolyline(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDiffer(t, "rectangle", p)
+	if segs := len(d.ref.cum) - 1; segs <= 2*geom.SuperSegs {
+		t.Fatalf("%d segments, fewer than three superblocks", segs)
+	}
+	boundary := float64(geom.SuperSegs) / 4 // x where superblock 0 ends on the bottom side
+	if s, lat := p.Project(geom.V(boundary, 1)); s != boundary || lat != 1 {
+		t.Fatalf("Project at the superblock boundary = (%v, %v), want (%v, 1) on the bottom side", s, lat, boundary)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, q := range []geom.Vec2{
+		{X: boundary, Y: 1}, {X: boundary + 0.125, Y: 1}, {X: boundary - 0.125, Y: 1},
+		{X: 2 * boundary, Y: 1}, {X: 3 * boundary, Y: 1}, {X: 1, Y: 1}, {X: 63, Y: 1},
+		{X: boundary, Y: 0}, {X: boundary, Y: 2}, {X: 32, Y: -3}, {X: 32, Y: 5},
+	} {
+		d.project(q)
+		d.windows(q, rng)
+	}
+	d.queries(rng, 40)
 }
 
 // FuzzProjectDifferential checks Project and ProjectRange against the

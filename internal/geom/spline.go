@@ -20,6 +20,19 @@ type Spline struct {
 	lattice *Polyline
 	// kappa[i] is the analytic curvature at lattice vertex i.
 	kappa []float64
+	// kmax[b] bounds |CurvatureAt| over lattice block b (see
+	// CurvatureBound).
+	kmax []float64
+}
+
+// CurvatureBounder is implemented by paths that can bound their curvature
+// over an arc range. The speed planner finds it by type assertion and uses
+// it to skip braking-preview samples that cannot lower its target.
+type CurvatureBounder interface {
+	// CurvatureBound returns a K with |CurvatureAt(s)| ≤ K for every s
+	// whose wrapped (closed) or clamped (open) arc position lies in
+	// [s0, s1]; it is +Inf where a curvature sample is NaN.
+	CurvatureBound(s0, s1 float64) float64
 }
 
 // SplineOpts configures spline construction.
@@ -73,7 +86,31 @@ func NewSpline(ctrl []Vec2, opts SplineOpts) (*Spline, error) {
 	}
 	s.lattice = lat
 	s.kappa = kap
+	s.kmax = blockCurvature(kap, len(lat.cum)-1)
 	return s, nil
+}
+
+// blockCurvature returns, per block of blockSegs lattice segments, a bound
+// on the |κ| that CurvatureAt interpolates from the kappa entries its
+// segments read (i and (i+1) mod len(kappa)). With t in [0, 1], rounding
+// can lift |kappa[i]*(1-t)+kappa[j]*t| above the larger endpoint by a few
+// ULPs, which the relative 2^-40 pad covers; the absolute 2^-1000 covers
+// subnormal products. A NaN entry makes the bound +Inf.
+func blockCurvature(kappa []float64, nSeg int) []float64 {
+	kmax := make([]float64, (nSeg+blockSegs-1)/blockSegs)
+	for b := range kmax {
+		m := 0.0
+		for i := b * blockSegs; i < min((b+1)*blockSegs, nSeg); i++ {
+			for _, k := range [2]float64{kappa[i], kappa[(i+1)%len(kappa)]} {
+				if math.IsNaN(k) {
+					k = math.Inf(1)
+				}
+				m = max(m, math.Abs(k))
+			}
+		}
+		kmax[b] = m*(1+0x1p-40) + 0x1p-1000
+	}
+	return kmax
 }
 
 // controlAt returns control point i with end handling: closed splines wrap,
@@ -213,6 +250,21 @@ func (s *Spline) CurvatureAt(arc float64) float64 {
 	return s.kappa[i]*(1-t) + s.kappa[j]*t
 }
 
+// CurvatureBound implements CurvatureBounder: the largest block bound over
+// the lattice segments that CurvatureAt can pick for an arc in [s0, s1].
+// segment's index does not decrease as the arc grows, so those are the
+// segments from the one of s0 to the one of s1.
+func (s *Spline) CurvatureBound(s0, s1 float64) float64 {
+	L := s.lattice.Length()
+	i0, _ := s.lattice.segment(Clamp(min(s0, s1), 0, L))
+	i1, _ := s.lattice.segment(Clamp(max(s0, s1), 0, L))
+	k := 0.0
+	for _, m := range s.kmax[i0/blockSegs : i1/blockSegs+1] {
+		k = max(k, m)
+	}
+	return k
+}
+
 // Project implements Path.
 func (s *Spline) Project(q Vec2) (arc, lateral float64) { return s.lattice.Project(q) }
 
@@ -223,5 +275,8 @@ func (s *Spline) ControlPoints() []Vec2 {
 	return out
 }
 
-var _ Path = (*Spline)(nil)
-var _ Path = (*Polyline)(nil)
+var (
+	_ Path             = (*Spline)(nil)
+	_ Path             = (*Polyline)(nil)
+	_ CurvatureBounder = (*Spline)(nil)
+)

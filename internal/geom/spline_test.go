@@ -2,6 +2,8 @@ package geom
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -137,5 +139,72 @@ func TestSplineControlPointsCopied(t *testing.T) {
 	got[0] = V(99, 99)
 	if sp.ControlPoints()[0] == V(99, 99) {
 		t.Error("ControlPoints must return a copy")
+	}
+}
+
+// TestCurvatureBoundCoversCurvature checks CurvatureBound against
+// CurvatureAt on random open and closed splines: at every lattice vertex
+// of the range, one ULP either side of it, midway along each segment and
+// at the range's ends, |κ| must not exceed the bound.
+func TestCurvatureBoundCoversCurvature(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for k := 0; k < 40; k++ {
+		ctrl := make([]Vec2, 4+rng.Intn(10))
+		for i := range ctrl {
+			ctrl[i] = V((rng.Float64()-0.5)*60, (rng.Float64()-0.5)*60)
+		}
+		closed := k%2 == 0
+		sp, err := NewSpline(ctrl, SplineOpts{Closed: closed, Spacing: 0.05 + rng.Float64()*0.4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		L := sp.Length()
+		cum := sp.lattice.cum
+		for r := 0; r < 30; r++ {
+			s0 := rng.Float64() * L
+			s1 := math.Min(L, s0+rng.Float64()*rng.Float64()*L)
+			bound := sp.CurvatureBound(s0, s1)
+			check := func(s float64) {
+				if s < s0 || s > s1 {
+					return
+				}
+				if c := math.Abs(sp.CurvatureAt(s)); !(c <= bound) {
+					t.Fatalf("spline %d closed=%v: |CurvatureAt(%v)| = %v above CurvatureBound(%v, %v) = %v",
+						k, closed, s, c, s0, s1, bound)
+				}
+			}
+			check(s0)
+			check(s1)
+			i0 := sort.SearchFloat64s(cum, s0)
+			for i := max(i0-1, 0); i < len(cum) && cum[i] <= s1; i++ {
+				check(cum[i])
+				check(math.Nextafter(cum[i], math.Inf(-1)))
+				check(math.Nextafter(cum[i], math.Inf(1)))
+				if i+1 < len(cum) {
+					check((cum[i] + cum[i+1]) / 2)
+				}
+			}
+		}
+		// Swapped ends bound the same range.
+		if a, b := sp.CurvatureBound(L/3, L/2), sp.CurvatureBound(L/2, L/3); a != b {
+			t.Fatalf("spline %d: CurvatureBound depends on the order of its ends: %v vs %v", k, a, b)
+		}
+	}
+}
+
+// TestCurvatureBoundNaN: a NaN curvature sample makes its block's bound
+// +Inf, and a range that reaches the block reports it.
+func TestCurvatureBoundNaN(t *testing.T) {
+	sp, err := NewSpline(circleControls(20, 24), SplineOpts{Spacing: 0.25, Closed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kappa := append([]float64(nil), sp.kappa...)
+	kappa[3*blockSegs+5] = math.NaN()
+	kmax := blockCurvature(kappa, len(sp.lattice.cum)-1)
+	for b, m := range kmax {
+		if inf := math.IsInf(m, 1); inf != (b == 3) {
+			t.Errorf("block %d: bound %v", b, m)
+		}
 	}
 }

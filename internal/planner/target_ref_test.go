@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"adassure/internal/geom"
 	"adassure/internal/track"
 	"adassure/internal/vehicle"
 )
@@ -33,9 +34,15 @@ type diffProfile struct {
 	L    float64
 }
 
+// plainPath hides every method of a path but those of geom.Path, as a
+// timing wrapper does: a profile on it has no preview bounds.
+type plainPath struct{ geom.Path }
+
 // diffProfiles returns a profile per built-in track for the shuttle and
 // the sedan, at the default and at a high speed limit, plus zoned
-// urban-loop profiles (closed) and a zoned straight (open).
+// urban-loop profiles (closed), a zoned straight (open), custom
+// waypoint routes (open and closed, with one zone below and one above the
+// base limit) and the urban loop behind a path without the bound.
 var diffProfiles = sync.OnceValues(func() ([]diffProfile, error) {
 	var out []diffProfile
 	add := func(name string, tr *track.Track, p vehicle.Params) error {
@@ -80,11 +87,44 @@ var diffProfiles = sync.OnceValues(func() ([]diffProfile, error) {
 	if err != nil {
 		return nil, err
 	}
+	custom := map[bool][]geom.Vec2{
+		false: {{X: 0, Y: 0}, {X: 25, Y: 4}, {X: 40, Y: -6}, {X: 52, Y: 10}, {X: 80, Y: 12}, {X: 95, Y: 40}},
+		true:  {{X: 0, Y: 0}, {X: 45, Y: -5}, {X: 60, Y: 20}, {X: 40, Y: 44}, {X: 10, Y: 38}, {X: -8, Y: 18}},
+	}
+	var customs []*track.Track
+	for _, closed := range []bool{false, true} {
+		tr, err := track.FromWaypoints(fmt.Sprintf("custom-closed=%v", closed), custom[closed], closed, 7)
+		if err != nil {
+			return nil, err
+		}
+		cL := tr.Path().Length()
+		tr, err = tr.WithZones(
+			track.SpeedZone{Start: cL / 4, End: cL/4 + 15, Limit: 2.5},
+			track.SpeedZone{Start: cL / 2, End: cL/2 + 20, Limit: 12})
+		if err != nil {
+			return nil, err
+		}
+		customs = append(customs, tr)
+	}
+	plain, err := track.New("plain-urban-loop", plainPath{loop.Path()}, track.DefaultSpeedLimit)
+	if err != nil {
+		return nil, err
+	}
 	for _, vn := range []string{"shuttle", "sedan"} {
 		if err := add("zoned-urban-loop/"+vn, zoned, vehicles[vn]); err != nil {
 			return nil, err
 		}
 		if err := add("zoned-straight/"+vn, zonedStraight, vehicles[vn]); err != nil {
+			return nil, err
+		}
+	}
+	for _, vn := range []string{"shuttle", "sedan"} {
+		for _, tr := range customs {
+			if err := add(tr.Name()+"/"+vn, tr, vehicles[vn]); err != nil {
+				return nil, err
+			}
+		}
+		if err := add("plain-urban-loop/"+vn, plain, vehicles[vn]); err != nil {
 			return nil, err
 		}
 	}
@@ -98,10 +138,10 @@ func checkTarget(t testing.TB, p diffProfile, s float64) {
 	}
 }
 
-// TestTargetAtMatchesFullPreview checks the braking-horizon exit bitwise
-// on a 0.125 m grid over [−L, 2L], at the special values and at random
-// arcs in [−2L, 3L]. The geom differential tests cover the lattice
-// vertices themselves.
+// TestTargetAtMatchesFullPreview checks the braking-horizon exit and the
+// bound skips bitwise on a 0.125 m grid over [−L, 2L], at the special
+// values and at random arcs in [−2L, 3L]. The geom differential tests
+// cover the lattice vertices themselves.
 func TestTargetAtMatchesFullPreview(t *testing.T) {
 	profiles, err := diffProfiles()
 	if err != nil {
@@ -114,6 +154,7 @@ func TestTargetAtMatchesFullPreview(t *testing.T) {
 		}
 		for _, s := range []float64{
 			0, math.Copysign(0, -1), p.L, 2 * p.L, math.Nextafter(p.L, 0), math.Nextafter(2*p.L, 0),
+			-p.L - 1, 2*p.L - preview - 1, math.Nextafter(2*p.L-preview-1, 0),
 			math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300,
 		} {
 			checkTarget(t, p, s)
@@ -144,6 +185,42 @@ func TestTargetAtNonFiniteReturns(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("TargetAt did not return for a non-finite or huge arc")
+	}
+}
+
+// TestPreviewBoundsHold checks the bucket bounds the skips rest on: every
+// profile on a spline has them (the plain path has none), and lb2 never
+// exceeds curveSpeed² of an arc the bucket holds, on a 1/64 m grid over
+// the wrapped arcs [0, L].
+func TestPreviewBoundsHold(t *testing.T) {
+	profiles, err := diffProfiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range profiles {
+		b := &p.sp.bounds
+		if _, plain := p.sp.path.(plainPath); plain != (b.lb2 == nil) {
+			t.Fatalf("%s: has bounds = %v on a %T", p.name, b.lb2 != nil, p.sp.path)
+		}
+		if b.lb2 == nil {
+			continue
+		}
+		skips := 0
+		for w := 0.0; w <= p.L; w += 1.0 / 64 {
+			k := b.bucket(w)
+			if v := p.sp.curveSpeed(w); v*v < b.lb2[k] {
+				t.Fatalf("%s: curveSpeed(%v) = %v, below bucket %d's bound %v", p.name, w, v, k, math.Sqrt(b.lb2[k]))
+			}
+			if b.win[k] > b.lb2[k] {
+				t.Fatalf("%s: bucket %d's window bound %v exceeds its own %v", p.name, k, b.win[k], b.lb2[k])
+			}
+			if b.lb2[k] > 0 {
+				skips++
+			}
+		}
+		if skips == 0 {
+			t.Errorf("%s: every bucket bound is 0, so nothing is skipped", p.name)
+		}
 	}
 }
 

@@ -171,16 +171,30 @@ func Hairpin(radius, speedLimit float64) (*Track, error) {
 	return New("hairpin", mustSpline(ctrl, false), speedLimit)
 }
 
-// builtins maps each standard track's name to its builder, parameterised
-// by the speed limit: the one table behind Builtin and Catalog.
-var builtins = map[string]func(speedLimit float64) (*Track, error){
-	"straight":           func(v float64) (*Track, error) { return Straight(200, v) },
-	"circle":             func(v float64) (*Track, error) { return Circle(25, v) },
-	"s-curve":            func(v float64) (*Track, error) { return SCurve(8, v) },
-	"figure-eight":       func(v float64) (*Track, error) { return FigureEight(30, v) },
-	"double-lane-change": func(v float64) (*Track, error) { return DoubleLaneChange(3.5, v) },
-	"urban-loop":         UrbanLoop,
-	"hairpin":            func(v float64) (*Track, error) { return Hairpin(6, v) },
+// builtins maps each standard track's name to its path. The paths do not
+// depend on the speed limit, so each is built once per process, on first
+// use, and shared by every track Builtin and Catalog return: a path is
+// immutable after construction (geom.Path), which makes sharing it across
+// runs and goroutines exact.
+var builtins = map[string]func() (geom.Path, error){
+	"straight":           builtinPath(func() (*Track, error) { return Straight(200, DefaultSpeedLimit) }),
+	"circle":             builtinPath(func() (*Track, error) { return Circle(25, DefaultSpeedLimit) }),
+	"s-curve":            builtinPath(func() (*Track, error) { return SCurve(8, DefaultSpeedLimit) }),
+	"figure-eight":       builtinPath(func() (*Track, error) { return FigureEight(30, DefaultSpeedLimit) }),
+	"double-lane-change": builtinPath(func() (*Track, error) { return DoubleLaneChange(3.5, DefaultSpeedLimit) }),
+	"urban-loop":         builtinPath(func() (*Track, error) { return UrbanLoop(DefaultSpeedLimit) }),
+	"hairpin":            builtinPath(func() (*Track, error) { return Hairpin(6, DefaultSpeedLimit) }),
+}
+
+// builtinPath memoizes the path of the track build returns.
+func builtinPath(build func() (*Track, error)) func() (geom.Path, error) {
+	return sync.OnceValues(func() (geom.Path, error) {
+		t, err := build()
+		if err != nil {
+			return nil, err
+		}
+		return t.Path(), nil
+	})
 }
 
 // DefaultSpeedLimit is the speed limit in m/s a built-in track is driven
@@ -197,22 +211,28 @@ var builtinNames = sync.OnceValue(func() []string { return Names(builtins) })
 // requested name.
 var ErrUnknownTrack = errors.New("unknown track")
 
-// Builtin builds the one standard track with the given name and speed
-// limit, without building the others.
+// Builtin returns the standard track with the given name and speed limit.
+// Its path is built once per process and shared, immutable, by every
+// track Builtin and Catalog return for that name.
 func Builtin(name string, speedLimit float64) (*Track, error) {
-	build, ok := builtins[name]
+	path, ok := builtins[name]
 	if !ok {
 		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownTrack, name, BuiltinNames())
 	}
-	return build(speedLimit)
+	p, err := path()
+	if err != nil {
+		return nil, err
+	}
+	return New(name, p, speedLimit)
 }
 
 // Catalog returns the named standard tracks used by the experiment
-// harness, keyed by name, all built with the given speed limit.
+// harness, keyed by name, all with the given speed limit and the shared
+// paths Builtin returns.
 func Catalog(speedLimit float64) (map[string]*Track, error) {
 	out := make(map[string]*Track, len(builtins))
 	for _, name := range BuiltinNames() {
-		t, err := builtins[name](speedLimit)
+		t, err := Builtin(name, speedLimit)
 		if err != nil {
 			return nil, err
 		}

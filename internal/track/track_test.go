@@ -229,3 +229,35 @@ func TestStartPoseOnPath(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinSharesPathAcrossSpeedLimits: every built-in path is built
+// once, so tracks of one name at different speed limits share it, and so
+// does Catalog.
+func TestBuiltinSharesPathAcrossSpeedLimits(t *testing.T) {
+	cat, err := Catalog(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range BuiltinNames() {
+		a, err := Builtin(name, DefaultSpeedLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Builtin(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Path() != b.Path() || a.Path() != cat[name].Path() {
+			t.Errorf("%s: Builtin and Catalog built the path more than once", name)
+		}
+		if a.Name() != name || a.SpeedLimit() != DefaultSpeedLimit || b.SpeedLimit() != 3 || cat[name].SpeedLimit() != 9 {
+			t.Errorf("%s: got names %q and limits %v, %v, %v", name, a.Name(), a.SpeedLimit(), b.SpeedLimit(), cat[name].SpeedLimit())
+		}
+	}
+	if _, err := Builtin("urban-loop", 0); err == nil {
+		t.Error("zero speed limit accepted")
+	}
+	if _, err := Builtin("nowhere", 6); !errors.Is(err, ErrUnknownTrack) {
+		t.Errorf("unknown name: err = %v", err)
+	}
+}

@@ -13,9 +13,13 @@ import (
 //
 // with first-order actuator lags and rate/magnitude saturation applied to
 // the commanded steering and acceleration. It is the standard plant for
-// low-speed waypoint-following studies.
+// low-speed waypoint-following studies. A Kinematic caches its actuator
+// lags' smoothing factors, so it is not safe for concurrent use.
 type Kinematic struct {
 	p Params
+	// lagDt is the step the smoothing factors steerAlpha and accelAlpha,
+	// 1 − exp(−dt/τ), were computed for (0: none yet; Step rejects it).
+	lagDt, steerAlpha, accelAlpha float64
 }
 
 // NewKinematic builds a kinematic bicycle model. It panics on invalid
@@ -28,9 +32,22 @@ func NewKinematic(p Params) *Kinematic {
 	return &Kinematic{p: p}
 }
 
+// lagAlphas returns the steering and acceleration lags' smoothing factors
+// for dt. The run's step is fixed, so they are computed once and again only
+// when dt differs; a NaN dt equals nothing and is recomputed every time.
+func (m *Kinematic) lagAlphas(dt float64) (steer, accel float64) {
+	if dt != m.lagDt {
+		m.lagDt = dt
+		m.steerAlpha = 1 - math.Exp(-dt/m.p.SteerTimeConstant)
+		m.accelAlpha = 1 - math.Exp(-dt/m.p.AccelTimeConstant)
+	}
+	return m.steerAlpha, m.accelAlpha
+}
+
 // applyActuators realises the commanded steer/accel through saturation,
 // slew limiting and first-order lag, returning the realised values.
-func applyActuators(p Params, s State, cmd Command, dt float64) (steer, accel float64) {
+func (m *Kinematic) applyActuators(s State, cmd Command, dt float64) (steer, accel float64) {
+	p := &m.p
 	// Sanitise non-finite commands to safe values (hold steering, brake).
 	steerCmd := cmd.Steer
 	if math.IsNaN(steerCmd) || math.IsInf(steerCmd, 0) {
@@ -44,10 +61,10 @@ func applyActuators(p Params, s State, cmd Command, dt float64) (steer, accel fl
 	accelCmd = geom.Clamp(accelCmd, -p.MaxBrake, p.MaxAccel)
 
 	// First-order lag toward the command.
+	steerAlpha, accelAlpha := m.lagAlphas(dt)
 	steer = steerCmd
 	if p.SteerTimeConstant > 0 {
-		alpha := 1 - math.Exp(-dt/p.SteerTimeConstant)
-		steer = s.Steer + (steerCmd-s.Steer)*alpha
+		steer = s.Steer + (steerCmd-s.Steer)*steerAlpha
 	}
 	// Slew limit.
 	maxDelta := p.MaxSteerRate * dt
@@ -56,8 +73,7 @@ func applyActuators(p Params, s State, cmd Command, dt float64) (steer, accel fl
 
 	accel = accelCmd
 	if p.AccelTimeConstant > 0 {
-		alpha := 1 - math.Exp(-dt/p.AccelTimeConstant)
-		accel = s.Accel + (accelCmd-s.Accel)*alpha
+		accel = s.Accel + (accelCmd-s.Accel)*accelAlpha
 	}
 	accel = geom.Clamp(accel, -p.MaxBrake, p.MaxAccel)
 	return steer, accel
@@ -71,7 +87,7 @@ func (m *Kinematic) Step(s State, cmd Command, dt float64) State {
 		panic(fmt.Sprintf("vehicle: non-positive dt %g", dt))
 	}
 	p := m.p
-	steer, accel := applyActuators(p, s, cmd, dt)
+	steer, accel := m.applyActuators(s, cmd, dt)
 
 	v0 := s.Speed
 	v1 := geom.Clamp(v0+accel*dt, 0, p.MaxSpeed)
