@@ -1,6 +1,7 @@
 package adassure
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -13,9 +14,12 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"adassure/internal/events"
 )
 
-var updateFrameDigest = flag.Bool("update-frame-digest", false, "rewrite testdata/frame_digest.hex")
+var updateFrameDigest = flag.Bool("update-frame-digest", false,
+	"rewrite testdata/frame_digest.hex and testdata/trace_event_digest.hex")
 
 // frameDigestGrid is every built-in track × controller × attack class (none
 // included), 364 cells of 30 s each. The guard alternates over the grid as
@@ -114,8 +118,51 @@ func TestFrameDigest(t *testing.T) {
 		}
 		w.value(reflect.ValueOf(*r.Sim))
 	}
-	got := hex.EncodeToString(w.h.Sum(nil))
-	const path = "testdata/frame_digest.hex"
+	checkDigest(t, "testdata/frame_digest.hex", w.h.Sum(nil))
+}
+
+// TestTraceEventDigest covers what TestFrameDigest does not see: over the
+// same grid it hashes each run's trace CSV and its event log (scenario
+// span, attack and guard lanes, violation episodes, hypotheses), recorded
+// without wall-clock stamps, into one SHA-256 digest that must equal the
+// committed one. Regenerate with -update-frame-digest.
+func TestTraceEventDigest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 364-run grid is too slow under the race detector")
+	}
+	grid := frameDigestGrid()
+	recs := make([]*events.Recorder, len(grid))
+	for i := range grid {
+		recs[i] = events.NewRecorder(0).WithoutWallClock()
+		grid[i].Events = recs[i]
+		grid[i].RecordFrames = false
+	}
+	res, err := RunScenarios(context.Background(), grid, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	w := &digestWriter{h: h}
+	for i, r := range res {
+		var buf bytes.Buffer
+		if err := r.Sim.Trace.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		w.str(buf.String())
+		buf.Reset()
+		if err := recs[i].WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		w.str(buf.String())
+	}
+	checkDigest(t, "testdata/trace_event_digest.hex", h.Sum(nil))
+}
+
+// checkDigest compares sum with the hex digest committed at path, or
+// rewrites the file under -update-frame-digest.
+func checkDigest(t *testing.T, path string, sum []byte) {
+	t.Helper()
+	got := hex.EncodeToString(sum)
 	if *updateFrameDigest {
 		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -127,6 +174,6 @@ func TestFrameDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != strings.TrimSpace(string(want)) {
-		t.Fatalf("frame digest %s, committed %s", got, strings.TrimSpace(string(want)))
+		t.Fatalf("%s: digest %s, committed %s", path, got, strings.TrimSpace(string(want)))
 	}
 }
