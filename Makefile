@@ -56,11 +56,12 @@ bench-json-name:
 
 # Golden-file regression suite: every deterministic experiment rendering,
 # the event-timeline render and the diagnosis report must match their
-# committed snapshots byte-for-byte, and the frame-level digest of the
-# 364-cell track × controller × attack grid its committed hash.
+# committed snapshots byte-for-byte, and the digests of the 364-cell
+# track × controller × attack grid (frames, violations and summaries; trace
+# CSVs and event logs) their committed hashes.
 golden:
 	$(GO) test ./internal/harness -run TestGolden
-	$(GO) test . -run TestFrameDigest
+	$(GO) test . -run 'TestFrameDigest|TestTraceEventDigest'
 	$(GO) test ./internal/events -run TestGoldenTimelineT4
 	$(GO) test ./internal/diagnosis -run TestGoldenReport
 	$(GO) test ./internal/service -run TestStreamGoldenTranscript
@@ -70,7 +71,7 @@ golden:
 # the diff before committing.
 golden-update:
 	$(GO) test ./internal/harness -run TestGolden -update
-	$(GO) test . -run TestFrameDigest -update-frame-digest
+	$(GO) test . -run 'TestFrameDigest|TestTraceEventDigest' -update-frame-digest
 	$(GO) test ./internal/events -run TestGoldenTimelineT4 -update
 	$(GO) test ./internal/diagnosis -run TestGoldenReport -update
 	$(GO) test ./internal/service -run TestStreamGoldenTranscript -update-stream

@@ -305,8 +305,9 @@ func BenchmarkSimSecond(b *testing.B) {
 }
 
 // BenchmarkStepWithObs compares the full closed loop with and without a
-// metrics registry attached — the "observability is ≤5% overhead" number
-// from DESIGN.md §9. The obs=off case exercises the nil-registry path the
+// metrics registry attached: the observability overhead DESIGN.md §9
+// records (+26.7%, so its former ≤5% bound does not hold). It reports the
+// numbers and checks nothing. The obs=off case exercises the nil-registry path the
 // instrumented code always runs through; obs=on adds the step histogram,
 // per-assertion timing and the snapshot-ready counters.
 func BenchmarkStepWithObs(b *testing.B) {

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // evidenceCap is the most named values one assertion outcome carries. The
 // largest built-in evidence sets (A6, A14, Consistency) hold four; the cap
 // is a compile-time property of the catalog, not a tunable.
@@ -65,4 +67,36 @@ func (e *Evidence) Map() map[string]float64 {
 		m[e.kv[i].Key] = e.kv[i].Val
 	}
 	return m
+}
+
+// SanitizeEvidence makes a violation's evidence map JSON-representable:
+// one-sided assertion bounds snapshot ±Inf thresholds (e.g. "any value
+// below hi"), which encoding/json rejects, so infinities are clamped to
+// ±MaxFloat64 and NaN entries dropped. A map with only finite values is
+// returned as is (nil stays nil, empty stays empty); otherwise the result
+// is a fresh map and ev is never mutated.
+func SanitizeEvidence(ev map[string]float64) map[string]float64 {
+	clean := true
+	for _, val := range ev {
+		if math.IsNaN(val) || math.IsInf(val, 0) {
+			clean = false
+			break
+		}
+	}
+	if clean {
+		return ev
+	}
+	cp := make(map[string]float64, len(ev))
+	for k, val := range ev {
+		switch {
+		case math.IsNaN(val):
+		case math.IsInf(val, 1):
+			cp[k] = math.MaxFloat64
+		case math.IsInf(val, -1):
+			cp[k] = -math.MaxFloat64
+		default:
+			cp[k] = val
+		}
+	}
+	return cp
 }

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 
@@ -158,7 +157,7 @@ func Build(in Input) []Bundle {
 			t0 = 0
 		}
 		win := Window{T0: t0, T1: v.T + in.HalfWindow}
-		v.Evidence = sanitizeEvidence(v.Evidence)
+		v.Evidence = core.SanitizeEvidence(v.Evidence)
 		b := Bundle{
 			Schema:     Schema,
 			TraceID:    in.TraceID,
@@ -188,36 +187,6 @@ func Build(in Input) []Bundle {
 		out = append(out, b)
 	}
 	return out
-}
-
-// sanitizeEvidence makes an evidence map JSON-representable: one-sided
-// assertion bounds snapshot ±Inf thresholds (e.g. "any value below hi"),
-// which encoding/json rejects, so infinities are clamped to ±MaxFloat64
-// and NaN entries dropped. The original map is never mutated.
-func sanitizeEvidence(ev map[string]float64) map[string]float64 {
-	clean := true
-	for _, val := range ev {
-		if math.IsNaN(val) || math.IsInf(val, 0) {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return ev
-	}
-	cp := make(map[string]float64, len(ev))
-	for k, val := range ev {
-		switch {
-		case math.IsNaN(val):
-		case math.IsInf(val, 1):
-			cp[k] = math.MaxFloat64
-		case math.IsInf(val, -1):
-			cp[k] = -math.MaxFloat64
-		default:
-			cp[k] = val
-		}
-	}
-	return cp
 }
 
 // attackAt stamps the per-violation activity flag onto a copy of the

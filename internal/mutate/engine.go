@@ -15,7 +15,6 @@ import (
 	"adassure/internal/runner"
 	"adassure/internal/sim"
 	"adassure/internal/track"
-	"adassure/internal/vehicle"
 )
 
 // Config describes one mutation campaign. The zero value of every field is
@@ -194,11 +193,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	type cellOut struct {
-		fired      []string
-		violations []core.Violation
-		maxTrueCTE float64
-		diverged   bool
-		finished   bool
+		fired []string
+		res   *sim.Result
 	}
 	outs, err := runner.Map(runner.Options{
 		Workers:    cfg.Workers,
@@ -207,42 +203,21 @@ func Run(cfg Config) (*Report, error) {
 		Obs:        cfg.Obs,
 		Events:     cfg.Events,
 	}, jobs, func(ctx context.Context, _ int, j job) (cellOut, error) {
-		scope := "baseline/" + cfg.Tracks[j.track] + "/"
-		if j.mutant >= 0 {
-			scope = cfg.Mutants[j.mutant].ID() + "/" + cfg.Tracks[j.track] + "/"
-		}
-		mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
-		sc := sim.Config{
+		probe := Probe{
 			Track:      tracks[j.track],
 			Controller: cfg.Controller,
-			Vehicle:    vehicle.ShuttleParams(),
 			Seed:       cfg.Seed,
 			Duration:   cfg.Duration,
-			Monitor:    mon,
-			// The NaN-leak mutant emits non-finite commands the trace
-			// layer would reject, and the campaign never reads traces.
-			DisableTrace: true,
-			Obs:          cfg.Obs,
-			Events:       cfg.Events,
-			EventScope:   scope,
-			Context:      ctx,
+			Obs:        cfg.Obs,
+			Events:     cfg.Events,
+			EventScope: "baseline/" + cfg.Tracks[j.track] + "/",
 		}
 		if j.mutant >= 0 {
-			if err := Instrument(&sc, cfg.Mutants[j.mutant]); err != nil {
-				return cellOut{}, err
-			}
+			probe.Mutant = &cfg.Mutants[j.mutant]
+			probe.EventScope = probe.Mutant.ID() + "/" + cfg.Tracks[j.track] + "/"
 		}
-		res, err := sim.Run(sc)
-		if err != nil {
-			return cellOut{}, err
-		}
-		return cellOut{
-			fired:      mon.FiredIDs(),
-			violations: res.Violations,
-			maxTrueCTE: res.MaxTrueCTE,
-			diverged:   res.Diverged,
-			finished:   res.Finished,
-		}, nil
+		fired, res, err := probe.Run(ctx)
+		return cellOut{fired, res}, err
 	})
 	if err != nil {
 		return nil, err
@@ -275,10 +250,10 @@ func Run(cfg Config) (*Report, error) {
 			Track:      cfg.Tracks[ti],
 			Fired:      o.fired,
 			Latency:    -1,
-			Violations: len(o.violations),
-			MaxTrueCTE: o.maxTrueCTE,
-			Diverged:   o.diverged,
-			Finished:   o.finished,
+			Violations: len(o.res.Violations),
+			MaxTrueCTE: o.res.MaxTrueCTE,
+			Diverged:   o.res.Diverged,
+			Finished:   o.res.Finished,
 		})
 	}
 
@@ -297,10 +272,10 @@ func Run(cfg Config) (*Report, error) {
 				Track:      cfg.Tracks[ti],
 				Fired:      o.fired,
 				Latency:    -1,
-				Violations: len(o.violations),
-				MaxTrueCTE: o.maxTrueCTE,
-				Diverged:   o.diverged,
-				Finished:   o.finished,
+				Violations: len(o.res.Violations),
+				MaxTrueCTE: o.res.MaxTrueCTE,
+				Diverged:   o.res.Diverged,
+				Finished:   o.res.Finished,
 			}
 			for _, id := range o.fired {
 				if !baselineFired[ti][id] {
@@ -312,7 +287,7 @@ func Run(cfg Config) (*Report, error) {
 			// Detection latency: the first violation of a kill-qualifying
 			// assertion (violations are in raise order; mutants are active
 			// from t=0, so the raise time is the latency).
-			for _, v := range o.violations {
+			for _, v := range o.res.Violations {
 				if !baselineFired[ti][v.AssertionID] {
 					cell.FirstKill, cell.Latency = v.AssertionID, v.T
 					break

@@ -119,7 +119,7 @@ func driveClean(t *testing.T, spec Spec) {
 	}
 
 	if spec.Op == OpSatRemove {
-		sp := newUnsaturatedSpeed(control.NewSpeedPID(params), params)
+		sp := newUnsaturatedSpeed(control.NewSpeedPID(params))
 		v := 1.0
 		for i := 0; i < 200; i++ {
 			accel := sp.Accel(v, 6, 0.05)

@@ -1,48 +1,134 @@
 package mutate
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"adassure/internal/control"
+	"adassure/internal/core"
+	"adassure/internal/events"
 	"adassure/internal/fusion"
 	"adassure/internal/geom"
+	"adassure/internal/obs"
 	"adassure/internal/sensors"
 	"adassure/internal/sim"
+	"adassure/internal/track"
 	"adassure/internal/vehicle"
 )
 
-// Instrument installs one mutant into a sim config: controller mutants via
-// Config.WrapLateral/WrapSpeed, sensor and actuator faults via
-// Config.Faults. The spec must be canonical. Hooks hold per-run state, so
-// Instrument must be called once per run config — never share an
-// instrumented config across runs. The NaN-leak mutant emits non-finite
-// commands, so every instrumented run disables trace recording.
-func Instrument(cfg *sim.Config, spec Spec) error {
-	canon, err := spec.Canonicalize()
+// Window bounds a sensor or actuator mutant's activation interval in
+// simulated seconds, [Start, End).
+type Window struct {
+	Start float64 `json:"start"`
+	End   float64 `json:"end"`
+}
+
+// Probe is one campaign run: a built-in track driven under the assertion
+// catalog (ground truth included), pristine or with one mutant installed.
+// It is the one place the mutation and search campaigns lower a run to a
+// sim.Config.
+type Probe struct {
+	Track      *track.Track
+	Controller string
+	Seed       int64
+	Duration   float64
+	// Assertions restricts the monitor to a catalog subset (nil: the whole
+	// catalog).
+	Assertions []string
+	// Mutant, when non-nil, is installed into the run: controller mutants
+	// wrap the controllers, sensor and actuator mutants become the run's
+	// fault hooks. Nil runs the pristine baseline.
+	Mutant *Spec
+	// Window, when non-nil, gates a sensor or actuator mutant to
+	// [Start, End); outside it readings and commands pass untouched.
+	Window *Window
+	// Obs, Events and EventScope pass through to the simulator.
+	Obs        *obs.Registry
+	Events     *events.Recorder
+	EventScope string
+}
+
+// Run executes the probe, cancelled by ctx, and returns the fired
+// assertion IDs in catalog order along with the simulation result. Probe
+// runs record no trace: no campaign reads one, and the NaN-leak mutant
+// emits non-finite commands. The mutant's hooks hold per-run state, so
+// every call builds fresh ones.
+func (p Probe) Run(ctx context.Context) ([]string, *sim.Result, error) {
+	mon, err := core.NewCatalogMonitorWith(core.CatalogConfig{IncludeGroundTruth: true}, p.Assertions)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	if canon != spec {
-		return fmt.Errorf("mutate: spec %+v is not canonical (want %+v)", spec, canon)
+	cfg := sim.Config{
+		Track:        p.Track,
+		Controller:   p.Controller,
+		Seed:         p.Seed,
+		Duration:     p.Duration,
+		Monitor:      mon,
+		DisableTrace: true,
+		Obs:          p.Obs,
+		Events:       p.Events,
+		EventScope:   p.EventScope,
+		Context:      ctx,
 	}
-	switch spec.Kind() {
-	case KindController:
-		if spec.Op == OpSatRemove {
-			cfg.WrapSpeed = func(inner control.Longitudinal) control.Longitudinal {
-				return newUnsaturatedSpeed(inner, cfg.Vehicle)
+	if p.Mutant != nil {
+		spec, err := p.Mutant.Canonicalize()
+		if err != nil {
+			return nil, nil, err
+		}
+		switch {
+		case spec.Kind() != KindController:
+			cfg.Faults = buildFaults(spec)
+			if p.Window != nil {
+				gate(cfg.Faults, *p.Window)
 			}
-		} else {
+		case p.Window != nil:
+			return nil, nil, fmt.Errorf("mutate: controller mutant %q cannot be windowed", spec.ID())
+		case spec.Op == OpSatRemove:
+			cfg.WrapSpeed = func(inner control.Longitudinal) control.Longitudinal {
+				return newUnsaturatedSpeed(inner)
+			}
+		default:
 			cfg.WrapLateral = func(inner control.Lateral) control.Lateral {
 				return &mutatedLateral{inner: inner, spec: spec}
 			}
 		}
-	case KindSensor, KindActuator:
-		cfg.Faults = buildFaults(spec)
-	default:
-		return fmt.Errorf("mutate: operator %q has no registered kind", spec.Op)
 	}
-	return nil
+	res, err := sim.Run(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mon.FiredIDs(), res, nil
+}
+
+// gate restricts a fault set's hooks to w. The hooks keep their own
+// state, so a latency queue simply stops advancing outside the window.
+func gate(fs *sim.FaultSet, w Window) {
+	fs.GNSS = gated(fs.GNSS, w)
+	fs.IMU = gated(fs.IMU, w)
+	fs.Odom = gated(fs.Odom, w)
+	if f := fs.Actuator; f != nil {
+		fs.Actuator = func(cmd vehicle.Command, t float64) vehicle.Command {
+			if t < w.Start || t >= w.End {
+				return cmd
+			}
+			return f(cmd, t)
+		}
+	}
+}
+
+// gated is one sensor hook restricted to w: outside it the reading is
+// delivered untouched.
+func gated[R any](f func(R, float64) (R, bool), w Window) func(R, float64) (R, bool) {
+	if f == nil {
+		return nil
+	}
+	return func(r R, t float64) (R, bool) {
+		if t < w.Start || t >= w.End {
+			return r, true
+		}
+		return f(r, t)
+	}
 }
 
 // mutatedLateral wraps a pristine lateral controller and perturbs its
@@ -130,8 +216,10 @@ type unsaturatedSpeed struct {
 	hasPrev    bool
 }
 
-func newUnsaturatedSpeed(inner control.Longitudinal, p vehicle.Params) *unsaturatedSpeed {
-	ref := control.NewSpeedPID(p)
+func newUnsaturatedSpeed(inner control.Longitudinal) *unsaturatedSpeed {
+	// NewSpeedPID's gains are constants; the vehicle parameters only set
+	// the clamps this mutant deletes.
+	ref := control.NewSpeedPID(vehicle.Params{})
 	return &unsaturatedSpeed{inner: inner, kp: ref.Kp, ki: ref.Ki, kd: ref.Kd}
 }
 

@@ -14,10 +14,8 @@ import (
 	"adassure/internal/mutate"
 	"adassure/internal/obs"
 	"adassure/internal/runner"
-	"adassure/internal/sensors"
 	"adassure/internal/sim"
 	"adassure/internal/track"
-	"adassure/internal/vehicle"
 )
 
 // Search modes.
@@ -219,13 +217,7 @@ func Run(cfg Config) (*Report, error) {
 	e := &engine{cfg: cfg, tracks: tracks, orderIdx: orderIdx}
 
 	// Phase 1: pristine baselines, one per track, fanned across the pool.
-	baselines, err := runner.Map(runner.Options{
-		Workers:    cfg.Workers,
-		Context:    cfg.Context,
-		OnProgress: cfg.Progress,
-		Obs:        cfg.Obs,
-		Events:     cfg.Events,
-	}, tracks, func(ctx context.Context, ti int, _ *track.Track) ([]string, error) {
+	baselines, err := runner.Map(e.pool(), tracks, func(ctx context.Context, ti int, _ *track.Track) ([]string, error) {
 		return e.probe(ctx, ti, "search/baseline/"+cfg.Tracks[ti]+"/", nil)
 	})
 	if err != nil {
@@ -277,47 +269,30 @@ type engine struct {
 	baselineFired []map[string]bool
 }
 
+// pool is the runner configuration of every batch the campaign fans out.
+func (e *engine) pool() runner.Options {
+	c := e.cfg
+	return runner.Options{Workers: c.Workers, Context: c.Context, OnProgress: c.Progress, Obs: c.Obs, Events: c.Events}
+}
+
 // probe runs one simulation — pristine when attack is nil — and returns
 // the sorted fired-assertion IDs.
 func (e *engine) probe(ctx context.Context, ti int, scope string, attack *attack) ([]string, error) {
-	mon, err := core.NewCatalogMonitorWith(core.CatalogConfig{IncludeGroundTruth: true}, e.cfg.Assertions)
-	if err != nil {
-		return nil, err
-	}
-	sc := sim.Config{
+	p := mutate.Probe{
 		Track:      e.tracks[ti],
 		Controller: e.cfg.Controller,
-		Vehicle:    vehicle.ShuttleParams(),
 		Seed:       e.cfg.Seed,
 		Duration:   e.cfg.Duration,
-		Monitor:    mon,
-		// Probe runs never read traces, and instrumented configs must not
-		// record them (mirrors the mutation campaign).
-		DisableTrace: true,
-		Obs:          e.cfg.Obs,
-		Events:       e.cfg.Events,
-		EventScope:   scope,
-		Context:      ctx,
+		Assertions: e.cfg.Assertions,
+		Obs:        e.cfg.Obs,
+		Events:     e.cfg.Events,
+		EventScope: scope,
 	}
 	if attack != nil {
-		spec, err := mutate.Spec{Op: attack.op, Param: attack.mag}.Canonicalize()
-		if err != nil {
-			return nil, err
-		}
-		if err := mutate.Instrument(&sc, spec); err != nil {
-			return nil, err
-		}
-		if attack.window != nil {
-			if sc.Faults == nil {
-				return nil, fmt.Errorf("search: channel %q is not windowable", attack.op)
-			}
-			sc.Faults = gateFaults(sc.Faults, *attack.window)
-		}
+		p.Mutant, p.Window = &mutate.Spec{Op: attack.op, Param: attack.mag}, attack.window
 	}
-	if _, err := sim.Run(sc); err != nil {
-		return nil, err
-	}
-	return mon.FiredIDs(), nil
+	fired, _, err := p.Run(ctx)
+	return fired, err
 }
 
 // attack is one concrete probe: an operator at a magnitude, optionally
@@ -353,13 +328,7 @@ func (e *engine) runDescent(rep *Report) error {
 			pairs = append(pairs, pair{ti, ci})
 		}
 	}
-	points, err := runner.Map(runner.Options{
-		Workers:    cfg.Workers,
-		Context:    cfg.Context,
-		OnProgress: cfg.Progress,
-		Obs:        cfg.Obs,
-		Events:     cfg.Events,
-	}, pairs, func(ctx context.Context, _ int, p pair) (FrontierPoint, error) {
+	points, err := runner.Map(e.pool(), pairs, func(ctx context.Context, _ int, p pair) (FrontierPoint, error) {
 		ch := cfg.Channels[p.ci]
 		evalN := 0
 		killsAt := map[float64][]string{}
@@ -430,13 +399,7 @@ func (e *engine) runCEM(rep *Report) error {
 			type outcome struct {
 				kills []string
 			}
-			outs, err := runner.Map(runner.Options{
-				Workers:    cfg.Workers,
-				Context:    cfg.Context,
-				OnProgress: cfg.Progress,
-				Obs:        cfg.Obs,
-				Events:     cfg.Events,
-			}, cands, func(ctx context.Context, i int, cand Candidate) (outcome, error) {
+			outs, err := runner.Map(e.pool(), cands, func(ctx context.Context, i int, cand Candidate) (outcome, error) {
 				ch := cfg.Channels[cand.Channel]
 				scope := "search/" + ch.Op + "/" + cfg.Tracks[ti] + "/" +
 					strconv.Itoa(evalN+i+1) + "/"
@@ -480,47 +443,6 @@ func (e *engine) runCEM(rep *Report) error {
 		rep.Frontier = append(rep.Frontier, best...)
 	}
 	return nil
-}
-
-// gateFaults wraps a FaultSet so its hooks apply only inside the window
-// [Start, End); outside it readings and commands pass through untouched.
-// The wrapped closures keep their own state, so a latency queue simply
-// stops advancing outside the window.
-func gateFaults(fs *sim.FaultSet, w Window) *sim.FaultSet {
-	g := &sim.FaultSet{}
-	if f := fs.GNSS; f != nil {
-		g.GNSS = func(fix sensors.GNSSFix, t float64) (sensors.GNSSFix, bool) {
-			if t < w.Start || t >= w.End {
-				return fix, true
-			}
-			return f(fix, t)
-		}
-	}
-	if f := fs.IMU; f != nil {
-		g.IMU = func(r sensors.IMUReading, t float64) (sensors.IMUReading, bool) {
-			if t < w.Start || t >= w.End {
-				return r, true
-			}
-			return f(r, t)
-		}
-	}
-	if f := fs.Odom; f != nil {
-		g.Odom = func(r sensors.OdomReading, t float64) (sensors.OdomReading, bool) {
-			if t < w.Start || t >= w.End {
-				return r, true
-			}
-			return f(r, t)
-		}
-	}
-	if f := fs.Actuator; f != nil {
-		g.Actuator = func(cmd vehicle.Command, t float64) vehicle.Command {
-			if t < w.Start || t >= w.End {
-				return cmd
-			}
-			return f(cmd, t)
-		}
-	}
-	return g
 }
 
 // WriteJSON writes the canonical JSON encoding of the report.

@@ -65,10 +65,7 @@ func specErr(op string, reason error, format string, args ...any) error {
 
 // Window bounds an attack's activation interval in simulated seconds
 // [Start, End). Only sensor/actuator channels support windows.
-type Window struct {
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
-}
+type Window = mutate.Window
 
 // Spec is one search channel: a mutation operator whose parameter is the
 // magnitude axis the optimizer moves along, with optional range overrides

@@ -3,10 +3,10 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"adassure"
 	"adassure/internal/forensics"
+	"adassure/internal/stream"
 )
 
 // ResponseSchema pins the response wire format.
@@ -54,24 +54,12 @@ type RunSummary struct {
 	DetectionLatency float64 `json:"detection_latency,omitempty"`
 }
 
-// Violation is the wire form of one raised assertion episode.
-type Violation struct {
-	AssertionID string             `json:"assertion_id"`
-	Name        string             `json:"name"`
-	Severity    string             `json:"severity"`
-	T           float64            `json:"t"`
-	FirstBreach float64            `json:"first_breach"`
-	Duration    float64            `json:"duration,omitempty"`
-	Message     string             `json:"message"`
-	Evidence    map[string]float64 `json:"evidence,omitempty"`
-}
+// Violation is the wire form of one raised assertion episode, the same
+// one streamed events carry.
+type Violation = stream.WireViolation
 
 // Hypothesis is the wire form of one ranked root-cause candidate.
-type Hypothesis struct {
-	Cause      string  `json:"cause"`
-	Confidence float64 `json:"confidence"`
-	Rationale  string  `json:"rationale"`
-}
+type Hypothesis = stream.WireHypothesis
 
 // buildResponse assembles the response for a completed run and marshals
 // it once; the returned bytes are what the cache stores and every waiter
@@ -108,24 +96,9 @@ func buildResponse(req Request, out *adassure.ScenarioResult, traceID string) ([
 		}
 	}
 	for _, v := range out.Violations {
-		resp.Violations = append(resp.Violations, Violation{
-			AssertionID: v.AssertionID,
-			Name:        v.Name,
-			Severity:    v.Severity.String(),
-			T:           v.T,
-			FirstBreach: v.FirstBreach,
-			Duration:    v.Duration,
-			Message:     v.Message,
-			Evidence:    sanitizeEvidence(v.Evidence),
-		})
+		resp.Violations = append(resp.Violations, stream.WireViolationOf(v))
 	}
-	for _, h := range out.Hypotheses {
-		resp.Hypotheses = append(resp.Hypotheses, Hypothesis{
-			Cause:      string(h.Cause),
-			Confidence: h.Confidence,
-			Rationale:  h.Rationale,
-		})
-	}
+	resp.Hypotheses = stream.WireHypothesesOf(out.Hypotheses)
 	if req.Bundles {
 		resp.Bundles = buildBundles(req, out, traceID)
 	}
@@ -165,26 +138,4 @@ func buildBundles(req Request, out *adassure.ScenarioResult, traceID string) []f
 		Hypotheses: out.Hypotheses,
 		HalfWindow: req.BundleHalfWindow,
 	})
-}
-
-// sanitizeEvidence clamps ±Inf thresholds (one-sided assertion bounds
-// snapshot them) to ±MaxFloat64 and drops NaN entries, mirroring the
-// forensic-bundle treatment — encoding/json rejects non-finite values.
-func sanitizeEvidence(ev map[string]float64) map[string]float64 {
-	if len(ev) == 0 {
-		return nil
-	}
-	cp := make(map[string]float64, len(ev))
-	for k, v := range ev {
-		switch {
-		case math.IsNaN(v):
-		case math.IsInf(v, 1):
-			cp[k] = math.MaxFloat64
-		case math.IsInf(v, -1):
-			cp[k] = -math.MaxFloat64
-		default:
-			cp[k] = v
-		}
-	}
-	return cp
 }

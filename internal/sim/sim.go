@@ -27,11 +27,16 @@ import (
 )
 
 // The simulated platform's fixed timing: 100 Hz physics, 20 Hz control
-// and monitoring, and the speed the vehicle spawns with.
+// and monitoring (every controlEvery-th engine tick), and the speed the
+// vehicle spawns with.
 const (
 	engineRate   float64 = 100 // Hz
 	controlRate  float64 = 20  // Hz
 	initialSpeed float64 = 1   // m/s
+
+	engineDT     = 1 / engineRate
+	controlEvery = int(engineRate / controlRate)
+	controlDT    = engineDT * float64(controlEvery)
 )
 
 // MaxDuration bounds Config.Duration (s), one simulated hour. It keeps the
@@ -241,540 +246,601 @@ type Result struct {
 
 // Run executes one simulation. It is deterministic in (Config, Seed).
 func Run(cfg Config) (*Result, error) {
+	r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for r.n < r.nSteps {
+		if r.step() {
+			break
+		}
+	}
+	return r.finish()
+}
+
+// run is one simulation in progress: everything the closed loop carries
+// from one engine tick to the next. Run is newRun, step until the run is
+// over, then finish.
+type run struct {
+	cfg Config
+	res *Result
+
+	lateral                 control.Lateral
+	speedCtl                control.Longitudinal
+	profile                 *planner.SpeedProfile
+	progress                planner.Progress
+	follower, truthFollower *planner.Follower
+	model                   vehicle.Kinematic
+	gnss                    *sensors.GNSS
+	imu                     *sensors.IMU
+	odom                    *sensors.Odometer
+	gnssIn                  delivery[sensors.GNSSFix]
+	imuIn                   delivery[sensors.IMUReading]
+	odomIn                  delivery[sensors.OdomReading]
+	ekf                     fusion.Localizer
+	dr                      fusion.DeadReckoner
+	cols                    []*trace.Column // traceSignals' columns; nil without a trace
+
+	n, nSteps int // engine ticks taken, and the run's budget
+	truth     vehicle.State
+	cmd       vehicle.Command
+
+	// Latest delivered readings and their times (lastFixAt starts at 0:
+	// the run start counts as fresh for the staleness trigger), and the
+	// receiver-style course/speed over ground derived from the fix
+	// history (observeFix).
+	lastFix                          sensors.GNSSFix
+	lastIMU                          sensors.IMUReading
+	lastOdom                         sensors.OdomReading
+	lastFixAt, lastIMUAt, lastOdomAt float64
+	fixHist                          []stampedFix // over fixBuf unless it outgrows it
+	fixBuf                           [64]stampedFix
+	derivedCourse, derivedSpeed      float64
+
+	// Guard state.
+	inFallback                                 bool
+	fallbackSince, latchUntil, lastEKFUpdateAt float64
+	recoveryCount, seenViolations              int
+
+	sumSqTrueCTE float64
+	cteSamples   int
+
+	// Observability and the event timeline.
+	stepsCtr                 *obs.Counter
+	stepNS                   *obs.Histogram
+	wallStart, lastStepClock time.Time
+	scenarioName             string
+	attackWin                attacks.Window
+	hasAttack                bool
+	attackLane, guardLane    lane
+
+	err error // set when the context cancelled the run
+}
+
+// stampedFix is one delivered GNSS position in the derived-course history.
+type stampedFix struct {
+	t float64
+	p geom.Vec2
+}
+
+// newRun builds a run at t = 0: controllers, planner, plant, sensors,
+// fusion, the trace columns, and the obs and event wiring. The scenario
+// span opens here; finish closes it.
+func newRun(cfg Config) (*run, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	lateral, err := control.ByName(cfg.Controller, cfg.Vehicle)
-	if err != nil {
+	r := &run{cfg: cfg, res: &Result{}}
+	var err error
+	if r.lateral, err = control.ByName(cfg.Controller, cfg.Vehicle); err != nil {
 		return nil, err
 	}
 	if cfg.WrapLateral != nil {
-		lateral = cfg.WrapLateral(lateral)
+		r.lateral = cfg.WrapLateral(r.lateral)
 	}
-	var speedCtl control.Longitudinal = control.NewSpeedPID(cfg.Vehicle)
+	r.speedCtl = control.NewSpeedPID(cfg.Vehicle)
 	if cfg.WrapSpeed != nil {
-		speedCtl = cfg.WrapSpeed(speedCtl)
+		r.speedCtl = cfg.WrapSpeed(r.speedCtl)
 	}
-	profile, err := planner.NewSpeedProfileForTrack(cfg.Track, cfg.Vehicle)
-	if err != nil {
+	if r.profile, err = planner.NewSpeedProfileForTrack(cfg.Track, cfg.Vehicle); err != nil {
 		return nil, err
 	}
 	progress, err := planner.NewProgress(cfg.Track.Path())
 	if err != nil {
 		return nil, err
 	}
-	follower, err := planner.NewFollower(cfg.Track.Path())
-	if err != nil {
+	r.progress = *progress
+	if r.follower, err = planner.NewFollower(cfg.Track.Path()); err != nil {
 		return nil, err
 	}
-	truthFollower, err := planner.NewFollower(cfg.Track.Path())
-	if err != nil {
+	if r.truthFollower, err = planner.NewFollower(cfg.Track.Path()); err != nil {
 		return nil, err
 	}
 
-	model := vehicle.NewKinematic(cfg.Vehicle)
-
-	gnss := sensors.NewGNSS(cfg.Seed*7 + 1)
-	imu := sensors.NewIMU(cfg.Seed*7 + 2)
-	odom := sensors.NewOdometer(cfg.Seed*7 + 3)
+	r.model = *vehicle.NewKinematic(cfg.Vehicle)
+	r.gnss = sensors.NewGNSS(cfg.Seed*7 + 1)
+	r.imu = sensors.NewIMU(cfg.Seed*7 + 2)
+	r.odom = sensors.NewOdometer(cfg.Seed*7 + 3)
+	var faults FaultSet
+	if cfg.Faults != nil {
+		faults = *cfg.Faults
+	}
+	r.gnssIn = newDelivery(faults.GNSS, cfg.Campaign.GNSS)
+	r.imuIn = newDelivery(faults.IMU, cfg.Campaign.IMU)
+	r.odomIn = newDelivery(faults.Odom, cfg.Campaign.Odom)
 
 	start := cfg.Track.StartPose()
-	truth := vehicle.State{X: start.Pos.X, Y: start.Pos.Y, Heading: start.Heading, Speed: initialSpeed}
-
-	gate := 0.0
-	if cfg.Guard.Enabled {
-		gate = cfg.Guard.GateThreshold
-	}
-	newLocalizer := func(t0 float64, pose geom.Pose, speed float64) fusion.Localizer {
-		if cfg.Localizer == "complementary" {
-			return fusion.NewComplementary(t0, pose, speed)
-		}
-		return fusion.NewEKF(gate, t0, pose, speed)
-	}
-	ekf := newLocalizer(0, start, initialSpeed)
-	dr := fusion.NewDeadReckoner(0, start, initialSpeed)
-
-	res := &Result{}
-	engineDT := 1 / engineRate
-	controlEvery := int(math.Round(engineRate / controlRate))
-	controlDT := engineDT * float64(controlEvery)
+	r.truth = vehicle.State{X: start.Pos.X, Y: start.Pos.Y, Heading: start.Heading, Speed: initialSpeed}
+	r.ekf = r.newLocalizer(0, start, initialSpeed)
+	r.dr = *fusion.NewDeadReckoner(0, start, initialSpeed)
+	r.nSteps = int(math.Round(cfg.Duration / engineDT))
 
 	// Trace recording is columnar: the column handles are resolved once,
-	// before the loop, and each column preallocates the full horizon
-	// (duration × control rate), so steady-state recording is a pair of
-	// slice appends per signal — no map lookups, no reallocation.
-	var tc *stepColumns
+	// here, and each column preallocates the full horizon (duration ×
+	// control rate), so steady-state recording is a pair of slice appends
+	// per signal — no map lookups, no reallocation.
 	if !cfg.DisableTrace {
 		tr := trace.New()
 		tr.Reserve(int(math.Ceil(cfg.Duration/controlDT)) + 1)
-		tc = newStepColumns(tr)
-		res.Trace = tr
+		r.cols = make([]*trace.Column, len(traceSignals))
+		for i, name := range traceSignals {
+			r.cols[i] = tr.Column(name)
+		}
+		r.res.Trace = tr
 	}
 	if cfg.RecordFrames {
-		res.Frames = make([]core.Frame, 0, int(math.Ceil(cfg.Duration/controlDT))+1)
+		r.res.Frames = make([]core.Frame, 0, int(math.Ceil(cfg.Duration/controlDT))+1)
 	}
 
-	// Observability: resolve handles once so the loop pays only nil checks
+	// Observability: resolve handles once so the step pays only nil checks
 	// when cfg.Obs is nil. Per-control-step timing uses chained clock reads
 	// (one per control step) covering the physics sub-steps, sensor/fusion
 	// work, control and monitoring since the previous control step.
-	var stepsCtr *obs.Counter
-	var stepNS *obs.Histogram
-	var wallStart, lastStepClock time.Time
 	if cfg.Obs != nil {
 		cfg.Obs.Counter("sim.runs").Inc()
-		stepsCtr = cfg.Obs.Counter("sim.steps")
-		stepNS = cfg.Obs.Histogram("sim.step_ns")
+		r.stepsCtr = cfg.Obs.Counter("sim.steps")
+		r.stepNS = cfg.Obs.Histogram("sim.step_ns")
 		if cfg.Monitor != nil {
 			cfg.Monitor.Attach(cfg.Obs)
 		}
-		wallStart = time.Now()
-		lastStepClock = wallStart
+		r.wallStart = time.Now()
+		r.lastStepClock = r.wallStart
 	}
 
 	// Event timeline: the scenario span opens at t=0; attack-window and
 	// guard-fallback transitions are emitted as the control loop crosses
 	// them, so the recorded boundaries reflect what the run actually
-	// executed (an aborted run closes its spans at the abort instant).
-	ev := cfg.Events
-	scenarioName := cfg.Controller + " on " + cfg.Track.Name()
-	attackWin, hasAttack := cfg.Campaign.ActiveWindow()
-	attackOpen, guardOpen := false, false
-	if ev != nil {
-		ev.Begin(events.CatScenario, cfg.EventScope+"scenario", scenarioName, 0,
+	// executed (a cancelled run closes its spans at the cancel instant).
+	r.attackWin, r.hasAttack = cfg.Campaign.ActiveWindow()
+	if ev := cfg.Events; ev != nil {
+		r.scenarioName = cfg.Controller + " on " + cfg.Track.Name()
+		r.attackLane = lane{cat: events.CatAttack, track: cfg.EventScope + "attack", name: cfg.Campaign.Name(),
+			attrs: map[string]float64{"start": r.attackWin.Start, "end": r.attackWin.End}}
+		r.guardLane = lane{cat: events.CatGuard, track: cfg.EventScope + "guard", name: "dead-reckoning fallback"}
+		ev.Begin(events.CatScenario, cfg.EventScope+"scenario", r.scenarioName, 0,
 			map[string]float64{"seed": float64(cfg.Seed), "duration": cfg.Duration})
 		if cfg.Monitor != nil {
 			cfg.Monitor.AttachEvents(ev, cfg.EventScope)
 		}
 	}
 
-	// Derived-GNSS state: the receiver-style course/speed over ground are
-	// computed from the displacement across a ~1 s baseline of delivered
+	// ~1 s of fixes at 10 Hz fits the run's own buffer; eviction compacts
+	// in place, so the history never allocates.
+	r.fixHist = r.fixBuf[:0]
+	r.derivedCourse, r.derivedSpeed = start.Heading, initialSpeed
+	r.lastIMUAt, r.lastOdomAt, r.lastEKFUpdateAt = math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	return r, nil
+}
+
+// newLocalizer builds the configured fusion stack at (t0, pose, speed).
+func (r *run) newLocalizer(t0 float64, pose geom.Pose, speed float64) fusion.Localizer {
+	if r.cfg.Localizer == "complementary" {
+		return fusion.NewComplementary(t0, pose, speed)
+	}
+	gate := 0.0
+	if r.cfg.Guard.Enabled {
+		gate = r.cfg.Guard.GateThreshold
+	}
+	return fusion.NewEKF(gate, t0, pose, speed)
+}
+
+// step advances the run by one engine tick: physics, then every sensor
+// reading through its fault hook and attack channel into fusion, and on
+// every controlEvery-th tick the control step. It reports whether the run
+// ended early: the route finished, the vehicle diverged, or the context
+// cancelled the run (r.err is then set).
+func (r *run) step() bool {
+	r.n++
+	t := float64(r.n) * engineDT
+
+	// Physics.
+	r.truth = r.model.Step(r.truth, r.cmd, engineDT)
+	r.res.SimTime = t
+
+	// Sensors → faults → attacks → fusion.
+	for _, m := range r.imu.Poll(r.truth, t) {
+		if m, ok := r.imuIn.deliver(m, t); ok {
+			r.ekf.PredictIMU(m)
+			r.dr.StepIMU(m)
+			r.lastIMU, r.lastIMUAt = m, t
+		}
+	}
+	for _, m := range r.odom.Poll(r.truth, t) {
+		if m, ok := r.odomIn.deliver(m, t); ok {
+			r.ekf.UpdateOdom(m)
+			r.dr.ObserveOdom(m)
+			r.lastOdom, r.lastOdomAt = m, t
+		}
+	}
+	for _, fix := range r.gnss.Poll(r.truth, t) {
+		if fix, ok := r.gnssIn.deliver(fix, t); ok {
+			r.observeFix(fix, t)
+		}
+	}
+
+	if r.n%controlEvery != 0 {
+		return false
+	}
+	return r.control(t)
+}
+
+// observeFix fuses one delivered GNSS fix, or quarantines it while the
+// guard distrusts the channel, and updates the derived course and speed.
+func (r *run) observeFix(fix sensors.GNSSFix, t float64) {
+	if r.inFallback {
+		// Quarantine: fixes are not fused while distrusted. Leave
+		// fallback only after the latch has expired and two
+		// consecutive fixes land near the dead-reckoned position,
+		// then re-seed the filter there.
+		if t < r.latchUntil {
+			return
+		}
+		if fix.Pos.Dist(r.dr.Estimate().Pose.Pos) < recoverDist {
+			r.recoveryCount++
+		} else {
+			r.recoveryCount = 0
+		}
+		if r.recoveryCount >= 2 {
+			e := r.dr.Estimate()
+			r.ekf = r.newLocalizer(t, e.Pose, e.Speed)
+			r.ekf.UpdateGNSS(fix)
+			r.lastEKFUpdateAt = t
+			r.inFallback = false
+			r.recoveryCount = 0
+		}
+	} else {
+		_, accepted := r.ekf.UpdateGNSS(fix)
+		r.lastEKFUpdateAt = t
+		if accepted && r.cfg.Guard.Enabled {
+			// Re-anchor the reckoner at every trusted fusion output.
+			e := r.ekf.Estimate()
+			r.dr.Reset(e.T, e.Pose, e.Speed)
+		}
+	}
+	// Receiver-derived course/speed over a ~1 s baseline of delivered
 	// fixes, which keeps the white position noise from dominating the
 	// derivative (a single-period baseline would have ~2 m/s of speed
 	// noise at 10 Hz).
 	const derivedBaseline = 1.0
-	var lastFix sensors.GNSSFix
-	lastFixAt := 0.0 // run start counts as fresh for the staleness trigger
-	type stampedFix struct {
-		t float64
-		p geom.Vec2
+	r.fixHist = append(r.fixHist, stampedFix{t: t, p: fix.Pos})
+	evict := 0
+	for evict < len(r.fixHist)-1 && t-r.fixHist[evict].t > derivedBaseline+0.05 {
+		evict++
 	}
-	// ~1 s of fixes at 10 Hz plus slack; eviction compacts in place so the
-	// backing array is allocated once per run.
-	fixHist := make([]stampedFix, 0, 64)
-	derivedCourse, derivedSpeed := start.Heading, initialSpeed
-
-	var lastIMU sensors.IMUReading
-	lastIMUAt := math.Inf(-1)
-	var lastOdom sensors.OdomReading
-	lastOdomAt := math.Inf(-1)
-
-	cmd := vehicle.Command{}
-	inFallback := false
-	fallbackSince := 0.0
-	latchUntil := 0.0
-	recoveryCount := 0
-	seenViolations := 0
-	lastEKFUpdateAt := math.Inf(-1)
-	var sumSqTrueCTE float64
-	var cteSamples int
-
-	nSteps := int(math.Round(cfg.Duration / engineDT))
-	for step := 1; step <= nSteps; step++ {
-		t := float64(step) * engineDT
-
-		// Physics.
-		truth = model.Step(truth, cmd, engineDT)
-		res.SimTime = t
-
-		// Sensors → attacks → fusion.
-		for _, r := range imu.Poll(truth, t) {
-			if cfg.Faults != nil && cfg.Faults.IMU != nil {
-				var deliver bool
-				if r, deliver = cfg.Faults.IMU(r, t); !deliver {
-					continue
-				}
-			}
-			if cfg.Campaign.IMU != nil {
-				var deliver bool
-				if r, deliver = cfg.Campaign.IMU.Apply(r, t); !deliver {
-					continue
-				}
-			}
-			ekf.PredictIMU(r)
-			dr.StepIMU(r)
-			lastIMU, lastIMUAt = r, t
+	if evict > 0 {
+		n := copy(r.fixHist, r.fixHist[evict:])
+		r.fixHist = r.fixHist[:n]
+	}
+	if oldest := r.fixHist[0]; t-oldest.t > derivedBaseline*0.5 {
+		d := fix.Pos.Sub(oldest.p)
+		r.derivedSpeed = d.Norm() / (t - oldest.t)
+		if r.derivedSpeed > 0.5 {
+			r.derivedCourse = d.Angle()
 		}
-		for _, r := range odom.Poll(truth, t) {
-			if cfg.Faults != nil && cfg.Faults.Odom != nil {
-				var deliver bool
-				if r, deliver = cfg.Faults.Odom(r, t); !deliver {
-					continue
-				}
-			}
-			if cfg.Campaign.Odom != nil {
-				var deliver bool
-				if r, deliver = cfg.Campaign.Odom.Apply(r, t); !deliver {
-					continue
-				}
-			}
-			ekf.UpdateOdom(r)
-			dr.ObserveOdom(r)
-			lastOdom, lastOdomAt = r, t
-		}
-		for _, fix := range gnss.Poll(truth, t) {
-			if cfg.Faults != nil && cfg.Faults.GNSS != nil {
-				var deliver bool
-				if fix, deliver = cfg.Faults.GNSS(fix, t); !deliver {
-					continue
-				}
-			}
-			if cfg.Campaign.GNSS != nil {
-				var deliver bool
-				if fix, deliver = cfg.Campaign.GNSS.Apply(fix, t); !deliver {
-					continue
-				}
-			}
-			if inFallback {
-				// Quarantine: fixes are not fused while distrusted. Leave
-				// fallback only after the latch has expired and two
-				// consecutive fixes land near the dead-reckoned position,
-				// then re-seed the filter there.
-				if t < latchUntil {
-					continue
-				}
-				if fix.Pos.Dist(dr.Estimate().Pose.Pos) < recoverDist {
-					recoveryCount++
-				} else {
-					recoveryCount = 0
-				}
-				if recoveryCount >= 2 {
-					e := dr.Estimate()
-					ekf = newLocalizer(t, e.Pose, e.Speed)
-					ekf.UpdateGNSS(fix)
-					lastEKFUpdateAt = t
-					inFallback = false
-					recoveryCount = 0
-				}
-			} else {
-				_, accepted := ekf.UpdateGNSS(fix)
-				lastEKFUpdateAt = t
-				if accepted && cfg.Guard.Enabled {
-					// Re-anchor the reckoner at every trusted fusion output.
-					e := ekf.Estimate()
-					dr.Reset(e.T, e.Pose, e.Speed)
-				}
-			}
-			// Receiver-derived course/speed over the smoothing baseline.
-			fixHist = append(fixHist, stampedFix{t: t, p: fix.Pos})
-			evict := 0
-			for evict < len(fixHist)-1 && t-fixHist[evict].t > derivedBaseline+0.05 {
-				evict++
-			}
-			if evict > 0 {
-				n := copy(fixHist, fixHist[evict:])
-				fixHist = fixHist[:n]
-			}
-			if oldest := fixHist[0]; t-oldest.t > derivedBaseline*0.5 {
-				d := fix.Pos.Sub(oldest.p)
-				derivedSpeed = d.Norm() / (t - oldest.t)
-				if derivedSpeed > 0.5 {
-					derivedCourse = d.Angle()
-				}
-			}
-			lastFix, lastFixAt = fix, t
-		}
+	}
+	r.lastFix, r.lastFixAt = fix, t
+}
 
-		// Control + monitoring at the control rate.
-		if step%controlEvery != 0 {
-			continue
-		}
+// control is the 20 Hz half of a tick: the cancellation check, the guard,
+// the event lanes, planning and control, the monitor frame, trace append
+// and step timing. It reports whether the run ended (see step).
+func (r *run) control(t float64) bool {
+	cfg := &r.cfg
+	res := r.res
 
-		// Cancellation gate: one cheap Err() call per control step keeps
-		// the abort latency under one control period of wall time.
-		if cfg.Context != nil {
-			if err := cfg.Context.Err(); err != nil {
-				return nil, fmt.Errorf("sim: run cancelled at t=%.2f s: %w", t, err)
-			}
-		}
-
-		// Guard entry triggers.
-		if cfg.Guard.Enabled {
-			assertionHit := false
-			if cfg.Guard.AssertionTrigger && cfg.Monitor != nil {
-				for i := seenViolations; i < cfg.Monitor.NumViolations(); i++ {
-					// Only online critical assertions drive recovery; A12
-					// reads ground truth and exists for offline scoring.
-					// Indexed access avoids the per-step copy Violations()
-					// would make of the whole record.
-					v := cfg.Monitor.ViolationAt(i)
-					if v.Severity == core.Critical && v.AssertionID != "A12" {
-						assertionHit = true
-					}
-				}
-			}
-			if assertionHit {
-				// New evidence of hostility (re-)latches the quarantine.
-				latchUntil = t + latchTime
-			}
-			gateTrigger := ekf.RejectStreak() >= fallbackAfter ||
-				t-lastFixAt > cfg.Guard.StaleAfter
-			if !inFallback && (gateTrigger || assertionHit) {
-				inFallback = true
-				fallbackSince = t
-				recoveryCount = 0
-			}
-		}
-		if cfg.Monitor != nil {
-			seenViolations = cfg.Monitor.NumViolations()
-		}
-
-		if ev != nil {
-			if hasAttack {
-				if active := attackWin.Contains(t); active != attackOpen {
-					attackOpen = active
-					if active {
-						ev.Begin(events.CatAttack, cfg.EventScope+"attack", cfg.Campaign.Name(), t,
-							map[string]float64{"start": attackWin.Start, "end": attackWin.End})
-					} else {
-						ev.End(events.CatAttack, cfg.EventScope+"attack", cfg.Campaign.Name(), t, nil)
-					}
-				}
-			}
-			if guardOpen != inFallback {
-				guardOpen = inFallback
-				if inFallback {
-					ev.Begin(events.CatGuard, cfg.EventScope+"guard", "dead-reckoning fallback", t, nil)
-				} else {
-					ev.End(events.CatGuard, cfg.EventScope+"guard", "dead-reckoning fallback", t, nil)
-				}
-			}
-		}
-
-		est := ekf.Estimate()
-		if inFallback {
-			est = dr.Estimate()
-			res.FallbackTime += controlDT
-		}
-
-		s, cte := follower.Project(est.Pose.Pos)
-		headingErr := geom.AngleDiff(est.Pose.Heading, cfg.Track.Path().HeadingAt(s))
-		kappa := cfg.Track.Path().CurvatureAt(s)
-		prog := progress.Observe(s)
-		// Compensate the drivetrain/PID lag by also honouring the profile
-		// about half a second of travel ahead — otherwise the vehicle
-		// enters sharp corners ~1 m/s hot.
-		target := math.Min(profile.TargetAt(s), profile.TargetAt(s+est.Speed*0.6))
-		if inFallback {
-			if target > fallbackSpeed {
-				target = fallbackSpeed
-			}
-			if t-fallbackSince > mrmAfter {
-				target = 0 // minimum-risk manoeuvre: come to a stop
-			}
-		}
-
-		// The command interface contract: steering requests saturate at the
-		// actuator limit before they leave the controller node.
-		steer := geom.Clamp(lateral.Steer(est, cfg.Track.Path(), controlDT), -cfg.Vehicle.MaxSteer, cfg.Vehicle.MaxSteer)
-		accel := speedCtl.Accel(est.Speed, target, controlDT)
-		cmd = vehicle.Command{Steer: steer, Accel: accel}
-		if cfg.Faults != nil && cfg.Faults.Actuator != nil {
-			// Component-level actuator fault: like Campaign.Actuator below,
-			// it corrupts after the monitor has seen the requested command.
-			cmd = cfg.Faults.Actuator(cmd, t)
-		}
-		if cfg.Campaign.Actuator != nil {
-			// Actuator faults corrupt the command *after* the controller
-			// (and after the monitor sees what was requested) — the plant
-			// executes the faulted command.
-			cmd = cfg.Campaign.Actuator.Apply(cmd, t)
-		}
-		res.Steps++
-
-		_, trueCTE := truthFollower.Project(geom.V(truth.X, truth.Y))
-		if a := math.Abs(trueCTE); a > res.MaxTrueCTE {
-			res.MaxTrueCTE = a
-		}
-		if a := math.Abs(cte); a > res.MaxEstCTE {
-			res.MaxEstCTE = a
-		}
-		sumSqTrueCTE += trueCTE * trueCTE
-		cteSamples++
-
-		nis, _ := ekf.LastNIS()
-		nisFresh := t-lastEKFUpdateAt <= controlDT && cfg.Localizer == "ekf"
-
-		// Curvature band the controller may legitimately be steering for:
-		// slightly behind the projection to one lookahead distance ahead.
-		curvLo, curvHi := kappa, kappa
-		for d := -2.0; d <= 12.0; d += 1.0 {
-			k := cfg.Track.Path().CurvatureAt(s + d)
-			if k < curvLo {
-				curvLo = k
-			}
-			if k > curvHi {
-				curvHi = k
-			}
-		}
-
-		if cfg.Monitor != nil || cfg.RecordFrames {
-			frame := core.Frame{
-				T: t, Dt: controlDT,
-				EstX: est.Pose.Pos.X, EstY: est.Pose.Pos.Y,
-				EstHeading: est.Pose.Heading, EstSpeed: est.Speed,
-				EstYawRate: est.YawRate, EstPosStdDev: est.PosStdDev,
-				GNSSX: lastFix.Pos.X, GNSSY: lastFix.Pos.Y,
-				GNSSSpeed: derivedSpeed, GNSSCourse: derivedCourse,
-				GNSSAge: t - lastFixAt, GNSSValid: lastFix.Valid,
-				IMUHeading: lastIMU.Heading, IMUYawRate: lastIMU.YawRate,
-				IMUAccel: lastIMU.Accel, IMUAge: t - lastIMUAt,
-				OdomSpeed: lastOdom.Speed, OdomAge: t - lastOdomAt,
-				CmdSteer: steer, CmdAccel: accel,
-				RefS: s, CTE: cte, HeadingErr: headingErr,
-				Curvature: kappa, TargetSpeed: target, Progress: prog,
-				CurvAheadMin: curvLo, CurvAheadMax: curvHi,
-				NIS: nis, NISFresh: nisFresh, RejectStreak: ekf.RejectStreak(),
-				TrueX: truth.X, TrueY: truth.Y, TrueHeading: truth.Heading,
-				TrueSpeed: truth.Speed, TrueCTE: trueCTE,
-			}
-			if cfg.Monitor != nil {
-				cfg.Monitor.Step(frame)
-			}
-			if cfg.RecordFrames {
-				res.Frames = append(res.Frames, frame)
-			}
-		}
-
-		if tc != nil {
-			tc.trueX.MustAppend(t, truth.X)
-			tc.trueY.MustAppend(t, truth.Y)
-			tc.estX.MustAppend(t, est.Pose.Pos.X)
-			tc.estY.MustAppend(t, est.Pose.Pos.Y)
-			tc.gnssX.MustAppend(t, lastFix.Pos.X)
-			tc.gnssY.MustAppend(t, lastFix.Pos.Y)
-			tc.cteTrue.MustAppend(t, trueCTE)
-			tc.cteEst.MustAppend(t, cte)
-			tc.speed.MustAppend(t, truth.Speed)
-			tc.targetSpeed.MustAppend(t, target)
-			appendFinite(tc.steer, t, steer)
-			appendFinite(tc.accelCmd, t, accel)
-			tc.nis.MustAppend(t, nis)
-			tc.headingErr.MustAppend(t, headingErr)
-			tc.estHeading.MustAppend(t, est.Pose.Heading)
-			tc.imuHeading.MustAppend(t, lastIMU.Heading)
-			tc.curvature.MustAppend(t, kappa)
-			tc.progress.MustAppend(t, prog)
-			tc.fallback.MustAppend(t, boolTo01(inFallback))
-		}
-
-		if stepNS != nil {
-			now := time.Now()
-			stepNS.Observe(now.Sub(lastStepClock).Nanoseconds())
-			lastStepClock = now
-			stepsCtr.Inc()
-		}
-
-		// Termination conditions.
-		if progress.Finished() {
-			res.Finished = true
-			break
-		}
-		if math.Abs(trueCTE) > 100 {
-			res.Diverged = true
-			break
+	// Cancellation gate: one cheap Err() call per control step keeps
+	// the abort latency under one control period of wall time.
+	if cfg.Context != nil {
+		if err := cfg.Context.Err(); err != nil {
+			r.err = fmt.Errorf("sim: run cancelled at t=%.2f s: %w", t, err)
+			return true
 		}
 	}
 
-	res.Final = truth
-	res.ProgressTotal = progress.Total()
-	res.Laps = progress.Laps()
-	if cteSamples > 0 {
-		res.RMSTrueCTE = math.Sqrt(sumSqTrueCTE / float64(cteSamples))
+	// Guard entry triggers.
+	if cfg.Guard.Enabled {
+		assertionHit := false
+		if cfg.Guard.AssertionTrigger && cfg.Monitor != nil {
+			for i := r.seenViolations; i < cfg.Monitor.NumViolations(); i++ {
+				// Only online critical assertions drive recovery; A12
+				// reads ground truth and exists for offline scoring.
+				// Indexed access avoids the per-step copy Violations()
+				// would make of the whole record.
+				v := cfg.Monitor.ViolationAt(i)
+				if v.Severity == core.Critical && v.AssertionID != "A12" {
+					assertionHit = true
+				}
+			}
+		}
+		if assertionHit {
+			// New evidence of hostility (re-)latches the quarantine.
+			r.latchUntil = t + latchTime
+		}
+		gateTrigger := r.ekf.RejectStreak() >= fallbackAfter ||
+			t-r.lastFixAt > cfg.Guard.StaleAfter
+		if !r.inFallback && (gateTrigger || assertionHit) {
+			r.inFallback = true
+			r.fallbackSince = t
+			r.recoveryCount = 0
+		}
+	}
+	if cfg.Monitor != nil {
+		r.seenViolations = cfg.Monitor.NumViolations()
+	}
+
+	if ev := cfg.Events; ev != nil {
+		if r.hasAttack {
+			r.attackLane.set(ev, r.attackWin.Contains(t), t, nil)
+		}
+		r.guardLane.set(ev, r.inFallback, t, nil)
+	}
+
+	est := r.ekf.Estimate()
+	if r.inFallback {
+		est = r.dr.Estimate()
+		res.FallbackTime += controlDT
+	}
+
+	path := cfg.Track.Path()
+	s, cte := r.follower.Project(est.Pose.Pos)
+	headingErr := geom.AngleDiff(est.Pose.Heading, path.HeadingAt(s))
+	kappa := path.CurvatureAt(s)
+	prog := r.progress.Observe(s)
+	// Compensate the drivetrain/PID lag by also honouring the profile
+	// about half a second of travel ahead — otherwise the vehicle
+	// enters sharp corners ~1 m/s hot.
+	target := math.Min(r.profile.TargetAt(s), r.profile.TargetAt(s+est.Speed*0.6))
+	if r.inFallback {
+		if target > fallbackSpeed {
+			target = fallbackSpeed
+		}
+		if t-r.fallbackSince > mrmAfter {
+			target = 0 // minimum-risk manoeuvre: come to a stop
+		}
+	}
+
+	// The command interface contract: steering requests saturate at the
+	// actuator limit before they leave the controller node.
+	steer := geom.Clamp(r.lateral.Steer(est, path, controlDT), -cfg.Vehicle.MaxSteer, cfg.Vehicle.MaxSteer)
+	accel := r.speedCtl.Accel(est.Speed, target, controlDT)
+	r.cmd = vehicle.Command{Steer: steer, Accel: accel}
+	if cfg.Faults != nil && cfg.Faults.Actuator != nil {
+		// Component-level actuator fault: like Campaign.Actuator below,
+		// it corrupts after the monitor has seen the requested command.
+		r.cmd = cfg.Faults.Actuator(r.cmd, t)
+	}
+	if cfg.Campaign.Actuator != nil {
+		// Actuator faults corrupt the command *after* the controller
+		// (and after the monitor sees what was requested) — the plant
+		// executes the faulted command.
+		r.cmd = cfg.Campaign.Actuator.Apply(r.cmd, t)
+	}
+	res.Steps++
+
+	_, trueCTE := r.truthFollower.Project(geom.V(r.truth.X, r.truth.Y))
+	if a := math.Abs(trueCTE); a > res.MaxTrueCTE {
+		res.MaxTrueCTE = a
+	}
+	if a := math.Abs(cte); a > res.MaxEstCTE {
+		res.MaxEstCTE = a
+	}
+	r.sumSqTrueCTE += trueCTE * trueCTE
+	r.cteSamples++
+
+	nis, _ := r.ekf.LastNIS()
+	nisFresh := t-r.lastEKFUpdateAt <= controlDT && cfg.Localizer == "ekf"
+
+	// Curvature band the controller may legitimately be steering for:
+	// slightly behind the projection to one lookahead distance ahead.
+	curvLo, curvHi := kappa, kappa
+	for d := -2.0; d <= 12.0; d += 1.0 {
+		k := path.CurvatureAt(s + d)
+		if k < curvLo {
+			curvLo = k
+		}
+		if k > curvHi {
+			curvHi = k
+		}
+	}
+
+	frame := core.Frame{
+		T: t, Dt: controlDT,
+		EstX: est.Pose.Pos.X, EstY: est.Pose.Pos.Y,
+		EstHeading: est.Pose.Heading, EstSpeed: est.Speed,
+		EstYawRate: est.YawRate, EstPosStdDev: est.PosStdDev,
+		GNSSX: r.lastFix.Pos.X, GNSSY: r.lastFix.Pos.Y,
+		GNSSSpeed: r.derivedSpeed, GNSSCourse: r.derivedCourse,
+		GNSSAge: t - r.lastFixAt, GNSSValid: r.lastFix.Valid,
+		IMUHeading: r.lastIMU.Heading, IMUYawRate: r.lastIMU.YawRate,
+		IMUAccel: r.lastIMU.Accel, IMUAge: t - r.lastIMUAt,
+		OdomSpeed: r.lastOdom.Speed, OdomAge: t - r.lastOdomAt,
+		CmdSteer: steer, CmdAccel: accel,
+		RefS: s, CTE: cte, HeadingErr: headingErr,
+		Curvature: kappa, TargetSpeed: target, Progress: prog,
+		CurvAheadMin: curvLo, CurvAheadMax: curvHi,
+		NIS: nis, NISFresh: nisFresh, RejectStreak: r.ekf.RejectStreak(),
+		TrueX: r.truth.X, TrueY: r.truth.Y, TrueHeading: r.truth.Heading,
+		TrueSpeed: r.truth.Speed, TrueCTE: trueCTE,
+	}
+	if cfg.Monitor != nil {
+		cfg.Monitor.Step(frame)
+	}
+	if cfg.RecordFrames {
+		res.Frames = append(res.Frames, frame)
+	}
+	if r.cols != nil {
+		r.record(&frame)
+	}
+
+	if r.stepNS != nil {
+		now := time.Now()
+		r.stepNS.Observe(now.Sub(r.lastStepClock).Nanoseconds())
+		r.lastStepClock = now
+		r.stepsCtr.Inc()
+	}
+
+	// Termination conditions.
+	if r.progress.Finished() {
+		res.Finished = true
+		return true
+	}
+	if math.Abs(trueCTE) > 100 {
+		res.Diverged = true
+		return true
+	}
+	return false
+}
+
+// finish completes the result and closes what the run opened on the event
+// timeline — the attack and guard lanes (marked truncated), the monitor's
+// open violation episodes and the scenario span — at the last simulated
+// instant. A cancelled run closes them too, then returns a nil result and
+// its cancellation error.
+func (r *run) finish() (*Result, error) {
+	cfg, res := &r.cfg, r.res
+	res.Final = r.truth
+	res.ProgressTotal = r.progress.Total()
+	res.Laps = r.progress.Laps()
+	if r.cteSamples > 0 {
+		res.RMSTrueCTE = math.Sqrt(r.sumSqTrueCTE / float64(r.cteSamples))
 	}
 	if cfg.Monitor != nil {
 		res.Violations = cfg.Monitor.Violations()
 	}
-	if ev != nil {
+	if ev := cfg.Events; ev != nil {
 		t := res.SimTime
-		if attackOpen {
-			ev.End(events.CatAttack, cfg.EventScope+"attack", cfg.Campaign.Name(), t,
-				map[string]float64{"truncated": 1})
-		}
-		if guardOpen {
-			ev.End(events.CatGuard, cfg.EventScope+"guard", "dead-reckoning fallback", t,
-				map[string]float64{"truncated": 1})
-		}
+		r.attackLane.set(ev, false, t, map[string]float64{"truncated": 1})
+		r.guardLane.set(ev, false, t, map[string]float64{"truncated": 1})
 		if cfg.Monitor != nil {
 			cfg.Monitor.FinishEvents(t)
 		}
+		scenario := cfg.EventScope + "scenario"
+		if r.err != nil {
+			ev.Instant(events.CatScenario, scenario, "cancelled", t, nil)
+		}
 		if res.Diverged {
-			ev.Instant(events.CatScenario, cfg.EventScope+"scenario", "diverged", t, nil)
+			ev.Instant(events.CatScenario, scenario, "diverged", t, nil)
 		}
 		if res.Finished {
-			ev.Instant(events.CatScenario, cfg.EventScope+"scenario", "finished", t, nil)
+			ev.Instant(events.CatScenario, scenario, "finished", t, nil)
 		}
-		ev.End(events.CatScenario, cfg.EventScope+"scenario", scenarioName, t, map[string]float64{
+		ev.End(events.CatScenario, scenario, r.scenarioName, t, map[string]float64{
 			"steps":        float64(res.Steps),
 			"max_true_cte": res.MaxTrueCTE,
 			"violations":   float64(len(res.Violations)),
 		})
 	}
 	if cfg.Obs != nil {
-		if elapsed := time.Since(wallStart).Seconds(); elapsed > 0 {
+		if elapsed := time.Since(r.wallStart).Seconds(); elapsed > 0 {
 			cfg.Obs.Gauge("sim.steps_per_sec").Set(float64(res.Steps) / elapsed)
 		}
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return res, nil
 }
 
-// stepColumns holds the resolved trace column handles for every signal the
-// step loop records, so the loop performs no per-step map lookups. The
-// declaration order matches the original Record order, which fixes the
-// signal first-appearance order (and hence CSV column order) byte-for-byte.
-type stepColumns struct {
-	trueX, trueY           *trace.Column
-	estX, estY             *trace.Column
-	gnssX, gnssY           *trace.Column
-	cteTrue, cteEst        *trace.Column
-	speed, targetSpeed     *trace.Column
-	steer, accelCmd        *trace.Column
-	nis                    *trace.Column
-	headingErr, estHeading *trace.Column
-	imuHeading             *trace.Column
-	curvature, progress    *trace.Column
-	fallback               *trace.Column
+// delivery is one sensor's path into fusion: the component-fault hook,
+// then the attack channel (a hardware fault happens upstream of any
+// adversarial manipulation). Either stage may be absent, and either may
+// drop the reading.
+type delivery[R any] struct {
+	fault, attack func(R, float64) (R, bool)
 }
 
-func newStepColumns(tr *trace.Trace) *stepColumns {
-	return &stepColumns{
-		trueX: tr.Column("true_x"), trueY: tr.Column("true_y"),
-		estX: tr.Column("est_x"), estY: tr.Column("est_y"),
-		gnssX: tr.Column("gnss_x"), gnssY: tr.Column("gnss_y"),
-		cteTrue: tr.Column("cte_true"), cteEst: tr.Column("cte_est"),
-		speed: tr.Column("speed"), targetSpeed: tr.Column("target_speed"),
-		steer: tr.Column("steer"), accelCmd: tr.Column("accel_cmd"),
-		nis:        tr.Column("nis"),
-		headingErr: tr.Column("heading_err"), estHeading: tr.Column("est_heading"),
-		imuHeading: tr.Column("imu_heading"),
-		curvature:  tr.Column("curvature"), progress: tr.Column("progress"),
-		fallback: tr.Column("fallback"),
+func newDelivery[R any](fault func(R, float64) (R, bool), attack interface {
+	Apply(R, float64) (R, bool)
+}) delivery[R] {
+	d := delivery[R]{fault: fault}
+	if attack != nil {
+		d.attack = attack.Apply
+	}
+	return d
+}
+
+// deliver passes a reading observed at t through both stages; ok is false
+// when either dropped it.
+func (d delivery[R]) deliver(m R, t float64) (R, bool) {
+	ok := true
+	if d.fault != nil {
+		if m, ok = d.fault(m, t); !ok {
+			return m, false
+		}
+	}
+	if d.attack != nil {
+		m, ok = d.attack(m, t)
+	}
+	return m, ok
+}
+
+// lane is one on/off track of the run's event timeline (the attack
+// window, the guard's fallback): a span opens when it turns on and closes
+// when it turns off.
+type lane struct {
+	cat         events.Category
+	track, name string
+	attrs       map[string]float64 // attached to every Begin
+	open        bool
+}
+
+// set turns the lane on or off at t, emitting a Begin or an End (with
+// endAttrs) only when that changes its state.
+func (l *lane) set(ev *events.Recorder, on bool, t float64, endAttrs map[string]float64) {
+	if on == l.open {
+		return
+	}
+	l.open = on
+	if on {
+		ev.Begin(l.cat, l.track, l.name, t, l.attrs)
+	} else {
+		ev.End(l.cat, l.track, l.name, t, endAttrs)
 	}
 }
 
-// appendFinite appends a sample, silently skipping non-finite values: the
-// trace layer stores finite samples only, and a mutated controller
-// (WrapLateral) may legitimately emit NaN commands.
-func appendFinite(c *trace.Column, t, v float64) {
-	if !math.IsNaN(v) && !math.IsInf(v, 0) {
-		c.MustAppend(t, v)
-	}
+// traceSignals names the signals a run records, in column (and hence CSV)
+// order; record appends them in the same order.
+var traceSignals = [...]string{
+	"true_x", "true_y", "est_x", "est_y", "gnss_x", "gnss_y", "cte_true", "cte_est",
+	"speed", "target_speed", "steer", "accel_cmd", "nis", "heading_err",
+	"est_heading", "imu_heading", "curvature", "progress", "fallback",
 }
 
-func boolTo01(b bool) float64 {
-	if b {
-		return 1
+// record appends one control step's signals, read from its monitor frame.
+// A mutated controller (WrapLateral) may emit NaN commands, so the command
+// columns (steer and accel_cmd, 10 and 11) skip non-finite samples.
+func (r *run) record(f *core.Frame) {
+	fallback := 0.0
+	if r.inFallback {
+		fallback = 1
 	}
-	return 0
+	v := [len(traceSignals)]float64{f.TrueX, f.TrueY, f.EstX, f.EstY, f.GNSSX, f.GNSSY,
+		f.TrueCTE, f.CTE, f.TrueSpeed, f.TargetSpeed, f.CmdSteer, f.CmdAccel, f.NIS,
+		f.HeadingErr, f.EstHeading, f.IMUHeading, f.Curvature, f.Progress, fallback}
+	for i, c := range r.cols {
+		if (i == 10 || i == 11) && (math.IsNaN(v[i]) || math.IsInf(v[i], 0)) {
+			continue
+		}
+		c.MustAppend(f.T, v[i])
+	}
 }

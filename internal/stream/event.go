@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"math"
-
 	"adassure/internal/core"
 	"adassure/internal/diagnosis"
 )
@@ -73,9 +71,9 @@ type Event struct {
 	Stats *Stats `json:"stats,omitempty"`
 }
 
-// WireViolation is the JSON form of one raised assertion episode —
-// field-for-field the same shape the batch service response uses, so a
-// client can compare streamed and batch results structurally.
+// WireViolation is the JSON form of one raised assertion episode, shared
+// by streamed events and the batch service response (service.Violation),
+// so a client can compare streamed and batch results structurally.
 type WireViolation struct {
 	AssertionID string             `json:"assertion_id"`
 	Name        string             `json:"name"`
@@ -87,7 +85,8 @@ type WireViolation struct {
 	Evidence    map[string]float64 `json:"evidence,omitempty"`
 }
 
-// WireHypothesis is the JSON form of one ranked root-cause candidate.
+// WireHypothesis is the JSON form of one ranked root-cause candidate,
+// shared with the batch service response (service.Hypothesis).
 type WireHypothesis struct {
 	Cause      string  `json:"cause"`
 	Confidence float64 `json:"confidence"`
@@ -102,11 +101,14 @@ type WireReject struct {
 	BudgetLeft int `json:"budget_left"`
 }
 
-// WireViolationOf converts a monitor violation to its wire form,
-// sanitizing non-finite evidence exactly like the batch service response
-// (±Inf thresholds clamp to ±MaxFloat64, NaN entries drop) so streamed
-// and batch violations compare deep-equal.
+// WireViolationOf converts a monitor violation to its wire form, the one
+// the batch service response also uses: non-finite evidence is sanitized
+// (core.SanitizeEvidence) and empty evidence is omitted.
 func WireViolationOf(v core.Violation) WireViolation {
+	ev := core.SanitizeEvidence(v.Evidence)
+	if len(ev) == 0 {
+		ev = nil
+	}
 	return WireViolation{
 		AssertionID: v.AssertionID,
 		Name:        v.Name,
@@ -115,7 +117,7 @@ func WireViolationOf(v core.Violation) WireViolation {
 		FirstBreach: v.FirstBreach,
 		Duration:    v.Duration,
 		Message:     v.Message,
-		Evidence:    sanitizeEvidence(v.Evidence),
+		Evidence:    ev,
 	}
 }
 
@@ -133,25 +135,4 @@ func WireHypothesesOf(hs []diagnosis.Hypothesis) []WireHypothesis {
 		}
 	}
 	return out
-}
-
-// sanitizeEvidence mirrors the batch response treatment of non-finite
-// evidence values — encoding/json rejects them outright.
-func sanitizeEvidence(ev map[string]float64) map[string]float64 {
-	if len(ev) == 0 {
-		return nil
-	}
-	cp := make(map[string]float64, len(ev))
-	for k, v := range ev {
-		switch {
-		case math.IsNaN(v):
-		case math.IsInf(v, 1):
-			cp[k] = math.MaxFloat64
-		case math.IsInf(v, -1):
-			cp[k] = -math.MaxFloat64
-		default:
-			cp[k] = v
-		}
-	}
-	return cp
 }
