@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"flag"
+	"fmt"
 	"hash"
 	"math"
 	"os"
@@ -19,7 +20,7 @@ import (
 )
 
 var updateFrameDigest = flag.Bool("update-frame-digest", false,
-	"rewrite testdata/frame_digest.hex and testdata/trace_event_digest.hex")
+	"rewrite testdata/frame_digest.txt and testdata/trace_event_digest.txt")
 
 // frameDigestGrid is every built-in track × controller × attack class (none
 // included), 364 cells of 30 s each. The guard alternates over the grid as
@@ -83,22 +84,25 @@ func (w *digestWriter) value(v reflect.Value) {
 	}
 }
 
-// TestFrameDigest runs the 364-cell grid and hashes every recorded frame,
-// every violation (evidence included) and each run's summary into one
-// SHA-256 digest, which must equal the committed one: any change to a bit
-// the simulator, the fusion filter or the monitor produces shows here.
-// Regenerate with -update-frame-digest after an intended change. The
-// race detector makes the grid too slow to run, so -race skips it.
+// TestFrameDigest runs the 364-cell grid and hashes, per cell, every
+// recorded frame, every violation (evidence included) and the run's
+// summary into one SHA-256 line, which must equal the committed one: any
+// change to a bit the simulator, the fusion filter or the monitor produces
+// shows here, named by the cells it moved. Regenerate with
+// -update-frame-digest after an intended change. The race detector makes
+// the grid too slow to run, so -race skips it.
 func TestFrameDigest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the 364-run grid is too slow under the race detector")
 	}
-	res, err := RunScenarios(context.Background(), frameDigestGrid(), 0)
+	grid := frameDigestGrid()
+	res, err := RunScenarios(context.Background(), grid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &digestWriter{h: sha256.New()}
-	for _, r := range res {
+	sums := make([][]byte, len(res))
+	for i, r := range res {
+		w := &digestWriter{h: sha256.New()}
 		w.u64(uint64(len(r.Recording.Frames)))
 		for i := range r.Recording.Frames {
 			w.value(reflect.ValueOf(&r.Recording.Frames[i]).Elem())
@@ -117,15 +121,16 @@ func TestFrameDigest(t *testing.T) {
 			}
 		}
 		w.value(reflect.ValueOf(*r.Sim))
+		sums[i] = w.h.Sum(nil)
 	}
-	checkDigest(t, "testdata/frame_digest.hex", w.h.Sum(nil))
+	checkDigest(t, "testdata/frame_digest.txt", grid, sums)
 }
 
 // TestTraceEventDigest covers what TestFrameDigest does not see: over the
 // same grid it hashes each run's trace CSV and its event log (scenario
 // span, attack and guard lanes, violation episodes, hypotheses), recorded
-// without wall-clock stamps, into one SHA-256 digest that must equal the
-// committed one. Regenerate with -update-frame-digest.
+// without wall-clock stamps, into one SHA-256 line per cell that must
+// equal the committed one. Regenerate with -update-frame-digest.
 func TestTraceEventDigest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the 364-run grid is too slow under the race detector")
@@ -141,9 +146,9 @@ func TestTraceEventDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	w := &digestWriter{h: h}
+	sums := make([][]byte, len(res))
 	for i, r := range res {
+		w := &digestWriter{h: sha256.New()}
 		var buf bytes.Buffer
 		if err := r.Sim.Trace.WriteCSV(&buf); err != nil {
 			t.Fatal(err)
@@ -154,26 +159,52 @@ func TestTraceEventDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.str(buf.String())
+		sums[i] = w.h.Sum(nil)
 	}
-	checkDigest(t, "testdata/trace_event_digest.hex", h.Sum(nil))
+	checkDigest(t, "testdata/trace_event_digest.txt", grid, sums)
 }
 
-// checkDigest compares sum with the hex digest committed at path, or
-// rewrites the file under -update-frame-digest.
-func checkDigest(t *testing.T, path string, sum []byte) {
+// digestLines renders one line per grid cell: its track, controller,
+// attack and guard setting, then the cell's hex digest.
+func digestLines(grid []Scenario, sums [][]byte) []string {
+	lines := make([]string, len(grid))
+	for i, s := range grid {
+		guard := "unguarded"
+		if s.Guarded {
+			guard = "guarded"
+		}
+		lines[i] = fmt.Sprintf("%s %s %s %s %s", s.Track, s.Controller, s.Attack, guard, hex.EncodeToString(sums[i]))
+	}
+	return lines
+}
+
+// checkDigest compares the grid's per-cell digests with the lines
+// committed at path, naming every cell that moved, or rewrites the file
+// under -update-frame-digest.
+func checkDigest(t *testing.T, path string, grid []Scenario, sums [][]byte) {
 	t.Helper()
-	got := hex.EncodeToString(sum)
+	got := digestLines(grid, sums)
 	if *updateFrameDigest {
-		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != strings.TrimSpace(string(want)) {
-		t.Fatalf("%s: digest %s, committed %s", path, got, strings.TrimSpace(string(want)))
+	want := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d cells committed, the grid has %d", path, len(want), len(got))
+	}
+	var moved []string
+	for i := range got {
+		if got[i] != want[i] {
+			moved = append(moved, strings.Join(strings.Fields(got[i])[:4], " "))
+		}
+	}
+	if len(moved) > 0 {
+		t.Fatalf("%s: %d of %d cells moved:\n  %s", path, len(moved), len(got), strings.Join(moved, "\n  "))
 	}
 }
