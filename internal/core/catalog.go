@@ -520,8 +520,9 @@ func A15LatticeConsistency(lim Limits, k float64) Assertion {
 			// Expected per-axis travel between fixes, from the fused state:
 			// a near-zero delta despite commanded motion is a stalled axis —
 			// the between-jumps phase of a coarse grid.
-			mx := math.Abs(math.Cos(f.EstHeading)) * f.EstSpeed * dtFix
-			my := math.Abs(math.Sin(f.EstHeading)) * f.EstSpeed * dtFix
+			sin, cos := math.Sincos(f.EstHeading)
+			mx := math.Abs(cos) * f.EstSpeed * dtFix
+			my := math.Abs(sin) * f.EstSpeed * dtFix
 			dx, dy := math.Abs(f.GNSSX-px), math.Abs(f.GNSSY-py)
 			px, py, pt = f.GNSSX, f.GNSSY, tFix
 			var stalled uint8

@@ -69,8 +69,8 @@ func (c *Complementary) PredictIMU(r sensors.IMUReading) {
 	dt := r.T - c.t
 	c.t = r.T
 	c.yawRate = r.YawRate
-	thMid := c.pose.Heading + r.YawRate*dt/2
-	c.pose.Pos = c.pose.Pos.Add(geom.V(math.Cos(thMid), math.Sin(thMid)).Scale(c.speed * dt))
+	sin, cos := geom.Sincos(c.pose.Heading + r.YawRate*dt/2)
+	c.pose.Pos = c.pose.Pos.Add(geom.V(cos, sin).Scale(c.speed * dt))
 	c.pose.Heading = geom.NormalizeAngle(c.pose.Heading + r.YawRate*dt)
 }
 

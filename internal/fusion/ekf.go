@@ -110,7 +110,7 @@ func (f *EKF) PredictIMU(r sensors.IMUReading) {
 	v := f.x[3]
 	// Midpoint heading for the position propagation.
 	thMid := th + r.YawRate*dt/2
-	cos, sin := math.Cos(thMid), math.Sin(thMid)
+	sin, cos := geom.Sincos(thMid)
 	f.x[0] += v * cos * dt
 	f.x[1] += v * sin * dt
 	f.x[2] = geom.NormalizeAngle(th + r.YawRate*dt)
@@ -306,8 +306,8 @@ func (d *DeadReckoner) StepIMU(r sensors.IMUReading) {
 	dt := r.T - d.t
 	d.t = r.T
 	d.yawRate = r.YawRate
-	thMid := d.pose.Heading + r.YawRate*dt/2
-	d.pose.Pos = d.pose.Pos.Add(geom.V(math.Cos(thMid), math.Sin(thMid)).Scale(d.speed * dt))
+	sin, cos := geom.Sincos(d.pose.Heading + r.YawRate*dt/2)
+	d.pose.Pos = d.pose.Pos.Add(geom.V(cos, sin).Scale(d.speed * dt))
 	d.pose.Heading = geom.NormalizeAngle(d.pose.Heading + r.YawRate*dt)
 	d.speed = math.Max(0, d.speed+r.Accel*dt)
 }

@@ -59,6 +59,17 @@ func (v Vec2) Unit() Vec2 {
 // Perp returns v rotated +90° (counter-clockwise).
 func (v Vec2) Perp() Vec2 { return Vec2{-v.Y, v.X} }
 
+// Sincos returns math.Sin(a) and math.Cos(a), bit for bit, in one call.
+// math.Sincos alone differs in one case: it returns the canonical NaN as
+// the sine of a NaN, where math.Sin returns the NaN it was given.
+func Sincos(a float64) (sin, cos float64) {
+	sin, cos = math.Sincos(a)
+	if a != a {
+		sin = a
+	}
+	return sin, cos
+}
+
 // Rotate returns v rotated by theta radians counter-clockwise.
 func (v Vec2) Rotate(theta float64) Vec2 {
 	s, c := math.Sincos(theta)

@@ -122,3 +122,45 @@ func TestAttackWindowPastEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestUnguardedRunSkipsReckoner: only the guard reads the dead reckoner
+// (fallback is entered under Guard.Enabled alone), so an unguarded run
+// that steps it anyway is byte-identical to one that does not: trace,
+// frames, violations and summary. Checked on every built-in track under a
+// clean run and a GNSS step spoof.
+func TestUnguardedRunSkipsReckoner(t *testing.T) {
+	cat, err := track.Catalog(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spoof, err := attacks.Standard(attacks.ClassStepSpoof, attacks.Window{Start: 5, End: 15}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range track.Names(cat) {
+		for _, camp := range []attacks.Campaign{{}, spoof} {
+			render := func(reckon bool) []byte {
+				cfg := Config{Track: cat[name], Controller: "stanley", Seed: 3, Duration: 20,
+					Campaign: camp, Monitor: monitor(), RecordFrames: true}
+				r, err := newRun(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.reckon {
+					t.Fatal("an unguarded run steps the dead reckoner")
+				}
+				r.reckon = reckon
+				for r.n < r.nSteps && !r.step() {
+				}
+				res, err := r.finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return renderResult(t, res)
+			}
+			if !bytes.Equal(render(false), render(true)) {
+				t.Errorf("%s/%s: stepping the dead reckoner changed an unguarded run", name, camp.Name())
+			}
+		}
+	}
+}

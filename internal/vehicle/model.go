@@ -94,10 +94,11 @@ func (m *Kinematic) Step(s State, cmd Command, dt float64) State {
 	vMid := (v0 + v1) / 2
 	yawRate := vMid * math.Tan(steer) / p.Wheelbase
 	thMid := s.Heading + yawRate*dt/2
+	sin, cos := geom.Sincos(thMid)
 
 	next := State{
-		X:       s.X + vMid*math.Cos(thMid)*dt,
-		Y:       s.Y + vMid*math.Sin(thMid)*dt,
+		X:       s.X + vMid*cos*dt,
+		Y:       s.Y + vMid*sin*dt,
 		Heading: geom.NormalizeAngle(s.Heading + yawRate*dt),
 		Speed:   v1,
 		YawRate: yawRate,
