@@ -3,9 +3,11 @@
 // ROS-bag recordings of the original study: every experiment's "figure" is
 // rendered from a trace.
 //
-// Storage is columnar (struct-of-arrays): each signal holds two parallel
-// []float64 columns — times and values — preallocated via Reserve and grown
-// geometrically by append. The simulation engine resolves one *Column
+// Storage is columnar (struct-of-arrays): each signal holds a value column
+// and reads its times from a time axis, both preallocated via Reserve and
+// grown geometrically by append. Signals recorded in lockstep share one
+// axis; a signal whose times leave it (a skipped sample, a late start)
+// continues on its own copy. The simulation engine resolves one *Column
 // handle per signal before its step loop and appends through it, so the
 // steady-state recording path performs no map lookups and no heap
 // allocation. Row-oriented accessors (Samples, At, Downsample) and the CSV/
@@ -29,43 +31,60 @@ type Sample struct {
 	Value float64
 }
 
-// Column is the columnar storage of one signal: parallel time/value slices
-// in recording order. A Column handle is the zero-allocation write path —
-// resolve it once (Trace.Column), then Append per step. Not safe for
-// concurrent use.
+// axis is a time column that several signals may share: the times of a
+// Column with n samples are the first n entries of its axis.
+type axis struct{ t []float64 }
+
+// Column is the columnar storage of one signal: a value slice in recording
+// order and the time axis its samples sit on. A Column handle is the
+// zero-allocation write path — resolve it once (Trace.Column), then Append
+// per step. Not safe for concurrent use, nor are the other columns of its
+// trace, which may share its axis.
 type Column struct {
 	name string
-	t, v []float64
+	ax   *axis // ax.t[:len(v)] are the sample times
+	v    []float64
 }
 
 // Name returns the signal name.
 func (c *Column) Name() string { return c.name }
 
 // Len returns the number of recorded samples.
-func (c *Column) Len() int { return len(c.t) }
+func (c *Column) Len() int { return len(c.v) }
 
 // Times returns the time column. The slice is a view owned by the trace:
 // callers must not modify it, and must not retain it across further
 // appends (growth may move the backing array).
-func (c *Column) Times() []float64 { return c.t }
+func (c *Column) Times() []float64 { return c.ax.t[:len(c.v)] }
 
 // Values returns the value column, under the same ownership rules as Times.
 func (c *Column) Values() []float64 { return c.v }
 
 // Sample returns the i-th sample (recording order).
-func (c *Column) Sample(i int) Sample { return Sample{T: c.t[i], Value: c.v[i]} }
+func (c *Column) Sample(i int) Sample { return Sample{T: c.Times()[i], Value: c.v[i]} }
 
 // Append records one sample, enforcing per-signal time monotonicity and
 // finite time (the same contract as Trace.Record). Appending into reserved
-// capacity does not allocate.
+// capacity does not allocate, except once when the column leaves a shared
+// axis.
 func (c *Column) Append(t, value float64) error {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return fmt.Errorf("trace: non-finite time %g for signal %q", t, c.name)
 	}
-	if n := len(c.t); n > 0 && t < c.t[n-1] {
-		return fmt.Errorf("trace: time went backwards for %q: %g after %g", c.name, t, c.t[n-1])
+	n, at := len(c.v), c.ax.t
+	if n > 0 && t < at[n-1] {
+		return fmt.Errorf("trace: time went backwards for %q: %g after %g", c.name, t, at[n-1])
 	}
-	c.t = append(c.t, t)
+	switch {
+	case n < len(at) && math.Float64bits(at[n]) == math.Float64bits(t):
+		// A signal sharing the axis already recorded this time here.
+	case n == len(at):
+		c.ax.t = append(at, t)
+	default:
+		// The axis holds another time here: continue on a copy of our own.
+		own := append(make([]float64, 0, max(cap(c.v), n+1)), at[:n]...)
+		c.ax = &axis{t: append(own, t)}
+	}
 	c.v = append(c.v, value)
 	return nil
 }
@@ -78,19 +97,19 @@ func (c *Column) MustAppend(t, value float64) {
 	}
 }
 
-// reserve grows the column's capacity to hold at least n samples without
-// further allocation.
+// grow returns s with capacity for at least n elements.
+func grow(s []float64, n int) []float64 {
+	if cap(s) >= n {
+		return s
+	}
+	return append(make([]float64, 0, n), s...)
+}
+
+// reserve grows the column's capacity, and its axis', to hold at least n
+// samples without further allocation.
 func (c *Column) reserve(n int) {
-	if cap(c.t) < n {
-		nt := make([]float64, len(c.t), n)
-		copy(nt, c.t)
-		c.t = nt
-	}
-	if cap(c.v) < n {
-		nv := make([]float64, len(c.v), n)
-		copy(nv, c.v)
-		c.v = nv
-	}
+	c.ax.t = grow(c.ax.t, n)
+	c.v = grow(c.v, n)
 }
 
 // Trace accumulates samples for a set of named signals. It is not safe for
@@ -98,12 +117,13 @@ func (c *Column) reserve(n int) {
 type Trace struct {
 	cols    []*Column      // first-appearance order
 	index   map[string]int // signal name → cols index
+	axis    *axis          // the time axis new columns start on
 	reserve int            // capacity hint applied to new columns
 }
 
 // New returns an empty trace.
 func New() *Trace {
-	return &Trace{index: make(map[string]int)}
+	return &Trace{index: make(map[string]int), axis: &axis{}}
 }
 
 // Reserve hints the expected per-signal sample count (e.g. duration/dt from
@@ -131,10 +151,9 @@ func (tr *Trace) Column(signal string) *Column {
 	if i, ok := tr.index[signal]; ok {
 		return tr.cols[i]
 	}
-	c := &Column{name: signal}
+	c := &Column{name: signal, ax: tr.axis}
 	if tr.reserve > 0 {
-		c.t = make([]float64, 0, tr.reserve)
-		c.v = make([]float64, 0, tr.reserve)
+		c.reserve(tr.reserve)
 	}
 	tr.index[signal] = len(tr.cols)
 	tr.cols = append(tr.cols, c)
@@ -184,9 +203,9 @@ func (tr *Trace) Samples(signal string) []Sample {
 	if c == nil {
 		return nil
 	}
-	out := make([]Sample, len(c.t))
-	for i := range c.t {
-		out[i] = Sample{T: c.t[i], Value: c.v[i]}
+	out := make([]Sample, c.Len())
+	for i, t := range c.Times() {
+		out[i] = Sample{T: t, Value: c.v[i]}
 	}
 	return out
 }
@@ -209,7 +228,8 @@ func (tr *Trace) At(signal string, t float64) (v float64, ok bool) {
 		return 0, false
 	}
 	// First sample strictly after t.
-	i := sort.Search(len(c.t), func(i int) bool { return c.t[i] > t })
+	ts := c.Times()
+	i := sort.Search(len(ts), func(i int) bool { return ts[i] > t })
 	if i == 0 {
 		return 0, false
 	}
@@ -264,8 +284,9 @@ func statsOver(c *Column, lo, hi int) Stats {
 
 // window returns the index range [lo, hi) of samples with T in [t0, t1].
 func (c *Column) window(t0, t1 float64) (lo, hi int) {
-	lo = sort.Search(len(c.t), func(i int) bool { return c.t[i] >= t0 })
-	hi = sort.Search(len(c.t), func(i int) bool { return c.t[i] > t1 })
+	ts := c.Times()
+	lo = sort.Search(len(ts), func(i int) bool { return ts[i] >= t0 })
+	hi = sort.Search(len(ts), func(i int) bool { return ts[i] > t1 })
 	return lo, hi
 }
 
@@ -321,7 +342,7 @@ func (tr *Trace) unionTimes() []float64 {
 	seen := make(map[float64]struct{})
 	var times []float64
 	for _, c := range tr.cols {
-		for _, t := range c.t {
+		for _, t := range c.Times() {
 			if _, ok := seen[t]; !ok {
 				seen[t] = struct{}{}
 				times = append(times, t)
@@ -344,8 +365,9 @@ func (tr *Trace) Slice(t0, t1 float64) *Trace {
 			continue
 		}
 		oc := out.Column(c.name)
-		oc.t = append(make([]float64, 0, hi-lo), c.t[lo:hi]...)
-		oc.v = append(make([]float64, 0, hi-lo), c.v[lo:hi]...)
+		for i := lo; i < hi; i++ {
+			oc.MustAppend(c.ax.t[i], c.v[i])
+		}
 	}
 	return out
 }
