@@ -23,6 +23,8 @@ type Path interface {
 	// and the signed lateral offset of q from the path (positive = left of
 	// the tangent).
 	Project(q Vec2) (s, lateral float64)
+	// RangeProjector is Project restricted to an arc window.
+	RangeProjector
 	// Closed reports whether the path is a loop (end joins start).
 	Closed() bool
 }

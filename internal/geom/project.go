@@ -5,10 +5,11 @@ import (
 	"sort"
 )
 
-// RangeProjector is implemented by paths that can project a point onto a
-// bounded arc-length window. Route followers use it to keep a continuous
-// arc position across self-intersecting paths (e.g. a figure-eight), where
-// the globally nearest point may belong to the other branch.
+// RangeProjector is the windowed half of a Path's projection: it projects
+// a point onto a bounded arc-length window. Route followers and Stanley's
+// front axle use it to keep a continuous arc position across
+// self-intersecting paths (e.g. a figure-eight), where the globally
+// nearest point may belong to the other branch.
 type RangeProjector interface {
 	// ProjectRange returns the arc position and signed lateral offset of
 	// the point on the path closest to q, considering only arc positions
@@ -294,6 +295,6 @@ func (s *Spline) ProjectRange(q Vec2, s0, s1 float64) (arc, lateral float64) {
 }
 
 var (
-	_ RangeProjector = (*Polyline)(nil)
-	_ RangeProjector = (*Spline)(nil)
+	_ Path = (*Polyline)(nil)
+	_ Path = (*Spline)(nil)
 )
