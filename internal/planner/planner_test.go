@@ -253,3 +253,70 @@ func TestFollowerReacquiresAfterTeleport(t *testing.T) {
 		t.Error("nil path accepted")
 	}
 }
+
+// TestFollowerReacquiresAfterJumpBack covers a replayed fix: the estimate
+// jumps further back than the window's Back edge but stays well inside
+// MaxLat, so the windowed answer is the back edge and the follower must
+// re-acquire globally. On the closed loop the jump crosses the seam.
+func TestFollowerReacquiresAfterJumpBack(t *testing.T) {
+	straight, err := track.Straight(200, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, err := track.Circle(30, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		path       geom.Path
+		from, back float64
+	}{
+		{"straight", straight.Path(), 100, 18},
+		{"loop-across-seam", loop.Path(), loop.Path().Length() + 2, 18},
+	} {
+		f, err := NewFollower(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		L := tc.path.Length()
+		for d := 0.0; d <= tc.from; d += 0.5 {
+			f.Project(tc.path.PointAt(d))
+		}
+		want := math.Mod(tc.from-tc.back+L, L)
+		q := tc.path.PointAt(want).Add(geom.V(0, 0.1).Rotate(tc.path.HeadingAt(want)))
+		s, lat := f.Project(q)
+		if math.Abs(s-want) > 0.05 || math.Abs(lat-0.1) > 0.01 {
+			t.Errorf("%s: jump back %g m projected to s=%.2f lat=%.3f, want s=%.2f lat=0.1", tc.name, tc.back, s, lat, want)
+		}
+	}
+}
+
+// TestFollowerKeepsBranchAcrossSeam drives over the seam of a closed
+// figure-eight whose seam is its crossing, to a point globally nearer the
+// other branch: the forward step across the seam is a small move, not a
+// jump past the window, so the follower must stay on its branch.
+func TestFollowerKeepsBranchAcrossSeam(t *testing.T) {
+	path, err := geom.NewClosedPolyline([]geom.Vec2{
+		{X: 0, Y: 0}, {X: 10, Y: 10}, {X: 20, Y: 0}, {X: 10, Y: -10}, {X: 0, Y: 0},
+		{X: -10, Y: 10}, {X: -20, Y: 0}, {X: -10, Y: -10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFollower(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	L := path.Length()
+	for d := L - 10; d < L-0.2; d += 0.5 {
+		f.Project(path.PointAt(d))
+	}
+	q := geom.V(0.2, -0.05)
+	if sg, _ := path.Project(q); sg < 1 || sg > L-1 {
+		t.Fatalf("global projection s=%.2f already on the driven branch; the case tests nothing", sg)
+	}
+	if s, _ := f.Project(q); s > 1 && s < L-1 {
+		t.Errorf("follower left its branch across the seam: s=%.2f on a %.1f m loop", s, L)
+	}
+}
