@@ -309,11 +309,13 @@ func BenchmarkSimSecond(b *testing.B) {
 
 // BenchmarkStepWithObs compares the full closed loop with and without a
 // metrics registry attached: the observability overhead DESIGN.md §9
-// records (+26.7%, so its former ≤5% bound does not hold). It reports the
-// numbers and checks nothing. The obs=off case exercises the nil-registry path the
-// instrumented code always runs through; obs=on adds the step histogram,
-// per-assertion timing and the snapshot-ready counters. The registry is
-// built once, before the timed loop, as a long-lived process holds one.
+// records. It reports the numbers and checks nothing; TestObsOverheadBound
+// checks the ≤5% bound on 70 s runs, where a run's fixed setup weighs
+// less than in these 1 s runs. The obs=off case exercises the
+// nil-registry path the instrumented code always runs through; obs=on
+// adds the sampled step and per-assertion timing and the exact counters.
+// The registry is built once, before the timed loop, as a long-lived
+// process holds one.
 func BenchmarkStepWithObs(b *testing.B) {
 	tr, err := track.UrbanLoop(6)
 	if err != nil {

@@ -209,6 +209,19 @@ type LQRMPC struct {
 	gains  map[int][4]float64 // speed bucket (0.5 m/s) → gain row
 }
 
+// lqrGainKey names one solved gain row: the gains depend only on the
+// vehicle and the speed bucket.
+type lqrGainKey struct {
+	params vehicle.Params
+	bucket int
+}
+
+// lqrGains is the process-wide gain table (lqrGainKey → [4]float64), shared
+// by every LQRMPC so a run re-solves no bucket an earlier run solved. Each
+// controller still keeps its own map in front of it, so the per-step
+// lookup touches nothing shared.
+var lqrGains sync.Map
+
 // LQR tuning: the Riccati recursion depth (control steps), the prediction
 // discretisation, the penalties on [e, ė, θe, θ̇e] and the steering
 // penalty.
@@ -230,7 +243,8 @@ func (c *LQRMPC) Name() string { return "lqr-mpc" }
 // Reset implements Lateral.
 func (c *LQRMPC) Reset() {} // gains cache is speed-keyed and run-independent
 
-// gainFor returns the LQR gain row for a speed, cached per 0.5 m/s bucket.
+// gainFor returns the LQR gain row for a speed, cached per 0.5 m/s bucket
+// in the controller and in the process-wide table.
 func (c *LQRMPC) gainFor(v float64) [4]float64 {
 	if v < 0.5 {
 		v = 0.5
@@ -239,7 +253,12 @@ func (c *LQRMPC) gainFor(v float64) [4]float64 {
 	if g, ok := c.gains[bucket]; ok {
 		return g
 	}
-	g := c.solveRiccati(float64(bucket)*0.5 + 0.25)
+	key := lqrGainKey{c.params, bucket}
+	shared, ok := lqrGains.Load(key)
+	if !ok {
+		shared, _ = lqrGains.LoadOrStore(key, c.solveRiccati(float64(bucket)*0.5+0.25))
+	}
+	g := shared.([4]float64)
 	c.gains[bucket] = g
 	return g
 }

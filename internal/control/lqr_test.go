@@ -2,6 +2,7 @@ package control
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"adassure/internal/vehicle"
@@ -163,4 +164,37 @@ func TestRiccatiAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { c.solveRiccati(5.25) }); n != 0 {
 		t.Errorf("solveRiccati allocates %.1f objects, want 0", n)
 	}
+}
+
+// TestSharedGains checks the process-wide gain table from concurrent
+// controllers, as the runner's workers use it: every gain a controller
+// takes from the shared table equals a fresh solveRiccati of its bucket
+// bit for bit. Under -race it also checks the table's synchronisation.
+func TestSharedGains(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, p := range []vehicle.Params{vehicle.ShuttleParams(), vehicle.SedanParams()} {
+				c := NewLQRMPC(p)
+				for b := 1; b <= 60; b++ {
+					// Workers walk the buckets in opposite orders so they
+					// race to fill the same entries.
+					bucket := b
+					if w%2 == 1 {
+						bucket = 61 - b
+					}
+					got := c.gainFor(float64(bucket)*0.5 + 0.1)
+					want := c.solveRiccati(float64(bucket)*0.5 + 0.25)
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Errorf("worker %d bucket %d: K[%d] = %v, want %v", w, bucket, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -181,6 +181,9 @@ type Monitor struct {
 	framesCtr  *obs.Counter
 	skippedCtr *obs.Counter
 	violCtr    *obs.Counter
+	// pubFrames and pubSkipped are the frames and skips Flush has already
+	// added to the counters.
+	pubFrames, pubSkipped int
 
 	// Event timeline (nil recorder = no recording, the default). Episodes
 	// appear as spans on track "<scope>assertion/<ID>".
@@ -197,15 +200,21 @@ type Monitor struct {
 // NewMonitor builds an empty monitor.
 func NewMonitor() *Monitor { return &Monitor{} }
 
-// Attach wires the monitor to a metrics registry: every Step records the
-// whole-step latency (monitor.step_ns), per-assertion evaluation latency
-// (monitor.<ID>.eval_ns) and eval counts, and raised-violation counters —
-// the numbers behind the "monitoring is cheap enough to run online" claim.
-// Attach(nil) detaches. The per-assertion attribution uses chained clock
-// reads (one per assertion per frame, not two), and includes the debounce
-// bookkeeping for that assertion; at sub-100 ns evals the ~25 ns clock read
-// itself is a visible fraction of the reported cost.
+// Attach wires the monitor to a metrics registry: the whole-step latency
+// (monitor.step_ns), per-assertion evaluation latency (monitor.<ID>.eval_ns)
+// and eval counts, frame counts and raised-violation counters — the
+// numbers behind the "monitoring is cheap enough to run online" claim.
+// Attach(nil) detaches. The latencies are sampled: only the first of every
+// obs.SampleEvery frames reads the clock, with chained reads (one per
+// assertion, not two) that include the debounce bookkeeping for that
+// assertion; at sub-100 ns evals the 90–130 ns clock read itself is a
+// visible fraction of the reported cost. The other frames do the work of
+// a detached monitor plus one branch per assertion. The counters stay
+// exact: they are added to the registry on each sampled frame and by
+// Flush, which Attach calls first so the frames seen so far go to the old
+// registry.
 func (m *Monitor) Attach(r *obs.Registry) *Monitor {
+	m.Flush()
 	m.obs = r
 	m.stepNS = r.Histogram("monitor.step_ns")
 	m.framesCtr = r.Counter("monitor.frames")
@@ -291,20 +300,19 @@ func (m *Monitor) Add(a Assertion, deb Debounce) *Monitor {
 // into the monitor and hands every assertion that copy by reference.
 func (m *Monitor) Step(frame Frame) {
 	m.frames++
-	m.framesCtr.Inc()
 	m.frame = frame
 	f := &m.frame
 	if !f.Finite() {
 		m.skippedBad++
-		m.skippedCtr.Inc()
 		return
 	}
-	// Chained timestamps: with a registry attached, one clock read per
-	// assertion attributes eval + bookkeeping cost to that assertion and the
-	// first-to-last span to monitor.step_ns. Without one, the loop pays a
-	// single nil check per assertion.
+	// Chained timestamps on a sampled frame: one clock read per assertion
+	// attributes eval + bookkeeping cost to that assertion and the
+	// first-to-last span to monitor.step_ns. Any other frame pays a single
+	// branch per assertion.
+	timed := m.obs != nil && (m.frames-1)%obs.SampleEvery == 0
 	var start, prev time.Time
-	if m.obs != nil {
+	if timed {
 		start = time.Now()
 		prev = start
 	}
@@ -312,16 +320,32 @@ func (m *Monitor) Step(frame Frame) {
 		m.out = Outcome{}
 		e.a.Eval(f, &m.out)
 		m.apply(e, f.T, &m.out)
-		if m.obs != nil {
+		if timed {
 			now := time.Now()
 			e.evalNS.Observe(now.Sub(prev).Nanoseconds())
-			e.evals.Inc()
 			prev = now
 		}
 	}
-	if m.obs != nil {
-		m.stepNS.Observe(time.Since(start).Nanoseconds())
+	if timed {
+		m.stepNS.Observe(prev.Sub(start).Nanoseconds())
+		m.Flush()
 	}
+}
+
+// Flush adds the frames, non-finite skips and per-assertion evaluations
+// since the last flush to the attached registry's counters (monitor.frames,
+// monitor.frames_skipped, monitor.<ID>.evals). Step flushes on every
+// sampled frame; whoever ends a run calls Flush so the counters are exact,
+// as sim.Run and a closing stream session do. Every finite frame is one
+// evaluation of each assertion.
+func (m *Monitor) Flush() {
+	frames, skipped := m.frames-m.pubFrames, m.skippedBad-m.pubSkipped
+	m.framesCtr.Add(int64(frames))
+	m.skippedCtr.Add(int64(skipped))
+	for _, e := range m.entries {
+		e.evals.Add(int64(frames - skipped))
+	}
+	m.pubFrames, m.pubSkipped = m.frames, m.skippedBad
 }
 
 // apply pushes one evaluation outcome through an entry's debounce window
@@ -456,14 +480,16 @@ func (m *Monitor) AssertionIDs() []string {
 	return ids
 }
 
-// Reset clears all state for a fresh run (registered assertions stay).
+// Reset clears all state for a fresh run (registered assertions stay),
+// flushing the counters first.
 func (m *Monitor) Reset() {
+	m.Flush()
 	for _, e := range m.entries {
 		e.reset()
 	}
 	m.violations = nil
-	m.frames = 0
-	m.skippedBad = 0
+	m.frames, m.skippedBad = 0, 0
+	m.pubFrames, m.pubSkipped = 0, 0
 }
 
 // --- DSL building blocks -------------------------------------------------

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"adassure/internal/obs"
 )
 
 // frameAt builds a minimal finite frame at time t.
@@ -155,6 +157,51 @@ func TestMonitorSkipsNonFiniteFrames(t *testing.T) {
 	}
 	if _, skipped := m.Frames(); skipped != 1 {
 		t.Errorf("skipped count = %d", skipped)
+	}
+}
+
+// TestMonitorCounterFlush: the monitor's counters reach the registry on
+// sampled frames and in full on Reset (or Flush), non-finite frames
+// counted apart from evaluations; a non-finite sampled frame takes no
+// timing sample; and frames seen before an Attach go to the old registry.
+func TestMonitorCounterFlush(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMonitor().Add(failWhen(), Debounce{K: 1, N: 1}).Attach(reg)
+	const n = 2*obs.SampleEvery + 6
+	var published, sampled, skipped int64
+	for i := 0; i < n; i++ {
+		f := frameAt(float64(i) * 0.05)
+		if i%5 == 4 || i == 2*obs.SampleEvery {
+			f.EstX = math.NaN()
+			skipped++
+		} else if i%obs.SampleEvery == 0 {
+			published = int64(i + 1)
+			sampled++
+		}
+		m.Step(f)
+	}
+	if got := reg.Counter("monitor.frames").Value(); got != published {
+		t.Errorf("monitor.frames = %d before the flush, want %d (the last finite sampled frame)", got, published)
+	}
+	m.Reset()
+	for name, want := range map[string]int64{
+		"monitor.frames": n, "monitor.frames_skipped": skipped, "monitor.T1.evals": n - skipped,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d after Reset, want %d", name, got, want)
+		}
+	}
+	if got := reg.Histogram("monitor.T1.eval_ns").Count(); got != sampled {
+		t.Errorf("monitor.T1.eval_ns holds %d observations, want %d", got, sampled)
+	}
+
+	m.Step(frameAt(0))
+	m.Step(frameAt(0.05))
+	other := obs.NewRegistry()
+	m.Attach(other).Step(frameAt(0.1))
+	m.Flush()
+	if a, b := reg.Counter("monitor.frames").Value(), other.Counter("monitor.frames").Value(); a != n+2 || b != 1 {
+		t.Errorf("monitor.frames = %d and %d across the re-attach, want %d and 1", a, b, n+2)
 	}
 }
 

@@ -163,15 +163,15 @@ func Figure4MonitorOverhead(o Options) (*Table, error) {
 // observedCostNotes renders the F4 "Observed cost" section from a metrics
 // registry: the whole-step latency percentiles and the costliest
 // assertions of the full catalog, as measured by the monitor's own
-// instrumentation.
+// instrumentation on its sampled frames (see obs.SampleEvery).
 func observedCostNotes(reg *obs.Registry, frames int) []string {
 	if reg == nil {
 		return nil
 	}
 	step := reg.Histogram("monitor.step_ns").Summary()
 	notes := []string{fmt.Sprintf(
-		"observed cost (full catalog, %d frames): monitor step p50=%.0f ns p95=%.0f ns p99=%.0f ns",
-		frames, step.P50, step.P95, step.P99)}
+		"observed cost (full catalog, %d frames, 1 in %d timed): monitor step p50=%.0f ns p95=%.0f ns p99=%.0f ns",
+		frames, obs.SampleEvery, step.P50, step.P95, step.P99)}
 	type cost struct {
 		id   string
 		mean float64
@@ -195,7 +195,7 @@ func observedCostNotes(reg *obs.Registry, frames int) []string {
 	}
 	for _, c := range costs {
 		notes = append(notes, fmt.Sprintf(
-			"observed cost: %s mean=%.0f ns p95=%.0f ns per frame (incl. debounce bookkeeping and ~25 ns timer read)",
+			"observed cost: %s mean=%.0f ns p95=%.0f ns per frame (incl. debounce bookkeeping and a ~90–130 ns clock read)",
 			c.id, c.mean, c.p95))
 	}
 	return notes

@@ -105,6 +105,19 @@ type Histogram struct {
 	ex []atomic.Pointer[Exemplar]
 }
 
+// SampleEvery is the timing sample period of the simulation step loop: the
+// monitor and the run read the clock and observe their latency histograms
+// (monitor.step_ns, monitor.<ID>.eval_ns, sim.step_ns) on the first of
+// every SampleEvery frames, and on the others only bump plain integers that
+// reach the exact counters on a sampled frame and at the end of a run. It
+// is odd because GNSS fixes arrive at half the 20 Hz frame rate: an odd
+// period alternates the samples between fresh-fix and stale frames, so the
+// assertions that skip stale frames are not always timed on their skip
+// path. Where a clock read costs ~100 ns, 17 already spends 2–3% of a run
+// on the sampled frames; 33 spends 1–2% of the 5% bound
+// TestObsOverheadBound holds the registry to.
+const SampleEvery = 33
+
 // Exemplar ties one observed value to the trace that produced it — the
 // bridge from a latency histogram's tail bucket back to a retrievable
 // trace in /debug/traces/<id>.

@@ -62,19 +62,27 @@ func (c *resultCache) cost(e *cacheEntry) int64 {
 // get returns the cached body for key, promoting the entry to
 // most-recently-used. The returned slice must not be mutated.
 func (c *resultCache) get(key string) ([]byte, bool) {
-	if c.maxBytes <= 0 {
+	body, ok := c.peek(key)
+	if ok {
+		c.hits.Inc()
+	} else {
 		c.misses.Inc()
+	}
+	return body, ok
+}
+
+// peek is get without counting a hit or a miss.
+func (c *resultCache) peek(key string) ([]byte, bool) {
+	if c.maxBytes <= 0 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses.Inc()
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits.Inc()
 	return el.Value.(*cacheEntry).body, true
 }
 

@@ -116,6 +116,19 @@ func runKeyed[R keyed](s *Server, ctx context.Context, sp *telemetry.Span, req R
 	}
 
 	call, leader := s.flight.join(key)
+	if leader {
+		// A leader that finished between the lookup above and this join
+		// has cached its body and forgotten its call: take the body as its
+		// follower would have, instead of executing the key again.
+		if body, ok := s.cache.peek(key); ok {
+			s.flight.forget(key)
+			call.finish(body, http.StatusOK, nil)
+			s.coalesced.Inc()
+			lookup.SetAttr("disposition", "coalesced")
+			lookup.End()
+			return body, http.StatusOK, "coalesced", nil
+		}
+	}
 	disposition = "coalesced"
 	var wait *telemetry.Span
 	if leader {
@@ -228,7 +241,9 @@ func (s *Server) execute(ctx context.Context, key string, req keyed, call *fligh
 	}
 	// Order matters: publish to the cache before forgetting the call, so
 	// a request arriving in between either joins the call or hits the
-	// cache — never starts a duplicate execution.
+	// cache, and one that missed the cache before the put and joins after
+	// the forget finds the body when runKeyed looks again — never starts a
+	// duplicate execution.
 	s.cache.put(key, body)
 	if s.store != nil {
 		// Persist after the in-memory publish: a store append failure

@@ -158,11 +158,12 @@ type Config struct {
 	// enabling offline re-monitoring with different catalogs/thresholds
 	// without re-simulating (see internal/offline).
 	RecordFrames bool
-	// Obs, when non-nil, receives runtime metrics: control-step count and
-	// per-step latency histogram (sim.steps, sim.step_ns), the achieved
-	// steps-per-second of the run (sim.steps_per_sec), and — via
-	// Monitor.Attach — the per-assertion monitoring cost. A nil registry
-	// adds no measurable overhead to the step loop.
+	// Obs, when non-nil, receives runtime metrics: the exact control-step
+	// count and a sampled per-step latency histogram (sim.steps,
+	// sim.step_ns; see obs.SampleEvery), the achieved steps-per-second of
+	// the run (sim.steps_per_sec), and — via Monitor.Attach — the sampled
+	// per-assertion monitoring cost. A nil registry adds no measurable
+	// overhead to the step loop.
 	Obs *obs.Registry
 	// DisableTrace turns off signal recording (Result.Trace is then nil),
 	// for overhead-free timing and for runs that may emit non-finite
@@ -311,6 +312,7 @@ type run struct {
 	stepsCtr                 *obs.Counter
 	stepNS                   *obs.Histogram
 	wallStart, lastStepClock time.Time
+	pubSteps                 int // control steps already added to stepsCtr
 	scenarioName             string
 	attackWin                attacks.Window
 	hasAttack                bool
@@ -395,8 +397,8 @@ func newRun(cfg Config) (*run, error) {
 	}
 
 	// Observability: resolve handles once so the step pays only nil checks
-	// when cfg.Obs is nil. Per-control-step timing uses chained clock reads
-	// (one per control step) covering the physics sub-steps, sensor/fusion
+	// when cfg.Obs is nil. Control steps are timed by sample (see
+	// sampleStep), each sample covering the physics sub-steps, sensor/fusion
 	// work, control and monitoring since the previous control step.
 	if cfg.Obs != nil {
 		cfg.Obs.Counter("sim.runs").Inc()
@@ -698,10 +700,7 @@ func (r *run) control(t float64) bool {
 	}
 
 	if r.stepNS != nil {
-		now := time.Now()
-		r.stepNS.Observe(now.Sub(r.lastStepClock).Nanoseconds())
-		r.lastStepClock = now
-		r.stepsCtr.Inc()
+		r.sampleStep(res.Steps)
 	}
 
 	// Termination conditions.
@@ -714,6 +713,23 @@ func (r *run) control(t float64) bool {
 		return true
 	}
 	return false
+}
+
+// sampleStep times the first of every obs.SampleEvery control steps into
+// sim.step_ns, from the end of the step before it (or the start of the run)
+// to its own end, and then adds the steps since the last sample to
+// sim.steps. The step before a sampled one reads the clock to open the
+// sample; every other step does nothing here. finish adds the remainder.
+func (r *run) sampleStep(steps int) {
+	switch (steps - 1) % obs.SampleEvery {
+	case 0:
+		now := time.Now()
+		r.stepNS.Observe(now.Sub(r.lastStepClock).Nanoseconds())
+		r.stepsCtr.Add(int64(steps - r.pubSteps))
+		r.pubSteps = steps
+	case obs.SampleEvery - 1:
+		r.lastStepClock = time.Now()
+	}
 }
 
 // finish completes the result and closes what the run opened on the event
@@ -731,6 +747,7 @@ func (r *run) finish() (*Result, error) {
 	}
 	if cfg.Monitor != nil {
 		res.Violations = cfg.Monitor.Violations()
+		cfg.Monitor.Flush()
 	}
 	if ev := cfg.Events; ev != nil {
 		t := res.SimTime
@@ -756,6 +773,7 @@ func (r *run) finish() (*Result, error) {
 		})
 	}
 	if cfg.Obs != nil {
+		r.stepsCtr.Add(int64(res.Steps - r.pubSteps))
 		if elapsed := time.Since(r.wallStart).Seconds(); elapsed > 0 {
 			cfg.Obs.Gauge("sim.steps_per_sec").Set(float64(res.Steps) / elapsed)
 		}

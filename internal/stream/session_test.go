@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"adassure/internal/core"
+	"adassure/internal/obs"
 	"adassure/internal/stream"
 )
 
@@ -308,5 +309,32 @@ func TestSessionStreamsViolations(t *testing.T) {
 	}
 	if int64(opened-closed) != st.OpenEpisodes {
 		t.Fatalf("open episodes = %d, want %d", st.OpenEpisodes, opened-closed)
+	}
+}
+
+// TestSessionCountersExactAfterClose: the monitor's frame and eval
+// counters lag by up to one timing sample period while a session runs
+// and are exact once it closes.
+func TestSessionCountersExactAfterClose(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newSession(t, stream.Config{Obs: reg})
+	const n = 2*obs.SampleEvery + 6
+	for k := int64(0); k < n; k++ {
+		if err := s.Ingest(cruiseFrame(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reg.Counter("monitor.frames").Value() == n {
+		t.Fatal("the counters were exact before close: the test cannot show the close flush")
+	}
+	s.Close()
+	names := []string{"monitor.frames", "stream.frames"}
+	for _, e := range core.NewCatalog(core.CatalogConfig{}) {
+		names = append(names, "monitor."+e.Assertion.ID()+".evals")
+	}
+	for _, name := range names {
+		if got := reg.Counter(name).Value(); got != n {
+			t.Errorf("%s = %d after close, want %d", name, got, n)
+		}
 	}
 }

@@ -63,7 +63,8 @@ type Config struct {
 	// diagnoses; Violations/Diagnose stay available).
 	Sink func(Event)
 	// Obs wires the session and its monitor to a metrics registry (nil =
-	// uninstrumented).
+	// uninstrumented). The monitor's frame and eval counters are exact
+	// once the session is closed.
 	Obs *obs.Registry
 	// Events wires violation episodes to a timeline recorder under the
 	// given scope prefix (nil = no recording).
@@ -293,6 +294,7 @@ func (s *Session) CloseWith(reason string, code int) Stats {
 		return st
 	}
 	s.closed = true
+	s.mon.Flush()
 	if s.cfg.Events != nil {
 		s.mon.FinishEvents(s.lastT)
 	}

@@ -57,7 +57,8 @@ func TestTracedRunSpanBudget(t *testing.T) {
 // small constant (the two phase spans plus their attributes), not scale
 // with simulated duration. Absolute counts — not wall-time ratios — keep
 // the gate immune to runner noise; the paired benchmarks below supply the
-// ns/op evidence for the ≤5% budget.
+// ns/op evidence for the ≤5% tracing budget of DESIGN.md §15. The metrics
+// registry's own ≤5% bound is TestObsOverheadBound's.
 func TestTracedRunAllocOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation fixture")
