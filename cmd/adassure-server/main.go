@@ -23,12 +23,14 @@
 //	    [-stream-hz 2000] [-stream-session 5m] [-stream-error-budget 0]
 //	    [-log-format text|json] [-trace-store 256] [-readiness-grace 0s]
 //	    [-store-dir DIR] [-store-bytes N]
-//	    [-jobs-workers 2] [-jobs-queue 16] [-jobs-retention 256] [-no-jobs]
 //
-// POST /v1/jobs runs a scenario asynchronously: it returns 202 + a job
-// id; poll GET /v1/jobs/{id}, stream NDJSON progress from
-// /v1/jobs/{id}/events, fetch bytes (identical to /v1/run's) from
-// /v1/jobs/{id}/result, cancel with DELETE.
+// Any of the three keyed endpoints runs asynchronously when the request
+// carries Prefer: respond-async: the server starts the work and answers
+// 202 with Location: /v1/results/{key}; GET that path until it answers
+// 200 with the same bytes a synchronous call returns (202 while the work
+// is in flight, 404 when no result is kept — a failed execution is not
+// kept, so resubmit to see its error). The content key is the handle, so
+// with -store-dir a result stays pollable across restarts.
 //
 // -store-dir enables the persistent result store (append-only CRC-checked
 // segments): cache misses fall through to it before executing, and every
@@ -36,7 +38,7 @@
 //
 // All resource limits are validated together at boot — nonsense
 // combinations (a cache cap that cannot hold one response, -store-bytes
-// without -store-dir, a job tier wider than 4x the simulation pool) are
+// without -store-dir) are
 // rejected with one error listing every violation, and the values the
 // server enforces, defaults resolved, are logged as a single "limits"
 // record.
@@ -56,14 +58,15 @@
 // carries the same trace_id for correlation.
 //
 // Endpoints: POST /v1/run, POST /v1/stream, POST /v1/mutate,
-// POST /v1/search, /v1/jobs[/{id}[/result|/events]], GET /v1/catalog, GET /healthz, GET /readyz, GET /metrics,
-// GET /metrics.json, GET /debug/buildinfo, GET /debug/traces[/{id}], and
-// GET /debug/pprof (with -pprof). SIGINT/SIGTERM trigger a graceful
-// shutdown: /readyz flips to 503 immediately, -readiness-grace gives
-// load balancers time to observe it, then the listener stops accepting,
-// in-flight simulations drain and open streaming sessions are closed
-// with a drain event (up to -drain-timeout), and with -metrics a final
-// registry snapshot is written on exit.
+// POST /v1/search, GET /v1/results/{key}, GET /v1/catalog, GET /healthz,
+// GET /readyz, GET /metrics, GET /metrics.json, GET /debug/buildinfo,
+// GET /debug/traces[/{id}], and GET /debug/pprof (with -pprof).
+// SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503
+// immediately, -readiness-grace gives load balancers time to observe it,
+// then the listener stops accepting, in-flight and queued simulations
+// drain and open streaming sessions are closed with a drain event (up to
+// -drain-timeout), and with -metrics a final registry snapshot is written
+// on exit.
 package main
 
 import (
@@ -116,10 +119,6 @@ func run(argv []string, stdout, stderr *os.File) error {
 		readyGrace   = fs.Duration("readiness-grace", 0, "after /readyz flips to 503 on shutdown, wait this long before closing the listener")
 		storeDir     = fs.String("store-dir", "", "persistent result store directory (empty disables)")
 		storeBytes   = fs.Int64("store-bytes", 0, "persistent store cap in bytes (default 256 MiB)")
-		jobsWorkers  = fs.Int("jobs-workers", 0, "async job dispatchers (default 2)")
-		jobsQueue    = fs.Int("jobs-queue", 0, "async job queue depth (default 8x job workers)")
-		jobsKeep     = fs.Int("jobs-retention", 0, "finished jobs retained for polling (default 256)")
-		noJobs       = fs.Bool("no-jobs", false, "disable the /v1/jobs endpoints")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return err
@@ -153,12 +152,6 @@ func run(argv []string, stdout, stderr *os.File) error {
 		EnablePprof: *pprofOn,
 		StoreDir:    *storeDir,
 		StoreBytes:  *storeBytes,
-		Jobs: service.JobsLimits{
-			Workers:    *jobsWorkers,
-			QueueDepth: *jobsQueue,
-			Retention:  *jobsKeep,
-			Disable:    *noJobs,
-		},
 		Stream: service.StreamLimits{
 			MaxFrameHz:         *streamHz,
 			MaxSessionDuration: *streamSess,

@@ -35,10 +35,6 @@ func TestBootRejectsInvalidLimits(t *testing.T) {
 		{[]string{"-store-dir", dir, "-store-bytes", "-1"}, "-store-bytes"},
 		{[]string{"-store-dir", dir, "-store-bytes", "1024"}, "-store-bytes"},
 		{[]string{"-store-dir", file}, "-store-dir"},
-		{[]string{"-jobs-workers", "-3"}, "-jobs-workers"},
-		{[]string{"-workers", "2", "-jobs-workers", "64"}, "-jobs-workers"},
-		{[]string{"-jobs-queue", "-4"}, "-jobs-queue"},
-		{[]string{"-jobs-retention", "-5"}, "-jobs-retention"},
 	} {
 		args := append([]string{"-addr", "127.0.0.1:0"}, tc.args...)
 		err := run(args, null, null)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"adassure/internal/events"
@@ -228,9 +229,43 @@ func (m *Monitor) Attach(r *obs.Registry) *Monitor {
 
 // attach resolves (or clears, for a nil registry) one entry's handles.
 func (e *monitored) attach(r *obs.Registry) {
-	e.evalNS = r.Histogram("monitor." + e.a.ID() + ".eval_ns")
-	e.evals = r.Counter("monitor." + e.a.ID() + ".evals")
-	e.raised = r.Counter("monitor." + e.a.ID() + ".violations")
+	if r == nil {
+		e.evalNS, e.evals, e.raised = nil, nil, nil
+		return
+	}
+	n := namesFor(e.a.ID())
+	e.evalNS = r.Histogram(n.evalNS)
+	e.evals = r.Counter(n.evals)
+	e.raised = r.Counter(n.raised)
+}
+
+// metricNames are one assertion ID's registry names.
+type metricNames struct{ evalNS, evals, raised string }
+
+// metricNamesByID holds the names of every ID ever attached. A service
+// attaches each run's fresh monitor to its one registry, so building the
+// names by concatenation on every Attach cost three allocations per
+// assertion per run; the table is bounded by the IDs the registries
+// already name.
+var metricNamesByID = struct {
+	sync.Mutex
+	m map[string]metricNames
+}{m: map[string]metricNames{}}
+
+// namesFor returns id's registry names, building them on first use.
+func namesFor(id string) metricNames {
+	metricNamesByID.Lock()
+	defer metricNamesByID.Unlock()
+	n, ok := metricNamesByID.m[id]
+	if !ok {
+		n = metricNames{
+			evalNS: "monitor." + id + ".eval_ns",
+			evals:  "monitor." + id + ".evals",
+			raised: "monitor." + id + ".violations",
+		}
+		metricNamesByID.m[id] = n
+	}
+	return n
 }
 
 // AttachEvents wires the monitor to an event recorder: every violation

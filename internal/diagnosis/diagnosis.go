@@ -100,27 +100,55 @@ type Hypothesis struct {
 	Rationale  string
 }
 
-// rule describes the expected violation signature of one cause.
+// rule describes the expected violation signature of one cause. Each
+// clause holds its terms in catalog order (see terms), so a rule sums its
+// evidence in one fixed order.
 type rule struct {
 	cause Cause
 	// firstAnyOf: the earliest violation should come from one of these
 	// (strong evidence, weighted heavily).
 	firstAnyOf []string
 	// present assertions add their weight when fired.
-	present map[string]float64
+	present []term
 	// absent assertions subtract their weight when fired.
-	absent map[string]float64
+	absent []term
 	// minEpisodes adds evidence when an assertion's episode count reaches
 	// the threshold (captures "repeated episodes" signatures).
-	minEpisodes map[string]int
+	minEpisodes []term
 	// maxEpisodes subtracts evidence when exceeded.
-	maxEpisodes map[string]int
+	maxEpisodes []term
 	// minDuration adds evidence when the assertion's longest episode
 	// reaches the threshold (and subtracts it when the assertion fired but
 	// only briefly); maxDuration is the converse.
-	minDuration map[string]float64
-	maxDuration map[string]float64
+	minDuration []term
+	maxDuration []term
 	rationale   string
+}
+
+// term is one clause entry: an assertion ID and its weight or threshold.
+type term struct {
+	id string
+	v  float64
+}
+
+// terms lists a clause's entries in catalog order (A1, A2, …, A15). A
+// floating-point sum depends on the order of its terms, and Go randomises
+// map order, so a rule summed straight off its maps could score one
+// signature differently from one call to the next.
+func terms[V int | float64](m map[string]V) []term {
+	out := make([]term, 0, len(m))
+	for id, v := range m {
+		out = append(out, term{id: id, v: float64(v)})
+	}
+	// IDs are "A" and a number, so the shorter ID is the smaller number.
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].id, out[j].id
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		return a < b
+	})
+	return out
 }
 
 // ruleTable encodes the catalog's designed detection semantics. The
@@ -130,132 +158,132 @@ var ruleTable = []rule{
 	{
 		cause:      CauseStepSpoof,
 		firstAnyOf: []string{"A1"},
-		present:    map[string]float64{"A1": 2, "A10": 1.5, "A2": 1, "A13": 0.5, "A4": 0.5},
-		absent:     map[string]float64{"A5": 2, "A9": 1.5},
-		maxEpisodes: map[string]int{
+		present:    terms(map[string]float64{"A1": 2, "A10": 1.5, "A2": 1, "A13": 0.5, "A4": 0.5}),
+		absent:     terms(map[string]float64{"A5": 2, "A9": 1.5}),
+		maxEpisodes: terms(map[string]int{
 			"A1": 4, // a step is one or two discrete jumps, not a stream
-		},
+		}),
 		rationale: "instant kinematically-impossible jump (A1) with innovation spike (A10) and believed lane departure (A2), without staleness or progress regression",
 	},
 	{
 		cause:      CauseDriftSpoof,
 		firstAnyOf: []string{"A13", "A12", "A2"},
-		present:    map[string]float64{"A13": 2.5, "A2": 1, "A12": 1},
-		absent:     map[string]float64{"A5": 2, "A9": 1.5, "A1": 0.5},
+		present:    terms(map[string]float64{"A13": 2.5, "A2": 1, "A12": 1}),
+		absent:     terms(map[string]float64{"A5": 2, "A9": 1.5, "A1": 0.5}),
 		rationale:  "fused heading diverges slowly from the inertial reference (A13) long before any jump detector reacts — the gradual-drift signature",
 	},
 	{
 		cause:      CauseReplay,
 		firstAnyOf: []string{"A1", "A9"},
-		present:    map[string]float64{"A9": 2.5, "A1": 1.5, "A10": 1, "A4": 0.5},
-		absent:     map[string]float64{"A5": 2},
+		present:    terms(map[string]float64{"A9": 2.5, "A1": 1.5, "A10": 1, "A4": 0.5}),
+		absent:     terms(map[string]float64{"A5": 2}),
 		rationale:  "route progress regresses (A9): the position stream revisits already-driven ground, with a jump at splice points (A1)",
 	},
 	{
 		cause:      CauseFreeze,
 		firstAnyOf: []string{"A10", "A4"},
-		present:    map[string]float64{"A4": 2, "A10": 2, "A12": 0.5},
-		absent:     map[string]float64{"A1": 1.5, "A5": 2, "A9": 1, "A11": 0.5},
-		maxEpisodes: map[string]int{
+		present:    terms(map[string]float64{"A4": 2, "A10": 2, "A12": 0.5}),
+		absent:     terms(map[string]float64{"A1": 1.5, "A5": 2, "A9": 1, "A11": 0.5}),
+		maxEpisodes: terms(map[string]int{
 			"A10": 4, // one sustained inconsistency, not repeated tugging
-		},
+		}),
 		rationale: "fixes keep arriving but stop moving: GNSS-derived speed collapses against odometry (A4) while the filter's innovation grows in one sustained episode (A10), with no jump and no staleness",
 	},
 	{
 		cause:       CauseDelay,
 		firstAnyOf:  []string{"A5"},
-		present:     map[string]float64{"A5": 2, "A9": 1.5, "A10": 1, "A13": 0.5},
-		absent:      map[string]float64{},
-		maxDuration: map[string]float64{"A5": 5},
-		minEpisodes: map[string]int{"A10": 4},
+		present:     terms(map[string]float64{"A5": 2, "A9": 1.5, "A10": 1, "A13": 0.5}),
+		absent:      terms(map[string]float64{}),
+		maxDuration: terms(map[string]float64{"A5": 5}),
+		minEpisodes: terms(map[string]int{"A10": 4}),
 		rationale:   "brief delivery gap at onset (A5) followed by stale-content artifacts — lagged positions keep arriving and keep disagreeing with the filter (many A10) and regress progress (A9)",
 	},
 	{
 		cause:       CauseDropout,
 		firstAnyOf:  []string{"A5"},
-		present:     map[string]float64{"A5": 3},
-		absent:      map[string]float64{"A9": 1.5, "A10": 1, "A1": 0.5, "A2": 1},
-		minDuration: map[string]float64{"A5": 5},
+		present:     terms(map[string]float64{"A5": 3}),
+		absent:      terms(map[string]float64{"A9": 1.5, "A10": 1, "A1": 0.5, "A2": 1}),
+		minDuration: terms(map[string]float64{"A5": 5}),
 		rationale:   "the channel goes silent and stays silent (one long A5 episode) while almost nothing else fires until delivery resumes",
 	},
 	{
 		cause:      CauseNoiseInflation,
 		firstAnyOf: []string{"A1", "A10"},
-		present:    map[string]float64{"A1": 1.5, "A10": 1.5, "A4": 1},
-		absent:     map[string]float64{"A5": 2, "A9": 1},
-		minEpisodes: map[string]int{
+		present:    terms(map[string]float64{"A1": 1.5, "A10": 1.5, "A4": 1}),
+		absent:     terms(map[string]float64{"A5": 2, "A9": 1}),
+		minEpisodes: terms(map[string]int{
 			"A1": 4, // scattered large errors trip the jump detector repeatedly
-		},
+		}),
 		rationale: "repeated, uncorrelated jump and innovation episodes (many A1/A10) — scatter, not a coherent trajectory manipulation",
 	},
 	{
 		cause:      CauseMeander,
 		firstAnyOf: []string{"A10", "A1", "A2"},
-		present:    map[string]float64{"A10": 1.5, "A2": 1.5, "A7": 1, "A13": 1, "A1": 0.5},
-		absent:     map[string]float64{"A5": 2, "A9": 1},
-		minEpisodes: map[string]int{
+		present:    terms(map[string]float64{"A10": 1.5, "A2": 1.5, "A7": 1, "A13": 1, "A1": 0.5}),
+		absent:     terms(map[string]float64{"A5": 2, "A9": 1}),
+		minEpisodes: terms(map[string]int{
 			"A10": 5, // each oscillation period re-trips the innovation gate
 			"A13": 3, // and re-drags the fused heading
-		},
-		maxEpisodes: map[string]int{
+		}),
+		maxEpisodes: terms(map[string]int{
 			"A1": 6,
-		},
+		}),
 		rationale: "periodic lane-bound and innovation episodes with lateral-acceleration spikes — an oscillating position offset steering the controller",
 	},
 	{
 		cause:      CauseIMUHeadingBias,
 		firstAnyOf: []string{"A13", "A3"},
-		present:    map[string]float64{"A13": 2, "A3": 2},
-		absent:     map[string]float64{"A1": 1.5, "A10": 1.5, "A5": 2, "A4": 1, "A2": 0.5},
+		present:    terms(map[string]float64{"A13": 2, "A3": 2}),
+		absent:     terms(map[string]float64{"A1": 1.5, "A10": 1.5, "A5": 2, "A4": 1, "A2": 0.5}),
 		rationale:  "heading references disagree (A13/A3) while every position-channel check stays quiet — the fault is in the heading channel itself",
 	},
 	{
 		cause:      CauseOdomScale,
 		firstAnyOf: []string{"A4"},
-		present:    map[string]float64{"A4": 2.5, "A10": 1},
-		absent:     map[string]float64{"A1": 1.5, "A5": 2, "A13": 1, "A3": 1, "A2": 0.5, "A12": 1},
-		minEpisodes: map[string]int{
+		present:    terms(map[string]float64{"A4": 2.5, "A10": 1}),
+		absent:     terms(map[string]float64{"A1": 1.5, "A5": 2, "A13": 1, "A3": 1, "A2": 0.5, "A12": 1}),
+		minEpisodes: terms(map[string]int{
 			"A10": 5, // the biased speed channel keeps tugging the filter
-		},
+		}),
 		rationale: "speed references disagree (A4) and the biased channel repeatedly tugs the filter (many A10) while position, heading and lane checks stay quiet — a wheel-speed scaling fault",
 	},
 	{
 		cause:      CauseQuantizedFeed,
 		firstAnyOf: []string{"A15"},
-		present:    map[string]float64{"A15": 3.5},
-		absent:     map[string]float64{"A5": 2, "A9": 1, "A13": 1},
+		present:    terms(map[string]float64{"A15": 3.5}),
+		absent:     terms(map[string]float64{"A5": 2, "A9": 1, "A13": 1}),
 		rationale:  "GNSS position deltas land on an exact spatial lattice (A15) — a quantized or truncated fixed-point position feed upstream of fusion",
 	},
 	{
 		cause:      CauseStuckSteer,
 		firstAnyOf: []string{"A14"},
-		present:    map[string]float64{"A14": 2.5, "A2": 1.5, "A12": 1, "A6": 0.5},
-		absent:     map[string]float64{"A1": 1.5, "A10": 1.5, "A5": 2, "A4": 1, "A13": 1, "A3": 1},
-		minEpisodes: map[string]int{
+		present:    terms(map[string]float64{"A14": 2.5, "A2": 1.5, "A12": 1, "A6": 0.5}),
+		absent:     terms(map[string]float64{"A1": 1.5, "A10": 1.5, "A5": 2, "A4": 1, "A13": 1, "A3": 1}),
+		minEpisodes: terms(map[string]int{
 			"A14": 1, // the actuation-response residual is mandatory
 			"A2":  1, // and the un-steered vehicle actually departs the lane
-		},
+		}),
 		rationale: "the vehicle's yaw response stops following the steering command (A14) and it physically departs the lane (A2) while every sensor cross-check agrees — the actuation path is latched",
 	},
 	{
 		cause:      CauseSteerOffset,
 		firstAnyOf: []string{"A14"},
-		present:    map[string]float64{"A14": 3.5},
-		absent:     map[string]float64{"A1": 1.5, "A10": 1.5, "A5": 2, "A4": 1, "A13": 1, "A3": 1, "A2": 1.5, "A12": 1.5},
+		present:    terms(map[string]float64{"A14": 3.5}),
+		absent:     terms(map[string]float64{"A1": 1.5, "A10": 1.5, "A5": 2, "A4": 1, "A13": 1, "A3": 1, "A2": 1.5, "A12": 1.5}),
 		rationale:  "a persistent bias between commanded and measured yaw (A14) that the controller silently compensates — tracking stays fine, so the fault is a constant actuation offset",
 	},
 	{
 		cause:      CauseCtrlOscillation,
 		firstAnyOf: []string{"A11", "A7"},
-		present:    map[string]float64{"A11": 2.5, "A8": 0.5, "A7": 1},
-		absent:     map[string]float64{"A1": 2, "A5": 2, "A10": 1.5, "A13": 1.5, "A4": 1, "A14": 1},
+		present:    terms(map[string]float64{"A11": 2.5, "A8": 0.5, "A7": 1}),
+		absent:     terms(map[string]float64{"A1": 2, "A5": 2, "A10": 1.5, "A13": 1.5, "A4": 1, "A14": 1}),
 		rationale:  "steering oscillation or excess lateral acceleration (A11/A7) with clean sensor-consistency checks — a controller tuning weakness, not an attack",
 	},
 	{
 		cause:      CauseCtrlTracking,
 		firstAnyOf: []string{"A2", "A6", "A12"},
-		present:    map[string]float64{"A2": 2, "A6": 1, "A12": 1},
-		absent:     map[string]float64{"A1": 2, "A5": 2, "A10": 1.5, "A13": 1.5, "A4": 1, "A3": 1, "A14": 1.5},
+		present:    terms(map[string]float64{"A2": 2, "A6": 1, "A12": 1}),
+		absent:     terms(map[string]float64{"A1": 2, "A5": 2, "A10": 1.5, "A13": 1.5, "A4": 1, "A3": 1, "A14": 1.5}),
 		rationale:  "lane-keeping bound exceeded (A2) while all sensor cross-checks agree — the controller itself cannot hold the path",
 	},
 }
@@ -314,43 +342,43 @@ func (r rule) score(sig Signature) float64 {
 			break
 		}
 	}
-	for id, w := range r.present {
-		if sig.Episodes[id] > 0 {
-			s += w
+	for _, t := range r.present {
+		if sig.Episodes[t.id] > 0 {
+			s += t.v
 		}
 	}
-	for id, w := range r.absent {
-		if sig.Episodes[id] > 0 {
-			s -= w
+	for _, t := range r.absent {
+		if sig.Episodes[t.id] > 0 {
+			s -= t.v
 		}
 	}
-	for id, n := range r.minEpisodes {
-		if sig.Episodes[id] >= n {
+	for _, t := range r.minEpisodes {
+		if float64(sig.Episodes[t.id]) >= t.v {
 			s += 1
 		} else {
 			s -= 1
 		}
 	}
-	for id, n := range r.maxEpisodes {
-		if sig.Episodes[id] > n {
+	for _, t := range r.maxEpisodes {
+		if float64(sig.Episodes[t.id]) > t.v {
 			s -= 1.5
 		}
 	}
-	for id, d := range r.minDuration {
-		if sig.Episodes[id] == 0 {
+	for _, t := range r.minDuration {
+		if sig.Episodes[t.id] == 0 {
 			continue
 		}
-		if sig.MaxDuration[id] >= d {
+		if sig.MaxDuration[t.id] >= t.v {
 			s += 1.5
 		} else {
 			s -= 1.5
 		}
 	}
-	for id, d := range r.maxDuration {
-		if sig.Episodes[id] == 0 {
+	for _, t := range r.maxDuration {
+		if sig.Episodes[t.id] == 0 {
 			continue
 		}
-		if sig.MaxDuration[id] <= d {
+		if sig.MaxDuration[t.id] <= t.v {
 			s += 1.5
 		} else {
 			s -= 1.5

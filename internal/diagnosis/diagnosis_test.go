@@ -181,3 +181,31 @@ func TestReportRendering(t *testing.T) {
 		t.Error("long report should truncate the timeline")
 	}
 }
+
+// TestRuleScoreFixedOrder: weights that are not multiples of a power of
+// two give a sum that depends on its order, so a rule must add its terms
+// in one order — catalog order — whatever order its clauses were written
+// in. 200 evaluations give identical bits, equal to the ordered sum.
+func TestRuleScoreFixedOrder(t *testing.T) {
+	r := rule{
+		present: terms(map[string]float64{"A13": 0.2, "A2": 0.2, "A10": 0.1, "A1": 0.1, "A15": 0.3, "A3": 0.3}),
+		absent:  terms(map[string]float64{"A11": 0.2, "A5": 0.1, "A4": 0.3}),
+	}
+	sig := Signature{Episodes: map[string]int{}}
+	for _, id := range []string{"A1", "A2", "A3", "A4", "A5", "A10", "A11", "A13", "A15"} {
+		sig.Episodes[id] = 1
+	}
+	var want float64
+	for _, w := range []float64{0.1, 0.2, 0.3, 0.1, 0.2, 0.3} { // A1 A2 A3 A10 A13 A15
+		want += w
+	}
+	for _, w := range []float64{0.3, 0.1, 0.2} { // A4 A5 A11
+		want -= w
+	}
+	for i := 0; i < 200; i++ {
+		if got := r.score(sig); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("evaluation %d: score %v (%#x), want the catalog-ordered sum %v (%#x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

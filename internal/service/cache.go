@@ -193,6 +193,15 @@ func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
 	return c, true
 }
 
+// pending reports whether an execution of key is in flight, without
+// joining it.
+func (g *flightGroup) pending(key string) bool {
+	g.mu.Lock()
+	_, ok := g.calls[key]
+	g.mu.Unlock()
+	return ok
+}
+
 // forget removes key so later requests start a fresh call (or hit the
 // cache). Must be called before finish to keep the window where a new
 // request neither joins nor hits the cache closed — the leader caches the

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 )
 
 // LimitError is one rejected resource-limit setting: which knob, the
@@ -83,25 +82,6 @@ func (c Config) Validate() error {
 		if err := checkStoreDir(c.StoreDir); err != nil {
 			bad("-store-dir", c.StoreDir, err.Error())
 		}
-	}
-	if c.Jobs.Workers < 0 {
-		bad("-jobs-workers", c.Jobs.Workers, "must be >= 0 (0 = default 2)")
-	}
-	if c.Jobs.QueueDepth < 0 {
-		bad("-jobs-queue", c.Jobs.QueueDepth, "must be >= 0 (0 = 8x job workers)")
-	}
-	if c.Jobs.Retention < 0 {
-		bad("-jobs-retention", c.Jobs.Retention, "must be >= 0 (0 = default 256)")
-	}
-	// Combination checks: each knob may be fine alone and still describe
-	// a server that cannot work.
-	workers := c.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Jobs.Workers > 0 && c.Workers >= 0 && c.Jobs.Workers > 4*workers {
-		bad("-jobs-workers", c.Jobs.Workers,
-			fmt.Sprintf("more than 4x the %d simulation workers would be pure queueing, not parallelism", workers))
 	}
 	return errors.Join(errs...)
 }

@@ -30,10 +30,8 @@ func TestLimitsValidateJoinsEveryViolation(t *testing.T) {
 			Timeout:     -time.Second,
 			MaxDuration: math.NaN(),
 			StoreBytes:  1 << 20, // set without StoreDir
-			Jobs:        JobsLimits{Workers: -3, QueueDepth: -4, Retention: -5},
 		}, []string{
-			"-workers", "-queue", "-cache-bytes", "-timeout", "-max-duration",
-			"-store-bytes", "-jobs-workers", "-jobs-queue", "-jobs-retention",
+			"-workers", "-queue", "-cache-bytes", "-timeout", "-max-duration", "-store-bytes",
 		}},
 		// A non-finite cap would pass every "duration > cap" check, so it
 		// must be refused rather than silently switching the cap off.
@@ -63,11 +61,8 @@ func TestLimitsValidateJoinsEveryViolation(t *testing.T) {
 // TestLimitsValidateCombinations: knobs fine alone can be rejected
 // together.
 func TestLimitsValidateCombinations(t *testing.T) {
-	if err := (Config{Workers: 2, Jobs: JobsLimits{Workers: 64}}).Validate(); err == nil {
-		t.Fatal("job tier 32x wider than the simulation pool validated clean")
-	}
-	if err := (Config{Workers: 2, Jobs: JobsLimits{Workers: 8}}).Validate(); err != nil {
-		t.Fatalf("4x job tier rejected: %v", err)
+	if err := (Config{StoreBytes: 4 << 20}).Validate(); err == nil {
+		t.Fatal("store cap without a store directory validated clean")
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero-value limits rejected: %v", err)
@@ -117,7 +112,7 @@ func TestLimitsLogSummaryResolvesDefaults(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"msg=limits", "workers=2", "queue=4", "cache_bytes=67108864", "timeout=1m0s", "max_duration=600",
-		"store_bytes=268435456", "job_workers=2", "job_queue=16", "job_retention=256",
+		"store_bytes=268435456",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("limits line missing %q: %s", want, out)

@@ -15,18 +15,20 @@
 // applies backpressure: when it is full the service answers 429 with a
 // Retry-After hint instead of blocking or queueing unboundedly.
 //
+// Any keyed request may be submitted asynchronously with the RFC 7240
+// header Prefer: respond-async: the answer is 202 with Location:
+// /v1/results/{key} once the work is started, and the content key is the
+// handle, so a result stays pollable for as long as the cache or the
+// store holds it — across restarts with a store.
+//
 // Endpoints:
 //
-//	POST   /v1/run               execute (or serve from cache) one scenario
-//	POST   /v1/stream            online monitoring: NDJSON frames in, NDJSON events out
-//	POST   /v1/mutate            execute (or serve from cache) one mutation campaign
-//	POST   /v1/search            execute (or serve from cache) one adversarial search
-//	POST   /v1/jobs              submit one scenario asynchronously → job id
-//	GET    /v1/jobs/{id}         poll a job's lifecycle state
-//	GET    /v1/jobs/{id}/result  fetch a finished job's bytes (identical to /v1/run)
-//	GET    /v1/jobs/{id}/events  NDJSON job progress stream (follows until terminal)
-//	DELETE /v1/jobs/{id}         cancel a queued or running job
-//	GET    /v1/catalog           enumerate tracks, controllers, attacks, assertions, mutants
+//	POST /v1/run            execute (or serve from cache) one scenario
+//	POST /v1/stream         online monitoring: NDJSON frames in, NDJSON events out
+//	POST /v1/mutate         execute (or serve from cache) one mutation campaign
+//	POST /v1/search         execute (or serve from cache) one adversarial search
+//	GET  /v1/results/{key}  poll an async submission: 200 body, 202 in flight, 404 not kept
+//	GET  /v1/catalog        enumerate tracks, controllers, attacks, assertions, mutants
 //	GET  /healthz           liveness only (process up and answering)
 //	GET  /readyz            readiness: queue saturation + drain state (503 while draining)
 //	GET  /metrics           Prometheus/OpenMetrics text exposition of the obs registry
@@ -39,7 +41,8 @@
 // The X-Adassure-Cache response header reports how a keyed body was
 // produced: "miss" (fresh execution), "hit" (served from cache), "store"
 // (served from the persistent store) or "coalesced" (attached to a
-// concurrent identical run).
+// concurrent identical run); on a 202 it reports how the submission was
+// resolved.
 //
 // Every /v1/* request is traced: the handler continues an inbound W3C
 // traceparent (or starts a fresh trace), children cover the cache lookup,
@@ -61,7 +64,6 @@ import (
 	"time"
 
 	"adassure"
-	"adassure/internal/jobs"
 	"adassure/internal/obs"
 	"adassure/internal/runner"
 	"adassure/internal/store"
@@ -109,9 +111,6 @@ type Config struct {
 	// opened with, for Validate to check ("" and 0 without a store).
 	StoreDir   string
 	StoreBytes int64
-	// Jobs tunes the async job tier (zero value = defaults; Disable turns
-	// the /v1/jobs endpoints off).
-	Jobs JobsLimits
 	// Tracer, when non-nil, records a span tree per request and serves it
 	// under /debug/traces. Nil disables tracing: every span operation is a
 	// single-branch no-op and /debug/traces answers an empty list.
@@ -153,7 +152,6 @@ type Server struct {
 	cache  *resultCache
 	flight *flightGroup
 	store  *store.Store
-	jobs   *jobs.Manager
 	mux    *http.ServeMux
 
 	tracer *telemetry.Tracer
@@ -214,16 +212,6 @@ func New(cfg Config) *Server {
 		Obs:        cfg.Obs,
 		Logger:     cfg.Logger,
 	})
-	if !cfg.Jobs.Disable {
-		s.jobs = jobs.NewManager(jobs.Config{
-			Workers:    cfg.Jobs.Workers,
-			QueueDepth: cfg.Jobs.QueueDepth,
-			Retention:  cfg.Jobs.Retention,
-			Exec:       s.execJob,
-			Obs:        cfg.Obs,
-			Logger:     cfg.Logger,
-		})
-	}
 
 	s.logLimits()
 
@@ -232,13 +220,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /v1/stream", s.traced("/v1/stream", s.handleStream))
 	mux.HandleFunc("POST /v1/mutate", s.traced("/v1/mutate", handleKeyed[MutateRequest](s)))
 	mux.HandleFunc("POST /v1/search", s.traced("/v1/search", handleKeyed[SearchRequest](s)))
-	if s.jobs != nil {
-		mux.HandleFunc("POST /v1/jobs", s.traced("/v1/jobs", s.handleJobSubmit))
-		mux.HandleFunc("GET /v1/jobs/{id}", s.traced("/v1/jobs/{id}", s.handleJobGet))
-		mux.HandleFunc("GET /v1/jobs/{id}/result", s.traced("/v1/jobs/{id}/result", s.handleJobResult))
-		mux.HandleFunc("GET /v1/jobs/{id}/events", s.traced("/v1/jobs/{id}/events", s.handleJobEvents))
-		mux.HandleFunc("DELETE /v1/jobs/{id}", s.traced("/v1/jobs/{id}", s.handleJobCancel))
-	}
+	mux.HandleFunc("GET "+resultsPath+"{key}", s.traced(resultsPath+"{key}", s.handleResult))
 	mux.HandleFunc("GET /v1/catalog", s.traced("/v1/catalog", s.handleCatalog))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -260,8 +242,8 @@ func New(cfg Config) *Server {
 }
 
 // logLimits emits the one boot record of every resource limit as the
-// server enforces it: defaults resolved, read back from the pool, the job
-// manager and the store where those resolve their own.
+// server enforces it: defaults resolved, read back from the pool and the
+// store where those resolve their own.
 func (s *Server) logLimits() {
 	attrs := []slog.Attr{
 		slog.Int("workers", s.pool.Workers()),
@@ -274,12 +256,6 @@ func (s *Server) logLimits() {
 		attrs = append(attrs,
 			slog.String("store_dir", s.store.Dir()),
 			slog.Int64("store_bytes", s.store.MaxBytes()))
-	}
-	if s.jobs != nil {
-		attrs = append(attrs,
-			slog.Int("job_workers", s.jobs.Workers()),
-			slog.Int("job_queue", s.jobs.QueueCap()),
-			slog.Int("job_retention", s.jobs.Retention()))
 	}
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "limits", attrs...)
 }
@@ -307,19 +283,14 @@ func (s *Server) BeginDrain() {
 
 // Close stops admission, drains streaming sessions (each delivers its
 // final session-closed event before its handler returns) and drains
-// in-flight simulations. If ctx expires first, the base context is
+// in-flight simulations, async submissions still queued included. If ctx
+// expires first, the base context is
 // cancelled, which aborts running simulations within one control step;
 // Close still waits for the workers to observe the cancellation before
 // returning ctx.Err().
 func (s *Server) Close(ctx context.Context) error {
 	s.closed.Store(true)
 	s.cancelStreams()
-	var jobsErr error
-	if s.jobs != nil {
-		// Drain the job tier first: its dispatchers feed the pool, so they
-		// must stop submitting before the pool itself drains.
-		jobsErr = s.jobs.Close(ctx)
-	}
 	done := make(chan struct{})
 	go func() {
 		s.pool.Close()
@@ -339,9 +310,6 @@ func (s *Server) Close(ctx context.Context) error {
 		if cerr := s.store.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-	}
-	if err == nil {
-		err = jobsErr
 	}
 	return err
 }
@@ -383,7 +351,6 @@ var routeMethods = map[string]string{
 	"/v1/stream":       "POST",
 	"/v1/mutate":       "POST",
 	"/v1/search":       "POST",
-	"/v1/jobs":         "POST",
 	"/v1/catalog":      "GET",
 	"/healthz":         "GET",
 	"/readyz":          "GET",
@@ -423,8 +390,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleReadyz is the traffic-steering probe: 503 once BeginDrain or
 // Close has been called, or while the admission queue is saturated (a new
 // run would be shed with 429 anyway). The body always reports the reason
-// and occupancy — simulation queue and async job queue — so load
-// balancers and operators steer off the same signal.
+// and occupancy of the simulation queue, so load balancers and operators
+// steer off the same signal.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	qlen, qcap := s.pool.QueueLen(), s.pool.Cap()
 	status, code := "ready", http.StatusOK
@@ -438,11 +405,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		"status":    status,
 		"queue_len": qlen,
 		"queue_cap": qcap,
-	}
-	if s.jobs != nil {
-		doc["jobs_queued"] = s.jobs.QueueLen()
-		doc["jobs_cap"] = s.jobs.QueueCap()
-		doc["jobs_running"] = s.jobs.Running()
 	}
 	if s.store != nil {
 		doc["store_entries"] = s.store.Len()

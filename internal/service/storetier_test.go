@@ -54,8 +54,9 @@ func clientFor(t *testing.T, s *Server) (*Client, func()) {
 // TestStoreTierServesAcrossRestart: evidence computed before a restart
 // is served from the persistent store afterwards — byte-identical, with
 // the "store" disposition, no re-execution, and promoted back into the
-// LRU so the next request is a plain hit. Every keyed kind persists: the
-// store sits on the one pipeline they share.
+// LRU so the next request is a plain hit; an async submission's key
+// answers its poll from the store the same way. Every keyed kind
+// persists: the store sits on the one pipeline they share.
 func TestStoreTierServesAcrossRestart(t *testing.T) {
 	for _, k := range keyedKinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -97,6 +98,33 @@ func TestStoreTierServesAcrossRestart(t *testing.T) {
 			resp3, _ := postJSON(t, c2, k.path, doc)
 			if got := resp3.Header.Get(CacheHeader); got != "hit" {
 				t.Fatalf("post-promotion disposition %q, want hit", got)
+			}
+		})
+		// The content key is the async handle, so a result submitted
+		// asynchronously is still pollable after the restart.
+		t.Run(k.name+"-async", func(t *testing.T) {
+			dir := t.TempDir()
+			_, c1, stop1 := serverWithStore(t, dir)
+			resp1, body1 := postAsync(t, c1, k.path, []byte(k.body))
+			acceptedKey(t, resp1, body1)
+			location := resp1.Header.Get("Location")
+			presp, want := pollResult(t, c1, location)
+			if presp.StatusCode != http.StatusOK {
+				t.Fatalf("poll before restart: status %d (body %s)", presp.StatusCode, want)
+			}
+			stop1()
+
+			s2, c2, _ := serverWithStore(t, dir)
+			resp2, body2 := getPath(t, c2, location)
+			if resp2.StatusCode != http.StatusOK || resp2.Header.Get(CacheHeader) != "store" {
+				t.Fatalf("poll after restart: status %d disposition %q (body %s), want 200 store",
+					resp2.StatusCode, resp2.Header.Get(CacheHeader), body2)
+			}
+			if !bytes.Equal(body2, want) {
+				t.Fatal("store served different bytes than the async execution")
+			}
+			if got := simRuns(s2); got != 0 {
+				t.Fatalf("sim.runs after restart = %d, want 0", got)
 			}
 		})
 	}
