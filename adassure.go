@@ -125,10 +125,10 @@ type (
 	// StreamConfig configures an online monitoring session.
 	StreamConfig = stream.Config
 	// StreamSession is an incremental monitor over an unbounded frame
-	// stream (see internal/stream): bounded memory via a flight-recorder
-	// ring, a rolling diagnosis re-ranked on every closed violation
-	// episode, and typed events to an optional sink — with results
-	// identical to batch monitoring of the same frames.
+	// stream (see internal/stream): fixed-size per-frame state, a rolling
+	// diagnosis re-ranked on every closed violation episode, and typed
+	// events to an optional sink — with results identical to batch
+	// monitoring of the same frames.
 	StreamSession = stream.Session
 	// StreamEvent is one typed event emitted by a streaming session
 	// (violation opened/closed, diagnosis, heartbeat, frame rejected,
@@ -538,10 +538,10 @@ func (s Scenario) Canonicalize() (Scenario, error) {
 		s.AttackStart, s.AttackEnd = 0, 0
 	} else {
 		if s.AttackStart == 0 {
-			s.AttackStart = 20
+			s.AttackStart = attacks.DefaultOnset
 		}
 		if s.AttackEnd == 0 {
-			s.AttackEnd = 50
+			s.AttackEnd = attacks.DefaultEnd
 		}
 	}
 	if len(s.Assertions) > 0 {
@@ -796,9 +796,7 @@ func SedanParams() VehicleParams { return vehicle.SedanParams() }
 func RunSim(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
 
 // DefaultLimits derives assertion limits from a vehicle envelope.
-func DefaultLimits(p VehicleParams) Limits {
-	return core.DefaultLimits(p.MaxSpeed, p.MaxLatAccel, p.MaxJerk, p.MaxSteer, p.MaxSteerRate, p.Wheelbase)
-}
+func DefaultLimits(p VehicleParams) Limits { return core.DefaultLimits(p) }
 
 // Mutation-testing types (see internal/mutate): the engine that scores the
 // assertion catalog by which injected faults each assertion kills.

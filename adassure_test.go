@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"adassure/internal/attacks"
 	"adassure/internal/sim"
 )
 
@@ -128,9 +129,12 @@ func TestScenarioCanonicalize(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("canonical = %+v, want %+v", got, want)
 	}
+	// An attacked scenario gets the default window, the one the
+	// experiment harness runs (TestGridCellsRunDefaultWindow).
 	attacked, err := Scenario{Attack: AttackDriftSpoof}.Canonicalize()
-	if err != nil || attacked.AttackStart != 20 || attacked.AttackEnd != 50 {
-		t.Errorf("attacked window = [%v, %v] (%v), want [20, 50]", attacked.AttackStart, attacked.AttackEnd, err)
+	if err != nil || attacked.AttackStart != attacks.DefaultOnset || attacked.AttackEnd != attacks.DefaultEnd {
+		t.Errorf("attacked window = [%v, %v] (%v), want [%v, %v]", attacked.AttackStart, attacked.AttackEnd, err,
+			attacks.DefaultOnset, attacks.DefaultEnd)
 	}
 	again, err := got.Canonicalize()
 	if err != nil || !reflect.DeepEqual(again, got) {

@@ -33,6 +33,7 @@ import (
 	"os"
 
 	"adassure"
+	"adassure/internal/attacks"
 	"adassure/internal/cli"
 	"adassure/internal/coverage"
 )
@@ -53,8 +54,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		seeds      = fs.Int("seeds", 5, "seeds per class")
 		controller = fs.String("controller", "pure-pursuit", "lateral controller")
 		duration   = fs.Float64("duration", 70, "run duration (s)")
-		onset      = fs.Float64("onset", 20, "attack onset (s)")
-		end        = fs.Float64("end", 50, "attack end (s)")
+		onset      = fs.Float64("onset", attacks.DefaultOnset, "attack onset (s)")
+		end        = fs.Float64("end", attacks.DefaultEnd, "attack end (s)")
 		workers    = fs.Int("workers", 0, "parallel simulation workers (default GOMAXPROCS; 1 = sequential)")
 	)
 	o := cli.Register(fs)

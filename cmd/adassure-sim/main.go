@@ -38,7 +38,9 @@ import (
 	"strings"
 
 	"adassure"
+	"adassure/internal/attacks"
 	"adassure/internal/cli"
+	"adassure/internal/track"
 )
 
 // fatal prints err under the program name and exits 1.
@@ -77,9 +79,9 @@ func main() {
 		attack     = flag.String("attack", "none", "attack class (see adassure.AttackNames) or none")
 		seed       = flag.Int64("seed", 1, "random seed")
 		duration   = flag.Float64("duration", 70, "simulated seconds")
-		onset      = flag.Float64("attack-start", 20, "attack onset (s)")
-		end        = flag.Float64("attack-end", 50, "attack end (s)")
-		speedLimit = flag.Float64("speed-limit", 6, "route speed limit (m/s)")
+		onset      = flag.Float64("attack-start", attacks.DefaultOnset, "attack onset (s)")
+		end        = flag.Float64("attack-end", attacks.DefaultEnd, "attack end (s)")
+		speedLimit = flag.Float64("speed-limit", track.DefaultSpeedLimit, "route speed limit (m/s)")
 		guard      = flag.Bool("guard", false, "enable the assertion-guarded stack")
 		scale      = flag.Float64("threshold-scale", 1, "catalog threshold scale")
 		traceCSV   = flag.String("trace", "", "write the signal trace as CSV to this file")

@@ -20,18 +20,22 @@ func main() {
 		"attack", "detected", "by", "latency", "diagnosed as")
 	fmt.Println("---------------------------------------------------------------------------")
 
-	const onset = 20.0
 	attackNames := adassure.AttackNames()
 	scns := make([]adassure.Scenario, len(attackNames))
 	for i, attack := range attackNames {
-		scns[i] = adassure.Scenario{Attack: attack, Seed: 1}
+		// Canonicalize states every default, the attack window among them.
+		scn, err := adassure.Scenario{Attack: attack, Seed: 1}.Canonicalize()
+		if err != nil {
+			log.Fatal(err)
+		}
+		scns[i] = scn
 	}
 	outs, err := adassure.RunScenarios(context.Background(), scns, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for i, out := range outs {
-		attack := attackNames[i]
+		attack, onset := attackNames[i], scns[i].AttackStart
 
 		detected, by, latency := "NO", "-", "-"
 		for _, v := range out.Violations {

@@ -42,6 +42,10 @@ type Window struct {
 	Start, End float64
 }
 
+// The default attack window [DefaultOnset, DefaultEnd) in seconds: the one
+// a scenario that names none gets, and the one every experiment grid runs.
+const DefaultOnset, DefaultEnd = 20.0, 50.0
+
 // Contains reports whether t falls inside the window.
 func (w Window) Contains(t float64) bool {
 	if t < w.Start {

@@ -66,15 +66,15 @@ func AsReference(ref geom.Path) *Reference {
 // curvature and lookahead distance.
 type PurePursuit struct {
 	params vehicle.Params
-	// LookaheadGain scales lookahead with speed: Ld = gain·v + Min.
-	LookaheadGain float64
-	// MinLookahead floors the lookahead distance in metres.
-	MinLookahead float64
 }
+
+// Pure-pursuit tuning: the lookahead distance is ppLookaheadGain·v,
+// floored at ppMinLookahead metres.
+const ppLookaheadGain, ppMinLookahead = 0.8, 2.5
 
 // NewPurePursuit builds a pure-pursuit controller with standard tuning.
 func NewPurePursuit(p vehicle.Params) *PurePursuit {
-	return &PurePursuit{params: p, LookaheadGain: 0.8, MinLookahead: 2.5}
+	return &PurePursuit{params: p}
 }
 
 // Name implements Lateral.
@@ -86,7 +86,7 @@ func (c *PurePursuit) Reset() {}
 // Steer implements Lateral.
 func (c *PurePursuit) Steer(est fusion.Estimate, path geom.Path, dt float64) float64 {
 	ref := AsReference(path)
-	ld := math.Max(c.MinLookahead, c.LookaheadGain*est.Speed)
+	ld := math.Max(ppMinLookahead, ppLookaheadGain*est.Speed)
 	target := ref.PointAt(ref.S + ld)
 	// Angle to target in the body frame.
 	local := est.Pose.TransformTo(target)
@@ -109,15 +109,15 @@ const frontWindow = 15 // m either side of S where Stanley's front axle projects
 // controller oscillates, especially with noisy localization.
 type Stanley struct {
 	params vehicle.Params
-	// Gain is the cross-track gain k in atan(k·e / (v + Soft)).
-	Gain float64
-	// Soft regularises the low-speed division.
-	Soft float64
 }
+
+// Stanley tuning: the cross-track gain k in atan(k·e / (v + soft)), and
+// the softening that regularises the low-speed division.
+const stanleyGain, stanleySoft = 1.8, 1.0
 
 // NewStanley builds a Stanley controller with standard tuning.
 func NewStanley(p vehicle.Params) *Stanley {
-	return &Stanley{params: p, Gain: 1.8, Soft: 1.0}
+	return &Stanley{params: p}
 }
 
 // Name implements Lateral.
@@ -135,7 +135,7 @@ func (c *Stanley) Steer(est fusion.Estimate, path geom.Path, dt float64) float64
 	s, cte := ref.ProjectRange(front, s0-frontWindow, s0+frontWindow)
 	headingErr := geom.AngleDiff(ref.HeadingAt(s+ref.Shift), est.Pose.Heading)
 	// cte sign: positive = vehicle left of path; steer right (negative).
-	cross := math.Atan2(c.Gain*-cte, est.Speed+c.Soft)
+	cross := math.Atan2(stanleyGain*-cte, est.Speed+stanleySoft)
 	return headingErr + cross
 }
 
@@ -147,24 +147,26 @@ func (c *Stanley) Steer(est fusion.Estimate, path geom.Path, dt float64) float64
 // slow, persistent bias (surfaced by A2/A8 in combination).
 type PIDLateral struct {
 	params     vehicle.Params
-	Kp, Ki, Kd float64
 	integral   float64
-	// IntegralLimit clamps the integrator (anti-windup).
-	IntegralLimit float64
-	// DerivAlpha low-pass filters the derivative term (0..1, 1 = raw);
-	// the raw derivative amplifies localization noise unusably.
-	DerivAlpha float64
 	derivState float64
 }
 
-// NewPIDLateral builds a lateral PID controller with standard tuning.
-// pidDesignSpeed is the speed the PID gains are tuned at; the effective
-// loop gain of the lateral error dynamics grows with speed, so the output
-// is scheduled by designSpeed/v above it.
-const pidDesignSpeed = 3.0
+// Lateral PID tuning. pidIntegralLimit clamps the integrator
+// (anti-windup); pidDerivAlpha low-pass filters the derivative term
+// (0..1, 1 = raw), since the raw derivative amplifies localization noise
+// unusably. pidDesignSpeed is the speed the gains are tuned at: the
+// effective loop gain of the lateral error dynamics grows with speed, so
+// the output is scheduled by pidDesignSpeed/v above it.
+const (
+	pidKp, pidKi, pidKd = 0.4, 0.02, 0.5
+	pidIntegralLimit    = 2.0
+	pidDerivAlpha       = 0.35
+	pidDesignSpeed      = 3.0
+)
 
+// NewPIDLateral builds a lateral PID controller with standard tuning.
 func NewPIDLateral(p vehicle.Params) *PIDLateral {
-	return &PIDLateral{params: p, Kp: 0.4, Ki: 0.02, Kd: 0.5, IntegralLimit: 2.0, DerivAlpha: 0.35}
+	return &PIDLateral{params: p}
 }
 
 // Name implements Lateral.
@@ -180,12 +182,12 @@ func (c *PIDLateral) Reset() {
 func (c *PIDLateral) Steer(est fusion.Estimate, path geom.Path, dt float64) float64 {
 	ref := AsReference(path)
 	err := -ref.CTE // steer right when left of path
-	c.integral = geom.Clamp(c.integral+err*dt, -c.IntegralLimit, c.IntegralLimit)
+	c.integral = geom.Clamp(c.integral+err*dt, -pidIntegralLimit, pidIntegralLimit)
 	// Derivative of the cross-track error, computed geometrically
 	// (ė = v·sin θe) rather than by differencing the noisy measurement —
 	// numeric differentiation of localization output is unusable at 20 Hz.
 	raw := -est.Speed * math.Sin(ref.HeadingErr)
-	c.derivState += (raw - c.derivState) * c.DerivAlpha
+	c.derivState += (raw - c.derivState) * pidDerivAlpha
 	// Curvature feedforward: the steady-state steering for the path arc.
 	// The controller remains pure error feedback on the cross-track
 	// channel — its characteristic (and its weakness: integrator windup
@@ -195,7 +197,7 @@ func (c *PIDLateral) Steer(est fusion.Estimate, path geom.Path, dt float64) floa
 	if est.Speed > pidDesignSpeed {
 		gain = pidDesignSpeed / est.Speed
 	}
-	return ff + gain*(c.Kp*err+c.Ki*c.integral+c.Kd*c.derivState)
+	return ff + gain*(pidKp*err+pidKi*c.integral+pidKd*c.derivState)
 }
 
 // LQRMPC is an unconstrained receding-horizon tracker: a discrete-time LQR
@@ -351,49 +353,38 @@ type Longitudinal interface {
 	Reset()
 }
 
-// SpeedPID is the longitudinal controller: PID on speed error with
+// SpeedPID is the longitudinal controller: PI on speed error with
 // anti-windup, returning an acceleration command.
 type SpeedPID struct {
-	Kp, Ki, Kd    float64
+	// IntegralLimit clamps the integrator (anti-windup); the
+	// saturation-removal mutant opens it.
 	IntegralLimit float64
 	integral      float64
-	prevErr       float64
-	hasPrev       bool
 	maxAccel      float64
 	maxBrake      float64
 }
 
 var _ Longitudinal = (*SpeedPID)(nil)
 
+// Speed PI gains.
+const speedKp, speedKi = 1.2, 0.15
+
 // NewSpeedPID builds the speed controller for a vehicle's accel envelope.
 func NewSpeedPID(p vehicle.Params) *SpeedPID {
-	return &SpeedPID{
-		Kp: 1.2, Ki: 0.15, Kd: 0.0, IntegralLimit: 2.0,
-		maxAccel: p.MaxAccel, maxBrake: p.MaxBrake,
-	}
+	return &SpeedPID{IntegralLimit: 2.0, maxAccel: p.MaxAccel, maxBrake: p.MaxBrake}
 }
 
 // Name identifies the controller in reports.
 func (c *SpeedPID) Name() string { return "speed-pid" }
 
 // Reset clears the integrator.
-func (c *SpeedPID) Reset() {
-	c.integral = 0
-	c.prevErr = 0
-	c.hasPrev = false
-}
+func (c *SpeedPID) Reset() { c.integral = 0 }
 
 // Accel returns the acceleration command tracking targetSpeed.
 func (c *SpeedPID) Accel(currentSpeed, targetSpeed, dt float64) float64 {
 	err := targetSpeed - currentSpeed
 	c.integral = geom.Clamp(c.integral+err*dt, -c.IntegralLimit, c.IntegralLimit)
-	var deriv float64
-	if c.hasPrev && dt > 0 {
-		deriv = (err - c.prevErr) / dt
-	}
-	c.prevErr = err
-	c.hasPrev = true
-	return geom.Clamp(c.Kp*err+c.Ki*c.integral+c.Kd*deriv, -c.maxBrake, c.maxAccel)
+	return geom.Clamp(speedKp*err+speedKi*c.integral, -c.maxBrake, c.maxAccel)
 }
 
 // All returns one instance of every lateral controller for the comparison

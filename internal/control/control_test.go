@@ -231,8 +231,8 @@ func TestPIDLateralIntegratorClamped(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.Steer(est, globalRef(tr.Path(), est), 0.02)
 	}
-	if math.Abs(c.integral) > c.IntegralLimit+1e-9 {
-		t.Errorf("integrator %g escaped clamp %g", c.integral, c.IntegralLimit)
+	if math.Abs(c.integral) > pidIntegralLimit+1e-9 {
+		t.Errorf("integrator %g escaped clamp %g", c.integral, pidIntegralLimit)
 	}
 	c.Reset()
 	if c.integral != 0 || c.derivState != 0 {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"adassure/internal/fusion"
+	"adassure/internal/vehicle"
 )
 
 // CatalogConfig tunes the built-in assertion catalog.
@@ -25,9 +28,22 @@ func (c *CatalogConfig) defaults() {
 		c.ThresholdScale = 1
 	}
 	if c.Limits.MaxSpeed <= 0 {
-		c.Limits = DefaultLimits(8, 2.5, 2, 0.55, 0.8, 2.8)
+		c.Limits = DefaultLimits(vehicle.ShuttleParams())
 	}
 }
+
+// The catalog's fixed tolerances, before ThresholdScale: the lane-keeping
+// bound on cross-track error (m); the admissible GNSS-vs-IMU heading
+// divergence (rad, covering course-chord lag plus IMU heading bias walk);
+// the admissible GNSS-vs-odometry speed divergence (m/s); and the
+// staleness bound on sensor delivery (s, covering several GNSS periods).
+// A10's χ² gate is the fusion filter's own, fusion.DefaultGate.
+const (
+	cteBound     = 1.5
+	headingTol   = 0.45
+	speedTol     = 1.5
+	maxSensorAge = 0.5
+)
 
 // freshGNSS reports whether a new fix was delivered within this frame's
 // control period.
@@ -165,7 +181,7 @@ func A1PositionJump(lim Limits, k float64) Assertion {
 // (the vehicle physically leaves the lane while believing otherwise, or
 // vice versa) and controller tracking weaknesses.
 func A2CrossTrack(lim Limits, k float64) Assertion {
-	bound := lim.CTEBound * k
+	bound := cteBound * k
 	return Bound("A2", "cross-track-bound",
 		fmt.Sprintf("|cross-track error| <= %.2f m while moving", bound), Critical,
 		func(f *Frame) (float64, bool) {
@@ -180,7 +196,7 @@ func A2CrossTrack(lim Limits, k float64) Assertion {
 // IMU heading while moving. Catches position spoofs (the spoofed track's
 // course diverges from inertial heading) and IMU bias faults.
 func A3HeadingConsistency(lim Limits, k float64) Assertion {
-	tol := lim.HeadingTol * k
+	tol := headingTol * k
 	return Consistency("A3", "heading-consistency",
 		fmt.Sprintf("|GNSS course - IMU heading| <= %.2f rad while moving", tol), Warning,
 		func(f *Frame) (float64, bool) {
@@ -193,7 +209,7 @@ func A3HeadingConsistency(lim Limits, k float64) Assertion {
 			return f.GNSSCourse, true
 		},
 		func(f *Frame) (float64, bool) {
-			if f.IMUAge > lim.MaxSensorAge {
+			if f.IMUAge > maxSensorAge {
 				return 0, false
 			}
 			return f.IMUHeading, true
@@ -205,7 +221,7 @@ func A3HeadingConsistency(lim Limits, k float64) Assertion {
 // Catches freezes (derived speed collapses to zero), replays and spoofs
 // (derived speed inflates) and odometry scaling faults.
 func A4SpeedConsistency(lim Limits, k float64) Assertion {
-	tol := lim.SpeedTol * k
+	tol := speedTol * k
 	return Consistency("A4", "speed-consistency",
 		fmt.Sprintf("|GNSS speed - odometry speed| <= %.2f m/s", tol), Warning,
 		func(f *Frame) (float64, bool) {
@@ -218,7 +234,7 @@ func A4SpeedConsistency(lim Limits, k float64) Assertion {
 			return f.GNSSSpeed, true
 		},
 		func(f *Frame) (float64, bool) {
-			if f.OdomAge > lim.MaxSensorAge {
+			if f.OdomAge > maxSensorAge {
 				return 0, false
 			}
 			return f.OdomSpeed, true
@@ -230,7 +246,7 @@ func A4SpeedConsistency(lim Limits, k float64) Assertion {
 // newest delivered fix must stay below the staleness bound. Catches
 // dropouts/DoS and added delay.
 func A5StaleSensor(lim Limits, k float64) Assertion {
-	maxAge := lim.MaxSensorAge * k
+	maxAge := maxSensorAge * k
 	return Bound("A5", "stale-sensor",
 		fmt.Sprintf("GNSS fix age <= %.2f s", maxAge), Warning,
 		func(f *Frame) (float64, bool) { return f.GNSSAge, true },
@@ -329,7 +345,7 @@ func A9ProgressMonotone(lim Limits, k float64) Assertion {
 // the χ² gate. The catch-all consistency check: any measurement stream that
 // disagrees with the filter's short-horizon prediction trips it.
 func A10InnovationGate(lim Limits, k float64) Assertion {
-	gate := lim.NISGate * k
+	gate := fusion.DefaultGate * k
 	return Bound("A10", "innovation-gate",
 		fmt.Sprintf("GNSS NIS <= %.2f", gate), Warning,
 		func(f *Frame) (float64, bool) {
@@ -369,7 +385,7 @@ func A11Oscillation(lim Limits, k float64) Assertion {
 // regardless of what the stack believes. Only evaluable in simulation or
 // on instrumented test ranges.
 func A12SafetyEnvelope(lim Limits, k float64) Assertion {
-	bound := lim.CTEBound * 2.5 * k
+	bound := cteBound * 2.5 * k
 	return Bound("A12", "safety-envelope",
 		fmt.Sprintf("|true cross-track deviation| <= %.2f m", bound), Critical,
 		func(f *Frame) (float64, bool) {
@@ -398,7 +414,7 @@ func A13HeadingReference(lim Limits, k float64) Assertion {
 	return NewAssertion("A13", "heading-reference",
 		fmt.Sprintf("EMA|fused heading - IMU heading| <= %.3f rad", tol), Critical,
 		func(f *Frame, o *Outcome) {
-			if f.IMUAge > lim.MaxSensorAge {
+			if f.IMUAge > maxSensorAge {
 				o.Skip = true
 				return
 			}
@@ -456,7 +472,7 @@ func A14ActuatorResponse(lim Limits, k float64) Assertion {
 				lagDt, lagAlpha = dt, 1-math.Exp(-dt/actLag)
 			}
 			filtSteer += (f.CmdSteer - filtSteer) * lagAlpha
-			if f.EstSpeed < 1.5 || f.IMUAge > lim.MaxSensorAge {
+			if f.EstSpeed < 1.5 || f.IMUAge > maxSensorAge {
 				o.Skip = true
 				return
 			}

@@ -4,10 +4,13 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"adassure/internal/fusion"
+	"adassure/internal/vehicle"
 )
 
 func testLimits() Limits {
-	return DefaultLimits(8, 2.5, 2, 0.55, 0.8, 2.8)
+	return DefaultLimits(vehicle.ShuttleParams())
 }
 
 // goodFrame builds a nominal in-motion frame at time t: on path, fresh
@@ -392,10 +395,25 @@ func TestFrameFinite(t *testing.T) {
 	}
 }
 
+// TestDefaultLimits pins the catalog's fixed values to their one
+// definition: a zero CatalogConfig judges the shuttle the simulator
+// drives, and A10 gates at the fusion filter's own χ² threshold.
 func TestDefaultLimits(t *testing.T) {
-	lim := DefaultLimits(8, 2.5, 2, 0.55, 0.8, 2.8)
-	if lim.CTEBound != 1.5 || lim.NISGate != 9.21 || lim.MaxSensorAge != 0.5 {
-		t.Errorf("defaults wrong: %+v", lim)
+	var cfg CatalogConfig
+	cfg.defaults()
+	if want := DefaultLimits(vehicle.ShuttleParams()); cfg.Limits != want {
+		t.Errorf("catalog default limits %+v, want the shuttle's %+v", cfg.Limits, want)
+	}
+	a := A10InnovationGate(cfg.Limits, 1)
+	f := goodFrame(0)
+	f.NISFresh = true
+	f.NIS = fusion.DefaultGate
+	if out := eval(a, f); out.Skip || !out.OK {
+		t.Errorf("A10 at NIS %g = fusion.DefaultGate: %+v, want a pass", f.NIS, out)
+	}
+	f.NIS = math.Nextafter(fusion.DefaultGate, math.Inf(1))
+	if out := eval(a, f); out.Skip || out.OK {
+		t.Errorf("A10 just above fusion.DefaultGate: %+v, want a violation", out)
 	}
 }
 

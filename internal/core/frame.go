@@ -11,7 +11,11 @@
 // to confirm the violations clear.
 package core
 
-import "math"
+import (
+	"math"
+
+	"adassure/internal/vehicle"
+)
 
 // Frame is one control-period sample of every signal the assertion catalog
 // ranges over. The simulation engine (or, on a real platform, the logging
@@ -74,8 +78,8 @@ type Frame struct {
 	TrueCTE      float64
 }
 
-// Limits carries the vehicle/track envelope the catalog's thresholds are
-// scaled by, so assertions transfer between platforms without retuning.
+// Limits carries the vehicle envelope the catalog's thresholds are scaled
+// by, so assertions transfer between platforms without retuning.
 type Limits struct {
 	MaxSpeed     float64 // m/s
 	MaxLatAccel  float64 // m/s²
@@ -83,36 +87,17 @@ type Limits struct {
 	MaxSteer     float64 // rad
 	MaxSteerRate float64 // rad/s
 	Wheelbase    float64 // m
-	// CTEBound is the lane-keeping tolerance in metres (default 1.5).
-	CTEBound float64
-	// HeadingTol is the admissible GNSS-vs-IMU heading divergence (default
-	// 0.45 rad, covering course-chord lag plus IMU heading bias walk).
-	HeadingTol float64
-	// SpeedTol is the admissible GNSS-vs-odometry speed divergence in m/s
-	// (default 1.0).
-	SpeedTol float64
-	// MaxSensorAge is the staleness bound for sensor delivery (default
-	// 0.5 s, covering several GNSS periods).
-	MaxSensorAge float64
-	// NISGate is the χ² threshold assertion A10 checks against (default
-	// 9.21, the 99th percentile at 2 DOF).
-	NISGate float64
 }
 
 // DefaultLimits derives assertion limits from the vehicle envelope.
-func DefaultLimits(maxSpeed, maxLatAccel, maxJerk, maxSteer, maxSteerRate, wheelbase float64) Limits {
+func DefaultLimits(p vehicle.Params) Limits {
 	return Limits{
-		MaxSpeed:     maxSpeed,
-		MaxLatAccel:  maxLatAccel,
-		MaxJerk:      maxJerk,
-		MaxSteer:     maxSteer,
-		MaxSteerRate: maxSteerRate,
-		Wheelbase:    wheelbase,
-		CTEBound:     1.5,
-		HeadingTol:   0.45,
-		SpeedTol:     1.5,
-		MaxSensorAge: 0.5,
-		NISGate:      9.21,
+		MaxSpeed:     p.MaxSpeed,
+		MaxLatAccel:  p.MaxLatAccel,
+		MaxJerk:      p.MaxJerk,
+		MaxSteer:     p.MaxSteer,
+		MaxSteerRate: p.MaxSteerRate,
+		Wheelbase:    p.Wheelbase,
 	}
 }
 

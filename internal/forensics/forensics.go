@@ -120,9 +120,10 @@ type Input struct {
 	// HalfWindow is the evidence half-width in seconds (default
 	// DefaultHalfWindow).
 	HalfWindow float64
-	// TopHypotheses bounds the embedded hypothesis list (default 3).
-	TopHypotheses int
 }
+
+// topHypotheses bounds the hypothesis list each bundle embeds.
+const topHypotheses = 3
 
 // Build assembles one bundle per violation episode. The returned slice is
 // in violation-record order; an empty record yields nil.
@@ -133,15 +134,12 @@ func Build(in Input) []Bundle {
 	if in.HalfWindow <= 0 {
 		in.HalfWindow = DefaultHalfWindow
 	}
-	if in.TopHypotheses <= 0 {
-		in.TopHypotheses = 3
-	}
 	hyps := in.Hypotheses
 	if hyps == nil {
 		hyps = diagnosis.Diagnose(in.Violations)
 	}
-	if len(hyps) > in.TopHypotheses {
-		hyps = hyps[:in.TopHypotheses]
+	if len(hyps) > topHypotheses {
+		hyps = hyps[:topHypotheses]
 	}
 
 	out := make([]Bundle, 0, len(in.Violations))

@@ -93,7 +93,7 @@ func ExtensionX2DriftRateSweep(o Options) (*Table, error) {
 		return nil, err
 	}
 	for i, rate := range rates {
-		ds := detections(outs[i], attackOnset)
+		ds := detections(outs[i], attacks.DefaultOnset)
 		var worst float64
 		for _, res := range outs[i] {
 			if res.MaxTrueCTE > worst {
@@ -125,7 +125,7 @@ func ExtensionX4AssertionUtility(o Options) (*Table, error) {
 	}
 	var runs []coverage.Run
 	for ci, class := range classes {
-		onset := attackOnset
+		onset := attacks.DefaultOnset
 		if class == attacks.ClassNone {
 			onset = -1
 		}
@@ -209,8 +209,8 @@ func ExtensionX5FusionAblation(o Options) (*Table, error) {
 			cleanViol += len(res.Violations)
 		}
 		rms /= float64(o.Seeds)
-		step := detections(outs[i*len(classes)+1], attackOnset)
-		drift := detections(outs[i*len(classes)+2], attackOnset)
+		step := detections(outs[i*len(classes)+1], attacks.DefaultOnset)
+		drift := detections(outs[i*len(classes)+2], attacks.DefaultOnset)
 		t.Rows = append(t.Rows, []string{
 			loc,
 			fmt.Sprintf("%.3f", rms),
@@ -248,7 +248,7 @@ func ExtensionX3StepMagnitudeSweep(o Options) (*Table, error) {
 		return nil, err
 	}
 	for i, mag := range mags {
-		ds := detections(outs[i], attackOnset)
+		ds := detections(outs[i], attacks.DefaultOnset)
 		r := metrics.Aggregate(ds)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", mag),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"adassure/internal/attacks"
 	"adassure/internal/core"
@@ -35,8 +36,8 @@ func Figure1CrossTrackSeries(o Options) (*Table, error) {
 			fmt.Sprintf("%+.2f", believed),
 		})
 	}
-	if d := metrics.Detect(res.Violations, attackOnset); d.Detected {
-		t.Notes = append(t.Notes, fmt.Sprintf("attack onset t=%.0f s; first violation %s at t=%.2f s", attackOnset, d.ByID, attackOnset+d.Latency))
+	if d := metrics.Detect(res.Violations, attacks.DefaultOnset); d.Detected {
+		t.Notes = append(t.Notes, fmt.Sprintf("attack onset t=%.0f s; first violation %s at t=%.2f s", attacks.DefaultOnset, d.ByID, attacks.DefaultOnset+d.Latency))
 	}
 	t.Notes = append(t.Notes, "expected shape: believed CTE stays near zero while true CTE ramps — the drift is invisible to the controller's own error signal")
 	return t, nil
@@ -93,7 +94,7 @@ func Figure3LatencyCDF(o Options) (*Table, error) {
 	}
 	for i, name := range []string{"step-spoof", "drift-spoof"} {
 		var lats []float64
-		for _, d := range detections(outs[i], attackOnset) {
+		for _, d := range detections(outs[i], attacks.DefaultOnset) {
 			if d.Detected {
 				lats = append(lats, d.Latency)
 			}
@@ -108,11 +109,14 @@ func Figure3LatencyCDF(o Options) (*Table, error) {
 }
 
 // Figure4MonitorOverhead regenerates F4: the cost of assertion monitoring
-// per control frame as the catalog grows, measured on a synthetic frame
-// stream through the internal/obs registry — the same instrumentation
-// every production run can enable — rather than one-off wall-clock timing.
-// This experiment deliberately stays sequential and uses its own private
-// registry: it times a hot path, and sharing workers or Options.Obs with
+// per control frame as the catalog grows, from 0 assertions to the full
+// catalog. Each row is the wall time of its whole frame loop, the minimum
+// over f4Repeats repeats that alternate between the rows, divided by the
+// frame count: a transient load on the machine stretches some repeats of
+// a row, not all of them. Every monitor is attached to a private obs
+// registry, as a production run can enable; the full catalog's registry
+// feeds the "observed cost" notes. This experiment deliberately stays
+// sequential: it times a hot path, and sharing workers or Options.Obs with
 // other experiments would contaminate the measurement.
 func Figure4MonitorOverhead(o Options) (*Table, error) {
 	o.defaults()
@@ -124,12 +128,14 @@ func Figure4MonitorOverhead(o Options) (*Table, error) {
 			"synthetic nominal frame stream; a 20 Hz control period is 50 ms — expected shape: full catalog costs a vanishing fraction of the budget",
 		},
 	}
-	frames := 20000
+	n := 20000
 	if o.Quick {
-		frames = 5000
+		n = 5000
 	}
-	mkFrame := func(i int) core.Frame {
-		f := core.Frame{
+	frames := make([]core.Frame, n)
+	for i := range frames {
+		f := &frames[i]
+		*f = core.Frame{
 			T: float64(i) * 0.05, Dt: 0.05,
 			EstSpeed: 5, GNSSValid: true, GNSSAge: 0.02,
 			GNSSSpeed: 5, OdomSpeed: 5, NIS: 1, NISFresh: true,
@@ -137,28 +143,41 @@ func Figure4MonitorOverhead(o Options) (*Table, error) {
 		}
 		f.EstX = float64(i) * 0.25
 		f.GNSSX = f.EstX
-		return f
 	}
+	full := len(core.NewCatalog(core.CatalogConfig{IncludeGroundTruth: true}))
+	sizes := []int{0, 4, 8, full}
+	best := make([]time.Duration, len(sizes))
 	var fullReg *obs.Registry
-	for _, n := range []int{0, 4, 8, 13} {
-		reg := obs.NewRegistry()
-		entries := core.NewCatalog(core.CatalogConfig{IncludeGroundTruth: true})
-		mon := core.NewMonitor().Attach(reg)
-		for i := 0; i < n && i < len(entries); i++ {
-			mon.Add(entries[i].Assertion, entries[i].Debounce)
-		}
-		for i := 0; i < frames; i++ {
-			mon.Step(mkFrame(i))
-		}
-		stepNS := reg.Histogram("monitor.step_ns")
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", n), fmt.Sprintf("%d", int64(stepNS.Mean()))})
-		if n == 13 {
-			fullReg = reg
+	for rep := 0; rep < f4Repeats; rep++ {
+		for r, size := range sizes {
+			reg := obs.NewRegistry()
+			entries := core.NewCatalog(core.CatalogConfig{IncludeGroundTruth: true})
+			mon := core.NewMonitor().Attach(reg)
+			for _, e := range entries[:size] {
+				mon.Add(e.Assertion, e.Debounce)
+			}
+			start := time.Now()
+			for i := range frames {
+				mon.Step(frames[i])
+			}
+			if d := time.Since(start); rep == 0 || d < best[r] {
+				best[r] = d
+			}
+			if size == full {
+				fullReg = reg
+			}
 		}
 	}
-	t.Notes = append(t.Notes, observedCostNotes(fullReg, frames)...)
+	for r, size := range sizes {
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", size), fmt.Sprintf("%d", best[r].Nanoseconds()/int64(n))})
+	}
+	t.Notes = append(t.Notes, observedCostNotes(fullReg, n)...)
 	return t, nil
 }
+
+// f4Repeats is how many alternating repeats of its frame loop each F4 row
+// takes the minimum over.
+const f4Repeats = 3
 
 // observedCostNotes renders the F4 "Observed cost" section from a metrics
 // registry: the whole-step latency percentiles and the costliest
@@ -257,7 +276,7 @@ func catalogAblation(o Options, t *Table, class attacks.Class, catalogs []core.C
 		for _, res := range outs[2*i] {
 			fp += len(res.Violations)
 		}
-		r := metrics.Aggregate(detections(outs[2*i+1], attackOnset))
+		r := metrics.Aggregate(detections(outs[2*i+1], attacks.DefaultOnset))
 		t.Rows = append(t.Rows, []string{
 			label(cat),
 			fmt.Sprintf("%.2f", float64(fp)/float64(o.Seeds)),

@@ -148,12 +148,6 @@ func (o *Options) defaults() {
 	}
 }
 
-// standard run geometry shared by the experiments.
-const (
-	attackOnset = 20.0
-	attackEnd   = 50.0
-)
-
 func (o Options) duration() float64 {
 	if o.Quick {
 		return 55
@@ -163,8 +157,8 @@ func (o Options) duration() float64 {
 
 // gridCell is one scenario of an experiment grid: exactly the fields the
 // experiments vary. The rest is fixed for every cell: the urban-loop
-// track, the shuttle, the [attackOnset, attackEnd) window, the run length
-// and a catalog monitor that includes the ground-truth assertion.
+// track, the shuttle, the default attack window, the run length and a
+// catalog monitor that includes the ground-truth assertion.
 type gridCell struct {
 	// class selects the standard campaign (ClassNone is a clean run).
 	class attacks.Class
@@ -225,7 +219,7 @@ func (c gridCell) name() string {
 
 // campaign builds the cell's attack campaign.
 func (c gridCell) campaign() (attacks.Campaign, error) {
-	win := attacks.Window{Start: attackOnset, End: attackEnd}
+	win := attacks.Window{Start: attacks.DefaultOnset, End: attacks.DefaultEnd}
 	if c.size == 0 {
 		return attacks.Standard(c.class, win, c.seed)
 	}
@@ -248,7 +242,7 @@ func (c gridCell) campaign() (attacks.Campaign, error) {
 // the only values the workers share (the track and the options) are
 // immutable.
 func run(o Options, seeds int, cells []gridCell) ([][]*sim.Result, error) {
-	tr, err := track.UrbanLoop(6)
+	tr, err := track.UrbanLoop(track.DefaultSpeedLimit)
 	if err != nil {
 		return nil, err
 	}

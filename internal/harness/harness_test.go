@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"adassure/internal/attacks"
 )
 
 func quick() Options { return Options{Quick: true, Seeds: 1} }
@@ -80,6 +82,26 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := ByID("T9"); err == nil {
 		t.Error("unknown id accepted")
+	}
+}
+
+// TestGridCellsRunDefaultWindow: every experiment cell, standard or
+// sized, attacks over attacks' default window, the one a façade scenario
+// that names none gets (TestScenarioCanonicalize).
+func TestGridCellsRunDefaultWindow(t *testing.T) {
+	want := attacks.Window{Start: attacks.DefaultOnset, End: attacks.DefaultEnd}
+	for _, c := range []gridCell{
+		{class: attacks.ClassStepSpoof, seed: 1},
+		{class: attacks.ClassDriftSpoof, size: 2, seed: 1},
+		{class: attacks.ClassStepSpoof, size: 3, seed: 1},
+	} {
+		camp, err := c.campaign()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := camp.GNSS.Window(); got != want {
+			t.Errorf("%s: window %+v, want %+v", c.name(), got, want)
+		}
 	}
 }
 

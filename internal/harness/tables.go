@@ -22,7 +22,7 @@ func Table1DetectionMatrix(o Options) (*Table, error) {
 		Title:   "Detection matrix: assertion × attack class (majority of seeds, post-onset)",
 		Columns: append([]string{"attack"}, ids...),
 		Notes: []string{
-			fmt.Sprintf("urban-loop, %s controller, %d seeds, attack window [%g, %g) s", o.Controller, o.Seeds, attackOnset, attackEnd),
+			fmt.Sprintf("urban-loop, %s controller, %d seeds, attack window [%g, %g) s", o.Controller, o.Seeds, attacks.DefaultOnset, attacks.DefaultEnd),
 			"A12 is the offline ground-truth safety envelope (simulation only)",
 		},
 	}
@@ -36,7 +36,7 @@ func Table1DetectionMatrix(o Options) (*Table, error) {
 		for _, res := range outs[ci] {
 			seen := map[string]bool{}
 			for _, v := range res.Violations {
-				if v.T >= attackOnset && !seen[v.AssertionID] {
+				if v.T >= attacks.DefaultOnset && !seen[v.AssertionID] {
 					seen[v.AssertionID] = true
 					hits[v.AssertionID]++
 				}
@@ -74,7 +74,7 @@ func Table2DetectionLatency(o Options) (*Table, error) {
 		return nil, err
 	}
 	for ci, class := range classes {
-		ds := detections(outs[ci], attackOnset)
+		ds := detections(outs[ci], attacks.DefaultOnset)
 		r := metrics.Aggregate(ds)
 		t.Rows = append(t.Rows, []string{
 			string(class), firstDetector(ds),
@@ -107,7 +107,7 @@ func Table3DetectionRates(o Options) (*Table, error) {
 		return nil, err
 	}
 	for ci, class := range classes {
-		onset := attackOnset
+		onset := attacks.DefaultOnset
 		if class == attacks.ClassNone {
 			onset = -1
 		}

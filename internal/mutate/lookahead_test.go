@@ -40,11 +40,12 @@ func TestLookaheadSkipShiftsStanley(t *testing.T) {
 			plain := pristine.Steer(est, &ref, 0.05)
 
 			// The shifted front-axle projection, computed globally: a
-			// circle has one nearest point.
+			// circle has one nearest point. The cross-track term is the
+			// pristine command less its unshifted heading term.
 			front := est.Pose.Pos.Add(est.Pose.Forward().Scale(params.Wheelbase))
-			sf, ctef := path.Project(front)
-			want := geom.AngleDiff(path.HeadingAt(sf+param), est.Pose.Heading) +
-				math.Atan2(pristine.Gain*-ctef, est.Speed+pristine.Soft)
+			sf, _ := path.Project(front)
+			cross := plain - geom.AngleDiff(path.HeadingAt(sf), est.Pose.Heading)
+			want := geom.AngleDiff(path.HeadingAt(sf+param), est.Pose.Heading) + cross
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("param %g step %d: steer %.12f, want %.12f (shifted front axle)", param, i, got, want)
 			}

@@ -9,6 +9,7 @@ import (
 	"adassure/internal/core"
 	"adassure/internal/sim"
 	"adassure/internal/track"
+	"adassure/internal/vehicle"
 )
 
 // record runs one attacked simulation with frame recording enabled.
@@ -167,7 +168,7 @@ func TestSlice(t *testing.T) {
 
 func TestMonitorWithCustomSet(t *testing.T) {
 	r := record(t, attacks.ClassStepSpoof)
-	lim := core.DefaultLimits(8, 2.5, 2, 0.55, 0.8, 2.8)
+	lim := core.DefaultLimits(vehicle.ShuttleParams())
 	m := core.NewMonitor().Add(core.A1PositionJump(lim, 1), core.Debounce{K: 1, N: 1})
 	vs := r.MonitorWith(m)
 	if len(vs) == 0 {

@@ -234,26 +234,26 @@ func (sp *SpeedProfile) TargetAt(s float64) float64 {
 // by projecting into a bounded window around the previous position. On
 // self-intersecting routes (figure-eight) the globally nearest point can
 // belong to the other branch; the windowed projection sticks to the branch
-// being driven. A result farther than MaxLat from the path, or at or past
-// an edge of the window, falls back to a global projection (the vehicle —
-// or its spoofed or replayed estimate — genuinely jumped).
+// being driven. A result farther than followMaxLat from the path, or at or
+// past an edge of the window, falls back to a global projection (the
+// vehicle — or its spoofed or replayed estimate — genuinely jumped).
 type Follower struct {
-	path geom.Path
-	// Back/Ahead bound the search window relative to the last position.
-	Back, Ahead float64
-	// MaxLat is the lateral offset beyond which the follower re-acquires
-	// globally.
-	MaxLat float64
-	lastS  float64
-	init   bool
+	path  geom.Path
+	lastS float64
+	init  bool
 }
+
+// The follower's window geometry in metres: the search window reaches
+// followBack behind and followAhead ahead of the last position, and a
+// lateral offset beyond followMaxLat re-acquires globally.
+const followBack, followAhead, followMaxLat = 15, 25, 8
 
 // NewFollower builds a follower with standard window geometry.
 func NewFollower(path geom.Path) (*Follower, error) {
 	if path == nil {
 		return nil, fmt.Errorf("planner: nil path")
 	}
-	return &Follower{path: path, Back: 15, Ahead: 25, MaxLat: 8}, nil
+	return &Follower{path: path}, nil
 }
 
 // Project returns the continuous arc position and lateral offset of q.
@@ -263,8 +263,8 @@ func (f *Follower) Project(q geom.Vec2) (s, lateral float64) {
 		f.lastS, f.init = s, true
 		return s, lateral
 	}
-	s, lateral = f.path.ProjectRange(q, f.lastS-f.Back, f.lastS+f.Ahead)
-	if math.Abs(lateral) > f.MaxLat || f.atEdge(s) {
+	s, lateral = f.path.ProjectRange(q, f.lastS-followBack, f.lastS+followAhead)
+	if math.Abs(lateral) > followMaxLat || f.atEdge(s) {
 		// Teleport (attack or recovery): re-acquire globally.
 		s, lateral = f.path.Project(q)
 	}
@@ -285,7 +285,7 @@ func (f *Follower) atEdge(s float64) bool {
 			d += L
 		}
 	}
-	return d <= -f.Back || d >= f.Ahead
+	return d <= -followBack || d >= followAhead
 }
 
 // Progress tracks how far along a route the vehicle has travelled,

@@ -255,9 +255,9 @@ func TestFollowerReacquiresAfterTeleport(t *testing.T) {
 }
 
 // TestFollowerReacquiresAfterJumpBack covers a replayed fix: the estimate
-// jumps further back than the window's Back edge but stays well inside
-// MaxLat, so the windowed answer is the back edge and the follower must
-// re-acquire globally. On the closed loop the jump crosses the seam.
+// jumps further back than the window's back edge but stays well inside
+// followMaxLat, so the windowed answer is the back edge and the follower
+// must re-acquire globally. On the closed loop the jump crosses the seam.
 func TestFollowerReacquiresAfterJumpBack(t *testing.T) {
 	straight, err := track.Straight(200, 6)
 	if err != nil {

@@ -29,9 +29,10 @@ type Input struct {
 	// AttackOnset marks the ground-truth onset for latency reporting;
 	// negative when unknown/clean.
 	AttackOnset float64
-	// MaxTimelineRows bounds the violation listing (default 25).
-	MaxTimelineRows int
 }
+
+// maxTimelineRows bounds the violation listing.
+const maxTimelineRows = 25
 
 // Write renders the report as Markdown.
 func Write(w io.Writer, in Input) error {
@@ -40,9 +41,6 @@ func Write(w io.Writer, in Input) error {
 	}
 	if in.Title == "" {
 		in.Title = "ADAssure run report"
-	}
-	if in.MaxTimelineRows <= 0 {
-		in.MaxTimelineRows = 25
 	}
 	var b strings.Builder
 
@@ -101,8 +99,8 @@ func Write(w io.Writer, in Input) error {
 	} else {
 		b.WriteString("| t (s) | id | assertion | severity | duration (s) | key evidence |\n|---|---|---|---|---|---|\n")
 		shown := in.Violations
-		if len(shown) > in.MaxTimelineRows {
-			shown = shown[:in.MaxTimelineRows]
+		if len(shown) > maxTimelineRows {
+			shown = shown[:maxTimelineRows]
 		}
 		for _, v := range shown {
 			dur := "open"
@@ -112,8 +110,8 @@ func Write(w io.Writer, in Input) error {
 			fmt.Fprintf(&b, "| %.2f | %s | %s | %s | %s | %s |\n",
 				v.T, v.AssertionID, v.Name, v.Severity, dur, evidenceSummary(v.Evidence))
 		}
-		if len(in.Violations) > in.MaxTimelineRows {
-			fmt.Fprintf(&b, "\n… %d further episodes omitted.\n", len(in.Violations)-in.MaxTimelineRows)
+		if len(in.Violations) > maxTimelineRows {
+			fmt.Fprintf(&b, "\n… %d further episodes omitted.\n", len(in.Violations)-maxTimelineRows)
 		}
 		b.WriteString("\n")
 	}

@@ -99,14 +99,14 @@ func TestWriteValidation(t *testing.T) {
 func TestTimelineTruncation(t *testing.T) {
 	res, _ := attackedRun(t)
 	var many []core.Violation
-	for i := 0; i < 40; i++ {
+	for i := 0; i < maxTimelineRows+15; i++ {
 		many = append(many, core.Violation{AssertionID: "A1", Name: "position-jump", T: float64(i), Duration: 0.1})
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, Input{Result: res, Violations: many, AttackOnset: -1, MaxTimelineRows: 10}); err != nil {
+	if err := Write(&buf, Input{Result: res, Violations: many, AttackOnset: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "30 further episodes omitted") {
+	if !strings.Contains(buf.String(), "15 further episodes omitted") {
 		t.Error("long timeline not truncated")
 	}
 }

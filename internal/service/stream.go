@@ -36,9 +36,6 @@ type StreamLimits struct {
 	// request does not set one (0 = stream default off; the request query
 	// can override). Default 200; negative = off.
 	Heartbeat int
-	// RingSize is the per-session flight-recorder capacity (0 = stream
-	// default).
-	RingSize int
 }
 
 func (l *StreamLimits) defaults() {
@@ -200,7 +197,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			IncludeGroundTruth: true,
 		},
 		Assertions:  params.assertions,
-		RingSize:    limits.RingSize,
 		Heartbeat:   max(params.heartbeat, 0),
 		ErrorBudget: limits.ErrorBudget,
 		Obs:         s.reg,

@@ -20,9 +20,7 @@ func TestControllerWeaknessDiagnosedWithoutAttack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sedan := vehicle.SedanParams()
-	lim := core.DefaultLimits(sedan.MaxSpeed, sedan.MaxLatAccel, sedan.MaxJerk,
-		sedan.MaxSteer, sedan.MaxSteerRate, sedan.Wheelbase)
-	mon := core.NewCatalogMonitor(core.CatalogConfig{Limits: lim, IncludeGroundTruth: true})
+	mon := core.NewCatalogMonitor(core.CatalogConfig{Limits: core.DefaultLimits(sedan), IncludeGroundTruth: true})
 	res, err := Run(Config{
 		Track: tr, Controller: "stanley", Vehicle: sedan,
 		Seed: 1, Duration: 60, Monitor: mon,

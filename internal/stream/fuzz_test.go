@@ -38,7 +38,6 @@ func FuzzStreamNDJSON(f *testing.F) {
 		s, err := stream.New(stream.Config{
 			ErrorBudget: 3,
 			Heartbeat:   2,
-			RingSize:    8,
 			Sink: func(e stream.Event) {
 				events = append(events, e)
 				if _, err := json.Marshal(e); err != nil {
@@ -86,7 +85,7 @@ func FuzzStreamNDJSON(f *testing.F) {
 		// The Consume path must agree with line-at-a-time ingestion
 		// whenever it can read the whole input (over-long lines abort the
 		// scanner early, which the per-line path cannot observe).
-		s2, err := stream.New(stream.Config{ErrorBudget: 3, Heartbeat: 2, RingSize: 8})
+		s2, err := stream.New(stream.Config{ErrorBudget: 3, Heartbeat: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

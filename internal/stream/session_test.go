@@ -184,32 +184,6 @@ func TestHeartbeatCadence(t *testing.T) {
 	}
 }
 
-func TestRecentFramesRingWraps(t *testing.T) {
-	s := newSession(t, stream.Config{RingSize: 4})
-	for k := int64(0); k < 2; k++ {
-		if err := s.Ingest(cruiseFrame(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.RecentFrames(); len(got) != 2 || got[0].T != 0 || got[1].T != cruiseFrame(1).T {
-		t.Fatalf("partial ring = %v frames", len(got))
-	}
-	for k := int64(2); k < 7; k++ {
-		if err := s.Ingest(cruiseFrame(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.RecentFrames()
-	if len(got) != 4 {
-		t.Fatalf("wrapped ring holds %d frames, want 4", len(got))
-	}
-	for i, f := range got {
-		if want := cruiseFrame(int64(3 + i)).T; f.T != want {
-			t.Fatalf("ring[%d].T = %g, want %g", i, f.T, want)
-		}
-	}
-}
-
 func TestCloseIsIdempotentAndFinal(t *testing.T) {
 	var closes int
 	s := newSession(t, stream.Config{Sink: func(e stream.Event) {

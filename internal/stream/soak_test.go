@@ -10,9 +10,8 @@ import (
 )
 
 // TestSessionSoakConcurrentStats soaks one session with the equivalent of
-// a multi-minute drive replayed at high acceleration — far more frames
-// than the flight-recorder ring holds — while two goroutines hammer
-// Stats() the whole time. Run under -race this proves the concurrent-read
+// a multi-minute drive replayed at high acceleration while two goroutines
+// hammer Stats() the whole time. Run under -race this proves the concurrent-read
 // contract; the ReadMemStats ceiling proves memory stays bounded no
 // matter how long the stream runs (the "unbounded stream, bounded
 // memory" half of the package contract).
@@ -25,7 +24,6 @@ func TestSessionSoakConcurrentStats(t *testing.T) {
 	var heartbeats atomic.Int64
 	s, err := stream.New(stream.Config{
 		Heartbeat: 1000,
-		RingSize:  256,
 		Sink: func(e stream.Event) {
 			if e.Kind == stream.EventHeartbeat {
 				heartbeats.Add(1)
@@ -87,10 +85,10 @@ func TestSessionSoakConcurrentStats(t *testing.T) {
 	if polls.Load() == 0 {
 		t.Fatal("stats pollers never ran")
 	}
-	// The session's live state is the ring (256 frames ≈ 100 KiB) plus
-	// O(assertions) bookkeeping. Allow generous slack for heap noise from
-	// the pollers and GC bookkeeping; 60k ingested frames would occupy
-	// tens of MiB if the session were buffering them.
+	// The session's live state is O(assertions) bookkeeping. Allow
+	// generous slack for heap noise from the pollers and GC bookkeeping;
+	// 60k ingested frames would occupy tens of MiB if the session were
+	// buffering them.
 	const ceiling = 8 << 20
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > ceiling {
 		t.Fatalf("heap grew %d bytes over %d frames, want < %d — session is buffering the stream",
@@ -100,8 +98,8 @@ func TestSessionSoakConcurrentStats(t *testing.T) {
 
 // TestSessionIngestAllocs pins the zero-allocation steady-state ingest
 // contract: once warmed up, pushing a clean frame through the session —
-// ring write, monitor step across the full catalog, stats update —
-// allocates nothing. Setup and warm-up cost is excluded by differencing
+// monitor step across the full catalog, stats update — allocates
+// nothing. Setup and warm-up cost is excluded by differencing
 // two run lengths, the same idiom the sim hot-path test uses.
 func TestSessionIngestAllocs(t *testing.T) {
 	if testing.Short() {

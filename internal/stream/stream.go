@@ -11,9 +11,8 @@
 // streaming is a delivery mechanism, never a different answer. The
 // carve-out making that possible: the monitor's violation record is the
 // analysis product and is retained in full (it grows with violations, not
-// with frames); everything per-frame — the debounce windows, the
-// incremental signature, the flight-recorder ring of recent raw frames —
-// is fixed-size.
+// with frames); everything per-frame — the debounce windows and the
+// incremental signature — is fixed-size.
 //
 // A session is single-writer: Ingest/IngestLine/Consume/Close must be
 // called from one goroutine. Stats is safe to call concurrently with
@@ -35,11 +34,9 @@ import (
 	"adassure/internal/obs"
 )
 
-// Defaults.
-const (
-	DefaultRingSize    = 256
-	DefaultErrorBudget = 10
-)
+// DefaultErrorBudget is the malformed-line tolerance of a Config that
+// sets none.
+const DefaultErrorBudget = 10
 
 // Config parameterises a streaming session.
 type Config struct {
@@ -48,9 +45,6 @@ type Config struct {
 	// Assertions restricts the catalog to a subset of IDs; empty loads
 	// the full catalog.
 	Assertions []string
-	// RingSize is the flight-recorder capacity in frames (the most recent
-	// raw frames kept for forensic inspection). 0 means DefaultRingSize.
-	RingSize int
 	// Heartbeat emits a heartbeat event every N ingested frames; 0
 	// disables heartbeats.
 	Heartbeat int
@@ -92,7 +86,6 @@ type Session struct {
 	mon *core.Monitor
 	sig *diagnosis.RunningSignature
 
-	ring   []core.Frame
 	budget int
 	seq    int64
 	lastT  float64
@@ -117,9 +110,6 @@ func New(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
 	budget := cfg.ErrorBudget
 	switch {
 	case budget == 0:
@@ -131,7 +121,6 @@ func New(cfg Config) (*Session, error) {
 		cfg:    cfg,
 		mon:    mon,
 		sig:    diagnosis.NewRunningSignature(),
-		ring:   make([]core.Frame, cfg.RingSize),
 		budget: budget,
 	}
 	mon.Attach(cfg.Obs)
@@ -198,7 +187,6 @@ func (s *Session) Ingest(f core.Frame) error {
 	s.lastTBits.Store(math.Float64bits(f.T))
 	n := s.frames.Add(1)
 	s.framesCtr.Inc()
-	s.ring[int((n-1)%int64(len(s.ring)))] = f
 	s.mon.Step(f) // episode hooks fire in here
 	if hb := s.cfg.Heartbeat; hb > 0 && n%int64(hb) == 0 {
 		s.emit(Event{
@@ -334,23 +322,6 @@ func (s *Session) Violations() []core.Violation { return s.mon.Violations() }
 // Diagnose returns the rolling root-cause ranking — identical to batch
 // diagnosis over the current violation record. Ingest goroutine only.
 func (s *Session) Diagnose() []diagnosis.Hypothesis { return s.sig.Diagnose() }
-
-// RecentFrames copies the flight recorder: the last min(ingested,
-// RingSize) accepted frames in arrival order. Ingest goroutine only.
-func (s *Session) RecentFrames() []core.Frame {
-	n := s.frames.Load()
-	size := int64(len(s.ring))
-	if n < size {
-		out := make([]core.Frame, n)
-		copy(out, s.ring[:n])
-		return out
-	}
-	out := make([]core.Frame, size)
-	start := int(n % size)
-	copy(out, s.ring[start:])
-	copy(out[int(size)-start:], s.ring[:start])
-	return out
-}
 
 // isBlank reports whether the line is empty or all ASCII whitespace.
 func isBlank(line []byte) bool {

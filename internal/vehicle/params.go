@@ -56,8 +56,10 @@ func ShuttleParams() Params {
 	}
 }
 
-// SedanParams returns a faster passenger-car parameter set used by the
-// controller-comparison experiments to expose speed-dependent weaknesses.
+// SedanParams returns a faster passenger-car parameter set. No experiment
+// drives it (T5 compares the controllers on the shuttle); tests use it as
+// a second platform, and sim's weakness test to expose a speed-dependent
+// controller weakness.
 func SedanParams() Params {
 	return Params{
 		Wheelbase:         2.7,
