@@ -526,7 +526,7 @@ func (s Scenario) Canonicalize() (Scenario, error) {
 		s.Seed = 1
 	}
 	if s.Duration == 0 {
-		s.Duration = 70
+		s.Duration = attacks.ScenarioDuration
 	}
 	if s.SpeedLimit == 0 {
 		s.SpeedLimit = track.DefaultSpeedLimit
@@ -706,19 +706,16 @@ type BatchOptions struct {
 	// timelines stay distinct on the shared recorder. The recorder is
 	// goroutine-safe.
 	Events *EventRecorder
-	// Progress, when non-nil, receives (done, total) after each scenario.
-	Progress func(done, total int)
 }
 
 // RunScenarioBatch is RunScenarios with explicit options — use it to attach
-// a metrics Registry or a progress callback to the batch.
+// a metrics Registry or an event recorder to the batch.
 func RunScenarioBatch(opts BatchOptions, scenarios []Scenario) ([]*ScenarioResult, error) {
 	return runner.Map(runner.Options{
-		Workers:    opts.Workers,
-		Context:    opts.Context,
-		OnProgress: opts.Progress,
-		Obs:        opts.Obs,
-		Events:     opts.Events,
+		Workers: opts.Workers,
+		Context: opts.Context,
+		Obs:     opts.Obs,
+		Events:  opts.Events,
 	}, scenarios,
 		func(ctx context.Context, i int, s Scenario) (*ScenarioResult, error) {
 			if s.Obs == nil {
@@ -808,7 +805,12 @@ type (
 	MutantKind = mutate.Kind
 	// MutantScore aggregates one mutant's outcome across the campaign grid.
 	MutantScore = mutate.MutantScore
-	// MutationConfig describes one mutation campaign.
+	// CampaignConfig is the base MutationConfig and SearchConfig embed:
+	// controller, tracks, seed and run length, plus the pool size,
+	// observers and cancellation.
+	CampaignConfig = mutate.Campaign
+	// MutationConfig describes one mutation campaign: a CampaignConfig and
+	// the mutant grid.
 	MutationConfig = mutate.Config
 	// MutationReport is a campaign outcome: kill matrix, per-mutant
 	// detection latency and the ranked surviving-mutant list.
@@ -843,7 +845,8 @@ type (
 	// SearchWindow is a half-open [Start, End) activation window in
 	// simulated seconds.
 	SearchWindow = search.Window
-	// SearchConfig describes one adversarial-search campaign.
+	// SearchConfig describes one adversarial-search campaign: a
+	// CampaignConfig and the search space, catalog subset, mode and budget.
 	SearchConfig = search.Config
 	// SearchReport is a campaign outcome: the evasion frontier with one
 	// point (and minimality certificate) per track × channel.

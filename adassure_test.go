@@ -314,9 +314,8 @@ func TestWriteComparisonReportPublicAPI(t *testing.T) {
 
 func TestRunMutationCampaignFacade(t *testing.T) {
 	rep, err := RunMutationCampaign(MutationConfig{
-		Tracks:   []string{"urban-loop"},
+		Campaign: CampaignConfig{Tracks: []string{"urban-loop"}, Duration: 20},
 		Mutants:  []MutantSpec{{Op: "identity"}, {Op: "ctrl-gain-flip"}},
-		Duration: 20,
 	})
 	if err != nil {
 		t.Fatal(err)

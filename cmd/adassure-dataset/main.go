@@ -53,7 +53,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	var (
 		seeds      = fs.Int("seeds", 5, "seeds per class")
 		controller = fs.String("controller", "pure-pursuit", "lateral controller")
-		duration   = fs.Float64("duration", 70, "run duration (s)")
+		duration   = fs.Float64("duration", attacks.ScenarioDuration, "run duration (s)")
 		onset      = fs.Float64("onset", attacks.DefaultOnset, "attack onset (s)")
 		end        = fs.Float64("end", attacks.DefaultEnd, "attack end (s)")
 		workers    = fs.Int("workers", 0, "parallel simulation workers (default GOMAXPROCS; 1 = sequential)")

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -45,15 +44,8 @@ func fatalf(format string, args ...any) {
 
 // parseMutants turns "op,op=param,..." into canonical specs.
 func parseMutants(s string) ([]adassure.MutantSpec, error) {
-	if s == "" {
-		return nil, nil
-	}
 	var specs []adassure.MutantSpec
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
+	for _, item := range cli.SplitCSV(s) {
 		spec := adassure.MutantSpec{Op: item}
 		if op, val, ok := strings.Cut(item, "="); ok {
 			p, err := strconv.ParseFloat(val, 64)
@@ -67,41 +59,11 @@ func parseMutants(s string) ([]adassure.MutantSpec, error) {
 	return specs, nil
 }
 
-// parseTracks splits the CSV track list.
-func parseTracks(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, t := range strings.Split(s, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // renderMatrix prints the kill matrix as an aligned table: one row per
 // mutant, an X per killing assertion, plus the aggregate columns.
 func renderMatrix(w io.Writer, rep *adassure.MutationReport) {
-	headers := append(append([]string{"mutant", "kind"}, rep.Assertions...), "killed", "first", "latency (s)", "max |cte| (m)")
-	rows := [][]string{headers}
-	for _, s := range rep.Scores {
-		row := []string{s.Mutant, string(s.Kind)}
-		for _, id := range rep.Assertions {
-			cell := "."
-			if rep.Killed(s.Mutant, id) {
-				cell = "X"
-			}
-			row = append(row, cell)
-		}
-		killed, first, latency := "no", "-", "-"
-		if s.Killed {
-			killed, first = "yes", s.FirstKill
-			latency = strconv.FormatFloat(s.Latency, 'f', 2, 64)
-		}
-		rows = append(rows, append(row, killed, first, latency, strconv.FormatFloat(s.MaxTrueCTE, 'f', 2, 64)))
-	}
+	headers, body := rep.KillMatrix()
+	rows := append([][]string{headers}, body...)
 	widths := make([]int, len(headers))
 	for _, row := range rows {
 		for i, cell := range row {
@@ -128,17 +90,10 @@ func renderMatrix(w io.Writer, rep *adassure.MutationReport) {
 }
 
 func main() {
+	campaign := cli.RegisterCampaign(flag.CommandLine)
 	var (
-		controller = flag.String("controller", "pure-pursuit", "lateral controller under test")
-		tracksCSV  = flag.String("tracks", "", "comma-separated route names (default urban-loop,hairpin)")
 		mutantsCSV = flag.String("mutants", "", "comma-separated mutants, op or op=param (default: full catalog; see -ops)")
 		listOps    = flag.Bool("ops", false, "list the mutation operators and exit")
-		seed       = flag.Int64("seed", 1, "seed for all stochastic components")
-		duration   = flag.Float64("duration", 60, "simulated seconds per run")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "campaign pool size")
-		jsonOut    = flag.String("json", "", "write the report as JSON to this file (\"-\" = stdout)")
-		metricsOut = flag.String("metrics", "", "write a JSON runtime-metrics snapshot to this file")
-		eventsOut  = flag.String("events", "", "write the structured event timeline as JSON to this file")
 	)
 	flag.Parse()
 
@@ -153,31 +108,17 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var reg *adassure.Registry
-	if *metricsOut != "" {
-		reg = adassure.NewRegistry()
-	}
-	var rec *adassure.EventRecorder
-	if *eventsOut != "" {
-		rec = adassure.NewEventRecorder(0)
-	}
 
 	start := time.Now()
 	rep, err := adassure.RunMutationCampaign(adassure.MutationConfig{
-		Controller: *controller,
-		Tracks:     parseTracks(*tracksCSV),
-		Mutants:    mutants,
-		Seed:       *seed,
-		Duration:   *duration,
-		Workers:    *workers,
-		Obs:        reg,
-		Events:     rec,
+		Campaign: campaign.Base(),
+		Mutants:  mutants,
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
 
-	if *jsonOut == "-" {
+	if campaign.JSONToStdout() {
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			fatalf("write report: %v", err)
 		}
@@ -189,21 +130,7 @@ func main() {
 		fmt.Printf("\n(%d mutants × %d tracks scored in %.1fs)\n",
 			len(rep.Scores), len(rep.Tracks), time.Since(start).Seconds())
 	}
-
-	report := *jsonOut
-	if report == "-" {
-		report = "" // already written to stdout
-	}
-	for _, f := range []struct {
-		path, what string
-		fn         func(io.Writer) error
-	}{
-		{report, "report", rep.WriteJSON},
-		{*metricsOut, "metrics", reg.WriteJSON},
-		{*eventsOut, "events", rec.WriteJSON},
-	} {
-		if err := cli.Write(os.Stderr, f.path, f.what, f.fn); err != nil {
-			fatalf("%v", err)
-		}
+	if err := campaign.WriteFiles(os.Stderr, rep.WriteJSON); err != nil {
+		fatalf("%v", err)
 	}
 }

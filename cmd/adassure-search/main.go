@@ -28,9 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -46,15 +44,8 @@ func fatalf(format string, args ...any) {
 
 // parseChannels turns "op,op=min:max,..." into channel specs.
 func parseChannels(s string) ([]adassure.SearchSpec, error) {
-	if s == "" {
-		return nil, nil
-	}
 	var specs []adassure.SearchSpec
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
+	for _, item := range cli.SplitCSV(s) {
 		spec := adassure.SearchSpec{Op: item}
 		if op, bounds, ok := strings.Cut(item, "="); ok {
 			lo, hi, ok := strings.Cut(bounds, ":")
@@ -76,35 +67,14 @@ func parseChannels(s string) ([]adassure.SearchSpec, error) {
 	return specs, nil
 }
 
-// parseCSV splits a comma-separated list, dropping empty items.
-func parseCSV(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, t := range strings.Split(s, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 func main() {
+	campaign := cli.RegisterCampaign(flag.CommandLine)
 	var (
-		controller  = flag.String("controller", "pure-pursuit", "lateral controller under test")
-		tracksCSV   = flag.String("tracks", "", "comma-separated route names (default urban-loop,hairpin)")
 		channelsCSV = flag.String("channels", "", "comma-separated channels, op or op=min:max (default: monotone channel set; see -ops)")
 		assertsCSV  = flag.String("assertions", "", "comma-separated assertion IDs to restrict the catalog (default: full catalog)")
 		listOps     = flag.Bool("ops", false, "list the default search channels and exit")
 		mode        = flag.String("mode", "descent", "search mode: descent or cem")
-		seed        = flag.Int64("seed", 1, "seed for all stochastic components")
 		budget      = flag.Int("budget", 0, "oracle evaluations per track × channel (descent) or per track (cem); 0 = mode default")
-		duration    = flag.Float64("duration", 60, "simulated seconds per probe run")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "probe pool size")
-		jsonOut     = flag.String("json", "", "write the report as JSON to this file (\"-\" = stdout)")
-		metricsOut  = flag.String("metrics", "", "write a JSON runtime-metrics snapshot to this file")
-		eventsOut   = flag.String("events", "", "write the structured event timeline as JSON to this file")
 	)
 	flag.Parse()
 
@@ -123,34 +93,20 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var reg *adassure.Registry
-	if *metricsOut != "" {
-		reg = adassure.NewRegistry()
-	}
-	var rec *adassure.EventRecorder
-	if *eventsOut != "" {
-		rec = adassure.NewEventRecorder(0)
-	}
 
 	start := time.Now()
 	rep, err := adassure.RunSearch(adassure.SearchConfig{
-		Controller: *controller,
-		Tracks:     parseCSV(*tracksCSV),
+		Campaign:   campaign.Base(),
 		Channels:   channels,
-		Assertions: parseCSV(*assertsCSV),
+		Assertions: cli.SplitCSV(*assertsCSV),
 		Mode:       *mode,
-		Seed:       *seed,
 		Budget:     *budget,
-		Duration:   *duration,
-		Workers:    *workers,
-		Obs:        reg,
-		Events:     rec,
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
 
-	if *jsonOut == "-" {
+	if campaign.JSONToStdout() {
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			fatalf("write report: %v", err)
 		}
@@ -161,21 +117,7 @@ func main() {
 		fmt.Printf("\n(%d frontier points, %d probe runs in %.1fs)\n",
 			len(rep.Frontier), rep.TotalEvals, time.Since(start).Seconds())
 	}
-
-	report := *jsonOut
-	if report == "-" {
-		report = "" // already written to stdout
-	}
-	for _, f := range []struct {
-		path, what string
-		fn         func(io.Writer) error
-	}{
-		{report, "report", rep.WriteJSON},
-		{*metricsOut, "metrics", reg.WriteJSON},
-		{*eventsOut, "events", rec.WriteJSON},
-	} {
-		if err := cli.Write(os.Stderr, f.path, f.what, f.fn); err != nil {
-			fatalf("%v", err)
-		}
+	if err := campaign.WriteFiles(os.Stderr, rep.WriteJSON); err != nil {
+		fatalf("%v", err)
 	}
 }

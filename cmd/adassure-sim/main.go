@@ -78,7 +78,7 @@ func main() {
 		controller = flag.String("controller", "pure-pursuit", "lateral controller: "+strings.Join(adassure.Names().Controllers, "|"))
 		attack     = flag.String("attack", "none", "attack class (see adassure.AttackNames) or none")
 		seed       = flag.Int64("seed", 1, "random seed")
-		duration   = flag.Float64("duration", 70, "simulated seconds")
+		duration   = flag.Float64("duration", attacks.ScenarioDuration, "simulated seconds")
 		onset      = flag.Float64("attack-start", attacks.DefaultOnset, "attack onset (s)")
 		end        = flag.Float64("attack-end", attacks.DefaultEnd, "attack end (s)")
 		speedLimit = flag.Float64("speed-limit", track.DefaultSpeedLimit, "route speed limit (m/s)")

@@ -46,6 +46,11 @@ type Window struct {
 // a scenario that names none gets, and the one every experiment grid runs.
 const DefaultOnset, DefaultEnd = 20.0, 50.0
 
+// ScenarioDuration is the run length (s) of a scenario that names none and
+// of every experiment grid outside quick mode: the default window and
+// 20 s of recovery after it.
+const ScenarioDuration = 70.0
+
 // Contains reports whether t falls inside the window.
 func (w Window) Contains(t float64) bool {
 	if t < w.Start {

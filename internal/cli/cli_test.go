@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,5 +119,38 @@ func TestWriteReportsStreamError(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("printed %q", out.String())
+	}
+}
+
+// TestCampaignFlags: the campaign flags build the base they name, with a
+// registry and a recorder only when -metrics and -events ask for them,
+// and WriteFiles writes each named file, skipping a report already sent
+// to stdout.
+func TestCampaignFlags(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.json")
+	fset := flag.NewFlagSet("cli-test", flag.ContinueOnError)
+	c := RegisterCampaign(fset)
+	if err := fset.Parse([]string{"-tracks", " urban-loop,,hairpin ", "-seed", "7", "-json", "-", "-metrics", metrics}); err != nil {
+		t.Fatal(err)
+	}
+	base := c.Base()
+	if base.Controller != "pure-pursuit" || base.Seed != 7 || base.Duration != 60 ||
+		!slices.Equal(base.Tracks, []string{"urban-loop", "hairpin"}) {
+		t.Errorf("base = %+v", base)
+	}
+	if base.Obs == nil || base.Events != nil {
+		t.Errorf("-metrics alone built registry %v, recorder %v", base.Obs, base.Events)
+	}
+	if !c.JSONToStdout() {
+		t.Error("-json - does not ask for stdout")
+	}
+	var out bytes.Buffer
+	report := func(io.Writer) error { t.Error("report written to a file after going to stdout"); return nil }
+	if err := c.WriteFiles(&out, report); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := out.String(), "metrics written to "+metrics+"\n"; got != want {
+		t.Errorf("WriteFiles printed %q, want %q", got, want)
 	}
 }

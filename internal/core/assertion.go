@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -462,17 +461,19 @@ func (m *Monitor) NumViolations() int { return len(m.violations) }
 // without allocating a snapshot.
 func (m *Monitor) ViolationAt(i int) Violation { return m.violations[i] }
 
-// FiredIDs returns the sorted set of assertion IDs with ≥1 violation.
+// FiredIDs returns the IDs of the assertions with ≥1 violation in
+// registration order, which for a catalog monitor is catalog order.
 func (m *Monitor) FiredIDs() []string {
 	set := map[string]bool{}
 	for _, v := range m.violations {
 		set[v.AssertionID] = true
 	}
 	ids := make([]string, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
+	for _, e := range m.entries {
+		if set[e.a.ID()] {
+			ids = append(ids, e.a.ID())
+		}
 	}
-	sort.Strings(ids)
 	return ids
 }
 

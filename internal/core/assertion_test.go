@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +256,24 @@ func TestFirstViolationQueries(t *testing.T) {
 	ids := m.FiredIDs()
 	if len(ids) != 2 || ids[0] != "T1" || ids[1] != "T3" {
 		t.Errorf("FiredIDs = %v", ids)
+	}
+}
+
+// TestFiredIDsRegistrationOrder: FiredIDs lists fired assertions in the
+// order they were registered, neither in string order (A10 < A2) nor in
+// the order their violations were raised.
+func TestFiredIDsRegistrationOrder(t *testing.T) {
+	m := NewMonitor().
+		Add(Bound("A2", "speed", "speed", Warning, func(f *Frame) (float64, bool) { return f.EstSpeed, true }, 0, 4), Debounce{K: 1, N: 1}).
+		Add(Bound("A10", "cte", "cte", Warning, func(f *Frame) (float64, bool) { return f.CTE, true }, -1, 1), Debounce{K: 1, N: 1})
+	f := frameAt(0)
+	f.EstSpeed, f.CTE = 1, 5 // A10 fails first
+	m.Step(f)
+	f = frameAt(1)
+	f.EstSpeed = 5 // then A2
+	m.Step(f)
+	if got := m.FiredIDs(); !slices.Equal(got, []string{"A2", "A10"}) {
+		t.Errorf("FiredIDs = %v, want [A2 A10]", got)
 	}
 }
 

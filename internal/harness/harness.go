@@ -103,10 +103,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0)). Every experiment produces identical output
 	// for any value, including 1 — see internal/runner.
 	Workers int
-	// Progress, when non-nil, receives (done, total) completion counts
-	// for each scenario batch an experiment fans out (an experiment may
-	// run several batches, so the count restarts per batch).
-	Progress func(done, total int)
 	// Obs, when non-nil, aggregates runtime metrics across every scenario
 	// an experiment runs: runner job stats, sim step histograms and the
 	// per-assertion monitoring cost (see internal/obs). Metrics never feed
@@ -152,7 +148,7 @@ func (o Options) duration() float64 {
 	if o.Quick {
 		return 55
 	}
-	return 70
+	return attacks.ScenarioDuration
 }
 
 // gridCell is one scenario of an experiment grid: exactly the fields the
@@ -253,7 +249,7 @@ func run(o Options, seeds int, cells []gridCell) ([][]*sim.Result, error) {
 			jobs = append(jobs, c)
 		}
 	}
-	flat, err := runner.Map(runner.Options{Workers: o.Workers, OnProgress: o.Progress, Obs: o.Obs, Events: o.Events}, jobs,
+	flat, err := runner.Map(runner.Options{Workers: o.Workers, Obs: o.Obs, Events: o.Events}, jobs,
 		func(_ context.Context, _ int, c gridCell) (*sim.Result, error) {
 			camp, err := c.campaign()
 			if err != nil {

@@ -2,34 +2,37 @@ package harness
 
 import (
 	"fmt"
-	"strconv"
 
 	"adassure/internal/mutate"
+	"adassure/internal/sim"
 )
 
-// mutationDuration mirrors the campaign defaults used for the goldens:
-// quick mode matches the shortest duration at which every non-identity
-// controller mutant of the default grid is still killed.
-func mutationDuration(o Options) float64 {
-	if o.Quick {
-		return 40
-	}
-	return 60
-}
-
-// mutationCampaign runs the default-grid campaign behind M1 with the
-// experiment options applied.
-func mutationCampaign(o Options) (*mutate.Report, error) {
-	o.defaults()
-	return mutate.Run(mutate.Config{
+// campaign is the base of M1's and S1's campaigns: the experiment's
+// controller, pool and observers at seed 1 on the given tracks (nil: the
+// campaign default), with the campaign run length outside quick mode.
+func campaign(o Options, tracks []string, quickDuration float64) mutate.Campaign {
+	c := mutate.Campaign{
 		Controller: o.Controller,
+		Tracks:     tracks,
 		Seed:       1,
-		Duration:   mutationDuration(o),
+		Duration:   sim.DefaultDuration,
 		Workers:    o.Workers,
 		Obs:        o.Obs,
 		Events:     o.Events,
-		Progress:   o.Progress,
-	})
+	}
+	if o.Quick {
+		c.Duration = quickDuration
+	}
+	return c
+}
+
+// mutationCampaign runs the default-grid campaign behind M1 with the
+// experiment options applied. Quick mode runs 40 s, the shortest duration
+// at which every non-identity controller mutant of the default grid is
+// still killed.
+func mutationCampaign(o Options) (*mutate.Report, error) {
+	o.defaults()
+	return mutate.Run(mutate.Config{Campaign: campaign(o, nil, 40)})
 }
 
 // ExperimentM1MutationKillMatrix regenerates M1: the mutation-testing kill
@@ -44,9 +47,8 @@ func ExperimentM1MutationKillMatrix(o Options) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		ID:      "M1",
-		Title:   "Mutation kill matrix: assertion × mutant (any track, vs per-track baseline)",
-		Columns: append(append([]string{"mutant", "kind"}, rep.Assertions...), "killed", "first", "latency (s)", "max |cte| (m)"),
+		ID:    "M1",
+		Title: "Mutation kill matrix: assertion × mutant (any track, vs per-track baseline)",
 		Notes: []string{
 			fmt.Sprintf("tracks %v, %s controller, seed %d, %.0f s/run; mutants active from t=0",
 				rep.Tracks, rep.Controller, rep.Seed, rep.Duration),
@@ -55,25 +57,6 @@ func ExperimentM1MutationKillMatrix(o Options) (*Table, error) {
 			"latency = raise time of the first kill-qualifying violation across tracks",
 		},
 	}
-	for _, s := range rep.Scores {
-		row := []string{s.Mutant, string(s.Kind)}
-		for _, id := range rep.Assertions {
-			cell := "."
-			if rep.Killed(s.Mutant, id) {
-				cell = "X"
-			}
-			row = append(row, cell)
-		}
-		killed := "no"
-		first := "-"
-		latency := "-"
-		if s.Killed {
-			killed = "yes"
-			first = s.FirstKill
-			latency = strconv.FormatFloat(s.Latency, 'f', 2, 64)
-		}
-		row = append(row, killed, first, latency, strconv.FormatFloat(s.MaxTrueCTE, 'f', 2, 64))
-		t.Rows = append(t.Rows, row)
-	}
+	t.Columns, t.Rows = rep.KillMatrix()
 	return t, nil
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"adassure/internal/events"
@@ -68,23 +67,17 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelProgress checks the per-batch progress callback reaches the
-// full grid size (T1 quick: 12 classes × 1 seed).
+// TestParallelProgress checks a parallel grid runs to completion: every
+// job of T1 quick (12 classes × 1 seed) is counted by the pool.
 func TestParallelProgress(t *testing.T) {
 	o := quick()
 	o.Workers = 4
-	var last int64
-	o.Progress = func(done, total int) {
-		atomic.StoreInt64(&last, int64(done))
-		if done > total {
-			t.Errorf("progress done=%d exceeds total=%d", done, total)
-		}
-	}
+	o.Obs = obs.NewRegistry()
 	if _, err := Table1DetectionMatrix(o); err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt64(&last); got != 12 {
-		t.Errorf("final progress count = %d, want 12 (classes × seeds)", got)
+	if got := o.Obs.Counter("runner.jobs_completed").Value(); got != 12 {
+		t.Errorf("runner.jobs_completed = %d, want 12 (classes × seeds)", got)
 	}
 }
 

@@ -7,16 +7,6 @@ import (
 	"adassure/internal/search"
 )
 
-// searchDuration mirrors the campaign defaults used for the S1 golden:
-// quick mode is the shortest duration at which every default-channel
-// frontier point of the full catalog is stable.
-func searchDuration(o Options) float64 {
-	if o.Quick {
-		return 30
-	}
-	return 60
-}
-
 // searchBudget is the per-(track × channel) oracle budget of S1.
 func searchBudget(o Options) int {
 	if o.Quick {
@@ -49,21 +39,15 @@ func searchChannels() []search.Spec {
 }
 
 // searchCampaign runs one S1 search under an assertion subset (nil = full
-// catalog).
+// catalog). Quick mode runs 30 s, the shortest duration at which every
+// default-channel frontier point of the full catalog is stable.
 func searchCampaign(o Options, assertions []string) (*search.Report, error) {
 	o.defaults()
 	return search.Run(search.Config{
-		Controller: o.Controller,
-		Tracks:     searchTracks(o),
+		Campaign:   campaign(o, searchTracks(o), 30),
 		Channels:   searchChannels(),
 		Assertions: assertions,
-		Seed:       1,
 		Budget:     searchBudget(o),
-		Duration:   searchDuration(o),
-		Workers:    o.Workers,
-		Obs:        o.Obs,
-		Events:     o.Events,
-		Progress:   o.Progress,
 	})
 }
 

@@ -7,83 +7,34 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 
-	"adassure/internal/control"
-	"adassure/internal/core"
-	"adassure/internal/events"
-	"adassure/internal/obs"
 	"adassure/internal/runner"
 	"adassure/internal/sim"
-	"adassure/internal/track"
 )
 
-// Config describes one mutation campaign. The zero value of every field is
-// the campaign default.
+// Config describes one mutation campaign: the shared campaign base plus
+// the mutant grid. The zero value of every field is the campaign default.
+// Events scopes each run "<mutantID>/<track>/" ("baseline/<track>/" for
+// baselines) so each cell's violation episodes stay distinct.
 type Config struct {
-	// Controller is the lateral controller under test (default
-	// "pure-pursuit").
-	Controller string
-	// Tracks are the route names from the track catalog (default
-	// urban-loop + hairpin: one nominal route where the baseline runs
-	// clean and one demanding route that stresses marginal mutants).
-	Tracks []string
+	Campaign
 	// Mutants is the grid (default DefaultCatalog()). Duplicate canonical
 	// IDs are rejected.
 	Mutants []Spec
-	// Seed drives all stochastic components of every run (default 1).
-	Seed int64
-	// Duration is the simulated seconds per run (default 60).
-	Duration float64
-	// Workers sizes the runner pool (default GOMAXPROCS). The report is
-	// byte-identical for any value.
-	Workers int
-	// Obs, when non-nil, aggregates runtime metrics across every run of
-	// the campaign (sim.runs counts one per grid cell plus one baseline
-	// per track).
-	Obs *obs.Registry
-	// Events, when non-nil, records every run's timeline; tracks are
-	// scoped "<mutantID>/<track>/" ("baseline/<track>/" for baselines) so
-	// each cell's violation episodes stay distinct.
-	Events *events.Recorder
-	// Progress, when non-nil, receives (done, total) run counts.
-	Progress func(done, total int)
-	// Context, when non-nil, cancels the campaign early.
-	Context context.Context
 }
 
 // Canonicalize validates the config and returns it with every defaultable
-// field filled in: controller pure-pursuit, tracks urban-loop + hairpin,
-// the DefaultCatalog grid, seed 1 and 60 s per run. Controller and track
-// names must be in control.Names and track.BuiltinNames, the duration
-// in (0, sim.MaxDuration], and the mutants valid and unique by canonical ID.
-// The receiver is not modified; on error the returned config still carries
-// the defaults.
+// field filled in: the Campaign defaults and the DefaultCatalog grid. The
+// mutants must be valid and unique by canonical ID. The receiver is not
+// modified; on error the returned config still carries the defaults.
 func (c Config) Canonicalize() (Config, error) {
-	if c.Controller == "" {
-		c.Controller = "pure-pursuit"
-	}
-	if len(c.Tracks) == 0 {
-		c.Tracks = []string{"urban-loop", "hairpin"}
-	}
 	if len(c.Mutants) == 0 {
 		c.Mutants = DefaultCatalog()
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Duration == 0 {
-		c.Duration = 60
-	}
-	if !slices.Contains(control.Names(), c.Controller) {
-		return c, fmt.Errorf("mutate: unknown controller %q (have %v)", c.Controller, control.Names())
-	}
-	for _, tr := range c.Tracks {
-		if !slices.Contains(track.BuiltinNames(), tr) {
-			return c, fmt.Errorf("mutate: unknown track %q (have %v)", tr, track.BuiltinNames())
-		}
-	}
-	if !(c.Duration > 0 && c.Duration <= sim.MaxDuration) {
-		return c, fmt.Errorf("mutate: duration must be in (0, %g] s, got %g", float64(sim.MaxDuration), c.Duration)
+	var err error
+	if c.Campaign, err = c.Campaign.Canonicalize(); err != nil {
+		return c, fmt.Errorf("mutate: %w", err)
 	}
 	canon := make([]Spec, len(c.Mutants))
 	seen := map[string]bool{}
@@ -108,10 +59,11 @@ func (c Config) Canonicalize() (Config, error) {
 type CellResult struct {
 	Mutant string `json:"mutant"`
 	Track  string `json:"track"`
-	// Fired is the sorted set of assertion IDs that fired during the run.
+	// Fired is the set of assertion IDs that fired during the run, in
+	// catalog order.
 	Fired []string `json:"fired,omitempty"`
-	// Kills is Fired minus the baseline's fired set: the assertions whose
-	// firing is attributable to the mutant.
+	// Kills is Fired minus the baseline's fired set, in catalog order: the
+	// assertions whose firing is attributable to the mutant.
 	Kills []string `json:"kills,omitempty"`
 	// FirstKill is the assertion of the earliest kill-qualifying
 	// violation; Latency is its raise time (the mutant is active from
@@ -160,7 +112,7 @@ type Report struct {
 }
 
 // Run executes the campaign: one pristine baseline per track, then the
-// full mutant × track grid, fanned across the runner pool with
+// full mutant × track grid, fanned across the runner pool in one batch with
 // index-ordered collection, so the report is deterministic in Config for
 // any worker count.
 func Run(cfg Config) (*Report, error) {
@@ -168,26 +120,23 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracks := make([]*track.Track, len(cfg.Tracks))
-	for i, name := range cfg.Tracks {
-		tr, err := track.Builtin(name, track.DefaultSpeedLimit)
-		if err != nil {
-			return nil, fmt.Errorf("mutate: %w", err)
-		}
-		tracks[i] = tr
+	setup, err := cfg.Prepare(nil)
+	if err != nil {
+		return nil, fmt.Errorf("mutate: %w", err)
 	}
+	nt := len(cfg.Tracks)
 
 	// Job grid: baselines first (track order), then mutant-major.
 	type job struct {
 		mutant int // -1 = baseline
 		track  int
 	}
-	jobs := make([]job, 0, len(tracks)*(len(cfg.Mutants)+1))
-	for ti := range tracks {
+	jobs := make([]job, 0, nt*(len(cfg.Mutants)+1))
+	for ti := range nt {
 		jobs = append(jobs, job{mutant: -1, track: ti})
 	}
 	for mi := range cfg.Mutants {
-		for ti := range tracks {
+		for ti := range nt {
 			jobs = append(jobs, job{mutant: mi, track: ti})
 		}
 	}
@@ -196,22 +145,8 @@ func Run(cfg Config) (*Report, error) {
 		fired []string
 		res   *sim.Result
 	}
-	outs, err := runner.Map(runner.Options{
-		Workers:    cfg.Workers,
-		Context:    cfg.Context,
-		OnProgress: cfg.Progress,
-		Obs:        cfg.Obs,
-		Events:     cfg.Events,
-	}, jobs, func(ctx context.Context, _ int, j job) (cellOut, error) {
-		probe := Probe{
-			Track:      tracks[j.track],
-			Controller: cfg.Controller,
-			Seed:       cfg.Seed,
-			Duration:   cfg.Duration,
-			Obs:        cfg.Obs,
-			Events:     cfg.Events,
-			EventScope: "baseline/" + cfg.Tracks[j.track] + "/",
-		}
+	outs, err := runner.Map(setup.Pool(), jobs, func(ctx context.Context, _ int, j job) (cellOut, error) {
+		probe := setup.Probe(j.track, "baseline/"+cfg.Tracks[j.track]+"/")
 		if j.mutant >= 0 {
 			probe.Mutant = &cfg.Mutants[j.mutant]
 			probe.EventScope = probe.Mutant.ID() + "/" + cfg.Tracks[j.track] + "/"
@@ -223,28 +158,17 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	// Assertion catalog order for matrix columns and kill sorting.
-	assertionOrder := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true}).AssertionIDs()
-	orderIdx := make(map[string]int, len(assertionOrder))
-	for i, id := range assertionOrder {
-		orderIdx[id] = i
-	}
-
 	rep := &Report{
 		Controller: cfg.Controller,
 		Seed:       cfg.Seed,
 		Duration:   cfg.Duration,
 		Tracks:     append([]string(nil), cfg.Tracks...),
-		Assertions: assertionOrder,
+		Assertions: setup.Assertions,
 	}
-
-	baselineFired := make([]map[string]bool, len(tracks))
-	for ti := range tracks {
+	baselineFired := make([][]string, nt)
+	for ti := range nt {
 		o := outs[ti]
-		baselineFired[ti] = map[string]bool{}
-		for _, id := range o.fired {
-			baselineFired[ti][id] = true
-		}
+		baselineFired[ti] = o.fired
 		rep.Baselines = append(rep.Baselines, CellResult{
 			Mutant:     "baseline",
 			Track:      cfg.Tracks[ti],
@@ -256,6 +180,7 @@ func Run(cfg Config) (*Report, error) {
 			Finished:   o.res.Finished,
 		})
 	}
+	setup.SetBaselines(baselineFired)
 
 	killedNonIdentity, nonIdentity := 0, 0
 	for mi, spec := range cfg.Mutants {
@@ -265,30 +190,27 @@ func Run(cfg Config) (*Report, error) {
 			Latency: -1,
 		}
 		killedBy := map[string]bool{}
-		for ti := range tracks {
-			o := outs[len(tracks)+mi*len(tracks)+ti]
+		for ti := range nt {
+			o := outs[nt+mi*nt+ti]
 			cell := CellResult{
 				Mutant:     spec.ID(),
 				Track:      cfg.Tracks[ti],
 				Fired:      o.fired,
+				Kills:      setup.Kills(ti, o.fired),
 				Latency:    -1,
 				Violations: len(o.res.Violations),
 				MaxTrueCTE: o.res.MaxTrueCTE,
 				Diverged:   o.res.Diverged,
 				Finished:   o.res.Finished,
 			}
-			for _, id := range o.fired {
-				if !baselineFired[ti][id] {
-					cell.Kills = append(cell.Kills, id)
-					killedBy[id] = true
-				}
+			for _, id := range cell.Kills {
+				killedBy[id] = true
 			}
-			sortByCatalog(cell.Kills, orderIdx)
 			// Detection latency: the first violation of a kill-qualifying
 			// assertion (violations are in raise order; mutants are active
 			// from t=0, so the raise time is the latency).
 			for _, v := range o.res.Violations {
-				if !baselineFired[ti][v.AssertionID] {
+				if setup.Kill(ti, v.AssertionID) {
 					cell.FirstKill, cell.Latency = v.AssertionID, v.T
 					break
 				}
@@ -302,10 +224,11 @@ func Run(cfg Config) (*Report, error) {
 			score.Diverged = score.Diverged || cell.Diverged
 			rep.Cells = append(rep.Cells, cell)
 		}
-		for id := range killedBy {
-			score.KilledBy = append(score.KilledBy, id)
+		for _, id := range rep.Assertions {
+			if killedBy[id] {
+				score.KilledBy = append(score.KilledBy, id)
+			}
 		}
-		sortByCatalog(score.KilledBy, orderIdx)
 		score.Killed = len(score.KilledBy) > 0
 		if spec.Op != OpIdentity {
 			nonIdentity++
@@ -321,22 +244,6 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// sortByCatalog orders assertion IDs by catalog registration order
-// (unknown IDs last, alphabetically).
-func sortByCatalog(ids []string, orderIdx map[string]int) {
-	sort.Slice(ids, func(i, j int) bool {
-		oi, iok := orderIdx[ids[i]]
-		oj, jok := orderIdx[ids[j]]
-		if iok != jok {
-			return iok
-		}
-		if !iok {
-			return ids[i] < ids[j]
-		}
-		return oi < oj
-	})
-}
-
 // Score returns the aggregate score of one mutant ID.
 func (r *Report) Score(mutantID string) (MutantScore, bool) {
 	for _, s := range r.Scores {
@@ -350,15 +257,33 @@ func (r *Report) Score(mutantID string) (MutantScore, bool) {
 // Killed reports whether the assertion killed the mutant on any track.
 func (r *Report) Killed(mutantID, assertionID string) bool {
 	s, ok := r.Score(mutantID)
-	if !ok {
-		return false
-	}
-	for _, id := range s.KilledBy {
-		if id == assertionID {
-			return true
+	return ok && slices.Contains(s.KilledBy, assertionID)
+}
+
+// KillMatrix returns the kill matrix as text cells: the column headers
+// and one row per mutant in grid order. A row holds the mutant and its
+// kind, an X under each assertion that killed it on any track (a dot
+// otherwise, columns in catalog order), then whether it was killed, the
+// first kill, its latency and the worst |CTE|.
+func (r *Report) KillMatrix() (columns []string, rows [][]string) {
+	columns = append(append([]string{"mutant", "kind"}, r.Assertions...), "killed", "first", "latency (s)", "max |cte| (m)")
+	for _, s := range r.Scores {
+		row := []string{s.Mutant, string(s.Kind)}
+		for _, id := range r.Assertions {
+			cell := "."
+			if slices.Contains(s.KilledBy, id) {
+				cell = "X"
+			}
+			row = append(row, cell)
 		}
+		killed, first, latency := "no", "-", "-"
+		if s.Killed {
+			killed, first = "yes", s.FirstKill
+			latency = strconv.FormatFloat(s.Latency, 'f', 2, 64)
+		}
+		rows = append(rows, append(row, killed, first, latency, strconv.FormatFloat(s.MaxTrueCTE, 'f', 2, 64)))
 	}
-	return false
+	return columns, rows
 }
 
 // Survivors returns the non-identity mutants no assertion killed, ranked

@@ -50,7 +50,8 @@ type Probe struct {
 }
 
 // Run executes the probe, cancelled by ctx, and returns the fired
-// assertion IDs in catalog order along with the simulation result. Probe
+// assertion IDs in catalog order (core.Monitor.FiredIDs keeps the catalog
+// monitor's registration order) along with the simulation result. Probe
 // runs record no trace: no campaign reads one, and the NaN-leak mutant
 // emits non-finite commands. The mutant's hooks hold per-run state, so
 // every call builds fresh ones.

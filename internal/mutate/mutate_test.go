@@ -16,9 +16,8 @@ import (
 // three-mutant grid, short runs.
 func smallConfig() Config {
 	return Config{
-		Tracks:   []string{"urban-loop"},
+		Campaign: Campaign{Tracks: []string{"urban-loop"}, Duration: 25},
 		Mutants:  []Spec{{Op: OpIdentity}, {Op: OpGainFlip}, {Op: OpGNSSDropout, Param: 5}},
-		Duration: 25,
 	}
 }
 
@@ -85,7 +84,7 @@ func TestMutationDeterministicAcrossWorkers(t *testing.T) {
 // amplitude-based check — is now killed by the A15 lattice detector the
 // adversarial-search loop (internal/search, experiment S1) motivated.
 func TestDefaultGridKills(t *testing.T) {
-	rep, err := Run(Config{Duration: 40})
+	rep, err := Run(Config{Campaign: Campaign{Duration: 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,21 +167,21 @@ func TestCanonicalizeRejects(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Tracks: []string{"no-such-track"}, Duration: 1}); err == nil ||
+	if _, err := Run(Config{Campaign: Campaign{Tracks: []string{"no-such-track"}, Duration: 1}}); err == nil ||
 		!strings.Contains(err.Error(), "unknown track") {
 		t.Errorf("unknown track not rejected: %v", err)
 	}
-	if _, err := Run(Config{Mutants: []Spec{{Op: OpGainFlip}, {Op: OpGainFlip}}, Duration: 1}); err == nil ||
+	if _, err := Run(Config{Campaign: Campaign{Duration: 1}, Mutants: []Spec{{Op: OpGainFlip}, {Op: OpGainFlip}}}); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate mutant not rejected: %v", err)
 	}
-	if _, err := Run(Config{Mutants: []Spec{{Op: "bogus"}}, Duration: 1}); err == nil {
+	if _, err := Run(Config{Campaign: Campaign{Duration: 1}, Mutants: []Spec{{Op: "bogus"}}}); err == nil {
 		t.Error("unknown operator not rejected")
 	}
-	if _, err := Run(Config{Duration: -5}); err == nil {
+	if _, err := Run(Config{Campaign: Campaign{Duration: -5}}); err == nil {
 		t.Error("negative duration not rejected")
 	}
-	if _, err := Run(Config{Duration: 3600.01}); err == nil ||
+	if _, err := Run(Config{Campaign: Campaign{Duration: 3600.01}}); err == nil ||
 		!strings.HasPrefix(err.Error(), "mutate: duration") {
 		t.Errorf("duration over sim.MaxDuration not rejected by Canonicalize: %v", err)
 	}
@@ -204,7 +203,7 @@ func TestConfigCanonicalize(t *testing.T) {
 	if again, err := c.Canonicalize(); err != nil || !reflect.DeepEqual(again, c) {
 		t.Errorf("not idempotent: %+v -> %+v (%v)", c, again, err)
 	}
-	if _, err := (Config{Controller: "yolo"}).Canonicalize(); err == nil ||
+	if _, err := (Config{Campaign: Campaign{Controller: "yolo"}}).Canonicalize(); err == nil ||
 		!strings.Contains(err.Error(), "unknown controller") {
 		t.Errorf("unknown controller not rejected: %v", err)
 	}

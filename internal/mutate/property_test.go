@@ -27,11 +27,8 @@ func TestPropertyKillHasEpisodeAndLatency(t *testing.T) {
 		trackName := propertyTracks[int(trackPick)%len(propertyTracks)]
 		rec := events.NewRecorder(0)
 		rep, err := Run(Config{
-			Tracks:   []string{trackName},
+			Campaign: Campaign{Tracks: []string{trackName}, Seed: int64(seedPick%4) + 1, Duration: 30, Events: rec},
 			Mutants:  []Spec{spec},
-			Seed:     int64(seedPick%4) + 1,
-			Duration: 30,
-			Events:   rec,
 		})
 		if err != nil {
 			t.Logf("run failed for %s: %v", spec.ID(), err)
@@ -88,10 +85,8 @@ func TestPropertyIdentityNeverKilled(t *testing.T) {
 	property := func(trackPick, seedPick uint8) bool {
 		trackName := propertyTracks[int(trackPick)%len(propertyTracks)]
 		rep, err := Run(Config{
-			Tracks:   []string{trackName},
+			Campaign: Campaign{Tracks: []string{trackName}, Seed: int64(seedPick%5) + 1, Duration: 30},
 			Mutants:  []Spec{{Op: OpIdentity}},
-			Seed:     int64(seedPick%5) + 1,
-			Duration: 30,
 		})
 		if err != nil {
 			t.Logf("run failed: %v", err)
@@ -118,4 +113,55 @@ func TestPropertyIdentityNeverKilled(t *testing.T) {
 	if err := quick.Check(property, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestPropertyListsInCatalogOrder checks, over randomly drawn (mutant,
+// track, seed) cells, that every fired and kill list of the report keeps
+// catalog order: each cell's and baseline's Fired and Kills, and each
+// score's KilledBy, is a subsequence of Report.Assertions. Catalog order
+// is not string order: A10 sorts before A2, and A12 is registered last.
+func TestPropertyListsInCatalogOrder(t *testing.T) {
+	catalog := DefaultCatalog()
+	property := func(mutantPick, trackPick, seedPick uint8) bool {
+		spec := catalog[int(mutantPick)%len(catalog)]
+		trackName := propertyTracks[int(trackPick)%len(propertyTracks)]
+		rep, err := Run(Config{
+			Campaign: Campaign{Tracks: []string{trackName}, Seed: int64(seedPick%4) + 1, Duration: 30},
+			Mutants:  []Spec{spec},
+		})
+		if err != nil {
+			t.Logf("run failed for %s: %v", spec.ID(), err)
+			return false
+		}
+		lists := map[string][]string{"killed_by": rep.Scores[0].KilledBy}
+		for _, c := range append(rep.Baselines, rep.Cells...) {
+			lists[c.Mutant+"/"+c.Track+" fired"] = c.Fired
+			lists[c.Mutant+"/"+c.Track+" kills"] = c.Kills
+		}
+		for name, ids := range lists {
+			if !subsequence(ids, rep.Assertions) {
+				t.Logf("%s %v is not in catalog order %v", name, ids, rep.Assertions)
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{
+		MaxCount: 6,
+		Rand:     rand.New(rand.NewSource(3)),
+	}
+	if err := quick.Check(property, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// subsequence reports whether ids appear in order within all.
+func subsequence(ids, all []string) bool {
+	i := 0
+	for _, id := range all {
+		if i < len(ids) && ids[i] == id {
+			i++
+		}
+	}
+	return i == len(ids)
 }

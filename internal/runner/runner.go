@@ -45,11 +45,6 @@ type Options struct {
 	Workers int
 	// Context cancels the run early when done (default context.Background()).
 	Context context.Context
-	// OnProgress, when non-nil, is invoked after every job completion with
-	// the number of finished jobs and the total. Calls are serialized, so
-	// the callback needs no locking of its own, but it must be cheap — it
-	// sits on the result path of every worker.
-	OnProgress func(done, total int)
 	// Obs, when non-nil, receives pool metrics: runner.jobs_completed and
 	// runner.jobs_failed counters, a runner.job_ns histogram of per-job
 	// wall time, and runner.queue_wait_ns — how long each job sat queued
@@ -137,9 +132,7 @@ func Run[O any](opts Options, n int, fn func(ctx context.Context, index int) (O,
 	}
 
 	var (
-		next int64      = -1 // atomic dispatch cursor
-		done int             // completion count, guarded by mu
-		mu   sync.Mutex      // serializes OnProgress and done
+		next int64 = -1 // atomic dispatch cursor
 		wg   sync.WaitGroup
 	)
 
@@ -206,12 +199,6 @@ func Run[O any](opts Options, n int, fn func(ctx context.Context, index int) (O,
 					continue
 				}
 				completed.Inc()
-				mu.Lock()
-				done++
-				if opts.OnProgress != nil {
-					opts.OnProgress(done, n)
-				}
-				mu.Unlock()
 			}
 		}(w)
 	}

@@ -164,28 +164,6 @@ func TestMidRunCancellation(t *testing.T) {
 	}
 }
 
-// TestProgressCallback checks completions are reported monotonically up
-// to the total.
-func TestProgressCallback(t *testing.T) {
-	const n = 40
-	var calls []int
-	_, err := Run(Options{
-		Workers:    4,
-		OnProgress: func(done, total int) { calls = append(calls, done) },
-	}, n, func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != n {
-		t.Fatalf("OnProgress called %d times, want %d", len(calls), n)
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("OnProgress call %d reported done=%d, want %d", i, d, i+1)
-		}
-	}
-}
-
 // TestEmptyAndDefaults checks the zero-job and zero-value-Options paths.
 func TestEmptyAndDefaults(t *testing.T) {
 	out, err := Map(Options{}, nil, func(_ context.Context, _ int, _ struct{}) (int, error) {

@@ -5,17 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 
-	"adassure/internal/control"
 	"adassure/internal/core"
-	"adassure/internal/events"
 	"adassure/internal/mutate"
-	"adassure/internal/obs"
 	"adassure/internal/runner"
-	"adassure/internal/sim"
-	"adassure/internal/track"
 )
 
 // Search modes.
@@ -29,15 +23,12 @@ const (
 	ModeCEM = "cem"
 )
 
-// Config describes one adversarial search campaign. The zero value of
-// every field is the campaign default.
+// Config describes one adversarial search campaign: the shared campaign
+// base plus the search space and optimizer. The zero value of every field
+// is the campaign default. Events scopes each probe
+// "search/<op>/<track>/<n>/" ("search/baseline/<track>/" for baselines).
 type Config struct {
-	// Controller is the lateral controller under test (default
-	// "pure-pursuit").
-	Controller string
-	// Tracks are the route names from the track catalog (default
-	// urban-loop + hairpin, mirroring the mutation campaign).
-	Tracks []string
+	mutate.Campaign
 	// Channels is the search space (default DefaultChannels()). Duplicate
 	// canonical IDs are rejected.
 	Channels []Spec
@@ -48,55 +39,23 @@ type Config struct {
 	Assertions []string
 	// Mode is ModeDescent (default) or ModeCEM.
 	Mode string
-	// Seed drives all stochastic components of every run (default 1).
-	Seed int64
 	// Budget caps oracle evaluations: per track × channel pair in descent
 	// mode (default 16), per track in cem mode (default 48).
 	Budget int
-	// Duration is the simulated seconds per probe run (default 60).
-	Duration float64
-	// Workers sizes the runner pool (default GOMAXPROCS). The report is
-	// byte-identical for any value.
-	Workers int
-	// Obs, when non-nil, aggregates runtime metrics across every probe run
-	// (sim.runs counts one per oracle evaluation plus one baseline per
-	// track).
-	Obs *obs.Registry
-	// Events, when non-nil, records every probe's timeline, scoped
-	// "search/<op>/<track>/<n>/" ("search/baseline/<track>/" for
-	// baselines).
-	Events *events.Recorder
-	// Progress, when non-nil, receives (done, total) job counts: first the
-	// baseline batch, then the search batch.
-	Progress func(done, total int)
-	// Context, when non-nil, cancels the campaign early.
-	Context context.Context
 }
 
 // Canonicalize validates the config and returns it with every defaultable
-// field filled in: controller pure-pursuit, tracks urban-loop + hairpin,
-// the DefaultChannels space, mode descent, seed 1, budget 16 (48 in cem
-// mode) and 60 s per probe. Controller and track names must be in
-// control.Names and track.BuiltinNames, the duration in (0, sim.MaxDuration],
-// the budget at least 1, and the channels valid and unique by canonical
-// ID. Assertions must be catalog IDs and are kept as given.
-// The receiver is not modified; on error the returned config still carries
-// the defaults.
+// field filled in: the Campaign defaults, the DefaultChannels space, mode
+// descent and budget 16 (48 in cem mode). The budget must be at least 1
+// and the channels valid and unique by canonical ID. Assertions must be
+// catalog IDs and are kept as given. The receiver is not modified; on
+// error the returned config still carries the defaults.
 func (c Config) Canonicalize() (Config, error) {
-	if c.Controller == "" {
-		c.Controller = "pure-pursuit"
-	}
-	if len(c.Tracks) == 0 {
-		c.Tracks = []string{"urban-loop", "hairpin"}
-	}
 	if len(c.Channels) == 0 {
 		c.Channels = DefaultChannels()
 	}
 	if c.Mode == "" {
 		c.Mode = ModeDescent
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Budget == 0 {
 		if c.Mode == ModeCEM {
@@ -105,25 +64,15 @@ func (c Config) Canonicalize() (Config, error) {
 			c.Budget = 16
 		}
 	}
-	if c.Duration == 0 {
-		c.Duration = 60
-	}
-	if !slices.Contains(control.Names(), c.Controller) {
-		return c, fmt.Errorf("search: unknown controller %q (have %v)", c.Controller, control.Names())
-	}
-	for _, tr := range c.Tracks {
-		if !slices.Contains(track.BuiltinNames(), tr) {
-			return c, fmt.Errorf("search: unknown track %q (have %v)", tr, track.BuiltinNames())
-		}
+	var err error
+	if c.Campaign, err = c.Campaign.Canonicalize(); err != nil {
+		return c, fmt.Errorf("search: %w", err)
 	}
 	if c.Mode != ModeDescent && c.Mode != ModeCEM {
 		return c, fmt.Errorf("search: unknown mode %q (want %q or %q)", c.Mode, ModeDescent, ModeCEM)
 	}
 	if c.Budget < 1 {
 		return c, fmt.Errorf("search: budget must be >= 1, got %d", c.Budget)
-	}
-	if !(c.Duration > 0 && c.Duration <= sim.MaxDuration) {
-		return c, fmt.Errorf("search: duration must be in (0, %g] s, got %g", float64(sim.MaxDuration), c.Duration)
 	}
 	if len(c.Assertions) > 0 {
 		if _, err := core.NewCatalogMonitorWith(core.CatalogConfig{IncludeGroundTruth: true}, c.Assertions); err != nil {
@@ -194,42 +143,20 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracks := make([]*track.Track, len(cfg.Tracks))
-	for i, name := range cfg.Tracks {
-		tr, err := track.Builtin(name, track.DefaultSpeedLimit)
-		if err != nil {
-			return nil, fmt.Errorf("search: %w", err)
-		}
-		tracks[i] = tr
-	}
-	// Pin the active catalog order (Canonicalize checked the subset) for
-	// the report and kill sorting.
-	orderMon, err := core.NewCatalogMonitorWith(core.CatalogConfig{IncludeGroundTruth: true}, cfg.Assertions)
+	setup, err := cfg.Prepare(cfg.Assertions)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("search: %w", err)
 	}
-	assertionOrder := orderMon.AssertionIDs()
-	orderIdx := make(map[string]int, len(assertionOrder))
-	for i, id := range assertionOrder {
-		orderIdx[id] = i
-	}
-
-	e := &engine{cfg: cfg, tracks: tracks, orderIdx: orderIdx}
+	e := &engine{Setup: setup, cfg: cfg}
 
 	// Phase 1: pristine baselines, one per track, fanned across the pool.
-	baselines, err := runner.Map(e.pool(), tracks, func(ctx context.Context, ti int, _ *track.Track) ([]string, error) {
-		return e.probe(ctx, ti, "search/baseline/"+cfg.Tracks[ti]+"/", nil)
+	baselines, err := runner.Map(e.Pool(), cfg.Tracks, func(ctx context.Context, ti int, name string) ([]string, error) {
+		return e.probe(ctx, ti, "search/baseline/"+name+"/", nil, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.baselineFired = make([]map[string]bool, len(tracks))
-	for ti, fired := range baselines {
-		e.baselineFired[ti] = make(map[string]bool, len(fired))
-		for _, id := range fired {
-			e.baselineFired[ti][id] = true
-		}
-	}
+	e.SetBaselines(baselines)
 
 	rep := &Report{
 		Controller: cfg.Controller,
@@ -240,7 +167,7 @@ func Run(cfg Config) (*Report, error) {
 		Shrink:     defaultShrink,
 		Ratio:      defaultRatio,
 		Tracks:     append([]string(nil), cfg.Tracks...),
-		Assertions: assertionOrder,
+		Assertions: setup.Assertions,
 	}
 	for _, ch := range cfg.Channels {
 		rep.Channels = append(rep.Channels, ch.ID())
@@ -261,59 +188,21 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// engine carries the per-campaign state shared by both modes.
+// engine is one campaign's setup (pool, probe template, kill rule) and its
+// search config, shared by both modes.
 type engine struct {
-	cfg           Config
-	tracks        []*track.Track
-	orderIdx      map[string]int
-	baselineFired []map[string]bool
+	*mutate.Setup
+	cfg Config
 }
 
-// pool is the runner configuration of every batch the campaign fans out.
-func (e *engine) pool() runner.Options {
-	c := e.cfg
-	return runner.Options{Workers: c.Workers, Context: c.Context, OnProgress: c.Progress, Obs: c.Obs, Events: c.Events}
-}
-
-// probe runs one simulation — pristine when attack is nil — and returns
-// the sorted fired-assertion IDs.
-func (e *engine) probe(ctx context.Context, ti int, scope string, attack *attack) ([]string, error) {
-	p := mutate.Probe{
-		Track:      e.tracks[ti],
-		Controller: e.cfg.Controller,
-		Seed:       e.cfg.Seed,
-		Duration:   e.cfg.Duration,
-		Assertions: e.cfg.Assertions,
-		Obs:        e.cfg.Obs,
-		Events:     e.cfg.Events,
-		EventScope: scope,
-	}
-	if attack != nil {
-		p.Mutant, p.Window = &mutate.Spec{Op: attack.op, Param: attack.mag}, attack.window
-	}
+// probe runs one simulation of track ti — pristine when attack is nil,
+// else with the attack installed and gated to window when that is
+// non-nil — and returns the fired-assertion IDs in catalog order.
+func (e *engine) probe(ctx context.Context, ti int, scope string, attack *mutate.Spec, window *Window) ([]string, error) {
+	p := e.Probe(ti, scope)
+	p.Mutant, p.Window = attack, window
 	fired, _, err := p.Run(ctx)
 	return fired, err
-}
-
-// attack is one concrete probe: an operator at a magnitude, optionally
-// windowed.
-type attack struct {
-	op     string
-	mag    float64
-	window *Window
-}
-
-// kills returns fired minus the track baseline, in catalog order —
-// detection attributable to the attack rather than to the clean run.
-func (e *engine) kills(ti int, fired []string) []string {
-	var out []string
-	for _, id := range fired {
-		if !e.baselineFired[ti][id] {
-			out = append(out, id)
-		}
-	}
-	// fired is already in catalog order (Monitor.FiredIDs), so out is too.
-	return out
 }
 
 // runDescent fans DescendMagnitude over every track × channel pair. The
@@ -323,23 +212,23 @@ func (e *engine) runDescent(rep *Report) error {
 	cfg := e.cfg
 	type pair struct{ ti, ci int }
 	var pairs []pair
-	for ti := range e.tracks {
+	for ti := range cfg.Tracks {
 		for ci := range cfg.Channels {
 			pairs = append(pairs, pair{ti, ci})
 		}
 	}
-	points, err := runner.Map(e.pool(), pairs, func(ctx context.Context, _ int, p pair) (FrontierPoint, error) {
+	points, err := runner.Map(e.Pool(), pairs, func(ctx context.Context, _ int, p pair) (FrontierPoint, error) {
 		ch := cfg.Channels[p.ci]
 		evalN := 0
 		killsAt := map[float64][]string{}
 		oracle := func(mag float64) (bool, error) {
 			evalN++
 			scope := "search/" + ch.Op + "/" + cfg.Tracks[p.ti] + "/" + strconv.Itoa(evalN) + "/"
-			fired, err := e.probe(ctx, p.ti, scope, &attack{op: ch.Op, mag: mag, window: ch.Window})
+			fired, err := e.probe(ctx, p.ti, scope, &mutate.Spec{Op: ch.Op, Param: mag}, ch.Window)
 			if err != nil {
 				return false, err
 			}
-			kills := e.kills(p.ti, fired)
+			kills := e.Kills(p.ti, fired)
 			killsAt[mag] = kills
 			return len(kills) > 0, nil
 		}
@@ -374,7 +263,7 @@ func (e *engine) runDescent(rep *Report) error {
 // collection, so the report stays deterministic at any worker count.
 func (e *engine) runCEM(rep *Report) error {
 	cfg := e.cfg
-	for ti := range e.tracks {
+	for ti := range cfg.Tracks {
 		sampler, err := NewCEMSampler(CEMOptions{
 			Specs:    cfg.Channels,
 			Duration: cfg.Duration,
@@ -399,15 +288,15 @@ func (e *engine) runCEM(rep *Report) error {
 			type outcome struct {
 				kills []string
 			}
-			outs, err := runner.Map(e.pool(), cands, func(ctx context.Context, i int, cand Candidate) (outcome, error) {
+			outs, err := runner.Map(e.Pool(), cands, func(ctx context.Context, i int, cand Candidate) (outcome, error) {
 				ch := cfg.Channels[cand.Channel]
 				scope := "search/" + ch.Op + "/" + cfg.Tracks[ti] + "/" +
 					strconv.Itoa(evalN+i+1) + "/"
-				fired, err := e.probe(ctx, ti, scope, &attack{op: ch.Op, mag: cand.Mag, window: cand.Window})
+				fired, err := e.probe(ctx, ti, scope, &mutate.Spec{Op: ch.Op, Param: cand.Mag}, cand.Window)
 				if err != nil {
 					return outcome{}, err
 				}
-				return outcome{kills: e.kills(ti, fired)}, nil
+				return outcome{kills: e.Kills(ti, fired)}, nil
 			})
 			if err != nil {
 				return err

@@ -17,13 +17,12 @@ import (
 // channels, tiny budget, short runs.
 func smallConfig() Config {
 	return Config{
-		Tracks: []string{"urban-loop"},
+		Campaign: mutate.Campaign{Tracks: []string{"urban-loop"}, Duration: 20},
 		Channels: []Spec{
 			{Op: mutate.OpGNSSQuantize, Min: 0.05, Max: 2.5},
 			{Op: mutate.OpLookaheadSkip},
 		},
-		Budget:   6,
-		Duration: 20,
+		Budget: 6,
 	}
 }
 
@@ -97,7 +96,9 @@ func TestSearchClosesQuantizeGap(t *testing.T) {
 	quantize := []Spec{{Op: mutate.OpGNSSQuantize, Min: 0.05, Max: 2.5}}
 
 	after, err := Run(Config{
-		Tracks: []string{"urban-loop"}, Channels: quantize, Budget: 10, Duration: 30,
+		Campaign: mutate.Campaign{Tracks: []string{"urban-loop"}, Duration: 30},
+		Channels: quantize,
+		Budget:   10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +118,10 @@ func TestSearchClosesQuantizeGap(t *testing.T) {
 		}
 	}
 	before, err := Run(Config{
-		Tracks: []string{"urban-loop"}, Channels: quantize, Assertions: weakened,
-		Budget: 10, Duration: 30,
+		Campaign:   mutate.Campaign{Tracks: []string{"urban-loop"}, Duration: 30},
+		Channels:   quantize,
+		Assertions: weakened,
+		Budget:     10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,11 +139,10 @@ func TestSearchClosesQuantizeGap(t *testing.T) {
 // budget: structure, determinism across a repeat run, and window validity.
 func TestSearchCEMMode(t *testing.T) {
 	cfg := Config{
-		Tracks:   []string{"urban-loop"},
+		Campaign: mutate.Campaign{Tracks: []string{"urban-loop"}, Duration: 20},
 		Channels: []Spec{{Op: mutate.OpGNSSQuantize, Min: 0.05, Max: 2.5}, {Op: mutate.OpFrozenInput}},
 		Mode:     ModeCEM,
 		Budget:   12,
-		Duration: 20,
 	}
 	rep, err := Run(cfg)
 	if err != nil {
@@ -167,28 +169,28 @@ func TestSearchCEMMode(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Tracks: []string{"no-such-track"}, Duration: 1, Budget: 1}); err == nil ||
+	if _, err := Run(Config{Campaign: mutate.Campaign{Tracks: []string{"no-such-track"}, Duration: 1}, Budget: 1}); err == nil ||
 		!strings.Contains(err.Error(), "unknown track") {
 		t.Errorf("unknown track not rejected: %v", err)
 	}
-	if _, err := Run(Config{Channels: []Spec{{Op: "bogus"}}, Duration: 1, Budget: 1}); err == nil {
+	if _, err := Run(Config{Campaign: mutate.Campaign{Duration: 1}, Channels: []Spec{{Op: "bogus"}}, Budget: 1}); err == nil {
 		t.Error("unknown channel not rejected")
 	}
-	if _, err := Run(Config{Channels: []Spec{{Op: mutate.OpGNSSLatency}, {Op: mutate.OpGNSSLatency}}, Duration: 1, Budget: 1}); err == nil ||
+	if _, err := Run(Config{Campaign: mutate.Campaign{Duration: 1}, Channels: []Spec{{Op: mutate.OpGNSSLatency}, {Op: mutate.OpGNSSLatency}}, Budget: 1}); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Error("duplicate channel not rejected")
 	}
-	if _, err := Run(Config{Mode: "anneal", Duration: 1, Budget: 1}); err == nil {
+	if _, err := Run(Config{Campaign: mutate.Campaign{Duration: 1}, Mode: "anneal", Budget: 1}); err == nil {
 		t.Error("unknown mode not rejected")
 	}
-	if _, err := Run(Config{Duration: -5, Budget: 1}); err == nil {
+	if _, err := Run(Config{Campaign: mutate.Campaign{Duration: -5}, Budget: 1}); err == nil {
 		t.Error("negative duration not rejected")
 	}
-	if _, err := Run(Config{Duration: 3600.01, Budget: 1}); err == nil ||
+	if _, err := Run(Config{Campaign: mutate.Campaign{Duration: 3600.01}, Budget: 1}); err == nil ||
 		!strings.HasPrefix(err.Error(), "search: duration") {
 		t.Errorf("duration over sim.MaxDuration not rejected by Canonicalize: %v", err)
 	}
-	if _, err := Run(Config{Assertions: []string{"A99"}, Duration: 1, Budget: 1}); err == nil {
+	if _, err := Run(Config{Campaign: mutate.Campaign{Duration: 1}, Assertions: []string{"A99"}, Budget: 1}); err == nil {
 		t.Error("unknown assertion subset not rejected")
 	}
 }
@@ -211,7 +213,7 @@ func TestConfigCanonicalize(t *testing.T) {
 	if d, err := (Config{}).Canonicalize(); err != nil || d.Mode != ModeDescent || d.Budget != 16 {
 		t.Errorf("descent defaults = %+v (%v)", d, err)
 	}
-	if _, err := (Config{Controller: "yolo"}).Canonicalize(); err == nil ||
+	if _, err := (Config{Campaign: mutate.Campaign{Controller: "yolo"}}).Canonicalize(); err == nil ||
 		!strings.Contains(err.Error(), "unknown controller") {
 		t.Errorf("unknown controller not rejected: %v", err)
 	}
@@ -243,5 +245,33 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	b, _ := json.Marshal(back)
 	if !bytes.Equal(a, b) {
 		t.Errorf("report JSON round trip drifted\n--- want\n%s\n--- got\n%s", a, b)
+	}
+}
+
+// TestDetectedByCatalogOrder: a certificate's DetectedBy keeps the order
+// of Report.Assertions, which is catalog order, not string order (A12 is
+// registered last). S1-quick's ctrl-frozen-input point is certified by
+// four assertions, so its list shows the order.
+func TestDetectedByCatalogOrder(t *testing.T) {
+	rep, err := Run(Config{
+		Campaign: mutate.Campaign{Tracks: []string{"urban-loop"}, Duration: 30},
+		Channels: []Spec{{Op: mutate.OpFrozenInput}},
+		Budget:   8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := rep.PointFor("urban-loop", mutate.OpFrozenInput)
+	if !ok || len(p.DetectedBy) < 2 {
+		t.Fatalf("frozen-input point %+v: want a certificate shared by several assertions", p)
+	}
+	i := 0
+	for _, id := range rep.Assertions {
+		if i < len(p.DetectedBy) && p.DetectedBy[i] == id {
+			i++
+		}
+	}
+	if i != len(p.DetectedBy) {
+		t.Errorf("DetectedBy %v does not follow the catalog order %v", p.DetectedBy, rep.Assertions)
 	}
 }

@@ -168,12 +168,10 @@ type CEMOptions struct {
 	// Duration bounds sampled windows, in simulated seconds (required when
 	// any spec's channel is windowable).
 	Duration float64
-	// Population per generation (default 12) and elite fraction retained
-	// for the refit (default 1/4, at least 1).
-	Population int
-	// Generations (default Budget/Population, at least 1).
-	Generations int
-	// Budget caps total samples across all generations (default 48).
+	// Budget caps total samples across all generations (default 48): a
+	// generation samples cemPopulation candidates (fewer when the budget
+	// is smaller), and there are Budget/population generations, at least
+	// one.
 	Budget int
 	// Seed drives the sampler (default 1).
 	Seed int64
@@ -185,18 +183,6 @@ func (o *CEMOptions) defaults() error {
 	}
 	if o.Budget == 0 {
 		o.Budget = 48
-	}
-	if o.Population == 0 {
-		o.Population = 12
-	}
-	if o.Population > o.Budget {
-		o.Population = o.Budget
-	}
-	if o.Generations == 0 {
-		o.Generations = o.Budget / o.Population
-		if o.Generations < 1 {
-			o.Generations = 1
-		}
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -233,6 +219,10 @@ type CEMSampler struct {
 	dist cemDist
 }
 
+// cemPopulation is the candidates sampled per generation when the budget
+// allows; the refit keeps the best quarter of them (at least 1).
+const cemPopulation = 12
+
 // NewCEMSampler builds a sampler over canonical specs.
 func NewCEMSampler(opts CEMOptions) (*CEMSampler, error) {
 	if err := opts.defaults(); err != nil {
@@ -264,15 +254,17 @@ func NewCEMSampler(opts CEMOptions) (*CEMSampler, error) {
 	return &CEMSampler{opts: opts, rng: rand.New(rand.NewSource(opts.Seed)), dist: d}, nil
 }
 
-// Population returns the configured population size.
-func (c *CEMSampler) Population() int { return c.opts.Population }
+// population is the candidates one generation samples: cemPopulation, or
+// the whole budget when that is smaller.
+func (c *CEMSampler) population() int { return min(cemPopulation, c.opts.Budget) }
 
-// Generations returns the configured generation count.
-func (c *CEMSampler) Generations() int { return c.opts.Generations }
+// Generations returns the number of generations the budget affords, at
+// least one.
+func (c *CEMSampler) Generations() int { return max(c.opts.Budget/c.population(), 1) }
 
 // Sample draws one generation of candidates.
 func (c *CEMSampler) Sample() []Candidate {
-	out := make([]Candidate, c.opts.Population)
+	out := make([]Candidate, c.population())
 	for i := range out {
 		ch := c.pickChannel()
 		s := c.opts.Specs[ch]

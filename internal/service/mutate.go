@@ -3,9 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"adassure/internal/mutate"
@@ -68,16 +65,7 @@ func (r MutateRequest) Canonicalize(maxDuration float64) (MutateRequest, error) 
 // Key returns the content address of a canonicalized campaign request. The
 // encoding is namespaced so a campaign can never collide with a /v1/run
 // scenario in the shared cache.
-func (r MutateRequest) Key() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// A canonical MutateRequest holds only finite floats, strings and
-		// ints; Marshal cannot fail on it.
-		panic(fmt.Sprintf("service: marshal canonical mutate request: %v", err))
-	}
-	sum := sha256.Sum256(append([]byte("mutate\n"), b...))
-	return hex.EncodeToString(sum[:])
-}
+func (r MutateRequest) Key() string { return contentKey("mutate\n", r) }
 
 // Config converts a canonicalized request into the campaign it executes.
 // Workers is left at the engine default: one admission slot owns the
@@ -85,11 +73,8 @@ func (r MutateRequest) Key() string {
 // the report is byte-identical either way.
 func (r MutateRequest) Config() mutate.Config {
 	return mutate.Config{
-		Controller: r.Controller,
-		Tracks:     r.Tracks,
-		Mutants:    r.Mutants,
-		Seed:       r.Seed,
-		Duration:   r.Duration,
+		Campaign: mutate.Campaign{Controller: r.Controller, Tracks: r.Tracks, Seed: r.Seed, Duration: r.Duration},
+		Mutants:  r.Mutants,
 	}
 }
 

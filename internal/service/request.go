@@ -97,14 +97,24 @@ func (r Request) Canonicalize(maxDuration float64) (Request, error) {
 // Key returns the content address of a canonicalized request: the SHA-256
 // of its canonical JSON encoding. Two requests with the same key ask for
 // byte-identical work.
-func (r Request) Key() string {
+func (r Request) Key() string { return contentKey("", r) }
+
+// contentKey is the content address of a canonical request of any keyed
+// kind: the hex SHA-256 of its JSON encoding behind the kind's namespace
+// prefix. The prefix ("mutate\n", "search\n") keeps a campaign from
+// colliding with another kind in the shared cache and store; /v1/run keys
+// have none, so they hash the encoding alone and cost no extra copy.
+func contentKey(namespace string, canonical any) string {
 	// Struct field order is fixed and map-free, so encoding/json is a
 	// canonical encoder here.
-	b, err := json.Marshal(r)
+	b, err := json.Marshal(canonical)
 	if err != nil {
-		// A Request holds only finite floats, strings, bools and ints
-		// after Canonicalize; Marshal cannot fail on it.
-		panic(fmt.Sprintf("service: marshal canonical request: %v", err))
+		// A canonical request holds only finite floats, strings, bools and
+		// ints; Marshal cannot fail on it.
+		panic(fmt.Sprintf("service: marshal canonical %T: %v", canonical, err))
+	}
+	if namespace != "" {
+		b = append([]byte(namespace), b...)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])

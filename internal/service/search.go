@@ -3,11 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
+	"adassure/internal/mutate"
 	"adassure/internal/search"
 	"adassure/internal/telemetry"
 )
@@ -84,16 +82,7 @@ func (r SearchRequest) Canonicalize(maxDuration float64) (SearchRequest, error) 
 // Key returns the content address of a canonicalized search request. The
 // encoding is namespaced so a search can never collide with a /v1/run
 // scenario or a /v1/mutate campaign in the shared cache.
-func (r SearchRequest) Key() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// A canonical SearchRequest holds only finite floats, strings and
-		// ints; Marshal cannot fail on it.
-		panic(fmt.Sprintf("service: marshal canonical search request: %v", err))
-	}
-	sum := sha256.Sum256(append([]byte("search\n"), b...))
-	return hex.EncodeToString(sum[:])
-}
+func (r SearchRequest) Key() string { return contentKey("search\n", r) }
 
 // Config converts a canonicalized request into the campaign it executes.
 // Workers is left at the engine default: one admission slot owns the
@@ -101,14 +90,11 @@ func (r SearchRequest) Key() string {
 // the report is byte-identical either way.
 func (r SearchRequest) Config() search.Config {
 	return search.Config{
-		Controller: r.Controller,
-		Tracks:     r.Tracks,
+		Campaign:   mutate.Campaign{Controller: r.Controller, Tracks: r.Tracks, Seed: r.Seed, Duration: r.Duration},
 		Channels:   r.Channels,
 		Assertions: r.Assertions,
 		Mode:       r.Mode,
-		Seed:       r.Seed,
 		Budget:     r.Budget,
-		Duration:   r.Duration,
 	}
 }
 

@@ -45,6 +45,10 @@ const (
 // duration checks it against this bound.
 const MaxDuration = 3600
 
+// DefaultDuration is the run length (s) of a Config that names none, and
+// of every run of a mutation or search campaign that names none.
+const DefaultDuration = 60
+
 // The guard's fixed fallback policy (see GuardConfig).
 const (
 	// fallbackAfter is the consecutive-reject count that switches
@@ -131,8 +135,9 @@ type Config struct {
 	Localizer string
 	// Seed drives all stochastic components.
 	Seed int64
-	// Duration is the simulated time budget in seconds: 0 means 60, and
-	// anything else must lie in (0, 3600], at most one simulated hour.
+	// Duration is the simulated time budget in seconds: 0 means
+	// DefaultDuration (60), and anything else must lie in (0, 3600], at
+	// most one simulated hour.
 	// A negative, non-finite or longer duration is an error.
 	Duration float64
 	// Campaign is the attack configuration (zero value = clean run).
@@ -201,7 +206,7 @@ func (c *Config) defaults() error {
 	}
 	switch {
 	case c.Duration == 0:
-		c.Duration = 60
+		c.Duration = DefaultDuration
 	case !(c.Duration > 0 && c.Duration <= MaxDuration):
 		return fmt.Errorf("sim: duration must be in (0, %g] s, got %v", float64(MaxDuration), c.Duration)
 	}

@@ -13,7 +13,7 @@
 //     allocates (pinned by TestNilTracerZeroAlloc), so instrumented layers
 //     need no "is tracing on?" flag of their own.
 //  2. Bounded memory. The tracer retains the newest MaxTraces traces with
-//     at most MaxSpansPerTrace spans each; older traces are evicted FIFO
+//     at most maxSpansPerTrace spans each; older traces are evicted FIFO
 //     and late spans of evicted traces are counted, not stored.
 //  3. One timeline model downstream. The store keeps spans in their W3C
 //     shape, which is the /debug/traces wire format; TraceExport.Events
@@ -47,19 +47,17 @@ type Config struct {
 	// MaxTraces bounds the number of retained traces (default 256). The
 	// oldest trace is evicted when a new root span would exceed it.
 	MaxTraces int
-	// MaxSpansPerTrace bounds the spans stored per trace (default 512);
-	// spans beyond the cap are counted as dropped, not stored.
-	MaxSpansPerTrace int
 }
 
 func (c *Config) defaults() {
 	if c.MaxTraces <= 0 {
 		c.MaxTraces = 256
 	}
-	if c.MaxSpansPerTrace <= 0 {
-		c.MaxSpansPerTrace = 512
-	}
 }
+
+// maxSpansPerTrace bounds the spans stored per trace; spans beyond it are
+// counted as dropped, not stored.
+const maxSpansPerTrace = 512
 
 // Link points from a span to a related span in another trace — the
 // coalesced-request pattern: a waiter that attached to an in-flight
@@ -266,7 +264,7 @@ func (s *Span) End() {
 
 	t.mu.Lock()
 	if rec, ok := t.traces[s.data.TraceID]; ok {
-		if len(rec.spans) < t.cfg.MaxSpansPerTrace {
+		if len(rec.spans) < maxSpansPerTrace {
 			rec.spans = append(rec.spans, s.data)
 		} else {
 			rec.dropped++

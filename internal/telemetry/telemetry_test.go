@@ -157,7 +157,7 @@ func TestLinksExport(t *testing.T) {
 }
 
 func TestStoreEviction(t *testing.T) {
-	tr := New(Config{MaxTraces: 4, MaxSpansPerTrace: 2})
+	tr := New(Config{MaxTraces: 4})
 	var roots []*Span
 	for i := 0; i < 10; i++ {
 		sp := tr.StartSpan(fmt.Sprintf("r%d", i), "")
@@ -180,14 +180,14 @@ func TestStoreEviction(t *testing.T) {
 
 	// Per-trace span cap: spans beyond the cap are counted, not stored.
 	root := tr.StartSpan("capped", "")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxSpansPerTrace+3; i++ {
 		c := root.StartChild("child")
 		c.End()
 	}
 	root.End()
 	exp, _ := tr.Export(root.TraceID())
-	if len(exp.Spans) != 2 || exp.Dropped != 4 {
-		t.Fatalf("spans=%d dropped=%d, want 2/4", len(exp.Spans), exp.Dropped)
+	if len(exp.Spans) != maxSpansPerTrace || exp.Dropped != 4 {
+		t.Fatalf("spans=%d dropped=%d, want %d/4", len(exp.Spans), exp.Dropped, maxSpansPerTrace)
 	}
 }
 
