@@ -143,9 +143,6 @@ type (
 	// via Scenario.Obs, BatchOptions.Obs or ExperimentOptions.Obs; a nil
 	// registry costs nothing.
 	Registry = obs.Registry
-	// MetricsSnapshot is a point-in-time JSON-serialisable registry view
-	// with p50/p95/p99 per histogram.
-	MetricsSnapshot = obs.Snapshot
 	// EventRecorder is the structured event timeline — the "flight
 	// recorder" (see internal/events): typed spans and instants for
 	// scenario lifecycle, attack windows, violation episodes, guard
@@ -347,8 +344,8 @@ type Scenario struct {
 	// Obs, when non-nil, collects runtime metrics for the run: control-step
 	// count and latency histogram, achieved steps/s, and the per-assertion
 	// monitoring cost (eval latency, eval and violation counts). Read the
-	// results with Registry.Snapshot or Registry.WriteJSON. Nil (the
-	// default) adds no overhead.
+	// results through the handles or as text with Registry.WriteProm. Nil
+	// (the default) adds no overhead.
 	Obs *Registry
 	// Events, when non-nil, records the run's structured event timeline:
 	// the scenario lifecycle span, the attack activation window, guard

@@ -15,10 +15,11 @@
 // goroutines; the tables are byte-identical for any worker count
 // (including 1), so -workers only changes wall-clock time.
 //
-// Observability: -metrics out.json writes a JSON runtime-metrics snapshot
-// aggregated across every scenario the selected experiments ran (runner
-// job stats, sim step histograms, per-assertion monitoring cost), and
-// -pprof addr serves net/http/pprof plus the live snapshot under expvar.
+// Observability: -metrics out.prom writes the runtime metrics aggregated
+// across every scenario the selected experiments ran (runner job stats,
+// sim step histograms, per-assertion monitoring cost) as Prometheus text,
+// and -pprof addr serves net/http/pprof plus the live registry at
+// /metrics.
 // Attaching the registry never changes the rendered tables.
 //
 // Forensics: -events out.json records the structured event timeline of

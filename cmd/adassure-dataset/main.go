@@ -14,10 +14,10 @@
 // its seed, so the CSV on stdout is byte-identical for any worker count,
 // including 1. The feature columns cover adassure.Names().Assertions.
 //
-// Observability: -metrics out.json writes a JSON metrics snapshot of the
-// whole campaign (sim step histogram, per-assertion monitoring cost,
-// runner job stats), -pprof addr serves net/http/pprof plus the live
-// snapshot under expvar while the campaign runs, -events out.json records
+// Observability: -metrics out.prom writes the metrics of the whole
+// campaign (sim step histogram, per-assertion monitoring cost, runner job
+// stats) as Prometheus text, -pprof addr serves net/http/pprof plus the
+// live registry at /metrics while the campaign runs, -events out.json records
 // the structured event timeline across all runs (one scenario lane per
 // run, scoped "s<index>/", with its attack window, violation episodes and
 // diagnosis, plus one runner lane per pool worker), -perfetto out.json

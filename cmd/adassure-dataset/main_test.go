@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"adassure/internal/events"
+	"adassure/internal/obs"
 )
 
 // TestDatasetDeterministicAcrossWorkers: the CSV on stdout — and the
@@ -40,13 +41,14 @@ func TestDatasetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDatasetObservabilityOutputs: -metrics and -events write parseable,
-// non-empty artifacts, and the event log links every corpus row back to
-// its evidence: one scenario lane per run, and each run's violation
-// episodes on that run's lanes, as many as its row counts.
+// TestDatasetObservabilityOutputs: -metrics writes an exposition whose
+// sim_runs_total counts every run, -events a parseable event log that
+// links every corpus row back to its evidence: one scenario lane per run,
+// and each run's violation episodes on that run's lanes, as many as its
+// row counts.
 func TestDatasetObservabilityOutputs(t *testing.T) {
 	dir := t.TempDir()
-	metrics := filepath.Join(dir, "metrics.json")
+	metrics := filepath.Join(dir, "metrics.prom")
 	eventsPath := filepath.Join(dir, "events.json")
 	var out, errb bytes.Buffer
 	argv := []string{
@@ -55,15 +57,6 @@ func TestDatasetObservabilityOutputs(t *testing.T) {
 	}
 	if err := run(argv, &out, &errb); err != nil {
 		t.Fatal(err)
-	}
-	for _, p := range []string{metrics, eventsPath} {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) == 0 || b[0] != '{' && b[0] != '[' {
-			t.Fatalf("%s is not a JSON document (starts %q)", p, b[:min(8, len(b))])
-		}
 	}
 	if !strings.Contains(errb.String(), "metrics written to") {
 		t.Fatalf("stderr missing metrics confirmation:\n%s", errb.String())
@@ -80,6 +73,18 @@ func TestDatasetObservabilityOutputs(t *testing.T) {
 	}
 	if len(want) != 13 {
 		t.Fatalf("stderr reports %d runs, want 13:\n%s", len(want), errb.String())
+	}
+	mf, err := os.Open(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf.Close()
+	doc, err := obs.ParseProm(mf)
+	if err != nil {
+		t.Fatalf("%s is not a valid exposition: %v", metrics, err)
+	}
+	if got, n := doc.Sum("sim_runs_total"); n != 1 || got != float64(len(want)) {
+		t.Fatalf("sim_runs_total = %v over %d series, want %d", got, n, len(want))
 	}
 	f, err := os.Open(eventsPath)
 	if err != nil {

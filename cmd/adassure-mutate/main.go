@@ -18,8 +18,8 @@
 // parameterised as op=value (a bare op uses its default). The report is
 // byte-identical for any -workers value.
 //
-// Observability: -metrics out.json writes a JSON runtime-metrics snapshot
-// aggregated across every run of the campaign, and -events out.json
+// Observability: -metrics out.prom writes the runtime metrics aggregated
+// across every run of the campaign as Prometheus text, and -events out.json
 // records the structured event timeline (tracks scoped per grid cell).
 // Neither changes the report.
 package main

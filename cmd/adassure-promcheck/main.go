@@ -7,17 +7,21 @@
 // assert facts about the scrape's content:
 //
 //	adassure-promcheck \
-//	    -counter sim_runs_total=1 \
+//	    -counter sim_runs_total==1 \
+//	    -counter service_cache_hits_total=1 \
 //	    -family runner_pool_queue_wait_ns=histogram \
 //	    -exemplar service_request_ns < scrape.txt
 //
 // Usage:
 //
-//	adassure-promcheck [-counter name=min]... [-family name[=type]]...
-//	    [-exemplar family]... [-q]
+//	adassure-promcheck [-counter name=min | -counter name==n]...
+//	    [-family name[=type]]... [-exemplar family]... [-q]
 //
-// -counter asserts the summed value of a counter sample name across all
-// label sets is at least min; -family asserts a metric family exists
+// -counter name=min asserts the summed value of a counter sample name
+// across all label sets is at least min; -counter name==n asserts it
+// equals n exactly. An absent series fails either form, except ==0,
+// which reads it as 0 (a counter that never counted is never written).
+// -family asserts a metric family exists
 // (optionally with the given type); -exemplar asserts at least one
 // bucket of the family carries a trace_id exemplar. Each flag repeats.
 //
@@ -57,7 +61,7 @@ func run(args []string, in io.Reader, stdout, stderr io.Writer) int {
 		exemplars repeatable
 		quiet     = fs.Bool("q", false, "suppress the success summary")
 	)
-	fs.Var(&counters, "counter", "assert sample `name=min`: summed counter value >= min (repeatable)")
+	fs.Var(&counters, "counter", "assert sample `name=min` (summed counter value >= min) or name==n (== n) (repeatable)")
 	fs.Var(&families, "family", "assert metric family `name[=type]` exists (repeatable)")
 	fs.Var(&exemplars, "exemplar", "assert histogram `family` has a trace_id exemplar (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -76,21 +80,25 @@ func run(args []string, in io.Reader, stdout, stderr io.Writer) int {
 
 	var failures []string
 	for _, spec := range counters {
-		name, minStr, ok := strings.Cut(spec, "=")
-		min := 1.0
+		name, want, ok := strings.Cut(spec, "=")
+		exact, bound := false, 1.0
 		if ok {
-			v, err := strconv.ParseFloat(minStr, 64)
+			want, exact = strings.CutPrefix(want, "=")
+			v, err := strconv.ParseFloat(want, 64)
 			if err != nil {
-				fmt.Fprintf(stderr, "adassure-promcheck: -counter %q: bad minimum: %v\n", spec, err)
+				fmt.Fprintf(stderr, "adassure-promcheck: -counter %q: bad value: %v\n", spec, err)
 				return 2
 			}
-			min = v
+			bound = v
 		}
 		total, series := doc.Sum(name)
-		if series == 0 {
+		switch {
+		case series == 0 && !(exact && bound == 0):
 			failures = append(failures, fmt.Sprintf("counter %s: no series", name))
-		} else if total < min {
-			failures = append(failures, fmt.Sprintf("counter %s: total %g < required %g", name, total, min))
+		case exact && total != bound:
+			failures = append(failures, fmt.Sprintf("counter %s: total %g != required %g", name, total, bound))
+		case !exact && total < bound:
+			failures = append(failures, fmt.Sprintf("counter %s: total %g < required %g", name, total, bound))
 		}
 	}
 	for _, spec := range families {

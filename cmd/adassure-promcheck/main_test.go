@@ -29,6 +29,8 @@ func TestPromcheckPasses(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{
 		"-counter", "sim_runs_total=1",
+		"-counter", "sim_runs_total==1",
+		"-counter", "nope_total==0",
 		"-counter", "service_http_requests_total=3",
 		"-family", "service_request_ns=histogram",
 		"-exemplar", "service_request_ns",
@@ -49,6 +51,8 @@ func TestPromcheckFailures(t *testing.T) {
 	}{
 		{"counter too low", []string{"-counter", "sim_runs_total=2"}, "total 1 < required 2"},
 		{"counter absent", []string{"-counter", "nope_total"}, "no series"},
+		{"exact miss", []string{"-counter", "service_http_requests_total==2"}, "total 3 != required 2"},
+		{"exact absent", []string{"-counter", "nope_total==1"}, "no series"},
 		{"family absent", []string{"-family", "nope"}, "not declared"},
 		{"family wrong type", []string{"-family", "sim_runs=histogram"}, "type counter, want histogram"},
 		{"exemplar absent", []string{"-exemplar", "sim_runs"}, "no bucket carries"},
@@ -76,5 +80,8 @@ func TestPromcheckRejectsMalformed(t *testing.T) {
 	}
 	if code := run([]string{"extra.txt"}, strings.NewReader(""), &out, &errOut); code != 2 {
 		t.Fatalf("exit %d, want 2 for positional argument", code)
+	}
+	if code := run([]string{"-counter", "sim_runs_total==x"}, bytes.NewReader(scrape(t)), &out, &errOut); code != 2 {
+		t.Fatalf("exit %d, want 2 for a malformed exact value", code)
 	}
 }

@@ -20,8 +20,8 @@
 // range). The report is byte-identical for any -workers value and for
 // repeated runs at the same seed.
 //
-// Observability: -metrics out.json writes a JSON runtime-metrics snapshot
-// aggregated across every probe run, and -events out.json records the
+// Observability: -metrics out.prom writes the runtime metrics aggregated
+// across every probe run as Prometheus text, and -events out.json records the
 // structured event timeline (scoped per probe). Neither changes the report.
 package main
 

@@ -19,7 +19,7 @@
 //
 //	adassure-server [-addr :8080] [-workers N] [-queue N]
 //	    [-cache-bytes 67108864] [-timeout 60s] [-max-duration 600]
-//	    [-retry-after 1s] [-pprof] [-metrics out.json]
+//	    [-retry-after 1s] [-pprof] [-metrics out.prom]
 //	    [-stream-hz 2000] [-stream-session 5m] [-stream-error-budget 0]
 //	    [-log-format text|json] [-trace-store 256] [-readiness-grace 0s]
 //	    [-store-dir DIR] [-store-bytes N]
@@ -53,20 +53,20 @@
 // traceparent in, X-Adassure-Trace out, spans retrievable from
 // /debug/traces/{id}; -trace-store bounds the in-memory store, 0
 // disables tracing). /metrics serves the Prometheus text exposition with
-// trace-ID exemplars; /metrics.json keeps the JSON snapshot. One
+// trace-ID exemplars. One
 // structured log record per request — -log-format picks text or JSON —
 // carries the same trace_id for correlation.
 //
 // Endpoints: POST /v1/run, POST /v1/stream, POST /v1/mutate,
 // POST /v1/search, GET /v1/results/{key}, GET /v1/catalog, GET /healthz,
-// GET /readyz, GET /metrics, GET /metrics.json, GET /debug/buildinfo,
+// GET /readyz, GET /metrics, GET /debug/buildinfo,
 // GET /debug/traces[/{id}], and GET /debug/pprof (with -pprof).
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503
 // immediately, -readiness-grace gives load balancers time to observe it,
 // then the listener stops accepting, in-flight and queued simulations
 // drain and open streaming sessions are closed with a drain event (up to
-// -drain-timeout), and with -metrics a final registry snapshot is written
-// on exit.
+// -drain-timeout), and with -metrics the final registry is written on
+// exit in the same exposition text /metrics serves.
 package main
 
 import (
@@ -108,7 +108,7 @@ func run(argv []string, stdout, stderr *os.File) error {
 		maxDuration  = fs.Float64("max-duration", 600, "max simulated seconds per request (negative disables)")
 		retryAfter   = fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		pprofOn      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof")
-		metricsPath  = fs.String("metrics", "", "write a final metrics snapshot to this file on shutdown")
+		metricsPath  = fs.String("metrics", "", "write the final metrics as Prometheus text to this file on shutdown")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight runs on shutdown")
 		streamHz     = fs.Float64("stream-hz", 0, "per-stream-session frame rate cap (default 2000, negative disables)")
 		streamSess   = fs.Duration("stream-session", 0, "per-stream-session wall-clock cap (default 5m, negative disables)")
@@ -213,5 +213,5 @@ func run(argv []string, stdout, stderr *os.File) error {
 	if err := svc.Close(ctx); err != nil {
 		fmt.Fprintln(stderr, "adassure-server: drain:", err)
 	}
-	return cli.Write(stdout, *metricsPath, "metrics", reg.WriteJSON)
+	return cli.Write(stdout, *metricsPath, "metrics", reg.WriteProm)
 }

@@ -12,11 +12,11 @@
 // seeds, fanned across -workers goroutines (default GOMAXPROCS), and a
 // per-seed detection summary is printed instead of the single-run report.
 //
-// Observability: -metrics out.json writes a JSON metrics snapshot of the
-// run (sim step histogram, per-assertion monitoring cost, runner job
-// stats; see the README "Observability" section), and -pprof addr serves
-// net/http/pprof plus the live snapshot under expvar for the lifetime of
-// the process.
+// Observability: -metrics out.prom writes the metrics of the run (sim
+// step histogram, per-assertion monitoring cost, runner job stats; see
+// the README "Observability" section) as Prometheus text, and -pprof addr
+// serves net/http/pprof plus the live registry at /metrics for the
+// lifetime of the process.
 //
 // Forensics: -events out.json records the structured event timeline
 // (scenario span, attack window, violation episodes, guard fallback) and
@@ -138,8 +138,8 @@ func main() {
 		return
 	}
 
-	// Single runs still go through the scenario runner so the snapshot
-	// carries runner job stats alongside the sim/monitor metrics.
+	// Single runs still go through the scenario runner so the metrics
+	// carry runner job stats alongside the sim/monitor metrics.
 	outs, err := adassure.RunScenarioBatch(adassure.BatchOptions{Workers: 1, Obs: reg, Events: rec}, []adassure.Scenario{scn})
 	if err != nil {
 		fatal(err)

@@ -55,10 +55,11 @@ func main() {
 		second.Cache, bytes.Equal(first.Body, second.Body))
 
 	// The server's own counters confirm one simulation served both calls.
-	snap, err := client.Metrics(ctx)
+	doc, err := client.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("server ran %d simulation(s); cache hits: %d\n",
-		snap.Counters["sim.runs"], snap.Counters["service.cache.hits"])
+	runs, _ := doc.Sum("sim_runs_total")
+	hits, _ := doc.Sum("service_cache_hits_total")
+	fmt.Printf("server ran %.0f simulation(s); cache hits: %.0f\n", runs, hits)
 }

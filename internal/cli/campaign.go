@@ -37,7 +37,7 @@ func RegisterCampaign(fs *flag.FlagSet) *Campaign {
 	fs.Float64Var(&c.duration, "duration", sim.DefaultDuration, "simulated seconds per run")
 	fs.IntVar(&c.workers, "workers", runtime.GOMAXPROCS(0), "campaign pool size")
 	fs.StringVar(&c.json, "json", "", `write the report as JSON to this file ("-" = stdout)`)
-	fs.StringVar(&c.metrics, "metrics", "", "write a JSON runtime-metrics snapshot to this file")
+	fs.StringVar(&c.metrics, "metrics", "", "write the runtime metrics as Prometheus text to this file")
 	fs.StringVar(&c.events, "events", "", "write the structured event timeline as JSON to this file")
 	return c
 }
@@ -67,7 +67,7 @@ func (c *Campaign) Base() mutate.Campaign {
 // place of the text rendering.
 func (c *Campaign) JSONToStdout() bool { return c.json == "-" }
 
-// WriteFiles writes the report, the metrics snapshot and the event log, in
+// WriteFiles writes the report, the metrics exposition and the event log, in
 // that order, each only when its flag names a file, and prints one line
 // per file on w.
 func (c *Campaign) WriteFiles(w io.Writer, report func(io.Writer) error) error {
@@ -78,7 +78,7 @@ func (c *Campaign) WriteFiles(w io.Writer, report func(io.Writer) error) error {
 	if err := Write(w, path, "report", report); err != nil {
 		return err
 	}
-	if err := Write(w, c.metrics, "metrics", c.reg.WriteJSON); err != nil {
+	if err := Write(w, c.metrics, "metrics", c.reg.WriteProm); err != nil {
 		return err
 	}
 	return Write(w, c.events, "events", c.rec.WriteJSON)

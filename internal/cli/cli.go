@@ -5,7 +5,6 @@
 package cli
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -35,8 +34,8 @@ type Obs struct {
 // Register declares the observability flags on fs.
 func Register(fs *flag.FlagSet) *Obs {
 	o := &Obs{name: fs.Name()}
-	fs.StringVar(&o.metrics, "metrics", "", "write a JSON runtime-metrics snapshot (sim/monitor/runner) to this file")
-	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
+	fs.StringVar(&o.metrics, "metrics", "", "write the runtime metrics (sim/monitor/runner) as Prometheus text to this file")
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof and the live /metrics on this address (e.g. localhost:6060)")
 	fs.StringVar(&o.events, "events", "", "write the structured event timeline as JSON to this file")
 	fs.StringVar(&o.perfetto, "perfetto", "", "write the event timeline as Chrome trace-event JSON (open in ui.perfetto.dev)")
 	fs.IntVar(&o.flight, "flight", 0, "flight-recorder mode: keep only the newest N events (0 = unbounded)")
@@ -44,8 +43,10 @@ func Register(fs *flag.FlagSet) *Obs {
 }
 
 // Start builds the registry and the recorder the parsed flags ask for and,
-// with -pprof, serves net/http/pprof plus the live registry snapshot under
-// expvar for the life of the process, announcing the address on stderr.
+// with -pprof, serves net/http/pprof plus the live registry at GET
+// /metrics on the default mux for the life of the process, announcing the
+// address on stderr. -pprof registers /metrics, so it is started once per
+// process.
 func (o *Obs) Start(stderr io.Writer) {
 	if o.metrics != "" || o.pprof != "" {
 		o.Registry = obs.NewRegistry()
@@ -56,20 +57,19 @@ func (o *Obs) Start(stderr io.Writer) {
 	if o.pprof == "" {
 		return
 	}
-	reg := o.Registry
-	expvar.Publish("adassure", expvar.Func(func() any { return reg.Snapshot() }))
+	http.Handle("GET /metrics", o.Registry)
 	go func() {
 		if err := http.ListenAndServe(o.pprof, nil); err != nil {
 			fmt.Fprintf(stderr, "%s: pprof server: %v\n", o.name, err)
 		}
 	}()
-	fmt.Fprintf(stderr, "pprof+expvar serving on http://%s/debug/pprof (metrics at /debug/vars)\n", o.pprof)
+	fmt.Fprintf(stderr, "pprof serving on http://%s/debug/pprof (metrics at /metrics)\n", o.pprof)
 }
 
-// Finish writes the metrics snapshot, the event log and the Perfetto
+// Finish writes the metrics exposition, the event log and the Perfetto
 // trace, in that order, each only when its flag names a file.
 func (o *Obs) Finish(w io.Writer) error {
-	if err := Write(w, o.metrics, "metrics", o.Registry.WriteJSON); err != nil {
+	if err := Write(w, o.metrics, "metrics", o.Registry.WriteProm); err != nil {
 		return err
 	}
 	if err := Write(w, o.events, "events", o.Recorder.WriteJSON); err != nil {

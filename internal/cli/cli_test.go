@@ -7,6 +7,8 @@ import (
 	"flag"
 	"io"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,6 +16,7 @@ import (
 	"testing"
 
 	"adassure/internal/events"
+	"adassure/internal/obs"
 )
 
 // parse registers the flag set on a fresh FlagSet and parses argv.
@@ -45,11 +48,11 @@ func TestAllFlagsOff(t *testing.T) {
 }
 
 // TestFinishWritesEveryFile: with -metrics, -events and -perfetto, Finish
-// writes three parseable JSON documents and prints one line per file, in
-// that order; -flight bounds the recorder.
+// writes the metrics exposition and two parseable JSON documents and
+// prints one line per file, in that order; -flight bounds the recorder.
 func TestFinishWritesEveryFile(t *testing.T) {
 	dir := t.TempDir()
-	metrics := filepath.Join(dir, "m.json")
+	metrics := filepath.Join(dir, "m.prom")
 	evs := filepath.Join(dir, "e.json")
 	perf := filepath.Join(dir, "p.json")
 	o := parse(t, "-metrics", metrics, "-events", evs, "-perfetto", perf, "-flight", "2")
@@ -74,7 +77,7 @@ func TestFinishWritesEveryFile(t *testing.T) {
 	if out.String() != want {
 		t.Fatalf("Finish printed\n%s\nwant\n%s", out.String(), want)
 	}
-	for _, p := range []string{metrics, evs, perf} {
+	for _, p := range []string{evs, perf} {
 		b, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
@@ -84,9 +87,48 @@ func TestFinishWritesEveryFile(t *testing.T) {
 			t.Fatalf("%s is not JSON: %v", p, err)
 		}
 	}
-	b, _ := os.ReadFile(metrics)
-	if !strings.Contains(string(b), `"test.count"`) {
-		t.Fatalf("metrics snapshot misses the recorded counter:\n%s", b)
+	wantCounter(t, metrics, "test_count_total", 1)
+}
+
+// wantCounter parses the exposition file at path strictly and checks that
+// the counter sample name sums to want over exactly one series.
+func wantCounter(t *testing.T, path, name string, want float64) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	doc, err := obs.ParseProm(f)
+	if err != nil {
+		t.Fatalf("%s is not a valid exposition: %v", path, err)
+	}
+	if got, n := doc.Sum(name); n != 1 || got != want {
+		t.Fatalf("%s: %s = %v over %d series, want %v over 1", path, name, got, n, want)
+	}
+}
+
+// TestPprofServesMetrics: -pprof serves the live registry at GET /metrics
+// on the default mux, as an exposition that parses strictly.
+func TestPprofServesMetrics(t *testing.T) {
+	o := parse(t, "-pprof", "127.0.0.1:0")
+	var stderr bytes.Buffer
+	o.Start(&stderr)
+	if !strings.Contains(stderr.String(), "/metrics") {
+		t.Errorf("Start announced %q, want the /metrics address", stderr.String())
+	}
+	o.Registry.Counter("test.count").Add(3)
+	rec := httptest.NewRecorder()
+	http.DefaultServeMux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics = %d: %s", rec.Code, rec.Body)
+	}
+	doc, err := obs.ParseProm(rec.Body)
+	if err != nil {
+		t.Fatalf("GET /metrics is not a valid exposition: %v", err)
+	}
+	if got, n := doc.Sum("test_count_total"); n != 1 || got != 3 {
+		t.Fatalf("test_count_total = %v over %d series, want 3", got, n)
 	}
 }
 
@@ -128,7 +170,7 @@ func TestWriteReportsStreamError(t *testing.T) {
 // to stdout.
 func TestCampaignFlags(t *testing.T) {
 	dir := t.TempDir()
-	metrics := filepath.Join(dir, "m.json")
+	metrics := filepath.Join(dir, "m.prom")
 	fset := flag.NewFlagSet("cli-test", flag.ContinueOnError)
 	c := RegisterCampaign(fset)
 	if err := fset.Parse([]string{"-tracks", " urban-loop,,hairpin ", "-seed", "7", "-json", "-", "-metrics", metrics}); err != nil {
@@ -145,6 +187,7 @@ func TestCampaignFlags(t *testing.T) {
 	if !c.JSONToStdout() {
 		t.Error("-json - does not ask for stdout")
 	}
+	base.Obs.Counter("sim.runs").Add(2)
 	var out bytes.Buffer
 	report := func(io.Writer) error { t.Error("report written to a file after going to stdout"); return nil }
 	if err := c.WriteFiles(&out, report); err != nil {
@@ -153,4 +196,5 @@ func TestCampaignFlags(t *testing.T) {
 	if got, want := out.String(), "metrics written to "+metrics+"\n"; got != want {
 		t.Errorf("WriteFiles printed %q, want %q", got, want)
 	}
+	wantCounter(t, metrics, "sim_runs_total", 2)
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"adassure/internal/attacks"
@@ -148,6 +147,7 @@ func Figure4MonitorOverhead(o Options) (*Table, error) {
 	sizes := []int{0, 4, 8, full}
 	best := make([]time.Duration, len(sizes))
 	var fullReg *obs.Registry
+	var fullIDs []string
 	for rep := 0; rep < f4Repeats; rep++ {
 		for r, size := range sizes {
 			reg := obs.NewRegistry()
@@ -164,14 +164,14 @@ func Figure4MonitorOverhead(o Options) (*Table, error) {
 				best[r] = d
 			}
 			if size == full {
-				fullReg = reg
+				fullReg, fullIDs = reg, mon.AssertionIDs()
 			}
 		}
 	}
 	for r, size := range sizes {
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", size), fmt.Sprintf("%d", best[r].Nanoseconds()/int64(n))})
 	}
-	t.Notes = append(t.Notes, observedCostNotes(fullReg, n)...)
+	t.Notes = append(t.Notes, observedCostNotes(fullReg, fullIDs, n)...)
 	return t, nil
 }
 
@@ -180,10 +180,10 @@ func Figure4MonitorOverhead(o Options) (*Table, error) {
 const f4Repeats = 3
 
 // observedCostNotes renders the F4 "Observed cost" section from a metrics
-// registry: the whole-step latency percentiles and the costliest
-// assertions of the full catalog, as measured by the monitor's own
-// instrumentation on its sampled frames (see obs.SampleEvery).
-func observedCostNotes(reg *obs.Registry, frames int) []string {
+// registry: the whole-step latency percentiles and the costliest of the
+// assertions named by ids, as measured by the monitor's own instrumentation on its
+// sampled frames (see obs.SampleEvery).
+func observedCostNotes(reg *obs.Registry, ids []string, frames int) []string {
 	if reg == nil {
 		return nil
 	}
@@ -197,15 +197,8 @@ func observedCostNotes(reg *obs.Registry, frames int) []string {
 		p95  float64
 	}
 	var costs []cost
-	for _, name := range reg.Names() {
-		id, ok := strings.CutPrefix(name, "monitor.")
-		if !ok {
-			continue
-		}
-		if id, ok = strings.CutSuffix(id, ".eval_ns"); !ok {
-			continue
-		}
-		h := reg.Histogram(name)
+	for _, id := range ids {
+		h := reg.Histogram("monitor." + id + ".eval_ns")
 		costs = append(costs, cost{id: id, mean: h.Mean(), p95: h.Quantile(0.95)})
 	}
 	sort.Slice(costs, func(i, j int) bool { return costs[i].mean > costs[j].mean })

@@ -12,8 +12,7 @@ import (
 //
 // Label keys are sorted and values escaped at resolution time, so the
 // same label set always resolves the same series regardless of argument
-// order, and JSON snapshots carry the labels verbatim in their map keys.
-// The Prometheus exporter (WriteProm) parses the encoding back into
+// order. The exporter (WriteProm) parses the encoding back into
 // per-series label strings; unlabeled metrics are unaffected.
 
 // CounterL resolves the counter for name plus alternating key, value

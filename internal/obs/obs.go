@@ -29,12 +29,11 @@
 //	    ... hot work ...
 //	    tm.Stop()
 //	}
-//	reg.WriteJSON(os.Stdout) // p50/p95/p99 per histogram, all counters
+//	reg.WriteProm(os.Stdout) // the text exposition: every counter, gauge and le bucket
 package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -372,25 +371,4 @@ func (r *Registry) HistogramWith(name string, bounds []int64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Names returns the sorted names of all registered metrics.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"math"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -146,7 +146,7 @@ func TestConcurrentRecording(t *testing.T) {
 				h.Observe(int64(i))
 				g.Set(float64(w))
 				if i%100 == 0 {
-					r.Snapshot() // snapshots may race with recording
+					r.WriteProm(io.Discard) // scrapes may race with recording
 				}
 			}
 		}(w)
@@ -160,51 +160,22 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: WriteJSON → ReadSnapshot reproduces the snapshot
-// exactly, including occupied buckets and percentiles.
-func TestSnapshotRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("jobs").Add(42)
-	r.Gauge("rate").Set(123.5)
-	h := r.HistogramWith("lat", []int64{10, 100})
+// TestHistogramSummary: Summary reports the totals and every occupied
+// bucket, the overflow bucket as Le = -1, and a nil histogram summarises
+// to the zero value.
+func TestHistogramSummary(t *testing.T) {
+	h := NewHistogram([]int64{10, 100})
 	for _, v := range []int64{5, 50, 500} {
 		h.Observe(v)
 	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	s := h.Summary()
+	want := []Bucket{{Le: 10, Count: 1}, {Le: 100, Count: 1}, {Le: -1, Count: 1}}
+	if s.Count != 3 || s.Sum != 555 || !reflect.DeepEqual(s.Buckets, want) {
+		t.Errorf("summary = %+v, want count 3, sum 555, buckets %v", s, want)
 	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, r.Snapshot()) {
-		t.Errorf("round trip changed snapshot:\n got %+v\nwant %+v", got, r.Snapshot())
-	}
-	if got.Counters["jobs"] != 42 || got.Gauges["rate"] != 123.5 {
-		t.Errorf("scalars lost: %+v", got)
-	}
-	if s := got.Histograms["lat"]; s.Count != 3 || len(s.Buckets) != 3 {
-		t.Errorf("histogram summary lost: %+v", s)
-	}
-}
-
-// TestSnapshotSanitizesNonFinite: a NaN/Inf gauge must not make the
-// snapshot unmarshalable (encoding/json rejects non-finite numbers).
-func TestSnapshotSanitizesNonFinite(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("nan").Set(math.NaN())
-	r.Gauge("inf").Set(math.Inf(1))
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatalf("non-finite gauge broke WriteJSON: %v", err)
-	}
-	s, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Gauges["nan"] != 0 || s.Gauges["inf"] != 0 {
-		t.Errorf("non-finite gauges should sanitize to 0: %+v", s.Gauges)
+	var nilH *Histogram
+	if !reflect.DeepEqual(nilH.Summary(), HistogramSummary{}) {
+		t.Error("nil histogram must summarise to the zero value")
 	}
 }
 
@@ -215,16 +186,12 @@ func TestNilRegistry(t *testing.T) {
 	if r.Counter("c") != nil || r.Gauge("g") != nil || r.Histogram("h") != nil {
 		t.Error("nil registry must resolve nil handles")
 	}
-	if r.Names() != nil {
-		t.Error("nil registry has no names")
-	}
-	s := r.Snapshot()
-	if s.Counters != nil || s.Gauges != nil || s.Histograms != nil {
-		t.Errorf("nil registry snapshot not empty: %+v", s)
-	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.WriteProm(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if buf.String() != "# EOF\n" {
+		t.Errorf("nil registry exposition = %q, want only the # EOF line", buf.String())
 	}
 	// The nil-histogram timer must also be inert.
 	var h *Histogram
@@ -236,18 +203,15 @@ func TestNilRegistry(t *testing.T) {
 	}
 }
 
-func TestRegistryNamesAndReuse(t *testing.T) {
+func TestRegistryReuse(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("a")
 	c2 := r.Counter("a")
 	if c1 != c2 {
 		t.Error("same name must resolve the same counter")
 	}
-	r.Gauge("b")
-	r.Histogram("c")
-	want := []string{"a", "b", "c"}
-	if got := r.Names(); !reflect.DeepEqual(got, want) {
-		t.Errorf("names = %v, want %v", got, want)
+	if r.Gauge("b") != r.Gauge("b") {
+		t.Error("same name must resolve the same gauge")
 	}
 	// Bounds are fixed at creation: a second HistogramWith with different
 	// bounds returns the existing histogram.

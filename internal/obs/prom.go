@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 )
@@ -115,7 +116,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 				fmt.Fprintf(bw, "%s_total%s %d\n", f.name, braced(s.labels), s.c.Value())
 			case "gauge":
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, braced(s.labels),
-					strconv.FormatFloat(sanitize(s.g.Value()), 'g', -1, 64))
+					strconv.FormatFloat(s.g.Value(), 'g', -1, 64))
 			case "histogram":
 				writePromHistogram(bw, f.name, s.labels, s.h)
 			}
@@ -123,6 +124,14 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	}
 	fmt.Fprintf(bw, "# EOF\n")
 	return bw.Flush()
+}
+
+// ServeHTTP serves the registry's exposition, the body of a GET /metrics.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
+	if err := r.WriteProm(w); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // writePromHistogram emits the cumulative bucket series for one

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -101,9 +102,9 @@ func TestPromParseRejects(t *testing.T) {
 }
 
 // TestPromJSONParity is the property test: for randomly populated
-// registries, the Prometheus exposition and the JSON snapshot must agree
-// on every value — counters, gauges, histogram totals and per-bucket
-// counts (reconstructed from the cumulative le series).
+// registries, the exposition must agree with the registry's own handles
+// on every value — per-series counters, gauges, histogram totals and
+// per-bucket counts (reconstructed from the cumulative le series).
 func TestPromJSONParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -128,7 +129,6 @@ func TestPromJSONParity(t *testing.T) {
 			}
 		}
 
-		snap := reg.Snapshot()
 		var buf bytes.Buffer
 		if err := reg.WriteProm(&buf); err != nil {
 			t.Fatal(err)
@@ -138,68 +138,78 @@ func TestPromJSONParity(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 
-		for key, want := range snap.Counters {
+		for key, c := range reg.counters {
 			base, _ := splitKey(key)
-			got, n := doc.Sum(PromName(base) + "_total")
-			if n == 0 {
-				t.Fatalf("trial %d: counter %q missing from exposition", trial, key)
-			}
-			// Sum aggregates the base name's label sets; compare per-series.
-			if sv, ok := promSeriesValue(doc, PromName(base)+"_total", key); ok {
-				if sv != float64(want) {
-					t.Fatalf("trial %d: counter %q = %v in prom, %d in JSON", trial, key, sv, want)
-				}
-			} else if got != float64(want) {
-				t.Fatalf("trial %d: counter %q sum %v != %d", trial, key, got, want)
+			got, ok := promSeriesValue(doc, PromName(base)+"_total", key)
+			if want := c.Value(); !ok || got != float64(want) {
+				t.Fatalf("trial %d: counter %q = %v (found %v) in prom, %d in the registry", trial, key, got, ok, want)
 			}
 		}
-		for key, want := range snap.Gauges {
+		for key, g := range reg.gauges {
 			base, _ := splitKey(key)
 			got, n := doc.Sum(PromName(base))
-			if n != 1 || got != want {
+			if want := g.Value(); n != 1 || got != want {
 				t.Fatalf("trial %d: gauge %q = %v (n=%d), want %v", trial, key, got, n, want)
 			}
 		}
-		for key, want := range snap.Histograms {
+		for key, h := range reg.hists {
 			base, _ := splitKey(key)
 			name := PromName(base)
-			if got, n := doc.Sum(name + "_count"); n != 1 || got != float64(want.Count) {
-				t.Fatalf("trial %d: histogram %q count %v (n=%d), want %d", trial, key, got, n, want.Count)
+			if got, n := doc.Sum(name + "_count"); n != 1 || got != float64(h.Count()) {
+				t.Fatalf("trial %d: histogram %q count %v (n=%d), want %d", trial, key, got, n, h.Count())
 			}
-			if got, _ := doc.Sum(name + "_sum"); got != float64(want.Sum) {
+			if got, _ := doc.Sum(name + "_sum"); got != float64(h.Sum()) {
 				t.Fatalf("trial %d: histogram %q sum mismatch", trial, key)
 			}
 			// Reconstruct per-bucket counts from the cumulative series.
-			fam := doc.Family(name)
-			var les []float64
-			var cums []float64
-			for _, s := range fam.Samples {
-				if s.Name != name+"_bucket" {
-					continue
-				}
-				if s.Labels["le"] == "+Inf" {
-					continue
-				}
-				le, _ := strconv.ParseFloat(s.Labels["le"], 64)
-				les = append(les, le)
-				cums = append(cums, s.Value)
-			}
 			perBucket := map[int64]int64{}
 			var prev float64
-			for i, le := range les {
-				perBucket[int64(le)] = int64(cums[i] - prev)
-				prev = cums[i]
-			}
-			for _, b := range want.Buckets {
-				if b.Le == -1 {
-					continue // overflow bucket has no finite le line
+			for _, s := range doc.Family(name).Samples {
+				if s.Name != name+"_bucket" || s.Labels["le"] == "+Inf" {
+					continue
 				}
-				if perBucket[b.Le] != b.Count {
-					t.Fatalf("trial %d: histogram %q bucket le=%d: prom %d, JSON %d",
-						trial, key, b.Le, perBucket[b.Le], b.Count)
+				le, _ := strconv.ParseInt(s.Labels["le"], 10, 64)
+				perBucket[le] = int64(s.Value - prev)
+				prev = s.Value
+			}
+			for i, le := range h.bounds {
+				if got, want := perBucket[le], h.counts[i].Load(); got != want {
+					t.Fatalf("trial %d: histogram %q bucket le=%d: prom %d, registry %d",
+						trial, key, le, got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestPromNonFiniteGauges: NaN and ±Inf gauges are written in the text
+// format's own spellings and read back as they were, not absorbed as 0.
+func TestPromNonFiniteGauges(t *testing.T) {
+	reg := NewRegistry()
+	reg.Gauge("nan").Set(math.NaN())
+	reg.Gauge("pos").Set(math.Inf(1))
+	reg.Gauge("neg").Set(math.Inf(-1))
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"nan NaN\n", "pos +Inf\n", "neg -Inf\n"} {
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("exposition misses %q:\n%s", line, buf.String())
+		}
+	}
+	doc, err := ParseProm(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, n := doc.Sum("nan"); n != 1 || !math.IsNaN(v) {
+		t.Errorf("nan gauge read back as %v (n=%d)", v, n)
+	}
+	if v, n := doc.Sum("pos"); n != 1 || !math.IsInf(v, 1) {
+		t.Errorf("+Inf gauge read back as %v (n=%d)", v, n)
+	}
+	if v, n := doc.Sum("neg"); n != 1 || !math.IsInf(v, -1) {
+		t.Errorf("-Inf gauge read back as %v (n=%d)", v, n)
 	}
 }
 

@@ -110,18 +110,14 @@ func (c *Client) Run(ctx context.Context, req Request) (*Response, *CallInfo, er
 	return &resp, info, nil
 }
 
-// Metrics fetches the server's JSON metrics snapshot (/metrics.json).
-func (c *Client) Metrics(ctx context.Context) (obs.Snapshot, error) {
-	body, err := c.getJSON(ctx, "/metrics.json")
+// Metrics fetches the server's exposition from /metrics and parses it
+// with the strict reader obs.ParseProm.
+func (c *Client) Metrics(ctx context.Context) (*obs.PromDoc, error) {
+	body, err := c.getJSON(ctx, "/metrics")
 	if err != nil {
-		return obs.Snapshot{}, err
+		return nil, err
 	}
-	return obs.ReadSnapshot(bytes.NewReader(body))
-}
-
-// MetricsText fetches the raw Prometheus exposition from /metrics.
-func (c *Client) MetricsText(ctx context.Context) ([]byte, error) {
-	return c.getJSON(ctx, "/metrics")
+	return obs.ParseProm(bytes.NewReader(body))
 }
 
 // Healthz checks liveness; it fails on any non-200 answer.

@@ -175,21 +175,26 @@ func TestUnknownRouteAndMethod(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	hc := c.httpClient()
 
-	resp, err := hc.Get(c.BaseURL + "/v1/no-such-endpoint")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown route: status %d, want 404", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("unknown route: content type %q, want application/json", ct)
-	}
-	if msg := errorEnvelope(t, buf.Bytes()); !strings.Contains(msg, "unknown route") {
-		t.Fatalf("404 message %q does not name the problem", msg)
+	// The metrics leave only as the /metrics exposition: the old JSON
+	// route is unknown.
+	for _, path := range []string{"/v1/no-such-endpoint", "/metrics.json"} {
+		resp, err := hc.Get(c.BaseURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: content type %q, want application/json", path, ct)
+		}
+		if msg := errorEnvelope(t, buf.Bytes()); !strings.Contains(msg, "unknown route") {
+			t.Fatalf("%s: 404 message %q does not name the problem", path, msg)
+		}
 	}
 
 	for path, wrong := range map[string]string{
@@ -197,6 +202,7 @@ func TestUnknownRouteAndMethod(t *testing.T) {
 		"/v1/mutate":  http.MethodGet,
 		"/v1/catalog": http.MethodPost,
 		"/healthz":    http.MethodDelete,
+		"/metrics":    http.MethodPost,
 	} {
 		req, err := http.NewRequest(wrong, c.BaseURL+path, nil)
 		if err != nil {

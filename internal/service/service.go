@@ -32,7 +32,6 @@
 //	GET  /healthz           liveness only (process up and answering)
 //	GET  /readyz            readiness: queue saturation + drain state (503 while draining)
 //	GET  /metrics           Prometheus/OpenMetrics text exposition of the obs registry
-//	GET  /metrics.json      JSON snapshot of the obs registry
 //	GET  /debug/buildinfo   module path, Go version and VCS stamp of the binary
 //	GET  /debug/traces      trace IDs currently held by the in-process trace store
 //	GET  /debug/traces/{id} one trace's spans as adassure/spans/v1 JSON
@@ -224,8 +223,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/catalog", s.traced("/v1/catalog", s.handleCatalog))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
+	mux.Handle("GET /metrics", s.reg)
 	mux.HandleFunc("GET /debug/buildinfo", s.handleBuildinfo)
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
@@ -355,7 +353,6 @@ var routeMethods = map[string]string{
 	"/healthz":         "GET",
 	"/readyz":          "GET",
 	"/metrics":         "GET",
-	"/metrics.json":    "GET",
 	"/debug/buildinfo": "GET",
 	"/debug/traces":    "GET",
 }
@@ -412,23 +409,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	b, _ := json.Marshal(doc)
 	writeJSON(w, code, b)
-}
-
-// handleMetrics serves the Prometheus/OpenMetrics text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	if err := s.reg.WriteProm(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// handleMetricsJSON serves the JSON snapshot of the obs registry (the
-// format /metrics carried before the Prometheus exposition took it over).
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.reg.WriteJSON(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 // handleBuildinfo reports what binary is serving: module path, Go

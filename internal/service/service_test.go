@@ -246,15 +246,15 @@ func TestHealthzMetricsCatalog(t *testing.T) {
 	if _, _, err := c.Run(ctx, Request{Duration: 5}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Metrics(ctx)
+	doc, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if snap.Counters["service.requests"] < 1 {
-		t.Fatalf("metrics snapshot missing service.requests: %v", snap.Counters)
+	if got, n := doc.Sum("service_requests_total"); n != 1 || got < 1 {
+		t.Fatalf("metrics service_requests_total = %v over %d series, want >= 1 over 1", got, n)
 	}
-	if snap.Counters["sim.runs"] != 1 {
-		t.Fatalf("metrics snapshot sim.runs = %d, want 1", snap.Counters["sim.runs"])
+	if got, n := doc.Sum("sim_runs_total"); n != 1 || got != 1 {
+		t.Fatalf("metrics sim_runs_total = %v over %d series, want 1", got, n)
 	}
 	body, err := c.getJSON(ctx, "/v1/catalog")
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"adassure/internal/events"
-	"adassure/internal/obs"
 	"adassure/internal/telemetry"
 )
 
@@ -367,8 +366,7 @@ func TestBuildinfoEndpoint(t *testing.T) {
 // TestMetricsPromScrape: after one traced run, /metrics parses under the
 // strict exposition reader, reports the simulation counter, carries a
 // trace-ID exemplar on the request-latency histogram, and labels the
-// per-route HTTP counter; /metrics.json keeps serving the JSON snapshot
-// with matching values.
+// per-route HTTP counter.
 func TestMetricsPromScrape(t *testing.T) {
 	_, c := newTestServer(t, tracedConfig(1))
 	ctx := context.Background()
@@ -378,15 +376,11 @@ func TestMetricsPromScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := c.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := obs.ParseProm(bytes.NewReader(raw))
+	doc, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatalf("strict exposition parse: %v", err)
 	}
-	if total, n := doc.Sum("sim_runs_total"); n == 0 || total != 1 {
+	if total, n := doc.Sum("sim_runs_total"); n != 1 || total != 1 {
 		t.Errorf("sim_runs_total = %v over %d series, want 1", total, n)
 	}
 	if !doc.HasExemplar("service_request_ns") {
@@ -413,14 +407,6 @@ func TestMetricsPromScrape(t *testing.T) {
 				break
 			}
 		}
-	}
-
-	snap, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["sim.runs"] != 1 {
-		t.Errorf("/metrics.json sim.runs = %d, want 1", snap.Counters["sim.runs"])
 	}
 }
 
