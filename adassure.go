@@ -31,6 +31,7 @@ package adassure
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -338,6 +339,11 @@ type Scenario struct {
 	// RecordFrames captures the frame stream into the result's Recording
 	// for offline re-monitoring.
 	RecordFrames bool
+	// RecordTrace records the run's 19-column signal trace into Sim.Trace.
+	// Off by default: the trace is most of a run's memory and only the
+	// Markdown report, trace exports and forensic bundles read it.
+	// WriteMarkdownReport fails without it.
+	RecordTrace bool
 	// Localizer selects the fusion stack: "ekf" (default) or
 	// "complementary" (fixed-gain filter without innovation gating).
 	Localizer string
@@ -373,7 +379,8 @@ type Scenario struct {
 
 // Outcome of a Scenario run.
 type ScenarioResult struct {
-	// Sim is the raw simulation result, including the signal trace.
+	// Sim is the raw simulation result, including the signal trace when
+	// Scenario.RecordTrace was set.
 	Sim *SimResult
 	// Violations is the monitor's episode record.
 	Violations []Violation
@@ -390,9 +397,17 @@ func (r *ScenarioResult) Report() string {
 	return diagnosis.Report(r.Violations, 3)
 }
 
+// errNoTrace is WriteMarkdownReport's error for a run without a trace,
+// whose comfort line and signal summary the report would otherwise drop.
+var errNoTrace = errors.New("adassure: the report needs the signal trace: run with Scenario.RecordTrace")
+
 // WriteMarkdownReport renders the full Markdown debugging report (scenario
 // metadata, run summary, detection, timeline, diagnosis, signal summary).
+// The run must have set Scenario.RecordTrace.
 func (r *ScenarioResult) WriteMarkdownReport(w io.Writer) error {
+	if r.Sim.Trace == nil {
+		return errNoTrace
+	}
 	onset := -1.0
 	if r.scenario.Attack != AttackNone {
 		onset = r.scenario.AttackStart
@@ -414,10 +429,11 @@ func (r *ScenarioResult) WriteMarkdownReport(w io.Writer) error {
 }
 
 // ForensicBundles builds one self-contained debugging bundle per violation
-// episode of the run: a ±halfWindow trace slice around the violation
-// (extended back to the episode's first breach), the in-window frames (when
-// Scenario.RecordFrames was set), the attack state, the assertion's eval
-// history (when Scenario.Obs was set) and the top diagnosis hypotheses.
+// episode of the run: a ±halfWindow trace slice around the violation,
+// extended back to the episode's first breach (when Scenario.RecordTrace
+// was set), the in-window frames (when Scenario.RecordFrames was set), the
+// attack state, the assertion's eval history (when Scenario.Obs was set)
+// and the top diagnosis hypotheses.
 // halfWindow <= 0 uses the 2 s default. Persist each with
 // ForensicBundle.WriteJSON; re-read with ReadForensicBundle.
 func (r *ScenarioResult) ForensicBundles(halfWindow float64) []ForensicBundle {
@@ -624,6 +640,7 @@ func (s Scenario) RunContext(ctx context.Context) (*ScenarioResult, error) {
 		Campaign:     camp,
 		Monitor:      mon,
 		RecordFrames: s.RecordFrames,
+		RecordTrace:  s.RecordTrace,
 		Localizer:    s.Localizer,
 		Obs:          s.Obs,
 		Events:       s.Events,

@@ -2,8 +2,11 @@ package adassure
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -198,7 +201,7 @@ func TestScenarioCustomTrackWithZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Scenario{CustomTrack: tr, Controller: ControllerLQRMPC, Duration: 90}.Run()
+	out, err := Scenario{CustomTrack: tr, Controller: ControllerLQRMPC, Duration: 90, RecordTrace: true}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +258,7 @@ func TestSegmentizePublicAPI(t *testing.T) {
 }
 
 func TestMarkdownReportPublicAPI(t *testing.T) {
-	out, err := Scenario{Attack: AttackFreeze, Duration: 40}.Run()
+	out, err := Scenario{Attack: AttackFreeze, Duration: 40, RecordTrace: true}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +266,7 @@ func TestMarkdownReportPublicAPI(t *testing.T) {
 	if err := out.WriteMarkdownReport(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"# ADAssure report", "## Detection", "gnss-freeze"} {
+	for _, want := range []string{"# ADAssure report", "## Detection", "gnss-freeze", "- comfort:", "## Signal summary"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("markdown report missing %q", want)
 		}
@@ -310,6 +313,95 @@ func TestWriteComparisonReportPublicAPI(t *testing.T) {
 	if err := WriteComparisonReport(&buf, "x", nil, after); err == nil {
 		t.Error("nil before accepted")
 	}
+}
+
+// TestTraceIsOptIn: a run without RecordTrace has no trace; the Markdown
+// report then refuses with an error naming the field rather than silently
+// dropping its comfort line and signal summary; forensic bundles still
+// carry their frames, just no trace slice; and the comparison report,
+// which reads no signal, needs none.
+func TestTraceIsOptIn(t *testing.T) {
+	scn := Scenario{Attack: AttackDriftSpoof, Seed: 3, Duration: 40, RecordFrames: true}
+	out, err := scn.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Sim.Trace != nil {
+		t.Fatal("a run without RecordTrace recorded a trace")
+	}
+	err = out.WriteMarkdownReport(&bytes.Buffer{})
+	if !errors.Is(err, errNoTrace) || !strings.Contains(fmt.Sprint(err), "Scenario.RecordTrace") {
+		t.Errorf("WriteMarkdownReport without a trace: err = %v, want one naming Scenario.RecordTrace", err)
+	}
+	bundles := out.ForensicBundles(0)
+	if len(bundles) == 0 {
+		t.Fatal("attacked run gave no bundles")
+	}
+	for _, b := range bundles {
+		if b.Trace != nil || len(b.Frames) == 0 {
+			t.Errorf("bundle %d: trace %v, %d frames; want no trace and some frames", b.Index, b.Trace != nil, len(b.Frames))
+		}
+	}
+	if err := WriteComparisonReport(&bytes.Buffer{}, "cmp", out, out); err != nil {
+		t.Errorf("comparison of trace-free runs: %v", err)
+	}
+
+	scn.RecordTrace = true
+	traced, err := scn.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.Sim.Trace == nil {
+		t.Fatal("RecordTrace run has no trace")
+	}
+	if err := traced.WriteMarkdownReport(&bytes.Buffer{}); err != nil {
+		t.Errorf("WriteMarkdownReport with a trace: %v", err)
+	}
+	for _, b := range traced.ForensicBundles(0) {
+		if b.Trace == nil {
+			t.Errorf("bundle %d of a RecordTrace run has no trace slice", b.Index)
+		}
+	}
+}
+
+// runBytes is the mean heap bytes one run of s allocates, over n runs
+// after a warm-up run (which resolves the shared built-in track).
+func runBytes(t *testing.T, s Scenario, n int) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run := func() {
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestFacadeRunAllocBytes pins that a façade run skips the trace unless
+// asked: a clean 70 s urban-loop pure-pursuit run allocates about 63 KiB
+// (66 KiB under -race), most of it random-source seeding. The 100 KiB
+// ceiling leaves about 50% headroom for that setup to drift, yet sits far
+// below the 243 KiB the 19-column trace adds; the traced run must add at
+// least 200 KiB.
+func TestFacadeRunAllocBytes(t *testing.T) {
+	const ceiling, traceMin = 100 << 10, 200 << 10
+	plain := runBytes(t, Scenario{}, 10)
+	if plain > ceiling {
+		t.Errorf("untraced façade run allocates %.0f B, want ≤ %d", plain, ceiling)
+	}
+	traced := runBytes(t, Scenario{RecordTrace: true}, 10)
+	if traced-plain < traceMin {
+		t.Errorf("RecordTrace adds %.0f B (%.0f against %.0f), want ≥ %d", traced-plain, traced, plain, traceMin)
+	}
+	t.Logf("untraced %.0f B/run, traced %.0f B/run", plain, traced)
 }
 
 func TestRunMutationCampaignFacade(t *testing.T) {

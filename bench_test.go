@@ -299,7 +299,7 @@ func BenchmarkSimSecond(b *testing.B) {
 		mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
 		_, err := sim.Run(sim.Config{
 			Track: tr, Controller: "pure-pursuit", Seed: 1,
-			Duration: 1, Monitor: mon, DisableTrace: true,
+			Duration: 1, Monitor: mon,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -336,7 +336,7 @@ func BenchmarkStepWithObs(b *testing.B) {
 				mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
 				_, err := sim.Run(sim.Config{
 					Track: tr, Controller: "pure-pursuit", Seed: 1,
-					Duration: 1, Monitor: mon, DisableTrace: true, Obs: reg,
+					Duration: 1, Monitor: mon, Obs: reg,
 				})
 				if err != nil {
 					b.Fatal(err)

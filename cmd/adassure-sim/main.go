@@ -107,8 +107,9 @@ func main() {
 
 	o.Start(os.Stderr)
 	reg, rec := o.Registry, o.Recorder
-	// Bundles need the frame stream around each violation, and carry the
-	// assertion eval history when a registry is attached — force both on.
+	// Bundles need the trace and frame stream around each violation, and
+	// carry the assertion eval history when a registry is attached — force
+	// all three on. Trace and report outputs need the trace too.
 	if *bundleDir != "" && reg == nil {
 		reg = adassure.NewRegistry()
 	}
@@ -124,6 +125,7 @@ func main() {
 		Guarded:        *guard,
 		ThresholdScale: *scale,
 		RecordFrames:   *recordOut != "" || *bundleDir != "",
+		RecordTrace:    *traceCSV != "" || *traceJSON != "" || *reportMD != "" || *bundleDir != "",
 	}
 
 	if *seedCount > 1 {

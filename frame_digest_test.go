@@ -88,7 +88,8 @@ func (w *digestWriter) value(v reflect.Value) {
 // recorded frame, every violation (evidence included) and the run's
 // summary into one SHA-256 line, which must equal the committed one: any
 // change to a bit the simulator, the fusion filter or the monitor produces
-// shows here, named by the cells it moved. Regenerate with
+// shows here, named by the cells it moved. The grid records no trace;
+// TestTraceEventDigest records it over the same grid. Regenerate with
 // -update-frame-digest after an intended change. The race detector makes
 // the grid too slow to run, so -race skips it.
 func TestFrameDigest(t *testing.T) {
@@ -127,10 +128,11 @@ func TestFrameDigest(t *testing.T) {
 }
 
 // TestTraceEventDigest covers what TestFrameDigest does not see: over the
-// same grid it hashes each run's trace CSV and its event log (scenario
-// span, attack and guard lanes, violation episodes, hypotheses), recorded
-// without wall-clock stamps, into one SHA-256 line per cell that must
-// equal the committed one. Regenerate with -update-frame-digest.
+// same grid, with RecordTrace set, it hashes each run's trace CSV and its
+// event log (scenario span, attack and guard lanes, violation episodes,
+// hypotheses), recorded without wall-clock stamps, into one SHA-256 line
+// per cell that must equal the committed one. Regenerate with
+// -update-frame-digest.
 func TestTraceEventDigest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the 364-run grid is too slow under the race detector")
@@ -141,6 +143,7 @@ func TestTraceEventDigest(t *testing.T) {
 		recs[i] = events.NewRecorder(0).WithoutWallClock()
 		grid[i].Events = recs[i]
 		grid[i].RecordFrames = false
+		grid[i].RecordTrace = true
 	}
 	res, err := RunScenarios(context.Background(), grid, 0)
 	if err != nil {

@@ -27,7 +27,7 @@ func TestDiagnosisAccuracyEndToEnd(t *testing.T) {
 			mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
 			if _, err := sim.Run(sim.Config{
 				Track: tr, Controller: "pure-pursuit", Seed: seed, Duration: 70,
-				Campaign: camp, Monitor: mon, DisableTrace: true,
+				Campaign: camp, Monitor: mon,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestCleanRunDiagnosesNone(t *testing.T) {
 		mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
 		if _, err := sim.Run(sim.Config{
 			Track: tr, Controller: "lqr-mpc", Seed: seed, Duration: 60,
-			Monitor: mon, DisableTrace: true,
+			Monitor: mon,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func TestSegmentizeTwoAttackDrive(t *testing.T) {
 	mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
 	if _, err := sim.Run(sim.Config{
 		Track: tr, Controller: "pure-pursuit", Seed: 1, Duration: 95,
-		Campaign: attacks.Campaign{GNSS: seq}, Monitor: mon, DisableTrace: true,
+		Campaign: attacks.Campaign{GNSS: seq}, Monitor: mon,
 	}); err != nil {
 		t.Fatal(err)
 	}

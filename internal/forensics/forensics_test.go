@@ -12,8 +12,8 @@ import (
 	"adassure/internal/trace"
 )
 
-// attackedRun executes the canonical drift-spoof scenario with frames,
-// metrics and a cached result shared across the tests in this file.
+// attackedRun executes the canonical drift-spoof scenario with trace,
+// frames, metrics and a cached result shared across the tests in this file.
 var attackedRun = func() func(t *testing.T) *adassure.ScenarioResult {
 	var cached *adassure.ScenarioResult
 	return func(t *testing.T) *adassure.ScenarioResult {
@@ -26,6 +26,7 @@ var attackedRun = func() func(t *testing.T) *adassure.ScenarioResult {
 			Seed:         1,
 			Duration:     55,
 			RecordFrames: true,
+			RecordTrace:  true,
 			Obs:          adassure.NewRegistry(),
 		}
 		out, err := scn.Run()

@@ -265,9 +265,11 @@ func run(o Options, seeds int, cells []gridCell) ([][]*sim.Result, error) {
 				Campaign:   camp,
 				Monitor:    core.NewCatalogMonitor(c.catalog),
 				Guard:      c.guard,
-				Obs:        o.Obs,
-				Events:     o.Events,
-				EventScope: c.name() + "/",
+				// F1/F2 and the forensic bundles read the trace.
+				RecordTrace: true,
+				Obs:         o.Obs,
+				Events:      o.Events,
+				EventScope:  c.name() + "/",
 			})
 			if err != nil || o.BundleDir == "" {
 				return res, err

@@ -61,16 +61,15 @@ func (p Probe) Run(ctx context.Context) ([]string, *sim.Result, error) {
 		return nil, nil, err
 	}
 	cfg := sim.Config{
-		Track:        p.Track,
-		Controller:   p.Controller,
-		Seed:         p.Seed,
-		Duration:     p.Duration,
-		Monitor:      mon,
-		DisableTrace: true,
-		Obs:          p.Obs,
-		Events:       p.Events,
-		EventScope:   p.EventScope,
-		Context:      ctx,
+		Track:      p.Track,
+		Controller: p.Controller,
+		Seed:       p.Seed,
+		Duration:   p.Duration,
+		Monitor:    mon,
+		Obs:        p.Obs,
+		Events:     p.Events,
+		EventScope: p.EventScope,
+		Context:    ctx,
 	}
 	if p.Mutant != nil {
 		spec, err := p.Mutant.Canonicalize()

@@ -25,7 +25,7 @@ func record(t *testing.T, class attacks.Class) *Recording {
 	}
 	res, err := sim.Run(sim.Config{
 		Track: tr, Controller: "pure-pursuit", Seed: 1, Duration: 60,
-		Campaign: camp, RecordFrames: true, DisableTrace: true,
+		Campaign: camp, RecordFrames: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestOfflineMonitorMatchesOnline(t *testing.T) {
 	online := core.NewCatalogMonitor(cfg)
 	res, err := sim.Run(sim.Config{
 		Track: tr, Controller: "pure-pursuit", Seed: 1, Duration: 60,
-		Campaign: camp, Monitor: online, RecordFrames: true, DisableTrace: true,
+		Campaign: camp, Monitor: online, RecordFrames: true,
 	})
 	if err != nil {
 		t.Fatal(err)

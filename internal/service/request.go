@@ -137,6 +137,7 @@ func (r Request) Scenario() adassure.Scenario {
 		Localizer:      r.Localizer,
 		Assertions:     r.Assertions,
 		RecordFrames:   r.Bundles,
+		RecordTrace:    r.Bundles,
 	}
 }
 

@@ -65,6 +65,7 @@ import (
 	"adassure"
 	"adassure/internal/obs"
 	"adassure/internal/runner"
+	"adassure/internal/sim"
 	"adassure/internal/store"
 	"adassure/internal/telemetry"
 )
@@ -202,6 +203,8 @@ func New(cfg Config) *Server {
 
 		streamSessions: cfg.Obs.Counter("service.stream.sessions"),
 	}
+	// A fresh server's /metrics reads sim_runs_total 0, not no series.
+	sim.Counters(cfg.Obs)
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.streamCtx, s.cancelStreams = context.WithCancel(context.Background())
 	s.store = cfg.Store

@@ -214,7 +214,8 @@ func TestAssertionSelection(t *testing.T) {
 }
 
 // TestBundlesInResponse: Bundles=true attaches one forensic bundle per
-// violation episode, each window containing its violation.
+// violation episode, each window containing its violation and carrying
+// the trace slice and frames around it.
 func TestBundlesInResponse(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	req := spoofRequest()
@@ -232,6 +233,9 @@ func TestBundlesInResponse(t *testing.T) {
 	for i, b := range resp.Bundles {
 		if !b.Window.Contains(b.Violation.T) {
 			t.Fatalf("bundle %d window misses its violation", i)
+		}
+		if b.Trace == nil || len(b.Frames) == 0 {
+			t.Fatalf("bundle %d carries no trace slice or no frames", i)
 		}
 	}
 }

@@ -363,6 +363,22 @@ func TestBuildinfoEndpoint(t *testing.T) {
 	}
 }
 
+// TestFreshServerSimCounters: before any run, /metrics already carries
+// the simulation counters at zero, so a scrape tells "no runs yet" apart
+// from "not instrumented".
+func TestFreshServerSimCounters(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	doc, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatalf("strict exposition parse: %v", err)
+	}
+	for _, name := range []string{"sim_runs_total", "sim_steps_total"} {
+		if total, n := doc.Sum(name); n != 1 || total != 0 {
+			t.Errorf("%s = %v over %d series, want 0 over 1", name, total, n)
+		}
+	}
+}
+
 // TestMetricsPromScrape: after one traced run, /metrics parses under the
 // strict exposition reader, reports the simulation counter, carries a
 // trace-ID exemplar on the request-latency histogram, and labels the

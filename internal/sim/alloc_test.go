@@ -30,7 +30,7 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 				mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
 				if _, err := Run(Config{
 					Track: trk, Controller: ctrl.Name(), Seed: 1,
-					Duration: duration, Monitor: mon,
+					Duration: duration, Monitor: mon, RecordTrace: true,
 				}); err != nil {
 					t.Fatal(err)
 				}

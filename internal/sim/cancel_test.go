@@ -47,7 +47,7 @@ func TestCancelClosesSpans(t *testing.T) {
 			Track: tr, Controller: "pure-pursuit", Seed: 3, Duration: 30, Campaign: camp,
 			Monitor: core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true}),
 			Guard:   GuardConfig{Enabled: true, AssertionTrigger: true},
-			Events:  ev, Context: ctx, DisableTrace: true,
+			Events:  ev, Context: ctx,
 		})
 		return res, ev.Events(), err
 	}

@@ -69,7 +69,7 @@ func TestAllTracksAllControllersClean(t *testing.T) {
 	for _, name := range track.Names(cat) {
 		for _, ctrl := range []string{"pure-pursuit", "stanley", "pid-lateral", "lqr-mpc"} {
 			mon := monitor()
-			res, err := Run(Config{Track: cat[name], Controller: ctrl, Seed: 7, Duration: 45, Monitor: mon, DisableTrace: true})
+			res, err := Run(Config{Track: cat[name], Controller: ctrl, Seed: 7, Duration: 45, Monitor: mon})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, ctrl, err)
 			}
@@ -91,7 +91,6 @@ func TestGuardNeverEngagesOnCleanRuns(t *testing.T) {
 		res, err := Run(Config{
 			Track: urban(t), Controller: "pure-pursuit", Seed: seed, Duration: 60,
 			Monitor: mon, Guard: GuardConfig{Enabled: true, AssertionTrigger: true},
-			DisableTrace: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -41,7 +41,7 @@ func TestPrefixIdentity(t *testing.T) {
 				run := func(camp attacks.Campaign) []core.Frame {
 					res, err := Run(Config{
 						Track: tr, Controller: ctrl, Seed: 7, Duration: duration,
-						Campaign: camp, RecordFrames: true, DisableTrace: true,
+						Campaign: camp, RecordFrames: true,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -84,6 +84,9 @@ func TestPrefixIdentity(t *testing.T) {
 // figures, final state) in %+v form, which prints floats exactly.
 func renderResult(t *testing.T, res *Result) []byte {
 	t.Helper()
+	if res.Trace == nil {
+		t.Fatal("run recorded no trace: set RecordTrace")
+	}
 	var b bytes.Buffer
 	if err := res.Trace.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -103,7 +106,7 @@ func TestAttackWindowPastEnd(t *testing.T) {
 	run := func(camp attacks.Campaign) []byte {
 		res, err := Run(Config{
 			Track: urban(t), Controller: "pure-pursuit", Seed: 7, Duration: duration,
-			Campaign: camp, RecordFrames: true, Monitor: monitor(),
+			Campaign: camp, RecordFrames: true, RecordTrace: true, Monitor: monitor(),
 			Guard: GuardConfig{Enabled: true, AssertionTrigger: true},
 		})
 		if err != nil {
@@ -119,6 +122,41 @@ func TestAttackWindowPastEnd(t *testing.T) {
 		}
 		if got := run(camp); !bytes.Equal(got, clean) {
 			t.Errorf("%s: window past the end changed the run", class)
+		}
+	}
+}
+
+// TestTraceRecordingInert: recording the trace never feeds back into a
+// run, so a RecordTrace run and a default one give the same frames,
+// violations and summary. Checked on every built-in track under a guarded
+// drift spoof, so the guard's fallback runs too.
+func TestTraceRecordingInert(t *testing.T) {
+	cat, err := track.Catalog(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := attacks.Standard(attacks.ClassDriftSpoof, attacks.Window{Start: 5, End: 25}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range track.Names(cat) {
+		render := func(record bool) string {
+			res, err := Run(Config{
+				Track: cat[name], Controller: "pure-pursuit", Seed: 4, Duration: 30,
+				Campaign: camp, Monitor: monitor(), RecordFrames: true, RecordTrace: record,
+				Guard: GuardConfig{Enabled: true, AssertionTrigger: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (res.Trace != nil) != record {
+				t.Fatalf("%s: RecordTrace=%v gave trace %v", name, record, res.Trace != nil)
+			}
+			res.Trace = nil
+			return fmt.Sprintf("%+v", *res)
+		}
+		if render(true) != render(false) {
+			t.Errorf("%s: recording the trace changed the run", name)
 		}
 	}
 }
@@ -141,7 +179,7 @@ func TestUnguardedRunSkipsReckoner(t *testing.T) {
 		for _, camp := range []attacks.Campaign{{}, spoof} {
 			render := func(reckon bool) []byte {
 				cfg := Config{Track: cat[name], Controller: "stanley", Seed: 3, Duration: 20,
-					Campaign: camp, Monitor: monitor(), RecordFrames: true}
+					Campaign: camp, Monitor: monitor(), RecordFrames: true, RecordTrace: true}
 				r, err := newRun(cfg)
 				if err != nil {
 					t.Fatal(err)

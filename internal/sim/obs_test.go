@@ -15,7 +15,7 @@ func TestSampledMetricsExact(t *testing.T) {
 	mon := monitor()
 	res, err := Run(Config{
 		Track: urban(t), Controller: "pure-pursuit", Seed: 1,
-		Duration: 20, Monitor: mon, DisableTrace: true, Obs: reg,
+		Duration: 20, Monitor: mon, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -145,10 +145,10 @@ type Config struct {
 	// WrapLateral, when non-nil, wraps the lateral controller right after
 	// construction — the mutation-testing engine's injection point for
 	// controller-level mutants (the pristine control implementations are
-	// never touched). A wrapper that can emit non-finite commands must be
-	// run with DisableTrace (the trace layer stores finite samples only;
-	// the step loop skips recording such samples, the plant sanitises
-	// them, and the monitor skips the affected frames).
+	// never touched). A run whose wrapper can emit non-finite commands must
+	// not set RecordTrace (the trace layer stores finite samples only; the
+	// step loop skips recording such samples, the plant sanitises them, and
+	// the monitor skips the affected frames).
 	WrapLateral func(control.Lateral) control.Lateral
 	// WrapSpeed is WrapLateral for the longitudinal controller.
 	WrapSpeed func(control.Longitudinal) control.Longitudinal
@@ -170,10 +170,11 @@ type Config struct {
 	// per-assertion monitoring cost. A nil registry adds no measurable
 	// overhead to the step loop.
 	Obs *obs.Registry
-	// DisableTrace turns off signal recording (Result.Trace is then nil),
-	// for overhead-free timing and for runs that may emit non-finite
-	// commands.
-	DisableTrace bool
+	// RecordTrace records the run's signals into Result.Trace (nil
+	// otherwise). Recording never changes a frame, violation or summary
+	// field; it only costs memory, so set it where a reader of the trace
+	// exists (reports, figures, forensic bundles).
+	RecordTrace bool
 	// Events, when non-nil, receives the run's structured event timeline:
 	// the scenario lifecycle span, the attack activation window, guard
 	// fallback intervals, termination instants and — via
@@ -221,7 +222,7 @@ func (c *Config) defaults() error {
 
 // Result summarises a run.
 type Result struct {
-	// Trace holds the recorded signals (nil when disabled).
+	// Trace holds the recorded signals (nil unless Config.RecordTrace).
 	Trace *trace.Trace
 	// Final is the vehicle's final ground-truth state.
 	Final vehicle.State
@@ -248,6 +249,13 @@ type Result struct {
 	Violations []core.Violation
 	// Frames holds the recorded frame stream when RecordFrames was set.
 	Frames []core.Frame
+}
+
+// Counters resolves the run and control-step counters on reg, which Run
+// increments. A caller that scrapes reg before the first run calls it to
+// show both at zero rather than absent.
+func Counters(reg *obs.Registry) (runs, steps *obs.Counter) {
+	return reg.Counter("sim.runs"), reg.Counter("sim.steps")
 }
 
 // Run executes one simulation. It is deterministic in (Config, Seed).
@@ -388,7 +396,7 @@ func newRun(cfg Config) (*run, error) {
 	// here, and each column preallocates the full horizon (duration ×
 	// control rate), so steady-state recording is a pair of slice appends
 	// per signal — no map lookups, no reallocation.
-	if !cfg.DisableTrace {
+	if cfg.RecordTrace {
 		tr := trace.New()
 		tr.Reserve(int(math.Ceil(cfg.Duration/controlDT)) + 1)
 		r.cols = make([]*trace.Column, len(traceSignals))
@@ -406,8 +414,9 @@ func newRun(cfg Config) (*run, error) {
 	// sampleStep), each sample covering the physics sub-steps, sensor/fusion
 	// work, control and monitoring since the previous control step.
 	if cfg.Obs != nil {
-		cfg.Obs.Counter("sim.runs").Inc()
-		r.stepsCtr = cfg.Obs.Counter("sim.steps")
+		runs, steps := Counters(cfg.Obs)
+		runs.Inc()
+		r.stepsCtr = steps
 		r.stepNS = cfg.Obs.Histogram("sim.step_ns")
 		if cfg.Monitor != nil {
 			cfg.Monitor.Attach(cfg.Obs)

@@ -52,7 +52,7 @@ func TestConfigValidation(t *testing.T) {
 			}
 		}
 	}
-	res, err := Run(Config{Track: urban(t), Controller: "pure-pursuit", DisableTrace: true})
+	res, err := Run(Config{Track: urban(t), Controller: "pure-pursuit"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +198,17 @@ func TestSeedChangesOutcome(t *testing.T) {
 	}
 }
 
+// TestTraceRecorded: a RecordTrace run records every signal at the
+// control rate; a default run records none.
 func TestTraceRecorded(t *testing.T) {
-	res, err := Run(Config{Track: urban(t), Controller: "lqr-mpc", Seed: 1, Duration: 10})
+	res, err := Run(Config{Track: urban(t), Controller: "lqr-mpc", Seed: 1, Duration: 10, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Trace == nil {
 		t.Fatal("trace missing")
 	}
-	for _, sig := range []string{"true_x", "cte_true", "steer", "nis", "progress"} {
+	for _, sig := range traceSignals {
 		if res.Trace.Len(sig) == 0 {
 			t.Errorf("signal %s not recorded", sig)
 		}
@@ -215,12 +217,12 @@ func TestTraceRecorded(t *testing.T) {
 	if n := res.Trace.Len("cte_true"); n < 150 || n > 220 {
 		t.Errorf("cte_true sample count %d, want ~200", n)
 	}
-	res2, err := Run(Config{Track: urban(t), Controller: "lqr-mpc", Seed: 1, Duration: 5, DisableTrace: true})
+	res2, err := Run(Config{Track: urban(t), Controller: "lqr-mpc", Seed: 1, Duration: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Trace != nil {
-		t.Error("DisableTrace ignored")
+		t.Error("a run without RecordTrace recorded a trace")
 	}
 }
 
@@ -253,7 +255,7 @@ func TestFallbackCapsSpeed(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Track: urban(t), Controller: "pure-pursuit", Seed: 1, Duration: 50,
-		Campaign: camp, Guard: GuardConfig{Enabled: true},
+		Campaign: camp, Guard: GuardConfig{Enabled: true}, RecordTrace: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +314,7 @@ func TestNoNaNsInTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Track: urban(t), Controller: "stanley", Seed: 2, Duration: 50, Campaign: camp})
+	res, err := Run(Config{Track: urban(t), Controller: "stanley", Seed: 2, Duration: 50, Campaign: camp, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestObsOverheadBound(t *testing.T) {
 		start := threadCPUTime(t)
 		if _, err := sim.Run(sim.Config{
 			Track: tr, Controller: "pure-pursuit", Seed: 1,
-			Duration: 70, Monitor: mon, DisableTrace: true, Obs: reg,
+			Duration: 70, Monitor: mon, Obs: reg,
 		}); err != nil {
 			t.Fatal(err)
 		}
