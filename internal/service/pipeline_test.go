@@ -40,7 +40,7 @@ var keyedKinds = []keyedKind{
 		explicit: `{"track": "urban-loop", "controller": "pure-pursuit", "attack": "none",
 			"seed": 2, "duration": 5, "speed_limit": 6, "threshold_scale": 1, "localizer": "ekf",
 			"attack_start": 33, "attack_end": 44}`, // the window is decorative without an attack
-		slow: `{"duration": 300}`,
+		slow: `{"duration": 1000}`,
 		bad:  []string{`{"attack": "gnss-teleport"}`, `{"assertions": ["A99"]}`},
 	},
 	{
