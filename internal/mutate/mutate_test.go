@@ -112,6 +112,24 @@ func TestDefaultGridKills(t *testing.T) {
 	}
 }
 
+// TestSatRemoveKilledAcrossSeeds: the unsaturated speed PID is killed on
+// every seed, by A8's command-envelope clause, not by a noise-dependent
+// jerk spike. Its command passes the 1.5 m/s² envelope on the first
+// acceleration from rest, which the pristine PID never does.
+func TestSatRemoveKilledAcrossSeeds(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rep, err := Run(Config{Campaign: Campaign{Duration: 40, Seed: seed}, Mutants: []Spec{{Op: OpSatRemove}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range rep.Scores {
+			if s.Mutant == OpSatRemove && !killedBy(s, "A8") {
+				t.Errorf("seed %d: %s not killed by A8 (killed=%v by %v)", seed, s.Mutant, s.Killed, s.KilledBy)
+			}
+		}
+	}
+}
+
 // killedBy reports whether the assertion appears in the score's kill set.
 func killedBy(s MutantScore, id string) bool {
 	for _, k := range s.KilledBy {
