@@ -11,7 +11,7 @@ package attacks
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"adassure/internal/geom"
 	"adassure/internal/sensors"
@@ -298,7 +298,7 @@ func NewDropout(win Window, ratio float64, seed int64) (*Dropout, error) {
 	return &Dropout{
 		base:  base{name: fmt.Sprintf("dropout(%.0f%%)", ratio*100), class: ClassDropout, win: win},
 		Ratio: ratio,
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   sensors.Source(seed, sensors.StreamAttack),
 	}, nil
 }
 
@@ -329,7 +329,7 @@ func NewNoiseInflation(win Window, stddev float64, seed int64) (*NoiseInflation,
 	return &NoiseInflation{
 		base:   base{name: fmt.Sprintf("noise(%.1fm)", stddev), class: ClassNoiseInflation, win: win},
 		StdDev: stddev,
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    sensors.Source(seed, sensors.StreamAttack),
 	}, nil
 }
 

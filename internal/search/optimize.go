@@ -3,10 +3,11 @@ package search
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"adassure/internal/mutate"
+	"adassure/internal/sensors"
 )
 
 // Oracle answers one black-box probe: does the catalog detect an attack of
@@ -251,7 +252,7 @@ func NewCEMSampler(opts CEMOptions) (*CEMSampler, error) {
 		d.muLen[i] = opts.Duration / 2
 		d.sigLen[i] = opts.Duration / 4
 	}
-	return &CEMSampler{opts: opts, rng: rand.New(rand.NewSource(opts.Seed)), dist: d}, nil
+	return &CEMSampler{opts: opts, rng: sensors.Source(opts.Seed, sensors.StreamCEM), dist: d}, nil
 }
 
 // population is the candidates one generation samples: cemPopulation, or
