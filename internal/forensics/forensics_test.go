@@ -148,6 +148,27 @@ func TestBundleJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBundleNoPositionEstimate: a bundle whose frames come from a
+// localizer without a position covariance (EstPosStdDev +Inf, as under the
+// guard's dead-reckoning fallback) encodes and reads back.
+func TestBundleNoPositionEstimate(t *testing.T) {
+	b := forensics.Bundle{Schema: forensics.Schema, Frames: []core.Frame{
+		{T: 20.1, EstPosStdDev: core.StdDev(math.Inf(1))},
+		{T: 20.15, EstPosStdDev: 0.25},
+	}}
+	var buf bytes.Buffer
+	if err := b.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := forensics.ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Frames) != 2 || got.Frames[0] != b.Frames[0] || got.Frames[1] != b.Frames[1] {
+		t.Errorf("frames read back as %+v, want %+v", got.Frames, b.Frames)
+	}
+}
+
 func TestReadJSONRejectsWrongSchema(t *testing.T) {
 	if _, err := forensics.ReadJSON(strings.NewReader(`{"schema":"other/v1"}`)); err == nil {
 		t.Fatal("accepted wrong schema")

@@ -107,9 +107,10 @@ func (c *Complementary) UpdateGNSS(fix sensors.GNSSFix) (float64, bool) {
 	return 0, true
 }
 
-// Estimate implements Localizer. PosStdDev is unavailable (no covariance).
+// Estimate implements Localizer. PosStdDev is +Inf: the filter keeps no
+// covariance, so it has no position uncertainty to report.
 func (c *Complementary) Estimate() Estimate {
-	return Estimate{T: c.t, Pose: c.pose, Speed: c.speed, YawRate: c.yawRate, PosStdDev: math.NaN()}
+	return Estimate{T: c.t, Pose: c.pose, Speed: c.speed, YawRate: c.yawRate, PosStdDev: math.Inf(1)}
 }
 
 // LastNIS implements Localizer: no innovation model.

@@ -21,7 +21,8 @@ type Estimate struct {
 	Speed   float64
 	YawRate float64
 	// PosStdDev is the 1-σ position uncertainty (geometric mean of the two
-	// axes), handy for monitoring.
+	// axes), handy for monitoring; +Inf from a localizer that keeps no
+	// position covariance.
 	PosStdDev float64
 }
 

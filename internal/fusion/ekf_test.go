@@ -263,8 +263,8 @@ func TestComplementaryTracksStraight(t *testing.T) {
 	if math.Abs(e.Speed-5) > 0.1 {
 		t.Errorf("speed = %.2f", e.Speed)
 	}
-	if !math.IsNaN(e.PosStdDev) {
-		t.Error("complementary has no covariance; PosStdDev should be NaN")
+	if !math.IsInf(e.PosStdDev, 1) {
+		t.Error("complementary has no covariance; PosStdDev should be +Inf")
 	}
 	if nis, ok := c.LastNIS(); nis != 0 || !ok {
 		t.Error("complementary LastNIS should be (0, true)")

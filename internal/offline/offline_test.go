@@ -2,6 +2,7 @@ package offline
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -102,6 +103,26 @@ func TestRecordingRoundtrip(t *testing.T) {
 	a, b := r.Monitor(cfg), got.Monitor(cfg)
 	if len(a) != len(b) {
 		t.Errorf("roundtrip monitor mismatch: %d vs %d", len(a), len(b))
+	}
+}
+
+// TestRecordingNoPositionEstimate: a recording holding frames without a
+// position estimate (EstPosStdDev +Inf) writes and reads back unchanged.
+func TestRecordingNoPositionEstimate(t *testing.T) {
+	rec := &Recording{Frames: []core.Frame{
+		{T: 1, EstPosStdDev: 0.2},
+		{T: 1.05, EstPosStdDev: core.StdDev(math.Inf(1))},
+	}}
+	var buf bytes.Buffer
+	if err := rec.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Frames) != 2 || got.Frames[0] != rec.Frames[0] || got.Frames[1] != rec.Frames[1] {
+		t.Errorf("frames read back as %+v, want %+v", got.Frames, rec.Frames)
 	}
 }
 

@@ -2,7 +2,9 @@ package stream_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -55,6 +57,8 @@ func TestParseFrameContract(t *testing.T) {
 		{"wrong-type", `{"T":"one"}`, stream.RejectSchema},
 		{"non-finite", `{"T":1e999}`, stream.RejectNonFinite},
 		{"trailing", `{"T":1} {"T":2}`, stream.RejectSyntax},
+		{"stddev-wrong-type", `{"T":1,"EstPosStdDev":"wide"}`, stream.RejectSchema},
+		{"stddev-overflow", `{"T":1,"EstPosStdDev":1e999}`, stream.RejectNonFinite},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -77,6 +81,17 @@ func TestParseFrameContract(t *testing.T) {
 	}
 	if f.T != 1.5 || f.EstSpeed != 3 || !f.GNSSValid {
 		t.Fatalf("parsed frame = %+v", f)
+	}
+	// A frame without a position estimate (a dead-reckoning fallback)
+	// encodes EstPosStdDev as null and parses back to +Inf.
+	noEst := cruiseFrame(3)
+	noEst.EstPosStdDev = core.StdDev(math.Inf(1))
+	line, err := json.Marshal(noEst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err = stream.ParseFrame(line); err != nil || f != noEst {
+		t.Fatalf("ParseFrame(%s) = %+v, %v; want the frame back", line, f, err)
 	}
 }
 
