@@ -386,13 +386,14 @@ func runBytes(t *testing.T, s Scenario, n int) float64 {
 }
 
 // TestFacadeRunAllocBytes pins that a façade run skips the trace unless
-// asked: a clean 70 s urban-loop pure-pursuit run allocates about 63 KiB
-// (66 KiB under -race), most of it random-source seeding. The 100 KiB
-// ceiling leaves about 50% headroom for that setup to drift, yet sits far
+// asked and seeds its noise sources cheaply: a clean 70 s urban-loop
+// pure-pursuit run allocates about 16 KiB (17 KiB under -race). The
+// 32 KiB ceiling is about twice that, so a return to math/rand sources
+// (5,376 bytes each, about 47 KiB per run) fails it, and it sits far
 // below the 243 KiB the 19-column trace adds; the traced run must add at
 // least 200 KiB.
 func TestFacadeRunAllocBytes(t *testing.T) {
-	const ceiling, traceMin = 100 << 10, 200 << 10
+	const ceiling, traceMin = 32 << 10, 200 << 10
 	plain := runBytes(t, Scenario{}, 10)
 	if plain > ceiling {
 		t.Errorf("untraced façade run allocates %.0f B, want ≤ %d", plain, ceiling)
