@@ -57,7 +57,7 @@ func TestX2ShapeDriftRateCrossover(t *testing.T) {
 	}
 	// Everything detected.
 	for i := range tb.Rows {
-		if det := cell(t, tb, i, "detected"); !strings.HasPrefix(det, "1/") {
+		if det := cell(t, tb, i, "detected"); !allSeeds(t, det) {
 			t.Errorf("X2: row %d undetected (%s)", i, det)
 		}
 	}

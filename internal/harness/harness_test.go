@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"flag"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,7 +10,10 @@ import (
 	"adassure/internal/attacks"
 )
 
-func quick() Options { return Options{Quick: true, Seeds: 1} }
+var shapeSeeds = flag.Int("shape-seeds", 1,
+	"seeds per configuration in the Test…Shape… claims (the shape ledger in EXPERIMENTS.md runs 5)")
+
+func quick() Options { return Options{Quick: true, Seeds: *shapeSeeds} }
 
 // cell returns the table cell at (row, col name).
 func cell(t *testing.T, tb *Table, row int, col string) string {
@@ -45,6 +49,24 @@ func parseF(t *testing.T, s string) float64 {
 		t.Fatalf("parse %q: %v", s, err)
 	}
 	return v
+}
+
+// frac parses a "k/n" cell (k of n seeds) into its counts.
+func frac(t *testing.T, s string) (k, n int) {
+	t.Helper()
+	a, b, ok := strings.Cut(s, "/")
+	k, err1 := strconv.Atoi(a)
+	n, err2 := strconv.Atoi(b)
+	if !ok || err1 != nil || err2 != nil || n <= 0 || k < 0 || k > n {
+		t.Fatalf("parse %q as k/n", s)
+	}
+	return k, n
+}
+
+// allSeeds reports whether a "k/n" cell counts every seed.
+func allSeeds(t *testing.T, s string) bool {
+	k, n := frac(t, s)
+	return k == n
 }
 
 func TestTableRender(t *testing.T) {
@@ -159,7 +181,7 @@ func TestT2ShapeLatencyOrdering(t *testing.T) {
 	}
 	// All classes detected.
 	for _, row := range tb.Rows {
-		if det := cell(t, tb, rowByFirst(t, tb, row[0]), "detected"); !strings.HasPrefix(det, "1/") {
+		if det := cell(t, tb, rowByFirst(t, tb, row[0]), "detected"); !allSeeds(t, det) {
 			t.Errorf("T2: %s detected = %s", row[0], det)
 		}
 	}
@@ -282,7 +304,7 @@ func TestF6ShapeDebounceTradeoff(t *testing.T) {
 		t.Errorf("F6: latency should grow with window: 1-of-1=%.2f vs 6-of-8=%.2f", lat1, lat8)
 	}
 	for i := range tb.Rows {
-		if det := cell(t, tb, i, "step detected"); !strings.HasPrefix(det, "1/") {
+		if det := cell(t, tb, i, "step detected"); !allSeeds(t, det) {
 			t.Errorf("F6: row %d step not detected (%s)", i, det)
 		}
 	}
