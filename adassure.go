@@ -336,14 +336,13 @@ type Scenario struct {
 	// ThresholdScale loosens (>1) or tightens (<1) the catalog thresholds
 	// (default 1).
 	ThresholdScale float64
-	// RecordFrames captures the frame stream into the result's Recording
-	// for offline re-monitoring.
+	// RecordFrames captures the frame stream, the run's one per-step
+	// record, into the result's Recording (and Sim.Frames). Offline
+	// re-monitoring replays it, and SignalTrace projects the 19-column
+	// signal trace from it for the Markdown report, trace exports and
+	// forensic bundles. Off by default: the frames are most of a run's
+	// memory. WriteMarkdownReport fails without them.
 	RecordFrames bool
-	// RecordTrace records the run's 19-column signal trace into Sim.Trace.
-	// Off by default: the trace is most of a run's memory and only the
-	// Markdown report, trace exports and forensic bundles read it.
-	// WriteMarkdownReport fails without it.
-	RecordTrace bool
 	// Localizer selects the fusion stack: "ekf" (default) or
 	// "complementary" (fixed-gain filter without innovation gating).
 	Localizer string
@@ -379,8 +378,8 @@ type Scenario struct {
 
 // Outcome of a Scenario run.
 type ScenarioResult struct {
-	// Sim is the raw simulation result, including the signal trace when
-	// Scenario.RecordTrace was set.
+	// Sim is the raw simulation result, including the frame stream when
+	// Scenario.RecordFrames was set.
 	Sim *SimResult
 	// Violations is the monitor's episode record.
 	Violations []Violation
@@ -397,16 +396,22 @@ func (r *ScenarioResult) Report() string {
 	return diagnosis.Report(r.Violations, 3)
 }
 
-// errNoTrace is WriteMarkdownReport's error for a run without a trace,
-// whose comfort line and signal summary the report would otherwise drop.
-var errNoTrace = errors.New("adassure: the report needs the signal trace: run with Scenario.RecordTrace")
+// errNoFrames is WriteMarkdownReport's error for a run without recorded
+// frames, whose comfort line and signal summary the report would
+// otherwise drop.
+var errNoFrames = errors.New("adassure: the report needs the recorded frames: run with Scenario.RecordFrames")
+
+// SignalTrace projects recorded frames (Scenario.RecordFrames) onto the
+// run's 19-column signal trace, the series the Markdown report, the trace
+// exports and forensic bundles read.
+func SignalTrace(frames []Frame) *Trace { return core.SignalTrace(frames) }
 
 // WriteMarkdownReport renders the full Markdown debugging report (scenario
 // metadata, run summary, detection, timeline, diagnosis, signal summary).
-// The run must have set Scenario.RecordTrace.
+// The run must have set Scenario.RecordFrames.
 func (r *ScenarioResult) WriteMarkdownReport(w io.Writer) error {
-	if r.Sim.Trace == nil {
-		return errNoTrace
+	if r.Sim.Frames == nil {
+		return errNoFrames
 	}
 	onset := -1.0
 	if r.scenario.Attack != AttackNone {
@@ -429,9 +434,9 @@ func (r *ScenarioResult) WriteMarkdownReport(w io.Writer) error {
 }
 
 // ForensicBundles builds one self-contained debugging bundle per violation
-// episode of the run: a ±halfWindow trace slice around the violation,
-// extended back to the episode's first breach (when Scenario.RecordTrace
-// was set), the in-window frames (when Scenario.RecordFrames was set), the
+// episode of the run: the frames of a ±halfWindow around the violation,
+// extended back to the episode's first breach, and the signal trace
+// projected from them (both when Scenario.RecordFrames was set), the
 // attack state, the assertion's eval history (when Scenario.Obs was set)
 // and the top diagnosis hypotheses.
 // halfWindow <= 0 uses the 2 s default. Persist each with
@@ -455,7 +460,6 @@ func (r *ScenarioResult) ForensicBundles(halfWindow float64) []ForensicBundle {
 			"guarded":    fmt.Sprintf("%v", r.scenario.Guarded),
 		},
 		Violations: r.Violations,
-		Trace:      r.Sim.Trace,
 		Frames:     r.Sim.Frames,
 		Attack:     attack,
 		Obs:        r.scenario.Obs,
@@ -640,7 +644,6 @@ func (s Scenario) RunContext(ctx context.Context) (*ScenarioResult, error) {
 		Campaign:     camp,
 		Monitor:      mon,
 		RecordFrames: s.RecordFrames,
-		RecordTrace:  s.RecordTrace,
 		Localizer:    s.Localizer,
 		Obs:          s.Obs,
 		Events:       s.Events,

@@ -201,7 +201,7 @@ func TestScenarioCustomTrackWithZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Scenario{CustomTrack: tr, Controller: ControllerLQRMPC, Duration: 90, RecordTrace: true}.Run()
+	out, err := Scenario{CustomTrack: tr, Controller: ControllerLQRMPC, Duration: 90, RecordFrames: true}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestScenarioCustomTrackWithZones(t *testing.T) {
 		t.Errorf("clean custom route raised %v", out.Violations)
 	}
 	// The zone must cap the speed near route start.
-	if v, ok := out.Sim.Trace.At("target_speed", 3); !ok || v > 2.01 {
+	if v, ok := SignalTrace(out.Sim.Frames).At("target_speed", 3); !ok || v > 2.01 {
 		t.Errorf("zone target speed = %.2f, want <= 2", v)
 	}
 }
@@ -258,7 +258,7 @@ func TestSegmentizePublicAPI(t *testing.T) {
 }
 
 func TestMarkdownReportPublicAPI(t *testing.T) {
-	out, err := Scenario{Attack: AttackFreeze, Duration: 40, RecordTrace: true}.Run()
+	out, err := Scenario{Attack: AttackFreeze, Duration: 40, RecordFrames: true}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,51 +315,53 @@ func TestWriteComparisonReportPublicAPI(t *testing.T) {
 	}
 }
 
-// TestTraceIsOptIn: a run without RecordTrace has no trace; the Markdown
+// TestTraceIsOptIn: the signal trace is projected from recorded frames,
+// which are opt-in. A run without RecordFrames records none; the Markdown
 // report then refuses with an error naming the field rather than silently
-// dropping its comfort line and signal summary; forensic bundles still
-// carry their frames, just no trace slice; and the comparison report,
-// which reads no signal, needs none.
+// dropping its comfort line and signal summary; its forensic bundles carry
+// neither frames nor a trace; and the comparison report, which reads no
+// signal, needs none. With RecordFrames the report renders and every
+// bundle carries its in-window frames and their trace.
 func TestTraceIsOptIn(t *testing.T) {
-	scn := Scenario{Attack: AttackDriftSpoof, Seed: 3, Duration: 40, RecordFrames: true}
+	scn := Scenario{Attack: AttackDriftSpoof, Seed: 3, Duration: 40}
 	out, err := scn.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Sim.Trace != nil {
-		t.Fatal("a run without RecordTrace recorded a trace")
+	if out.Sim.Frames != nil || out.Recording != nil {
+		t.Fatal("a run without RecordFrames recorded frames")
 	}
 	err = out.WriteMarkdownReport(&bytes.Buffer{})
-	if !errors.Is(err, errNoTrace) || !strings.Contains(fmt.Sprint(err), "Scenario.RecordTrace") {
-		t.Errorf("WriteMarkdownReport without a trace: err = %v, want one naming Scenario.RecordTrace", err)
+	if !errors.Is(err, errNoFrames) || !strings.Contains(fmt.Sprint(err), "Scenario.RecordFrames") {
+		t.Errorf("WriteMarkdownReport without frames: err = %v, want one naming Scenario.RecordFrames", err)
 	}
 	bundles := out.ForensicBundles(0)
 	if len(bundles) == 0 {
 		t.Fatal("attacked run gave no bundles")
 	}
 	for _, b := range bundles {
-		if b.Trace != nil || len(b.Frames) == 0 {
-			t.Errorf("bundle %d: trace %v, %d frames; want no trace and some frames", b.Index, b.Trace != nil, len(b.Frames))
+		if b.Trace != nil || len(b.Frames) != 0 {
+			t.Errorf("bundle %d: trace %v, %d frames; want neither", b.Index, b.Trace != nil, len(b.Frames))
 		}
 	}
 	if err := WriteComparisonReport(&bytes.Buffer{}, "cmp", out, out); err != nil {
-		t.Errorf("comparison of trace-free runs: %v", err)
+		t.Errorf("comparison of frame-free runs: %v", err)
 	}
 
-	scn.RecordTrace = true
-	traced, err := scn.Run()
+	scn.RecordFrames = true
+	recorded, err := scn.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if traced.Sim.Trace == nil {
-		t.Fatal("RecordTrace run has no trace")
+	if len(recorded.Sim.Frames) != recorded.Sim.Steps {
+		t.Fatalf("RecordFrames run has %d frames for %d steps", len(recorded.Sim.Frames), recorded.Sim.Steps)
 	}
-	if err := traced.WriteMarkdownReport(&bytes.Buffer{}); err != nil {
-		t.Errorf("WriteMarkdownReport with a trace: %v", err)
+	if err := recorded.WriteMarkdownReport(&bytes.Buffer{}); err != nil {
+		t.Errorf("WriteMarkdownReport with frames: %v", err)
 	}
-	for _, b := range traced.ForensicBundles(0) {
-		if b.Trace == nil {
-			t.Errorf("bundle %d of a RecordTrace run has no trace slice", b.Index)
+	for _, b := range recorded.ForensicBundles(0) {
+		if b.Trace == nil || len(b.Frames) == 0 {
+			t.Errorf("bundle %d of a RecordFrames run: trace %v, %d frames", b.Index, b.Trace != nil, len(b.Frames))
 		}
 	}
 }
@@ -385,24 +387,24 @@ func runBytes(t *testing.T, s Scenario, n int) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
-// TestFacadeRunAllocBytes pins that a façade run skips the trace unless
+// TestFacadeRunAllocBytes pins that a façade run records no frames unless
 // asked and seeds its noise sources cheaply: a clean 70 s urban-loop
 // pure-pursuit run allocates about 16 KiB (17 KiB under -race). The
 // 32 KiB ceiling is about twice that, so a return to math/rand sources
 // (5,376 bytes each, about 47 KiB per run) fails it, and it sits far
-// below the 243 KiB the 19-column trace adds; the traced run must add at
-// least 200 KiB.
+// below the 416 KiB of frames a recording run holds: RecordFrames must
+// add at least one 304-byte frame per control step, 1400 of them.
 func TestFacadeRunAllocBytes(t *testing.T) {
-	const ceiling, traceMin = 32 << 10, 200 << 10
+	const ceiling, framesMin = 32 << 10, 1400 * 304
 	plain := runBytes(t, Scenario{}, 10)
 	if plain > ceiling {
-		t.Errorf("untraced façade run allocates %.0f B, want ≤ %d", plain, ceiling)
+		t.Errorf("unrecorded façade run allocates %.0f B, want ≤ %d", plain, ceiling)
 	}
-	traced := runBytes(t, Scenario{RecordTrace: true}, 10)
-	if traced-plain < traceMin {
-		t.Errorf("RecordTrace adds %.0f B (%.0f against %.0f), want ≥ %d", traced-plain, traced, plain, traceMin)
+	recorded := runBytes(t, Scenario{RecordFrames: true}, 10)
+	if recorded-plain < framesMin {
+		t.Errorf("RecordFrames adds %.0f B (%.0f against %.0f), want ≥ %d", recorded-plain, recorded, plain, framesMin)
 	}
-	t.Logf("untraced %.0f B/run, traced %.0f B/run", plain, traced)
+	t.Logf("unrecorded %.0f B/run, recorded %.0f B/run", plain, recorded)
 }
 
 func TestRunMutationCampaignFacade(t *testing.T) {

@@ -107,9 +107,9 @@ func main() {
 
 	o.Start(os.Stderr)
 	reg, rec := o.Registry, o.Recorder
-	// Bundles need the trace and frame stream around each violation, and
-	// carry the assertion eval history when a registry is attached — force
-	// all three on. Trace and report outputs need the trace too.
+	// Bundles need the frame stream around each violation, and carry the
+	// assertion eval history when a registry is attached — force both on.
+	// Trace and report outputs project the signal trace from the frames.
 	if *bundleDir != "" && reg == nil {
 		reg = adassure.NewRegistry()
 	}
@@ -124,8 +124,7 @@ func main() {
 		SpeedLimit:     *speedLimit,
 		Guarded:        *guard,
 		ThresholdScale: *scale,
-		RecordFrames:   *recordOut != "" || *bundleDir != "",
-		RecordTrace:    *traceCSV != "" || *traceJSON != "" || *reportMD != "" || *bundleDir != "",
+		RecordFrames:   *recordOut != "" || *bundleDir != "" || *traceCSV != "" || *traceJSON != "" || *reportMD != "",
 	}
 
 	if *seedCount > 1 {
@@ -164,14 +163,18 @@ func main() {
 	fmt.Println()
 	fmt.Print(out.Report())
 
+	var tr *adassure.Trace
+	if *traceCSV != "" || *traceJSON != "" {
+		tr = adassure.SignalTrace(r.Frames)
+	}
 	for _, f := range []struct {
 		path, what string
 		fn         func(io.Writer) error
 	}{
-		{*traceCSV, "trace", r.Trace.WriteCSV},
+		{*traceCSV, "trace", tr.WriteCSV},
 		{*reportMD, "report", out.WriteMarkdownReport},
 		{*recordOut, "recording", out.Recording.Write},
-		{*traceJSON, "trace", r.Trace.WriteJSON},
+		{*traceJSON, "trace", tr.WriteJSON},
 	} {
 		if err := cli.Write(os.Stdout, f.path, f.what, f.fn); err != nil {
 			fatal(err)

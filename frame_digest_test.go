@@ -88,8 +88,8 @@ func (w *digestWriter) value(v reflect.Value) {
 // recorded frame, every violation (evidence included) and the run's
 // summary into one SHA-256 line, which must equal the committed one: any
 // change to a bit the simulator, the fusion filter or the monitor produces
-// shows here, named by the cells it moved. The grid records no trace;
-// TestTraceEventDigest records it over the same grid. Regenerate with
+// shows here, named by the cells it moved. TestTraceEventDigest hashes the
+// signal trace projected from the same frames, and the event log. Regenerate with
 // -update-frame-digest after an intended change. The race detector makes
 // the grid too slow to run, so -race skips it.
 func TestFrameDigest(t *testing.T) {
@@ -128,8 +128,8 @@ func TestFrameDigest(t *testing.T) {
 }
 
 // TestTraceEventDigest covers what TestFrameDigest does not see: over the
-// same grid, with RecordTrace set, it hashes each run's trace CSV and its
-// event log (scenario span, attack and guard lanes, violation episodes,
+// same grid it hashes the CSV of each run's signal trace, projected from
+// its recorded frames, and its event log (scenario span, attack and guard lanes, violation episodes,
 // hypotheses), recorded without wall-clock stamps, into one SHA-256 line
 // per cell that must equal the committed one. Regenerate with
 // -update-frame-digest.
@@ -142,8 +142,6 @@ func TestTraceEventDigest(t *testing.T) {
 	for i := range grid {
 		recs[i] = events.NewRecorder(0).WithoutWallClock()
 		grid[i].Events = recs[i]
-		grid[i].RecordFrames = false
-		grid[i].RecordTrace = true
 	}
 	res, err := RunScenarios(context.Background(), grid, 0)
 	if err != nil {
@@ -153,7 +151,7 @@ func TestTraceEventDigest(t *testing.T) {
 	for i, r := range res {
 		w := &digestWriter{h: sha256.New()}
 		var buf bytes.Buffer
-		if err := r.Sim.Trace.WriteCSV(&buf); err != nil {
+		if err := SignalTrace(r.Sim.Frames).WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		w.str(buf.String())

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"math"
 
+	"adassure/internal/trace"
 	"adassure/internal/vehicle"
 )
 
@@ -65,9 +66,10 @@ type Frame struct {
 	// the projection); assertion A6 checks steering against this band.
 	CurvAheadMin, CurvAheadMax float64
 
-	// Fusion innovation statistics (assertion A10).
+	// Fusion innovation statistics (assertion A10), and the guard's state.
 	NIS          float64
 	NISFresh     bool // true if a GNSS update was attempted this step
+	Fallback     bool // the guard localizes by dead reckoning this step
 	RejectStreak int
 
 	// Ground truth, available in simulation (and in instrumented test-track
@@ -143,4 +145,44 @@ func (f Frame) Finite() bool {
 		}
 	}
 	return true
+}
+
+// signalNames are the columns of the signal trace, in column (and hence
+// CSV) order; SignalTrace fills them in the same order.
+var signalNames = [...]string{
+	"true_x", "true_y", "est_x", "est_y", "gnss_x", "gnss_y", "cte_true", "cte_est",
+	"speed", "target_speed", "steer", "accel_cmd", "nis", "heading_err",
+	"est_heading", "imu_heading", "curvature", "progress", "fallback",
+}
+
+// SignalTrace projects recorded frames, in time order, onto the run's
+// 19-column signal trace, one sample per frame and column. A mutated
+// controller may emit non-finite commands and the trace stores finite
+// samples only, so the command columns (steer and accel_cmd) skip such
+// samples. It panics on frames out of time order or with a non-finite T,
+// which no run records.
+func SignalTrace(frames []Frame) *trace.Trace {
+	tr := trace.New()
+	tr.Reserve(len(frames))
+	var cols [len(signalNames)]*trace.Column
+	for i, name := range signalNames {
+		cols[i] = tr.Column(name)
+	}
+	for i := range frames {
+		f := &frames[i]
+		fallback := 0.0
+		if f.Fallback {
+			fallback = 1
+		}
+		v := [len(signalNames)]float64{f.TrueX, f.TrueY, f.EstX, f.EstY, f.GNSSX, f.GNSSY,
+			f.TrueCTE, f.CTE, f.TrueSpeed, f.TargetSpeed, f.CmdSteer, f.CmdAccel, f.NIS,
+			f.HeadingErr, f.EstHeading, f.IMUHeading, f.Curvature, f.Progress, fallback}
+		for j, c := range cols {
+			if (j == 10 || j == 11) && (math.IsNaN(v[j]) || math.IsInf(v[j], 0)) {
+				continue
+			}
+			c.MustAppend(f.T, v[j])
+		}
+	}
+	return tr
 }

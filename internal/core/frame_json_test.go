@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestFrameJSONNoPositionEstimate: a frame from a localizer without a
@@ -41,5 +42,43 @@ func TestFrameJSONNoPositionEstimate(t *testing.T) {
 	var f Frame
 	if err := json.Unmarshal([]byte(`{"EstPosStdDev":"wide"}`), &f); err == nil {
 		t.Error("a string EstPosStdDev decoded without error")
+	}
+}
+
+// TestFrameJSONFallback: the guard bit round-trips, and a frame document
+// written before frames carried it (no Fallback key) decodes with the
+// guard off.
+func TestFrameJSONFallback(t *testing.T) {
+	b, err := json.Marshal(Frame{T: 2, Fallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"Fallback":true`) {
+		t.Errorf("frame with Fallback set encodes as %s", b)
+	}
+	var f Frame
+	if err := json.Unmarshal(b, &f); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Fallback || f.T != 2 {
+		t.Errorf("decoded %+v, want Fallback true at T 2", f)
+	}
+	f = Frame{}
+	if err := json.Unmarshal([]byte(`{"T":3,"NISFresh":true,"RejectStreak":1}`), &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Fallback || !f.NISFresh || f.RejectStreak != 1 {
+		t.Errorf("a document without Fallback decodes as %+v, want Fallback false", f)
+	}
+}
+
+// TestFrameSize pins the frame at 304 bytes. The monitor takes a frame by
+// value on every control step and a recording run holds one per step, so
+// a field that grows it costs on both paths. Fallback sits next to
+// NISFresh, inside the padding the bool already occupies before the int
+// RejectStreak.
+func TestFrameSize(t *testing.T) {
+	if n := unsafe.Sizeof(Frame{}); n != 304 {
+		t.Errorf("core.Frame is %d bytes, want 304", n)
 	}
 }

@@ -2,8 +2,9 @@
 // the ADAssure debugging methodology: for every assertion-violation
 // episode of a run it assembles one self-contained JSON artifact holding
 // everything an engineer needs to root-cause the episode without
-// rerunning the simulation — the ±window slice of the signal trace, the
-// monitor frames inside the window, the attack state active at the
+// rerunning the simulation — the monitor frames inside a ±window around
+// the violation and the signal trace projected from them, the attack
+// state active at the
 // violation instant, the assertion's evaluation history from the metrics
 // registry, and the top-ranked diagnosis hypotheses. It is the
 // violation-cause-analysis layer between the raw violation record
@@ -79,8 +80,7 @@ type Bundle struct {
 	Violation core.Violation `json:"violation"`
 	// Window is the evidence interval around the raise instant.
 	Window Window `json:"window"`
-	// Trace is the window slice of the run's signal trace (nil when the
-	// run recorded no trace).
+	// Trace is the signal trace projected from Frames (nil without them).
 	Trace *trace.Trace `json:"trace,omitempty"`
 	// Frames are the monitor frames inside the window (empty when the run
 	// did not record frames). These are the violating frames: the episode's
@@ -97,7 +97,7 @@ type Bundle struct {
 }
 
 // Input is everything Build needs, all optional except Violations: absent
-// pieces (no trace, no frames, no registry, clean run) simply leave the
+// pieces (no frames, no registry, clean run) simply leave the
 // corresponding bundle sections empty.
 type Input struct {
 	// TraceID is the executing run's trace ID, copied into every bundle.
@@ -106,9 +106,7 @@ type Input struct {
 	Scenario map[string]string
 	// Violations is the run's episode record; one bundle per entry.
 	Violations []core.Violation
-	// Trace is the run's signal trace.
-	Trace *trace.Trace
-	// Frames is the run's recorded frame stream.
+	// Frames is the run's recorded frame stream, in time order.
 	Frames []core.Frame
 	// Attack describes the injected campaign (nil = clean).
 	Attack *AttackInfo
@@ -166,13 +164,13 @@ func Build(in Input) []Bundle {
 			Attack:     attackAt(in.Attack, v.T),
 			Hypotheses: hyps,
 		}
-		if in.Trace != nil {
-			b.Trace = in.Trace.Slice(win.T0, win.T1)
-		}
 		for _, f := range in.Frames {
 			if win.Contains(f.T) {
 				b.Frames = append(b.Frames, f)
 			}
+		}
+		if len(b.Frames) > 0 {
+			b.Trace = core.SignalTrace(b.Frames)
 		}
 		if in.Obs != nil {
 			id := v.AssertionID

@@ -9,11 +9,10 @@ import (
 	"adassure"
 	"adassure/internal/core"
 	"adassure/internal/forensics"
-	"adassure/internal/trace"
 )
 
-// attackedRun executes the canonical drift-spoof scenario with trace,
-// frames, metrics and a cached result shared across the tests in this file.
+// attackedRun executes the canonical drift-spoof scenario with frames,
+// metrics and a cached result shared across the tests in this file.
 var attackedRun = func() func(t *testing.T) *adassure.ScenarioResult {
 	var cached *adassure.ScenarioResult
 	return func(t *testing.T) *adassure.ScenarioResult {
@@ -26,7 +25,6 @@ var attackedRun = func() func(t *testing.T) *adassure.ScenarioResult {
 			Seed:         1,
 			Duration:     55,
 			RecordFrames: true,
-			RecordTrace:  true,
 			Obs:          adassure.NewRegistry(),
 		}
 		out, err := scn.Run()
@@ -43,8 +41,9 @@ var attackedRun = func() func(t *testing.T) *adassure.ScenarioResult {
 
 // TestBundleWindowContainsViolation is the acceptance criterion: every
 // bundle's evidence window provably contains the violation instant — in
-// the declared window, in the trace slice's time span and in the frame
-// subset.
+// the declared window, in the trace's time span and in the frame subset —
+// and that the trace is the frames' projection, one sample per in-window
+// frame in every signal.
 func TestBundleWindowContainsViolation(t *testing.T) {
 	out := attackedRun(t)
 	bundles := out.ForensicBundles(0)
@@ -60,9 +59,9 @@ func TestBundleWindowContainsViolation(t *testing.T) {
 			t.Errorf("bundle %d: window misses first breach t=%.2f", b.Index, v.FirstBreach)
 		}
 		if b.Trace == nil {
-			t.Fatalf("bundle %d: no trace slice", b.Index)
+			t.Fatalf("bundle %d: no trace", b.Index)
 		}
-		// The trace slice must cover the raise instant: some signal sample
+		// The trace must cover the raise instant: some signal sample
 		// at or after it, and one at or before it.
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, sig := range b.Trace.Signals() {
@@ -88,6 +87,11 @@ func TestBundleWindowContainsViolation(t *testing.T) {
 		for _, f := range b.Frames {
 			if !b.Window.Contains(f.T) {
 				t.Errorf("bundle %d: frame t=%.2f outside window", b.Index, f.T)
+			}
+		}
+		for _, sig := range b.Trace.Signals() {
+			if n := b.Trace.Len(sig); n != len(b.Frames) {
+				t.Errorf("bundle %d: signal %s has %d samples for %d frames", b.Index, sig, n, len(b.Frames))
 			}
 		}
 		if b.Attack == nil {
@@ -181,14 +185,12 @@ func TestReadJSONRejectsWrongSchema(t *testing.T) {
 // TestBuildSanitizesEvidence pins the fix for one-sided assertion bounds:
 // ±Inf thresholds in the evidence map must not poison the JSON encoding.
 func TestBuildSanitizesEvidence(t *testing.T) {
-	tr := trace.New()
-	tr.Record("x", 1.0, 2.0)
 	bundles := forensics.Build(forensics.Input{
 		Violations: []core.Violation{{
 			AssertionID: "A10", T: 1.0, FirstBreach: 0.9,
 			Evidence: map[string]float64{"lo": math.Inf(-1), "hi": 3.5, "bad": math.NaN()},
 		}},
-		Trace: tr,
+		Frames: []core.Frame{{T: 1, TrueX: 2}},
 	})
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles", len(bundles))

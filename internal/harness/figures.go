@@ -16,6 +16,7 @@ import (
 // marked — the headline "silent failure" figure.
 func Figure1CrossTrackSeries(o Options) (*Table, error) {
 	o.defaults()
+	o.frames = true
 	outs, err := run(o, 1, classCells(o.Controller, attacks.ClassDriftSpoof))
 	if err != nil {
 		return nil, err
@@ -26,9 +27,9 @@ func Figure1CrossTrackSeries(o Options) (*Table, error) {
 		Title:   "Cross-track error vs time under gradual drift spoof (series)",
 		Columns: []string{"t (s)", "true CTE (m)", "believed CTE (m)"},
 	}
-	trueS := res.Trace.Downsample("cte_true", 20) // 1 Hz
-	for _, s := range trueS {
-		believed, _ := res.Trace.At("cte_est", s.T)
+	tr := core.SignalTrace(res.Frames)
+	for _, s := range tr.Downsample("cte_true", 20) { // 1 Hz
+		believed, _ := tr.At("cte_est", s.T)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", s.T),
 			fmt.Sprintf("%+.2f", s.Value),
@@ -46,6 +47,7 @@ func Figure1CrossTrackSeries(o Options) (*Table, error) {
 // trajectory under a step spoof on the figure-eight.
 func Figure2Trajectory(o Options) (*Table, error) {
 	o.defaults()
+	o.frames = true
 	outs, err := run(o, 1, classCells(o.Controller, attacks.ClassStepSpoof))
 	if err != nil {
 		return nil, err
@@ -57,12 +59,13 @@ func Figure2Trajectory(o Options) (*Table, error) {
 		Columns: []string{"t (s)", "true x", "true y", "est x", "est y", "gnss x", "gnss y"},
 		Notes:   []string{"expected shape: at onset the GNSS/estimate tracks jump off the true track; the controller then drags the true track off the route"},
 	}
-	for _, s := range res.Trace.Downsample("true_x", 20) {
-		ty, _ := res.Trace.At("true_y", s.T)
-		ex, _ := res.Trace.At("est_x", s.T)
-		ey, _ := res.Trace.At("est_y", s.T)
-		gx, _ := res.Trace.At("gnss_x", s.T)
-		gy, _ := res.Trace.At("gnss_y", s.T)
+	tr := core.SignalTrace(res.Frames)
+	for _, s := range tr.Downsample("true_x", 20) {
+		ty, _ := tr.At("true_y", s.T)
+		ex, _ := tr.At("est_x", s.T)
+		ey, _ := tr.At("est_y", s.T)
+		gx, _ := tr.At("gnss_x", s.T)
+		gy, _ := tr.At("gnss_y", s.T)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", s.T),
 			fmt.Sprintf("%.2f", s.Value), fmt.Sprintf("%.2f", ty),

@@ -133,6 +133,11 @@ type Options struct {
 	// cell name of Events, e.g.
 	// gnss-drift-spoof_pure-pursuit_seed1_guard_bundle_000_A13_t0026.50s.json.
 	BundleDir string
+
+	// frames records every run's frames, which F1 and F2 project their
+	// series from. Runs record them under BundleDir too; no other
+	// experiment reads them.
+	frames bool
 }
 
 func (o *Options) defaults() {
@@ -257,19 +262,18 @@ func run(o Options, seeds int, cells []gridCell) ([][]*sim.Result, error) {
 			}
 			c.catalog.IncludeGroundTruth = true
 			res, err := sim.Run(sim.Config{
-				Track:      tr,
-				Controller: c.controller,
-				Localizer:  c.localizer,
-				Seed:       c.seed,
-				Duration:   o.duration(),
-				Campaign:   camp,
-				Monitor:    core.NewCatalogMonitor(c.catalog),
-				Guard:      c.guard,
-				// F1/F2 and the forensic bundles read the trace.
-				RecordTrace: true,
-				Obs:         o.Obs,
-				Events:      o.Events,
-				EventScope:  c.name() + "/",
+				Track:        tr,
+				Controller:   c.controller,
+				Localizer:    c.localizer,
+				Seed:         c.seed,
+				Duration:     o.duration(),
+				Campaign:     camp,
+				Monitor:      core.NewCatalogMonitor(c.catalog),
+				Guard:        c.guard,
+				RecordFrames: o.frames || o.BundleDir != "",
+				Obs:          o.Obs,
+				Events:       o.Events,
+				EventScope:   c.name() + "/",
 			})
 			if err != nil || o.BundleDir == "" {
 				return res, err
@@ -309,7 +313,6 @@ func writeCellBundles(o Options, tr *track.Track, camp attacks.Campaign, c gridC
 			"seed":       fmt.Sprintf("%d", c.seed),
 		},
 		Violations: res.Violations,
-		Trace:      res.Trace,
 		Frames:     res.Frames,
 		Attack:     attack,
 		Obs:        o.Obs,

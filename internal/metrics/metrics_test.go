@@ -136,13 +136,13 @@ func TestComfortFrom(t *testing.T) {
 	dt := 0.05
 	for i := 0; i < 100; i++ {
 		ts := float64(i) * dt
-		tr.MustRecord("speed", ts, 5)
+		tr.Column("speed").MustAppend(ts, 5)
 		steer := 0.1
 		if i%2 == 1 {
 			steer = -0.1 // bang-bang: reversals every step
 		}
-		tr.MustRecord("steer", ts, steer)
-		tr.MustRecord("accel_cmd", ts, float64(i%2)) // jerk 1/dt = 20
+		tr.Column("steer").MustAppend(ts, steer)
+		tr.Column("accel_cmd").MustAppend(ts, float64(i%2)) // jerk 1/dt = 20
 	}
 	c := ComfortFrom(tr)
 	if c.MaxLatAccel <= 0 || c.RMSLatAccel <= 0 {

@@ -1,7 +1,9 @@
 // Package report renders complete Markdown debugging reports for a run:
 // scenario metadata, tracking summary, comfort measures, the violation
 // timeline with evidence, the ranked root-cause diagnosis, and key signal
-// excerpts — the artifact an engineer files with a bug ticket.
+// excerpts — the artifact an engineer files with a bug ticket. The comfort
+// measures and signal excerpts read the signal trace projected from the
+// run's recorded frames.
 package report
 
 import (
@@ -14,6 +16,7 @@ import (
 	"adassure/internal/diagnosis"
 	"adassure/internal/metrics"
 	"adassure/internal/sim"
+	"adassure/internal/trace"
 )
 
 // Input bundles everything a report covers.
@@ -22,7 +25,8 @@ type Input struct {
 	Title string
 	// Scenario metadata rendered as a key/value table.
 	Scenario map[string]string
-	// Result is the simulation outcome (required).
+	// Result is the simulation outcome (required). Without recorded
+	// frames the report has no comfort line and no signal summary.
 	Result *sim.Result
 	// Violations is the monitor record (may be empty).
 	Violations []core.Violation
@@ -63,6 +67,10 @@ func Write(w io.Writer, in Input) error {
 
 	// Run summary.
 	r := in.Result
+	var tr *trace.Trace
+	if r.Frames != nil {
+		tr = core.SignalTrace(r.Frames)
+	}
 	b.WriteString("## Run summary\n\n")
 	fmt.Fprintf(&b, "- simulated time: **%.1f s** (%d control steps)\n", r.SimTime, r.Steps)
 	fmt.Fprintf(&b, "- route progress: **%.1f m** (%d laps, finished=%v)\n", r.ProgressTotal, r.Laps, r.Finished)
@@ -74,7 +82,7 @@ func Write(w io.Writer, in Input) error {
 	if r.FallbackTime > 0 {
 		fmt.Fprintf(&b, "- guard fallback active for **%.1f s**\n", r.FallbackTime)
 	}
-	if c := metrics.ComfortFrom(r.Trace); c.MaxLatAccel > 0 {
+	if c := metrics.ComfortFrom(tr); c.MaxLatAccel > 0 {
 		fmt.Fprintf(&b, "- comfort: max lateral accel %.2f m/s² (RMS %.2f), max jerk %.1f m/s³, %.1f steering reversals/min\n",
 			c.MaxLatAccel, c.RMSLatAccel, c.MaxJerk, c.SteerReversalsPerMin)
 	}
@@ -129,11 +137,11 @@ func Write(w io.Writer, in Input) error {
 	b.WriteString("\n")
 
 	// Signal excerpts.
-	if r.Trace != nil {
+	if tr != nil {
 		b.WriteString("## Signal summary\n\n")
 		b.WriteString("| signal | samples | min | max | mean | rms |\n|---|---|---|---|---|---|\n")
-		for _, sig := range r.Trace.Signals() {
-			st := r.Trace.SignalStats(sig)
+		for _, sig := range tr.Signals() {
+			st := tr.SignalStats(sig)
 			fmt.Fprintf(&b, "| %s | %d | %.3f | %.3f | %.3f | %.3f |\n",
 				sig, st.Count, st.Min, st.Max, st.Mean, st.RMS)
 		}

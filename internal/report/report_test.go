@@ -24,7 +24,7 @@ func attackedRun(t *testing.T) (*sim.Result, []core.Violation) {
 	mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
 	res, err := sim.Run(sim.Config{
 		Track: tr, Controller: "pure-pursuit", Seed: 1, Duration: 60,
-		Campaign: camp, Monitor: mon, RecordTrace: true,
+		Campaign: camp, Monitor: mon, RecordFrames: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestWriteCleanReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Config{Track: tr, Controller: "lqr-mpc", Seed: 1, Duration: 20, RecordTrace: true})
+	res, err := sim.Run(sim.Config{Track: tr, Controller: "lqr-mpc", Seed: 1, Duration: 20, RecordFrames: true})
 	if err != nil {
 		t.Fatal(err)
 	}

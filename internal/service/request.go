@@ -137,7 +137,6 @@ func (r Request) Scenario() adassure.Scenario {
 		Localizer:      r.Localizer,
 		Assertions:     r.Assertions,
 		RecordFrames:   r.Bundles,
-		RecordTrace:    r.Bundles,
 	}
 }
 

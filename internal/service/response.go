@@ -132,7 +132,6 @@ func buildBundles(req Request, out *adassure.ScenarioResult, traceID string) []f
 			"guarded":    fmt.Sprintf("%v", req.Guarded),
 		},
 		Violations: out.Violations,
-		Trace:      out.Sim.Trace,
 		Frames:     out.Sim.Frames,
 		Attack:     attack,
 		Hypotheses: out.Hypotheses,

@@ -11,10 +11,10 @@ import (
 
 // TestSteadyStateStepAllocs pins the zero-allocation hot-path contract end
 // to end: the marginal heap cost of additional simulated time — physics,
-// sensor delivery, fusion, control, full-catalog monitoring and columnar
-// trace recording — must stay near zero once a run has warmed up, under
-// every lateral controller. Setup cost (controllers, planner, EKF, trace
-// reservation) is excluded by differencing two run lengths, so this test
+// sensor delivery, fusion, control, full-catalog monitoring and frame
+// recording — must stay near zero once a run has warmed up, under every
+// lateral controller. Setup cost (controllers, planner, EKF, the frame
+// buffer's reservation) is excluded by differencing two run lengths, so this test
 // fails only when a per-step allocation sneaks back into the loop.
 func TestSteadyStateStepAllocs(t *testing.T) {
 	if testing.Short() {
@@ -30,7 +30,7 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 				mon := core.NewCatalogMonitor(core.CatalogConfig{IncludeGroundTruth: true})
 				if _, err := Run(Config{
 					Track: trk, Controller: ctrl.Name(), Seed: 1,
-					Duration: duration, Monitor: mon, RecordTrace: true,
+					Duration: duration, Monitor: mon, RecordFrames: true,
 				}); err != nil {
 					t.Fatal(err)
 				}

@@ -1,7 +1,8 @@
 // Package sim is the deterministic closed-loop simulation engine: it wires
 // the vehicle plant, sensor models, attack campaign, fusion stack, planner,
-// controllers and the ADAssure monitor into a fixed-step run, producing a
-// signal trace and the monitor's violation record. It substitutes for the
+// controllers and the ADAssure monitor into a fixed-step run, producing the
+// monitor's violation record and, on request, the frame stream that
+// core.SignalTrace projects onto the signal trace. It substitutes for the
 // original study's shuttle platform plus ROS recording infrastructure.
 package sim
 
@@ -21,7 +22,6 @@ import (
 	"adassure/internal/obs"
 	"adassure/internal/planner"
 	"adassure/internal/sensors"
-	"adassure/internal/trace"
 	"adassure/internal/track"
 	"adassure/internal/vehicle"
 )
@@ -40,8 +40,8 @@ const (
 )
 
 // MaxDuration bounds Config.Duration (s), one simulated hour. It keeps the
-// step count and the trace and frame preallocations, which scale with the
-// duration, finite and allocatable. Every canonicalizer that admits a run
+// step count and the frame preallocation, which scale with the duration,
+// finite and allocatable. Every canonicalizer that admits a run
 // duration checks it against this bound.
 const MaxDuration = 3600
 
@@ -145,10 +145,9 @@ type Config struct {
 	// WrapLateral, when non-nil, wraps the lateral controller right after
 	// construction — the mutation-testing engine's injection point for
 	// controller-level mutants (the pristine control implementations are
-	// never touched). A run whose wrapper can emit non-finite commands must
-	// not set RecordTrace (the trace layer stores finite samples only; the
-	// step loop skips recording such samples, the plant sanitises them, and
-	// the monitor skips the affected frames).
+	// never touched). A wrapper may emit non-finite commands: the plant
+	// sanitises them, the monitor skips the affected frames, and
+	// core.SignalTrace leaves them out of the command columns.
 	WrapLateral func(control.Lateral) control.Lateral
 	// WrapSpeed is WrapLateral for the longitudinal controller.
 	WrapSpeed func(control.Longitudinal) control.Longitudinal
@@ -159,9 +158,11 @@ type Config struct {
 	Guard GuardConfig
 	// Monitor, when non-nil, receives one core.Frame per control step.
 	Monitor *core.Monitor
-	// RecordFrames additionally stores every monitor frame in the Result,
-	// enabling offline re-monitoring with different catalogs/thresholds
-	// without re-simulating (see internal/offline).
+	// RecordFrames stores every monitor frame in Result.Frames, the run's
+	// one per-step record: offline re-monitoring replays it (see
+	// internal/offline) and core.SignalTrace projects the signal trace
+	// from it. Recording never changes a frame, violation or summary
+	// field; it only costs memory, so set it where a reader exists.
 	RecordFrames bool
 	// Obs, when non-nil, receives runtime metrics: the exact control-step
 	// count and a sampled per-step latency histogram (sim.steps,
@@ -170,11 +171,6 @@ type Config struct {
 	// per-assertion monitoring cost. A nil registry adds no measurable
 	// overhead to the step loop.
 	Obs *obs.Registry
-	// RecordTrace records the run's signals into Result.Trace (nil
-	// otherwise). Recording never changes a frame, violation or summary
-	// field; it only costs memory, so set it where a reader of the trace
-	// exists (reports, figures, forensic bundles).
-	RecordTrace bool
 	// Events, when non-nil, receives the run's structured event timeline:
 	// the scenario lifecycle span, the attack activation window, guard
 	// fallback intervals, termination instants and — via
@@ -222,8 +218,6 @@ func (c *Config) defaults() error {
 
 // Result summarises a run.
 type Result struct {
-	// Trace holds the recorded signals (nil unless Config.RecordTrace).
-	Trace *trace.Trace
 	// Final is the vehicle's final ground-truth state.
 	Final vehicle.State
 	// SimTime is the simulated seconds actually run.
@@ -293,8 +287,7 @@ type run struct {
 	odomIn                  delivery[sensors.OdomReading]
 	ekf                     fusion.Localizer
 	dr                      fusion.DeadReckoner
-	reckon                  bool            // step dr: only the guard reads it
-	cols                    []*trace.Column // traceSignals' columns; nil without a trace
+	reckon                  bool // step dr: only the guard reads it
 	ref                     control.Reference
 
 	n, nSteps int // engine ticks taken, and the run's budget
@@ -341,7 +334,7 @@ type stampedFix struct {
 }
 
 // newRun builds a run at t = 0: controllers, planner, plant, sensors,
-// fusion, the trace columns, and the obs and event wiring. The scenario
+// fusion, the frame buffer, and the obs and event wiring. The scenario
 // span opens here; finish closes it.
 func newRun(cfg Config) (*run, error) {
 	if err := cfg.defaults(); err != nil {
@@ -392,19 +385,9 @@ func newRun(cfg Config) (*run, error) {
 	r.dr = *fusion.NewDeadReckoner(0, start, initialSpeed)
 	r.nSteps = int(math.Round(cfg.Duration / engineDT))
 
-	// Trace recording is columnar: the column handles are resolved once,
-	// here, and each column preallocates the full horizon (duration ×
-	// control rate), so steady-state recording is a pair of slice appends
-	// per signal — no map lookups, no reallocation.
-	if cfg.RecordTrace {
-		tr := trace.New()
-		tr.Reserve(int(math.Ceil(cfg.Duration/controlDT)) + 1)
-		r.cols = make([]*trace.Column, len(traceSignals))
-		for i, name := range traceSignals {
-			r.cols[i] = tr.Column(name)
-		}
-		r.res.Trace = tr
-	}
+	// The frame buffer preallocates the full horizon (duration × control
+	// rate), so steady-state recording is one append that never
+	// reallocates.
 	if cfg.RecordFrames {
 		r.res.Frames = make([]core.Frame, 0, int(math.Ceil(cfg.Duration/controlDT))+1)
 	}
@@ -564,8 +547,8 @@ func (r *run) observeFix(fix sensors.GNSSFix, t float64) {
 }
 
 // control is the 20 Hz half of a tick: the cancellation check, the guard,
-// the event lanes, planning and control, the monitor frame, trace append
-// and step timing. It reports whether the run ended (see step).
+// the event lanes, planning and control, the monitor frame and its
+// recording, and step timing. It reports whether the run ended (see step).
 func (r *run) control(t float64) bool {
 	cfg := &r.cfg
 	res := r.res
@@ -699,7 +682,7 @@ func (r *run) control(t float64) bool {
 		RefS: s, CTE: cte, HeadingErr: r.ref.HeadingErr,
 		Curvature: r.ref.Kappa, TargetSpeed: target, Progress: prog,
 		CurvAheadMin: curvLo, CurvAheadMax: curvHi,
-		NIS: nis, NISFresh: nisFresh, RejectStreak: r.ekf.RejectStreak(),
+		NIS: nis, NISFresh: nisFresh, Fallback: r.inFallback, RejectStreak: r.ekf.RejectStreak(),
 		TrueX: r.truth.X, TrueY: r.truth.Y, TrueHeading: r.truth.Heading,
 		TrueSpeed: r.truth.Speed, TrueCTE: trueCTE,
 	}
@@ -708,9 +691,6 @@ func (r *run) control(t float64) bool {
 	}
 	if cfg.RecordFrames {
 		res.Frames = append(res.Frames, frame)
-	}
-	if r.cols != nil {
-		r.record(&frame)
 	}
 
 	if r.stepNS != nil {
@@ -852,32 +832,5 @@ func (l *lane) set(ev *events.Recorder, on bool, t float64, endAttrs map[string]
 		ev.Begin(l.cat, l.track, l.name, t, l.attrs)
 	} else {
 		ev.End(l.cat, l.track, l.name, t, endAttrs)
-	}
-}
-
-// traceSignals names the signals a run records, in column (and hence CSV)
-// order; record appends them in the same order.
-var traceSignals = [...]string{
-	"true_x", "true_y", "est_x", "est_y", "gnss_x", "gnss_y", "cte_true", "cte_est",
-	"speed", "target_speed", "steer", "accel_cmd", "nis", "heading_err",
-	"est_heading", "imu_heading", "curvature", "progress", "fallback",
-}
-
-// record appends one control step's signals, read from its monitor frame.
-// A mutated controller (WrapLateral) may emit NaN commands, so the command
-// columns (steer and accel_cmd, 10 and 11) skip non-finite samples.
-func (r *run) record(f *core.Frame) {
-	fallback := 0.0
-	if r.inFallback {
-		fallback = 1
-	}
-	v := [len(traceSignals)]float64{f.TrueX, f.TrueY, f.EstX, f.EstY, f.GNSSX, f.GNSSY,
-		f.TrueCTE, f.CTE, f.TrueSpeed, f.TargetSpeed, f.CmdSteer, f.CmdAccel, f.NIS,
-		f.HeadingErr, f.EstHeading, f.IMUHeading, f.Curvature, f.Progress, fallback}
-	for i, c := range r.cols {
-		if (i == 10 || i == 11) && (math.IsNaN(v[i]) || math.IsInf(v[i], 0)) {
-			continue
-		}
-		c.MustAppend(f.T, v[i])
 	}
 }

@@ -198,31 +198,36 @@ func TestSeedChangesOutcome(t *testing.T) {
 	}
 }
 
-// TestTraceRecorded: a RecordTrace run records every signal at the
-// control rate; a default run records none.
+// TestTraceRecorded: a RecordFrames run records one frame per control
+// step, and the trace projected from them holds all 19 signals at the
+// control rate; a default run records no frames.
 func TestTraceRecorded(t *testing.T) {
-	res, err := Run(Config{Track: urban(t), Controller: "lqr-mpc", Seed: 1, Duration: 10, RecordTrace: true})
+	res, err := Run(Config{Track: urban(t), Controller: "lqr-mpc", Seed: 1, Duration: 10, RecordFrames: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
-		t.Fatal("trace missing")
+	if len(res.Frames) != res.Steps {
+		t.Fatalf("%d frames for %d control steps", len(res.Frames), res.Steps)
 	}
-	for _, sig := range traceSignals {
-		if res.Trace.Len(sig) == 0 {
+	tr := core.SignalTrace(res.Frames)
+	if sigs := tr.Signals(); len(sigs) != 19 {
+		t.Errorf("trace has %d signals %v, want 19", len(sigs), sigs)
+	}
+	for _, sig := range tr.Signals() {
+		if tr.Len(sig) == 0 {
 			t.Errorf("signal %s not recorded", sig)
 		}
 	}
 	// ~10 s at 20 Hz control → ~200 samples.
-	if n := res.Trace.Len("cte_true"); n < 150 || n > 220 {
+	if n := tr.Len("cte_true"); n < 150 || n > 220 {
 		t.Errorf("cte_true sample count %d, want ~200", n)
 	}
 	res2, err := Run(Config{Track: urban(t), Controller: "lqr-mpc", Seed: 1, Duration: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Trace != nil {
-		t.Error("a run without RecordTrace recorded a trace")
+	if res2.Frames != nil {
+		t.Error("a run without RecordFrames recorded frames")
 	}
 }
 
@@ -255,15 +260,16 @@ func TestFallbackCapsSpeed(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Track: urban(t), Controller: "pure-pursuit", Seed: 1, Duration: 50,
-		Campaign: camp, Guard: GuardConfig{Enabled: true}, RecordTrace: true,
+		Campaign: camp, Guard: GuardConfig{Enabled: true}, RecordFrames: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const capSpeed, mrmDelay = 2.0, 8.0
-	fallback := res.Trace.Samples("fallback")
-	target := res.Trace.Samples("target_speed")
-	speed := res.Trace.Samples("speed")
+	tr := core.SignalTrace(res.Frames)
+	fallback := tr.Samples("fallback")
+	target := tr.Samples("target_speed")
+	speed := tr.Samples("speed")
 	if len(fallback) != len(target) || len(fallback) != len(speed) {
 		t.Fatalf("fallback, target_speed and speed have %d, %d and %d samples", len(fallback), len(target), len(speed))
 	}
@@ -314,12 +320,13 @@ func TestNoNaNsInTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Track: urban(t), Controller: "stanley", Seed: 2, Duration: 50, Campaign: camp, RecordTrace: true})
+	res, err := Run(Config{Track: urban(t), Controller: "stanley", Seed: 2, Duration: 50, Campaign: camp, RecordFrames: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sig := range res.Trace.Signals() {
-		for _, s := range res.Trace.Samples(sig) {
+	tr := core.SignalTrace(res.Frames)
+	for _, sig := range tr.Signals() {
+		for _, s := range tr.Samples(sig) {
 			if math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
 				t.Fatalf("signal %s has non-finite sample at t=%.2f", sig, s.T)
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adassure"
@@ -15,30 +16,35 @@ import (
 )
 
 // diffCase is one track/controller/attack combination of the differential
-// suite — together the six cases cover every built-in track, four
-// controllers, four GNSS attack classes, one actuation fault and one
-// clean run (exercising the CauseNone path).
+// suite — together the seven cases cover every built-in track, four
+// controllers, five GNSS attack classes, one actuation fault, one clean
+// run (exercising the CauseNone path) and one guarded run whose frames
+// carry the guard's fallback.
 type diffCase struct {
 	track      adassure.TrackName
 	controller adassure.ControllerName
 	attack     adassure.AttackName
+	guarded    bool
 }
 
 var diffCases = []diffCase{
-	{adassure.TrackUrbanLoop, adassure.ControllerPurePursuit, adassure.AttackDriftSpoof},
-	{adassure.TrackSCurve, adassure.ControllerStanley, adassure.AttackStepSpoof},
-	{adassure.TrackFigureEight, adassure.ControllerPIDLateral, adassure.AttackFreeze},
-	{adassure.TrackDoubleLaneChange, adassure.ControllerLQRMPC, adassure.AttackReplay},
-	{adassure.TrackCircle, adassure.ControllerPurePursuit, adassure.AttackStuckSteer},
-	{adassure.TrackHairpin, adassure.ControllerStanley, adassure.AttackNone},
+	{adassure.TrackUrbanLoop, adassure.ControllerPurePursuit, adassure.AttackDriftSpoof, false},
+	{adassure.TrackSCurve, adassure.ControllerStanley, adassure.AttackStepSpoof, false},
+	{adassure.TrackFigureEight, adassure.ControllerPIDLateral, adassure.AttackFreeze, false},
+	{adassure.TrackDoubleLaneChange, adassure.ControllerLQRMPC, adassure.AttackReplay, false},
+	{adassure.TrackCircle, adassure.ControllerPurePursuit, adassure.AttackStuckSteer, false},
+	{adassure.TrackHairpin, adassure.ControllerStanley, adassure.AttackNone, false},
+	{adassure.TrackUrbanLoop, adassure.ControllerLQRMPC, adassure.AttackDropout, true},
 }
 
-// record runs one scenario and returns its frame recording.
+// record runs one scenario and returns its frame recording. A guarded
+// case must fall back: a 20 s GNSS dropout trips the guard's staleness
+// trigger.
 func record(t *testing.T, c diffCase) *offline.Recording {
 	t.Helper()
 	res, err := adassure.Scenario{
 		Track: c.track, Controller: c.controller, Attack: c.attack,
-		AttackStart: 15, AttackEnd: 35,
+		AttackStart: 15, AttackEnd: 35, Guarded: c.guarded,
 		Seed: 1, Duration: 40, RecordFrames: true,
 	}.Run()
 	if err != nil {
@@ -47,6 +53,9 @@ func record(t *testing.T, c diffCase) *offline.Recording {
 	rec := res.Recording
 	if rec == nil || len(rec.Frames) == 0 {
 		t.Fatalf("%v/%v/%v: no frames recorded", c.track, c.controller, c.attack)
+	}
+	if c.guarded && !slices.ContainsFunc(rec.Frames, func(f core.Frame) bool { return f.Fallback }) {
+		t.Fatalf("%v/%v/%v: the guarded run never fell back", c.track, c.controller, c.attack)
 	}
 	return (*offline.Recording)(rec)
 }
@@ -104,7 +113,11 @@ func TestStreamMatchesBatch(t *testing.T) {
 	cfg := core.CatalogConfig{IncludeGroundTruth: true}
 	for _, c := range diffCases {
 		c := c
-		t.Run(string(c.track)+"/"+string(c.attack), func(t *testing.T) {
+		name := string(c.track) + "/" + string(c.attack)
+		if c.guarded {
+			name += "/guarded"
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			rec := record(t, c)
 			wantViolations := rec.Monitor(cfg)

@@ -7,10 +7,11 @@
 // and reads its times from a time axis, both preallocated via Reserve and
 // grown geometrically by append. Signals recorded in lockstep share one
 // axis; a signal whose times leave it (a skipped sample, a late start)
-// continues on its own copy. The simulation engine resolves one *Column
-// handle per signal before its step loop and appends through it, so the
-// steady-state recording path performs no map lookups and no heap
-// allocation. Row-oriented accessors (Samples, At, Downsample) and the CSV/
+// continues on its own copy. A writer resolves one *Column handle per
+// signal up front and appends through it, so appending into reserved
+// capacity performs no map lookups and no heap allocation. A run's trace
+// is projected from its recorded frames (core.SignalTrace). Row-oriented
+// accessors (Samples, At, Downsample) and the CSV/
 // JSON exports are preserved byte-for-byte on top of the columnar layout;
 // see DESIGN.md §13 for the memory model and ownership rules.
 package trace
@@ -89,8 +90,8 @@ func (c *Column) Append(t, value float64) error {
 	return nil
 }
 
-// MustAppend is Append for engine-internal signals whose preconditions are
-// established by the caller; it panics on error.
+// MustAppend is Append for samples whose preconditions the caller
+// establishes; it panics on error.
 func (c *Column) MustAppend(t, value float64) {
 	if err := c.Append(t, value); err != nil {
 		panic(err)
@@ -113,7 +114,7 @@ func (c *Column) reserve(n int) {
 }
 
 // Trace accumulates samples for a set of named signals. It is not safe for
-// concurrent use; the simulation engine owns it for the duration of a run.
+// concurrent use.
 type Trace struct {
 	cols    []*Column      // first-appearance order
 	index   map[string]int // signal name → cols index
@@ -126,8 +127,8 @@ func New() *Trace {
 	return &Trace{index: make(map[string]int), axis: &axis{}}
 }
 
-// Reserve hints the expected per-signal sample count (e.g. duration/dt from
-// the simulation horizon): existing columns grow to that capacity and
+// Reserve hints the expected per-signal sample count (e.g. the number of
+// frames a trace is projected from): existing columns grow to that capacity and
 // columns created later preallocate it, so steady-state recording never
 // reallocates.
 func (tr *Trace) Reserve(n int) {
@@ -142,7 +143,7 @@ func (tr *Trace) Reserve(n int) {
 
 // Column returns the handle for the named signal, creating the column on
 // first use. It panics on an empty name — handle resolution is static
-// engine configuration, unlike Record which reports errors. The handle
+// configuration, unlike Record which reports errors. The handle
 // stays valid for the lifetime of the trace.
 func (tr *Trace) Column(signal string) *Column {
 	if signal == "" {
@@ -176,14 +177,6 @@ func (tr *Trace) Record(signal string, t, value float64) error {
 		return fmt.Errorf("trace: empty signal name")
 	}
 	return tr.Column(signal).Append(t, value)
-}
-
-// MustRecord is Record for simulator-internal signals whose preconditions
-// are established by the engine; it panics on error.
-func (tr *Trace) MustRecord(signal string, t, value float64) {
-	if err := tr.Record(signal, t, value); err != nil {
-		panic(err)
-	}
 }
 
 // Signals returns the signal names in first-appearance order.
@@ -236,15 +229,6 @@ func (tr *Trace) At(signal string, t float64) (v float64, ok bool) {
 	return c.v[i-1], true
 }
 
-// Last returns the most recent sample of a signal.
-func (tr *Trace) Last(signal string) (Sample, bool) {
-	c := tr.lookup(signal)
-	if c == nil || c.Len() == 0 {
-		return Sample{}, false
-	}
-	return c.Sample(c.Len() - 1), true
-}
-
 // Stats summarises a signal.
 type Stats struct {
 	Count          int
@@ -253,18 +237,17 @@ type Stats struct {
 	AbsMax         float64
 }
 
-// statsOver computes statistics over the index range [lo, hi) of a column,
-// with the same accumulation order as the original row-oriented scan so
-// results are bit-identical.
-func statsOver(c *Column, lo, hi int) Stats {
-	n := hi - lo
-	if c == nil || n <= 0 {
+// SignalStats computes summary statistics for a signal. The zero Stats is
+// returned for an empty or missing signal.
+func (tr *Trace) SignalStats(signal string) Stats {
+	c := tr.lookup(signal)
+	if c == nil || c.Len() == 0 {
 		return Stats{}
 	}
+	n := c.Len()
 	st := Stats{Count: n, Min: math.Inf(1), Max: math.Inf(-1)}
 	var sum, sumSq float64
-	for i := lo; i < hi; i++ {
-		v := c.v[i]
+	for _, v := range c.v {
 		sum += v
 		sumSq += v * v
 		if v < st.Min {
@@ -280,34 +263,6 @@ func statsOver(c *Column, lo, hi int) Stats {
 	st.Mean = sum / float64(n)
 	st.RMS = math.Sqrt(sumSq / float64(n))
 	return st
-}
-
-// window returns the index range [lo, hi) of samples with T in [t0, t1].
-func (c *Column) window(t0, t1 float64) (lo, hi int) {
-	ts := c.Times()
-	lo = sort.Search(len(ts), func(i int) bool { return ts[i] >= t0 })
-	hi = sort.Search(len(ts), func(i int) bool { return ts[i] > t1 })
-	return lo, hi
-}
-
-// SignalStats computes summary statistics for a signal. The zero Stats is
-// returned for an empty or missing signal.
-func (tr *Trace) SignalStats(signal string) Stats {
-	c := tr.lookup(signal)
-	if c == nil {
-		return Stats{}
-	}
-	return statsOver(c, 0, c.Len())
-}
-
-// WindowStats computes statistics over samples with T in [t0, t1].
-func (tr *Trace) WindowStats(signal string, t0, t1 float64) Stats {
-	c := tr.lookup(signal)
-	if c == nil {
-		return Stats{}
-	}
-	lo, hi := c.window(t0, t1)
-	return statsOver(c, lo, hi)
 }
 
 // WriteCSV writes the trace as a wide CSV: a time column (the union of all
@@ -351,25 +306,6 @@ func (tr *Trace) unionTimes() []float64 {
 	}
 	sort.Float64s(times)
 	return times
-}
-
-// Slice returns a new trace holding, for every signal, only the samples
-// with T in the closed interval [t0, t1] — the evidence-window extraction
-// behind forensic bundles. Signals with no samples in the window are
-// omitted; the originals are never aliased.
-func (tr *Trace) Slice(t0, t1 float64) *Trace {
-	out := New()
-	for _, c := range tr.cols {
-		lo, hi := c.window(t0, t1)
-		if hi <= lo {
-			continue
-		}
-		oc := out.Column(c.name)
-		for i := lo; i < hi; i++ {
-			oc.MustAppend(c.ax.t[i], c.v[i])
-		}
-	}
-	return out
 }
 
 // jsonTrace is the serialised form.

@@ -24,12 +24,6 @@ func TestRecordAndQuery(t *testing.T) {
 	if _, ok := tr.At("x", -1); ok {
 		t.Error("At before first sample should be !ok")
 	}
-	if s, ok := tr.Last("x"); !ok || s.Value != 81 {
-		t.Errorf("Last = %+v, %v", s, ok)
-	}
-	if _, ok := tr.Last("missing"); ok {
-		t.Error("Last of missing signal should be !ok")
-	}
 }
 
 func TestRecordValidation(t *testing.T) {
@@ -52,21 +46,11 @@ func TestRecordValidation(t *testing.T) {
 	}
 }
 
-func TestMustRecordPanics(t *testing.T) {
-	tr := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRecord should panic on error")
-		}
-	}()
-	tr.MustRecord("", 0, 0)
-}
-
 func TestSignalsOrder(t *testing.T) {
 	tr := New()
-	tr.MustRecord("b", 0, 1)
-	tr.MustRecord("a", 0, 1)
-	tr.MustRecord("b", 1, 2)
+	tr.Column("b").MustAppend(0, 1)
+	tr.Column("a").MustAppend(0, 1)
+	tr.Column("b").MustAppend(1, 2)
 	got := tr.Signals()
 	if len(got) != 2 || got[0] != "b" || got[1] != "a" {
 		t.Errorf("Signals = %v, want first-appearance order [b a]", got)
@@ -76,7 +60,7 @@ func TestSignalsOrder(t *testing.T) {
 func TestSignalStats(t *testing.T) {
 	tr := New()
 	for i, v := range []float64{1, -3, 2} {
-		tr.MustRecord("s", float64(i), v)
+		tr.Column("s").MustAppend(float64(i), v)
 	}
 	st := tr.SignalStats("s")
 	if st.Count != 3 || st.Min != -3 || st.Max != 2 || st.AbsMax != 3 {
@@ -94,22 +78,11 @@ func TestSignalStats(t *testing.T) {
 	}
 }
 
-func TestWindowStats(t *testing.T) {
-	tr := New()
-	for i := 0; i < 10; i++ {
-		tr.MustRecord("s", float64(i), float64(i))
-	}
-	st := tr.WindowStats("s", 3, 6)
-	if st.Count != 4 || st.Min != 3 || st.Max != 6 {
-		t.Errorf("window stats = %+v", st)
-	}
-}
-
 func TestCSVExport(t *testing.T) {
 	tr := New()
-	tr.MustRecord("a", 0, 1)
-	tr.MustRecord("a", 1, 2)
-	tr.MustRecord("b", 1, 5)
+	tr.Column("a").MustAppend(0, 1)
+	tr.Column("a").MustAppend(1, 2)
+	tr.Column("b").MustAppend(1, 5)
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -132,9 +105,9 @@ func TestCSVExport(t *testing.T) {
 
 func TestJSONRoundtrip(t *testing.T) {
 	tr := New()
-	tr.MustRecord("x", 0, 1.5)
-	tr.MustRecord("x", 0.1, -2.5)
-	tr.MustRecord("y", 0.05, 7)
+	tr.Column("x").MustAppend(0, 1.5)
+	tr.Column("x").MustAppend(0.1, -2.5)
+	tr.Column("y").MustAppend(0.05, 7)
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -165,7 +138,7 @@ func TestReadJSONRejectsCorrupt(t *testing.T) {
 func TestDownsample(t *testing.T) {
 	tr := New()
 	for i := 0; i < 100; i++ {
-		tr.MustRecord("s", float64(i), float64(i))
+		tr.Column("s").MustAppend(float64(i), float64(i))
 	}
 	ds := tr.Downsample("s", 10)
 	if len(ds) != 11 { // 0,10,...,90 plus final 99
@@ -182,7 +155,7 @@ func TestDownsample(t *testing.T) {
 func TestAtZeroOrderHoldProperty(t *testing.T) {
 	tr := New()
 	for i := 0; i < 50; i++ {
-		tr.MustRecord("s", float64(i), float64(i))
+		tr.Column("s").MustAppend(float64(i), float64(i))
 	}
 	f := func(q float64) bool {
 		if math.IsNaN(q) || math.IsInf(q, 0) {
