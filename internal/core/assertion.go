@@ -295,8 +295,9 @@ func (m *Monitor) SetEpisodeHooks(open, close func(Violation)) *Monitor {
 }
 
 // FinishEvents closes the event spans of episodes still open at end of
-// run, stamping them with the final timestamp and an open=1 attribute so
-// the timeline distinguishes "cleared" from "still failing at cutoff".
+// run, stamping them with the final timestamp and a truncated=1 attribute
+// so the timeline distinguishes "cleared" from "still failing at cutoff".
+// The run's attack and guard lanes close with the same attribute.
 func (m *Monitor) FinishEvents(t float64) {
 	if m.events == nil {
 		return
@@ -304,7 +305,7 @@ func (m *Monitor) FinishEvents(t float64) {
 	for _, e := range m.entries {
 		if e.inEpisode {
 			m.events.End(events.CatViolation, m.evScope+"assertion/"+e.a.ID(),
-				e.a.ID()+" "+e.a.Name(), t, map[string]float64{"open": 1})
+				e.a.ID()+" "+e.a.Name(), t, map[string]float64{"truncated": 1})
 		}
 	}
 }
