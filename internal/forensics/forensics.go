@@ -4,13 +4,12 @@
 // everything an engineer needs to root-cause the episode without
 // rerunning the simulation — the monitor frames inside a ±window around
 // the violation and the signal trace projected from them, the attack
-// state active at the
-// violation instant, the assertion's evaluation history from the metrics
-// registry, and the top-ranked diagnosis hypotheses. It is the
-// violation-cause-analysis layer between the raw violation record
-// (internal/core) and the human: aggregate metrics say *how often* an
-// assertion fired; a bundle shows *what the signals were doing* when it
-// did.
+// state active at the violation instant, the assertion's evaluation
+// history from the metrics registry, and the top-ranked diagnosis
+// hypotheses. It is the violation-cause-analysis layer between the raw
+// violation record (internal/core) and the human: aggregate metrics say
+// *how often* an assertion fired; a bundle shows *what the signals were
+// doing* when it did.
 package forensics
 
 import (
